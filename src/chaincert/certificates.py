@@ -27,11 +27,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .complexity import (
-    EXACT_N_CAP,
+    LossMatrix,
+    RademacherEstimate,
     loss_matrix,
-    rademacher_exact,
+    rademacher_estimate,
     rademacher_expected,
-    rademacher_mc,
 )
 from .erm import erm, true_risk_table
 from .errors import AssumptionViolationError, InvalidInputError
@@ -42,10 +42,11 @@ from .generators import (
     sample_chain,
     sample_stationary_chain,
 )
-from .hypotheses import HypothesisClass, LossEnv, window_loss_values
+from .hypotheses import HypothesisClass, LossEnv
 from .metric import SeedSpec, derive_stream
 
 CERTIFICATE_FORMS = ("population", "empirical")
+WINDOW_MODES = ("delayed", "paper_literal")
 
 
 # -- certificate arithmetic ------------------------------------------------------
@@ -218,9 +219,8 @@ def _risk_values(cls, gen, env, tol, seed) -> tuple[np.ndarray, float]:
     return values, unc
 
 
-def _sup_deviation(cls, traj, env, lo: int, hi: int, er_values: np.ndarray) -> float:
-    rows = window_loss_values(cls, traj.xs[lo:hi], traj.ys[lo:hi], env)
-    return float(np.abs(rows.mean(axis=1) - er_values).max())
+def _sup_deviation(matrix: LossMatrix, er_values: np.ndarray) -> float:
+    return float(np.abs(matrix.values.mean(axis=1) - er_values).max())
 
 
 def _binomial_se(p: float, trials: int) -> float:
@@ -259,7 +259,7 @@ def validate_lemma1(
 
         def run(t: int) -> float:
             traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
-            return _sup_deviation(cls, traj, env, n, 2 * n, er_values)
+            return _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
 
         return run
 
@@ -324,7 +324,7 @@ def validate_lemma2(
 
     def run(t: int) -> float:
         traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
-        return _sup_deviation(cls, traj, env, n, 2 * n, er_values)
+        return _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
 
     phis = np.array(_map_trials(run, trials, workers))
     phi_mean = float(phis.mean())
@@ -333,10 +333,6 @@ def validate_lemma2(
     rad = rademacher_expected(
         cls, gen, env, n, outer=rad_outer, start_mode="stationary",
         tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
-    )
-    rad_sym = rademacher_expected(
-        cls, gen, env, n, outer=rad_outer, start_mode="stationary",
-        tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws, symmetrized=True,
     )
     rad_bias = env.ell_H * ell_F ** burn_in_steps(gen, tol)
     wass_term = env.ell_H * ell_F**n * w_bar
@@ -353,7 +349,7 @@ def validate_lemma2(
             ("phi_se", phi_se),
             ("rademacher", rad.value),
             ("rademacher_se", rad.se),
-            ("rademacher_symmetrized", rad_sym.value),
+            ("rademacher_symmetrized", rad.value_symmetrized),
             ("rademacher_bias_allowance", rad_bias),
             ("wasserstein_term", wass_term),
             ("n", n),
@@ -393,22 +389,18 @@ def validate_lemma3(
     c = deviation_constant(env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
     batch_seed = derive_stream(seed, 0)
-    exact_inner = n <= EXACT_N_CAP
 
-    def run(t: int) -> tuple[float, float]:
+    def run(t: int) -> tuple[float, RademacherEstimate]:
         stream = derive_stream(batch_seed, t)
         traj = sample_stationary_chain(gen, 2 * n, tol, stream)
-        mat = loss_matrix(cls, traj, env, window=(0, n))
-        if exact_inner:
-            rhat = rademacher_exact(mat).value
-        else:
-            rhat = rademacher_mc(mat, mc_draws, derive_stream(stream, 1)).value
-        phi = _sup_deviation(cls, traj, env, n, 2 * n, er_values)
+        rhat = rademacher_estimate(loss_matrix(cls, traj, env, window=(0, n)),
+                                   mc_draws, derive_stream(stream, 1))
+        phi = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
         return phi, rhat
 
     results = _map_trials(run, trials, workers)
     phis = np.array([r[0] for r in results])
-    rhats = np.array([r[1] for r in results])
+    rhats = np.array([r[1].value for r in results])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
     freq = float(success.mean())
     target = 1.0 - math.exp(-2.0 * epsilon**2 * n / c**2)
@@ -423,6 +415,7 @@ def validate_lemma3(
         details=(
             ("mean_phi", float(phis.mean())),
             ("mean_rhat", float(rhats.mean())),
+            ("rhat_method", results[0][1].method),
             ("epsilon", float(epsilon)),
             ("n", n),
             ("trials", trials),
@@ -435,9 +428,6 @@ def validate_lemma3(
             (t, float(phis[t]), float(rhats[t]), int(success[t])) for t in range(trials)
         ),
     )
-
-
-WINDOW_MODES = ("delayed", "paper_literal")
 
 
 def coverage_experiment(
@@ -454,8 +444,6 @@ def coverage_experiment(
     rad_outer: int = 32,
     mc_draws: int = 4096,
     erm_tie_break: str = "lowest_index",
-    report_plugin_w: bool = False,
-    plugin_atoms: int = 128,
     workers: int = 1,
 ) -> ValidationReport:
     """End-to-end check of both certificate forms against realized deviations.
@@ -489,26 +477,21 @@ def coverage_experiment(
     cert_pop = certify_population(rad_input, env.ell_H, ell_F, n, epsilon, w_bar)
     confidence = cert_pop.confidence
 
-    lo, hi = (n, 2 * n) if window_mode == "delayed" else (0, n)
-    exact_inner = n <= EXACT_N_CAP
+    window = (n, 2 * n) if window_mode == "delayed" else (0, n)
     batch_seed = derive_stream(seed, 0)
 
-    def run(t: int) -> tuple[float, float]:
+    def run(t: int) -> tuple[float, RademacherEstimate]:
         stream = derive_stream(batch_seed, t)
         traj = sample_chain(gen, None, 2 * n, stream)
-        report = erm(cls, traj, env, epsilon=epsilon, tie_break=erm_tie_break, window=(lo, hi))
+        mat = loss_matrix(cls, traj, env, window=window)
+        report = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break)
         deviation = abs(float(er_values[report.hypothesis_index]) - opt_value)
-        mat = loss_matrix(cls, traj, env, window=(lo, hi))
-        if exact_inner:
-            rhat = rademacher_exact(mat).value
-        else:
-            rhat = rademacher_mc(mat, mc_draws, derive_stream(stream, 1)).value
-        return deviation, rhat
+        return deviation, rademacher_estimate(mat, mc_draws, derive_stream(stream, 1))
 
     results = _map_trials(run, trials, workers)
     deviations = np.array([r[0] for r in results])
     radii_emp = np.array(
-        [certify_empirical(r[1], env.ell_H, ell_F, n, epsilon).radius for r in results]
+        [certify_empirical(r[1].value, env.ell_H, ell_F, n, epsilon).radius for r in results]
     )
     covered_pop = deviations < cert_pop.radius
     covered_emp = deviations < radii_emp
@@ -525,7 +508,7 @@ def coverage_experiment(
     pass_pop = cov_pop_adj >= confidence - margin_pop
     pass_emp = cov_emp_adj >= confidence - margin_emp
 
-    details = [
+    details = (
         ("coverage_population", cov_pop),
         ("coverage_empirical", cov_emp),
         ("coverage_population_adjusted", cov_pop_adj),
@@ -538,6 +521,7 @@ def coverage_experiment(
         ("rademacher", rad.value),
         ("rademacher_se", rad.se),
         ("rademacher_bias_allowance", rad_bias),
+        ("rhat_method", results[0][1].method),
         ("opt_risk", opt_value),
         ("epsilon", float(epsilon)),
         ("n", n),
@@ -547,16 +531,7 @@ def coverage_experiment(
         ("ell_F", ell_F),
         ("w_bar", float(w_bar)),
         ("true_risk_uncertainty", er_unc),
-    ]
-    if report_plugin_w:
-        from .transport import EmpiricalMeasure, w1_exact
-        from .generators import invariant_sampler
-
-        mu0 = EmpiricalMeasure.uniform([gen.z0], gen.metric)
-        pi_hat = invariant_sampler(gen, tol, plugin_atoms, derive_stream(seed, 2))
-        plugin, _ = w1_exact(mu0, pi_hat)
-        details.append(("wasserstein_plugin_diagnostic", float(plugin)))
-
+    )
     return ValidationReport(
         name="coverage",
         passed=bool(pass_pop and pass_emp),
@@ -564,7 +539,7 @@ def coverage_experiment(
         bound=confidence,
         margin=max(margin_pop, margin_emp),
         comparison=">=",
-        details=tuple(details),
+        details=details,
         row_header=("trial", "deviation", "radius_pop", "radius_emp", "covered_pop", "covered_emp"),
         rows=tuple(
             (

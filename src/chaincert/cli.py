@@ -32,7 +32,13 @@ from .certificates import (
     validate_lemma2,
     validate_lemma3,
 )
-from .complexity import EXACT_N_CAP, LossMatrix, rademacher_exact, rademacher_mc
+from .complexity import (
+    LossMatrix,
+    loss_matrix,
+    rademacher_estimate,
+    rademacher_exact,
+    rademacher_mc,
+)
 from .config import (
     ExperimentConfig,
     build_bundle,
@@ -95,7 +101,6 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
         workers=getattr(args, "workers", None),
         out_dir=getattr(args, "out", None),
         window_mode=_WINDOW_FLAG[window] if window else None,
-        exact=True if getattr(args, "exact", False) else None,
     )
 
 
@@ -106,11 +111,11 @@ def _need(cfg: ExperimentConfig, field: str, command: str):
     return value
 
 
-def _resolve_epsilon(cfg: ExperimentConfig, command: str, ell_H: float, ell_F: float) -> float:
+def _resolve_epsilon(cfg: ExperimentConfig, command: str, n: int,
+                     ell_H: float, ell_F: float) -> float:
     if cfg.epsilon is not None:
         return cfg.epsilon
     if cfg.delta is not None:
-        n = _need(cfg, "n", command)
         return invert_epsilon(cfg.delta, n, ell_H, ell_F)
     raise InvalidInputError(f"{command} needs 'epsilon' or 'delta' in the config or as a flag")
 
@@ -173,19 +178,21 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
     values = read_loss_matrix_csv(args.matrix)
     ell_H = args.ell_h if args.ell_h is not None else max(float(values.max()), 1e-12)
     matrix = LossMatrix(values, ell_H)
-    n = values.shape[1]
-    if args.exact or (n <= EXACT_N_CAP and args.draws is None):
+    seed = SeedSpec(args.seed or 0)
+    if args.exact:
         est = rademacher_exact(matrix)
+    elif args.draws is None:
+        est = rademacher_estimate(matrix, 4096, seed)
     else:
-        est = rademacher_mc(matrix, args.draws or 4096, SeedSpec(args.seed or 0))
+        est = rademacher_mc(matrix, args.draws, seed)
     payload = {
         "value": est.value,
         "se": est.se,
         "draws": est.draws,
         "method": est.method,
-        "symmetrized": est.symmetrized,
+        "value_symmetrized": est.value_symmetrized,
         "class_size": values.shape[0],
-        "n": n,
+        "n": matrix.num_states,
         "ell_H": ell_H,
     }
     _print_json(payload)
@@ -205,22 +212,18 @@ def _cmd_erm(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             "trajectory dimensions do not match the configured generator"
         )
-    length = len(traj)
     if cfg.window_mode == "delayed":
-        n = cfg.n if cfg.n is not None else length // 2
-        if length < 2 * n or n < 1:
-            raise InvalidInputError(
-                f"delayed window needs a trajectory of at least 2n rows, got {length} for n={n}"
-            )
+        n = cfg.n if cfg.n is not None else len(traj) // 2
         window = (n, 2 * n)
     else:
-        n = cfg.n if cfg.n is not None else length
-        if n > length:
-            raise InvalidInputError(f"window length {n} exceeds trajectory length {length}")
+        n = cfg.n if cfg.n is not None else len(traj)
         window = (0, n)
-    report = erm(bundle.cls, traj, bundle.env,
-                 epsilon=cfg.epsilon if cfg.epsilon is not None else 0.0,
-                 tie_break=cfg.tie_break, window=window)
+    matrix = loss_matrix(bundle.cls, traj, bundle.env, window=window)
+    epsilon = 0.0
+    if cfg.epsilon is not None or cfg.delta is not None:
+        epsilon = _resolve_epsilon(cfg, "erm", n, bundle.env.ell_H,
+                                   analytic_lip_factor(bundle.gen))
+    report = erm(bundle.cls, matrix, epsilon=epsilon, tie_break=cfg.tie_break)
     payload = {
         "hypothesis_id": report.hypothesis_id,
         "hypothesis_index": report.hypothesis_index,
@@ -229,7 +232,7 @@ def _cmd_erm(args: argparse.Namespace) -> int:
         "achieved_gap": report.achieved_gap,
         "epsilon": report.epsilon,
         "tie_break": report.tie_break,
-        "window": list(report.window),
+        "window": list(window),
         "risk_table": [[hid, float(v)] for hid, v in report.risk_table],
     }
     _print_json(payload)
@@ -288,7 +291,7 @@ def _run_validator(name: str, cfg: ExperimentConfig):
         return validate_lemma2(gen, cls, env, n, trials, seed=seed, w_bar=cfg.w_bar,
                                tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws,
                                workers=cfg.workers)
-    epsilon = _resolve_epsilon(cfg, name, env.ell_H, analytic_lip_factor(gen))
+    epsilon = _resolve_epsilon(cfg, name, n, env.ell_H, analytic_lip_factor(gen))
     if name == "lemma1":
         return validate_lemma1(gen, cls, env, n, epsilon, trials, seed=seed,
                                tol=cfg.tol, workers=cfg.workers)

@@ -2,10 +2,12 @@
 
 Two estimators over the same loss matrix: exact enumeration of all sign
 vectors (small n, chunked so memory stays flat) and an unbiased Monte Carlo
-average with a standard error. Both exist in a plain form, max over the
-class of the signed mean, and a symmetrized form that takes the absolute
-value inside the max; the plain form is what the deviation bounds consume,
-the symmetrized one is a diagnostic for sign-asymmetric classes.
+average with a standard error; ``rademacher_estimate`` picks between them by
+sample size. Every estimate carries a plain form, max over the class of the
+signed mean, and a symmetrized form that takes the absolute value inside the
+max, both scored on the same sign vectors; the plain form is what the
+deviation bounds consume, the symmetrized one is a diagnostic for
+sign-asymmetric classes.
 
 Closed-form ceilings for comparison: the finite-class growth bound
 L_H * sqrt(2 log r / n) and the dimension bound
@@ -59,6 +61,9 @@ class LossMatrix:
 def loss_matrix(
     cls: HypothesisClass, traj: Trajectory, env: LossEnv, window: Optional[tuple] = None
 ) -> LossMatrix:
+    """Loss rows of every hypothesis over ``traj[start:stop]`` (default: all of it).
+
+    This is the one place a window is checked against its trajectory."""
     if window is None:
         window = (0, len(traj))
     start, stop = window
@@ -72,23 +77,26 @@ def loss_matrix(
 
 @dataclass(frozen=True)
 class RademacherEstimate:
+    """Plain estimate with its standard error, and the symmetrized value
+    scored on the same sign vectors (or the same chains, for expectations)."""
+
     value: float
     se: float
     draws: int
     method: str
-    symmetrized: bool
+    value_symmetrized: float
 
 
-def _chunk_stats(values: np.ndarray, signs: np.ndarray, symmetrized: bool) -> np.ndarray:
-    """Per-sign-vector statistic max_h (1/n) sum_t sigma_t L_h(t)."""
+def _chunk_stats(values: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sign-vector max_h (1/n) sum_t sigma_t L_h(t), plain and with |.| inside."""
     n = values.shape[1]
-    scores = signs @ values.T  # (chunk, H)
-    if symmetrized:
-        scores = np.abs(scores)
-    return scores.max(axis=1) / n
+    # hypotheses-major copy: each max then runs across whole rows of the
+    # chunk, not along a row as short as the class, which numpy does slowly
+    scores = np.ascontiguousarray((signs @ values.T).T)  # (H, chunk)
+    return scores.max(axis=0) / n, np.abs(scores).max(axis=0) / n
 
 
-def rademacher_exact(matrix: LossMatrix, symmetrized: bool = False) -> RademacherEstimate:
+def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
     """Average over every sign vector; only feasible for small samples."""
     n = matrix.num_states
     if n > EXACT_N_CAP:
@@ -97,15 +105,17 @@ def rademacher_exact(matrix: LossMatrix, symmetrized: bool = False) -> Rademache
             "use the Monte Carlo estimator instead"
         )
     total = 1 << n
-    acc = 0.0
+    acc = acc_sym = 0.0
     bit_positions = np.arange(n, dtype=np.uint64)
     for lo in range(0, total, _CHUNK):
         ks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
         bits = (ks[:, None] >> bit_positions) & 1
         signs = 1.0 - 2.0 * bits
-        acc += float(_chunk_stats(matrix.values, signs, symmetrized).sum())
+        plain, sym = _chunk_stats(matrix.values, signs)
+        acc += float(plain.sum())
+        acc_sym += float(sym.sum())
     return RademacherEstimate(
-        value=acc / total, se=0.0, draws=total, method="exact", symmetrized=symmetrized
+        value=acc / total, se=0.0, draws=total, method="exact", value_symmetrized=acc_sym / total
     )
 
 
@@ -113,7 +123,6 @@ def rademacher_mc(
     matrix: LossMatrix,
     draws: int,
     seed: SeedSpec = SeedSpec(0),
-    symmetrized: bool = False,
 ) -> RademacherEstimate:
     """Unbiased sign-sampling estimate with a standard error."""
     if not (isinstance(draws, int) and draws >= 2):
@@ -121,19 +130,30 @@ def rademacher_mc(
     rng = make_rng(seed)
     n = matrix.num_states
     stats = np.empty(draws)
+    stats_sym = np.empty(draws)
     done = 0
     while done < draws:
         take = min(_CHUNK, draws - done)
         signs = 1.0 - 2.0 * rng.integers(0, 2, size=(take, n))
-        stats[done : done + take] = _chunk_stats(matrix.values, signs, symmetrized)
+        stats[done : done + take], stats_sym[done : done + take] = _chunk_stats(
+            matrix.values, signs
+        )
         done += take
     return RademacherEstimate(
         value=float(stats.mean()),
         se=float(stats.std(ddof=1) / math.sqrt(draws)),
         draws=draws,
         method="mc",
-        symmetrized=symmetrized,
+        value_symmetrized=float(stats_sym.mean()),
     )
+
+
+def rademacher_estimate(matrix: LossMatrix, draws: int, seed: SeedSpec) -> RademacherEstimate:
+    """Exact enumeration up to ``EXACT_N_CAP`` states, ``draws`` Monte Carlo
+    sign vectors from ``seed`` above it; ``method`` says which one ran."""
+    if matrix.num_states <= EXACT_N_CAP:
+        return rademacher_exact(matrix)
+    return rademacher_mc(matrix, draws, seed)
 
 
 def rademacher_expected(
@@ -146,7 +166,6 @@ def rademacher_expected(
     tol: float = 1e-3,
     seed: SeedSpec = SeedSpec(0),
     mc_draws: int = 4096,
-    symmetrized: bool = False,
 ) -> RademacherEstimate:
     """Complexity averaged over fresh chains, one conditional value per chain.
 
@@ -158,25 +177,22 @@ def rademacher_expected(
     if not (isinstance(outer, int) and outer >= 2):
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
     per_chain = np.empty(outer)
-    exact_inner = n <= EXACT_N_CAP
+    per_chain_sym = np.empty(outer)
     for i in range(outer):
         stream = derive_stream(seed, i)
         if start_mode == "stationary":
             traj = sample_stationary_chain(gen, n, tol, stream)
         else:
             traj = sample_chain(gen, None, n, stream)
-        mat = loss_matrix(cls, traj, env)
-        if exact_inner:
-            est = rademacher_exact(mat, symmetrized=symmetrized)
-        else:
-            est = rademacher_mc(mat, mc_draws, derive_stream(stream, 1), symmetrized=symmetrized)
+        est = rademacher_estimate(loss_matrix(cls, traj, env), mc_draws, derive_stream(stream, 1))
         per_chain[i] = est.value
+        per_chain_sym[i] = est.value_symmetrized
     return RademacherEstimate(
         value=float(per_chain.mean()),
         se=float(per_chain.std(ddof=1) / math.sqrt(outer)),
         draws=outer,
-        method=f"expected_{'exact' if exact_inner else 'mc'}_{start_mode}",
-        symmetrized=symmetrized,
+        method=f"expected_{est.method}_{start_mode}",
+        value_symmetrized=float(per_chain_sym.mean()),
     )
 
 

@@ -23,9 +23,12 @@ Top-level keys (all optional unless a command needs them):
     tol           burn-in tolerance in (0, 1)           (default 1e-3)
     draws         Monte Carlo sign draws, int >= 2      (default 4096)
     rad_outer     trajectories per complexity average   (default 32)
-    exact         force exact sign enumeration, bool    (default false)
     tie_break     "lowest_index" | "first_found"        (default "lowest_index")
     out_dir       output directory                      (default "results")
+
+Complexity estimates enumerate every sign vector up to
+``complexity.EXACT_N_CAP`` states and draw ``draws`` Monte Carlo sign vectors
+above it; no key overrides that choice.
 
 Structural validation happens here; value-level feasibility (contraction
 below one, bounds kept invariant) stays with the constructors so that a
@@ -42,6 +45,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .certificates import WINDOW_MODES
+from .erm import TIE_RULES
 from .errors import InvalidInputError
 from .generators import (
     BoxBound,
@@ -49,6 +54,7 @@ from .generators import (
     LabelMap,
     ZPoint,
     affine_ifs_generator,
+    callable_label,
     identity_label,
     iid_generator,
     linear_label,
@@ -66,9 +72,6 @@ from .hypotheses import (
 from .metric import MetricSpec, pairwise_dist
 from .presets import PresetBundle, load_preset
 
-WINDOW_MODES = ("delayed", "paper_literal")
-TIE_RULES = ("lowest_index", "first_found")
-
 _BLOCK_KEYS = ("generator", "class", "loss")
 _OPTIONAL_KEYS = ("preset", "n", "epsilon", "delta", "trials") + _BLOCK_KEYS
 _DEFAULTS = {
@@ -79,7 +82,6 @@ _DEFAULTS = {
     "tol": 1e-3,
     "draws": 4096,
     "rad_outer": 32,
-    "exact": False,
     "tie_break": "lowest_index",
     "out_dir": "results",
 }
@@ -103,7 +105,6 @@ class ExperimentConfig:
     tol: float = 1e-3
     draws: int = 4096
     rad_outer: int = 32
-    exact: bool = False
     tie_break: str = "lowest_index"
     out_dir: str = "results"
 
@@ -160,15 +161,6 @@ def _get_num(d: dict, key: str, where: str, lo: float, hi: float,
         lb = "(" if lo_open else "["
         rb = ")" if hi_open else "]"
         raise InvalidInputError(f"{where}.{key} must lie in {lb}{lo}, {hi}{rb}, got {v!r}")
-    return v
-
-
-def _get_bool(d: dict, key: str, where: str, default: bool) -> bool:
-    if key not in d:
-        return default
-    v = d[key]
-    if not isinstance(v, bool):
-        raise InvalidInputError(f"{where}.{key} must be true or false, got {v!r}")
     return v
 
 
@@ -344,7 +336,6 @@ def parse_config(data: Any) -> ExperimentConfig:
                                  required=False)) is not None else _DEFAULTS["tol"]),
         draws=_get_int(data, "draws", "config", 2, required=False) or _DEFAULTS["draws"],
         rad_outer=_get_int(data, "rad_outer", "config", 1, required=False) or _DEFAULTS["rad_outer"],
-        exact=_get_bool(data, "exact", "config", _DEFAULTS["exact"]),
         tie_break=_get_str(data, "tie_break", "config", choices=TIE_RULES,
                            default=_DEFAULTS["tie_break"]),
         out_dir=_get_str(data, "out_dir", "config", default=_DEFAULTS["out_dir"]),
@@ -371,7 +362,6 @@ def canonical_dict(cfg: ExperimentConfig) -> dict:
     out["tol"] = cfg.tol
     out["draws"] = cfg.draws
     out["rad_outer"] = cfg.rad_outer
-    out["exact"] = cfg.exact
     out["tie_break"] = cfg.tie_break
     out["out_dir"] = cfg.out_dir
     for key, value in (
@@ -434,7 +424,7 @@ def _build_label(d: Optional[dict]) -> LabelMap:
         gaps = np.linalg.norm(table_x - np.asarray(x, dtype=float).reshape(1, -1), axis=1)
         return table_y[int(np.argmin(gaps))]
 
-    return LabelMap(kind="callable", lip=float(d["lip"]), fn=lookup)
+    return callable_label(lookup, float(d["lip"]))
 
 
 def build_generator(block: dict) -> Generator:

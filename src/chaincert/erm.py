@@ -10,14 +10,13 @@ minimizer, modelling an idealized learner whose slack is bookkeeping only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .complexity import LossMatrix
 from .errors import InvalidInputError
 from .generators import (
     Generator,
-    Trajectory,
     analytic_lip_factor,
     burn_in_steps,
     exact_fixed_point,
@@ -27,32 +26,6 @@ from .hypotheses import Hypothesis, HypothesisClass, LossEnv, loss_at, window_lo
 from .metric import SeedSpec, derive_stream
 
 TIE_RULES = ("lowest_index", "first_found")
-
-
-def _window_arrays(traj: Trajectory, window: Optional[tuple]) -> tuple[np.ndarray, np.ndarray, tuple]:
-    if window is None:
-        window = (0, len(traj))
-    start, stop = window
-    if not (isinstance(start, int) and isinstance(stop, int) and 0 <= start < stop <= len(traj)):
-        raise InvalidInputError(
-            f"window {window!r} out of range for a length-{len(traj)} trajectory"
-        )
-    return traj.xs[start:stop], traj.ys[start:stop], (start, stop)
-
-
-def empirical_risks(
-    cls: HypothesisClass, traj: Trajectory, env: LossEnv, window: Optional[tuple] = None
-) -> np.ndarray:
-    """Per-hypothesis mean loss over the trajectory window."""
-    xs, ys, _ = _window_arrays(traj, window)
-    return window_loss_values(cls, xs, ys, env).mean(axis=1)
-
-
-def empirical_risk(
-    h: Hypothesis, traj: Trajectory, env: LossEnv, window: Optional[tuple] = None
-) -> float:
-    xs, ys, _ = _window_arrays(traj, window)
-    return float(window_loss_values(HypothesisClass((h,)), xs, ys, env).mean())
 
 
 @dataclass(frozen=True)
@@ -66,25 +39,27 @@ class RiskReport:
     achieved_gap: float
     epsilon: float
     tie_break: str
-    window: tuple
     risk_table: tuple  # ((hid, risk), ...) in class order
 
 
 def erm(
     cls: HypothesisClass,
-    traj: Trajectory,
-    env: LossEnv,
+    matrix: LossMatrix,
     epsilon: float = 0.0,
     tie_break: str = "lowest_index",
-    window: Optional[tuple] = None,
 ) -> RiskReport:
-    """Exhaustive slack-aware minimization; deterministic given the class order."""
+    """Exhaustive slack-aware minimization over the row means of ``matrix``,
+    the class's loss rows on the training window; deterministic given the
+    class order."""
     if tie_break not in TIE_RULES:
         raise InvalidInputError(f"tie_break must be one of {TIE_RULES}, got {tie_break!r}")
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise InvalidInputError(f"epsilon must be finite and non-negative, got {epsilon!r}")
-    xs, ys, win = _window_arrays(traj, window)
-    risks = window_loss_values(cls, xs, ys, env).mean(axis=1)
+    if matrix.num_hypotheses != len(cls):
+        raise InvalidInputError(
+            f"loss matrix has {matrix.num_hypotheses} rows for a class of {len(cls)}"
+        )
+    risks = matrix.values.mean(axis=1)
     min_risk = float(risks.min())
     if tie_break == "first_found":
         chosen = int(np.flatnonzero(risks == min_risk)[0])
@@ -99,7 +74,6 @@ def erm(
         achieved_gap=risk - min_risk,
         epsilon=float(epsilon),
         tie_break=tie_break,
-        window=win,
         risk_table=tuple((h.hid, float(r)) for h, r in zip(cls.members, risks)),
     )
 

@@ -107,11 +107,10 @@ class BallBound:
 class LabelMap:
     """Lipschitz map from features to labels with a declared constant."""
 
-    kind: str  # identity | linear | constant | callable
+    kind: str  # identity | linear | callable
     lip: float
     weight: Optional[np.ndarray] = None
     bias: Optional[np.ndarray] = None
-    value: Optional[np.ndarray] = None
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -119,8 +118,6 @@ class LabelMap:
             return x
         if self.kind == "linear":
             return self.weight @ x + self.bias
-        if self.kind == "constant":
-            return self.value
         return np.asarray(self.fn(x), dtype=float).reshape(-1)
 
     def apply_many(self, xs: np.ndarray) -> np.ndarray:
@@ -128,8 +125,6 @@ class LabelMap:
             return xs
         if self.kind == "linear":
             return xs @ self.weight.T + self.bias
-        if self.kind == "constant":
-            return np.broadcast_to(self.value, (xs.shape[0], self.value.shape[0])).copy()
         return np.stack([self.apply(x) for x in xs])
 
 
@@ -144,10 +139,6 @@ def linear_label(weight, bias) -> LabelMap:
     bias = np.asarray(bias, dtype=float).reshape(-1)
     lip = float(np.linalg.norm(weight, 2))
     return LabelMap(kind="linear", lip=lip, weight=weight, bias=bias)
-
-
-def constant_label(value) -> LabelMap:
-    return LabelMap(kind="constant", lip=0.0, value=np.asarray(value, dtype=float).reshape(-1))
 
 
 def callable_label(fn, lip: float) -> LabelMap:
@@ -189,11 +180,6 @@ class CategoricalTheta:
         edges = np.cumsum(self.weights)
         idx = np.searchsorted(edges, u, side="right")
         return np.minimum(idx, len(self.atoms) - 1)
-
-
-def uniform_theta(atoms: Sequence) -> CategoricalTheta:
-    k = len(atoms)
-    return CategoricalTheta(tuple(atoms), np.full(k, 1.0 / k))
 
 
 # -- generator -----------------------------------------------------------------

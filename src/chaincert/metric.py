@@ -84,16 +84,6 @@ class MetricSpec:
             )
 
 
-def project_x(z: ZPoint) -> np.ndarray:
-    """Feature part of a state."""
-    return z.x
-
-
-def project_y(z: ZPoint) -> np.ndarray:
-    """Label part of a state."""
-    return z.y
-
-
 def _check_raw_bound(raw, spec: MetricSpec) -> None:
     limit = spec.kappa * spec.diameter_bound
     worst = float(np.max(raw))

@@ -128,6 +128,30 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     write_rows_csv(trajectory_header(traj.metric), rows, path)
 
 
+def _read_numeric_csv(path: str, what: str, has_header: bool) -> tuple[list, np.ndarray]:
+    """Header (empty without one) and the rows of a numeric CSV as a 2-d array.
+
+    An unreadable file, no data rows, a non-numeric or non-finite cell and
+    ragged rows are all reported as invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"cannot read {what} file {path!r}: {exc}") from None
+    header = rows.pop(0) if has_header and rows else []
+    if not rows:
+        raise InvalidInputError(f"{what} file {path!r} has no data rows")
+    if len({len(row) for row in rows}) != 1:
+        raise InvalidInputError(f"{what} file {path!r} has ragged rows")
+    try:
+        data = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
+    except ValueError:
+        raise InvalidInputError(f"{what} file {path!r} has a non-numeric cell") from None
+    if not np.all(np.isfinite(data)):
+        raise InvalidInputError(f"{what} file {path!r} has a non-finite cell")
+    return header, data
+
+
 def read_trajectory_csv(path: str, kappa: float) -> Trajectory:
     """Load a trajectory written by ``write_trajectory_csv``.
 
@@ -135,22 +159,14 @@ def read_trajectory_csv(path: str, kappa: float) -> Trajectory:
     and an ``external`` initial law; it supports risk evaluation and window
     selection but not suffix regeneration.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"trajectory file {path!r} is empty") from None
-        body = [row for row in reader if row]
+    header, data = _read_numeric_csv(path, "trajectory", has_header=True)
     dim_x = sum(1 for name in header if name.startswith("x_"))
     dim_y = sum(1 for name in header if name.startswith("y_"))
-    if header != trajectory_header(MetricSpec(dim_x or 1, dim_y or 1, kappa)) or not body:
+    if header != trajectory_header(MetricSpec(dim_x or 1, dim_y or 1, kappa)) \
+            or data.shape[1] != len(header):
         raise InvalidInputError(
-            f"trajectory file {path!r} needs header step,x_0..,y_0.. and at least one row"
+            f"trajectory file {path!r} needs header step,x_0..,y_0.. and rows of its width"
         )
-    data = np.asarray([[float(v) for v in row] for row in body], dtype=float)
-    if data.shape[1] != 1 + dim_x + dim_y:
-        raise InvalidInputError(f"trajectory file {path!r} has ragged rows")
     metric = MetricSpec(dim_x, dim_y, kappa)
     return Trajectory(
         xs=data[:, 1 : 1 + dim_x],
@@ -165,39 +181,20 @@ def read_trajectory_csv(path: str, kappa: float) -> Trajectory:
 
 def read_atoms_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read an atom list: header x_0..x_{dx-1},y_0..y_{dy-1}, one atom per row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"atom file {path!r} is empty") from None
-        body = [row for row in reader if row]
+    header, data = _read_numeric_csv(path, "atom", has_header=True)
     dim_x = sum(1 for name in header if name.startswith("x_"))
     dim_y = sum(1 for name in header if name.startswith("y_"))
     expected = [f"x_{i}" for i in range(dim_x)] + [f"y_{i}" for i in range(dim_y)]
-    if dim_x == 0 or dim_y == 0 or header != expected or not body:
+    if dim_x == 0 or dim_y == 0 or header != expected or data.shape[1] != len(header):
         raise InvalidInputError(
-            f"atom file {path!r} needs header x_0..,y_0.. and at least one row"
+            f"atom file {path!r} needs header x_0..,y_0.. and rows of its width"
         )
-    data = np.asarray([[float(v) for v in row] for row in body], dtype=float)
-    if data.shape[1] != dim_x + dim_y:
-        raise InvalidInputError(f"atom file {path!r} has ragged rows")
     return data[:, :dim_x], data[:, dim_x:]
 
 
 def read_loss_matrix_csv(path: str) -> np.ndarray:
     """Read a headerless loss matrix: one row per hypothesis, one column per step."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        body = [row for row in csv.reader(fh) if row]
-    if not body:
-        raise InvalidInputError(f"loss matrix file {path!r} is empty")
-    try:
-        values = np.asarray([[float(v) for v in row] for row in body], dtype=float)
-    except ValueError:
-        raise InvalidInputError(
-            f"loss matrix file {path!r} must be numeric with no header"
-        ) from None
-    return values
+    return _read_numeric_csv(path, "loss matrix", has_header=False)[1]
 
 
 def emit_plot_data(bundle: ResultBundle, kind: str, path: str) -> None:

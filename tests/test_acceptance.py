@@ -23,7 +23,13 @@ from chaincert.certificates import (
     validate_lemma1,
     validate_lemma2,
 )
-from chaincert.complexity import LossMatrix, rademacher_exact, rademacher_expected, rademacher_mc
+from chaincert.complexity import (
+    LossMatrix,
+    loss_matrix,
+    rademacher_exact,
+    rademacher_expected,
+    rademacher_mc,
+)
 from chaincert.erm import erm, true_risk_table
 from chaincert.generators import (
     Trajectory,
@@ -172,8 +178,9 @@ def _rows_erm_contract():
     for name in preset_names():
         bundle = load_preset(name)
         traj = sample_chain(bundle.gen, None, 40, SeedSpec(40))
+        matrix = loss_matrix(bundle.cls, traj, bundle.env)
         for eps in (0.0, 0.05, 0.3):
-            report = erm(bundle.cls, traj, bundle.env, epsilon=eps)
+            report = erm(bundle.cls, matrix, epsilon=eps)
             good = report.achieved_gap <= eps
             if eps == 0.0:
                 good = good and report.empirical_risk == report.min_risk
@@ -198,8 +205,9 @@ def _rows_erm_contract():
                           seed=SeedSpec(0), draw_offset=0, metric=spec,
                           initial_law=("external", "synthetic"))
         eps = float(rng.random() * 0.4)
-        slack = erm(cls, traj, env, epsilon=eps)
-        tight = erm(cls, traj, env, epsilon=0.0)
+        matrix = loss_matrix(cls, traj, env)
+        slack = erm(cls, matrix, epsilon=eps)
+        tight = erm(cls, matrix, epsilon=0.0)
         good = (slack.achieved_gap <= eps
                 and tight.achieved_gap == 0.0
                 and tight.empirical_risk == tight.min_risk

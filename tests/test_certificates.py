@@ -20,6 +20,7 @@ from chaincert.certificates import (
     validate_lemma2,
     validate_lemma3,
 )
+from chaincert.complexity import EXACT_N_CAP
 from chaincert.errors import AssumptionViolationError, InvalidInputError
 from chaincert.hypotheses import (
     HypothesisClass,
@@ -343,19 +344,18 @@ def test_coverage_window_modes_and_validation():
         coverage_experiment(gen, cls, env, n=24, epsilon=0.2, trials=1)
 
 
-def test_coverage_plugin_distance_reported_not_substituted():
+@pytest.mark.parametrize("n", (EXACT_N_CAP, EXACT_N_CAP + 1))
+def test_inner_estimator_is_recorded(n):
     gen = make_iid()
     cls = constant_grid([0.0, 1.0])
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    report = coverage_experiment(
-        gen, cls, env, n=24, epsilon=0.2, trials=8, seed=SeedSpec(23),
-        rad_outer=4, report_plugin_w=True, plugin_atoms=32,
-    )
-    details = dict(report.details)
-    assert "wasserstein_plugin_diagnostic" in details
-    assert 0.0 <= details["wasserstein_plugin_diagnostic"] <= 1.0
-    # the certificate still used the declared cap, not the plug-in
-    assert details["w_bar"] == 1.0
+    method = "exact" if n <= EXACT_N_CAP else "mc"
+    lemma3 = validate_lemma3(gen, cls, env, n=n, epsilon=0.3, trials=2, seed=SeedSpec(31),
+                             mc_draws=64)
+    coverage = coverage_experiment(gen, cls, env, n=n, epsilon=0.3, trials=2,
+                                   seed=SeedSpec(31), rad_outer=2, mc_draws=64)
+    assert dict(lemma3.details)["rhat_method"] == method
+    assert dict(coverage.details)["rhat_method"] == method
 
 
 def test_coverage_worker_count_invariance():

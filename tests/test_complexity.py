@@ -10,6 +10,7 @@ from chaincert.complexity import (
     LossMatrix,
     growth_bound,
     loss_matrix,
+    rademacher_estimate,
     rademacher_exact,
     rademacher_expected,
     rademacher_mc,
@@ -31,19 +32,18 @@ def test_exact_hand_case_quarter():
     assert est.se == 0.0
     assert est.draws == 4
     # both rows flip under abs, so every sign vector scores 0.5
-    sym = rademacher_exact(mat, symmetrized=True)
-    assert sym.value == pytest.approx(0.5, abs=0)
+    assert est.value_symmetrized == pytest.approx(0.5, abs=0)
 
 
 def test_exact_single_row_plain_vs_symmetrized():
     # one constant row c: plain complexity is E max = E |mean sigma| * 0? no:
     # statistic is c * mean(sigma), so plain average is 0 by sign symmetry
     mat = LossMatrix(values=np.array([[0.7, 0.7, 0.7, 0.7]]), ell_H=1.0)
-    assert rademacher_exact(mat).value == pytest.approx(0.0, abs=1e-15)
+    est = rademacher_exact(mat)
+    assert est.value == pytest.approx(0.0, abs=1e-15)
     # symmetrized: 0.7 * E|sum sigma|/4 = 0.7 * (2*(4 choose 1)*2 + 4*(4 choose 0)*... )
     # E|sum of 4 signs| = (2*0 count 6... ) enumerate: |4|*2 + |2|*8 + 0*6 over 16 = 24/16
-    sym = rademacher_exact(mat, symmetrized=True)
-    assert sym.value == pytest.approx(0.7 * (24.0 / 16.0) / 4.0, abs=1e-15)
+    assert est.value_symmetrized == pytest.approx(0.7 * (24.0 / 16.0) / 4.0, abs=1e-15)
 
 
 def test_exact_matches_direct_enumeration_random():
@@ -63,6 +63,9 @@ def test_exact_cap_directs_to_mc():
     mat = LossMatrix(values=np.zeros((2, EXACT_N_CAP + 1)), ell_H=1.0)
     with pytest.raises(SizeCapError):
         rademacher_exact(mat)
+    assert rademacher_estimate(mat, 64, SeedSpec(0)).method == "mc"
+    small = LossMatrix(values=np.zeros((2, 3)), ell_H=1.0)
+    assert rademacher_estimate(small, 64, SeedSpec(0)).method == "exact"
 
 
 def test_mc_is_consistent_with_exact():
@@ -164,8 +167,8 @@ def test_exact_invariants(h, n, scale, data):
     )
     vals = np.array(raw) * scale
     mat = LossMatrix(values=vals, ell_H=scale)
-    plain = rademacher_exact(mat).value
-    sym = rademacher_exact(mat, symmetrized=True).value
+    est = rademacher_exact(mat)
+    plain, sym = est.value, est.value_symmetrized
     # the signed max is never above its absolute version, and both respect
     # the growth ceiling; plain is non-negative because -sigma pairs with sigma
     assert -1e-12 <= plain <= sym + 1e-12

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincert.certificates import invert_epsilon
 from chaincert.cli import main
 from chaincert.config import (
     ExperimentConfig,
@@ -18,8 +19,9 @@ from chaincert.config import (
     parse_config,
 )
 from chaincert.errors import AssumptionViolationError, InvalidInputError
-from chaincert.generators import sample_chain
+from chaincert.generators import analytic_lip_factor, sample_chain
 from chaincert.metric import SeedSpec
+from chaincert.presets import load_preset
 from chaincert.reporting import (
     ResultBundle,
     comparable_summary,
@@ -62,8 +64,8 @@ def test_defaults_and_full_parse():
     cfg = parse_config({})
     assert cfg.seed == 0 and cfg.window_mode == "delayed" and cfg.out_dir == "results"
     cfg2 = parse_config({"preset": "iid_four", "n": 100, "epsilon": 0.1, "trials": 10,
-                         "seed": 7, "workers": 3, "exact": True, "w_bar": 0.5})
-    assert cfg2.preset == "iid_four" and cfg2.workers == 3 and cfg2.exact
+                         "seed": 7, "workers": 3, "w_bar": 0.5})
+    assert cfg2.preset == "iid_four" and cfg2.workers == 3
     assert cfg2.w_bar == 0.5
 
 
@@ -79,7 +81,7 @@ def test_rejections():
     with pytest.raises(InvalidInputError):
         parse_config({"n": 2.5})
     with pytest.raises(InvalidInputError):
-        parse_config({"exact": 1})  # must be a real boolean
+        parse_config({"exact": True})  # removed key: sign enumeration follows n
     with pytest.raises(InvalidInputError):
         parse_config({"seed": -1})
     with pytest.raises(InvalidInputError):
@@ -127,11 +129,10 @@ def test_merge_overrides():
     trials=st.one_of(st.none(), st.integers(2, 10**4)),
     window_mode=st.sampled_from(("delayed", "paper_literal")),
     w_bar=st.floats(0.0, 1.0),
-    exact=st.booleans(),
 )
-def test_round_trip_property(seed, n, epsilon, trials, window_mode, w_bar, exact):
+def test_round_trip_property(seed, n, epsilon, trials, window_mode, w_bar):
     data = {"preset": "iid_two", "seed": seed, "window_mode": window_mode,
-            "w_bar": w_bar, "exact": exact}
+            "w_bar": w_bar}
     if n is not None:
         data["n"] = n
     if epsilon is not None:
@@ -233,6 +234,32 @@ def test_atom_and_matrix_readers(tmp_path):
         read_loss_matrix_csv(str(text))
 
 
+_READERS = {  # reader, header line, one well-formed row
+    "trajectory": (lambda path: read_trajectory_csv(path, kappa=2.0), "step,x_0,y_0\n",
+                   "0,0.5,0.5\n"),
+    "atoms": (read_atoms_csv, "x_0,y_0\n", "0.5,0.5\n"),
+    "loss_matrix": (read_loss_matrix_csv, "", "0.5,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("fault", ("missing", "non_numeric", "non_finite", "ragged"))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_readers_reject_malformed_files(tmp_path, reader, fault):
+    read, header, row = _READERS[reader]
+    good = tmp_path / "good.csv"
+    good.write_text(header + row + row)
+    read(str(good))
+    bad = tmp_path / "bad.csv"
+    if fault == "non_numeric":
+        bad.write_text(header + row + row.replace("0.5", "abc", 1))
+    elif fault == "non_finite":
+        bad.write_text(header + row + row.replace("0.5", "nan", 1))
+    elif fault == "ragged":
+        bad.write_text(header + row + row.rstrip("\n") + ",0.5\n")
+    with pytest.raises(InvalidInputError):
+        read(str(bad))
+
+
 def test_summary_round_trip_and_volatile_fields(tmp_path):
     bundle = ResultBundle(kind="validation", summary={"radius": 0.5, "passed": True})
     a = write_summary(bundle, str(tmp_path / "a.json"), "ff" * 32)
@@ -287,6 +314,7 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
     s1 = read_summary(str(tmp_path / "run1" / "coverage_summary.json"))
     s2 = read_summary(str(tmp_path / "run2" / "coverage_summary.json"))
     assert s1["coverage"] == 1.0 and s1["verdicts"] == {"coverage": "PASS"}
+    assert s1["ingredients"]["rhat_method"] == "mc"  # n = 40 is above the exact cap
     # out_dir and workers differ between the two effective configs
     for s in (s1, s2):
         s.pop("config_sha256")
@@ -304,6 +332,7 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(unknown_key)]) == 2
 
     assert main(["simulate"]) == 2  # --config missing
+    assert main(["rademacher", str(tmp_path / "missing.csv")]) == 2
 
     expanding = write_config(tmp_path, "bad3.json", {
         "generator": {"kind": "affine_ifs", "mats": [[[1.2]]], "vecs": [[0.0]],
@@ -342,6 +371,14 @@ def test_cli_simulate_then_erm(tmp_path, capsys):
     assert payload["achieved_gap"] <= 0.05 + 1e-15
 
     assert main(["erm", str(traj_path), "--config", cfg]) == 2  # needs 2n=64 rows
+
+    # without epsilon the learner is exact; delta converts through the tail bound
+    bundle = load_preset("halving_map")
+    inverted = invert_epsilon(0.05, 16, bundle.env.ell_H, analytic_lip_factor(bundle.gen))
+    for extra, epsilon in (({}, 0.0), ({"delta": 0.05}, inverted)):
+        path = write_config(tmp_path, "erm.json", dict({"preset": "halving_map"}, **extra))
+        assert main(["erm", str(traj_path), "--config", path, "--n", "16"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == epsilon
 
 
 def test_cli_validate_lemma1_passes(tmp_path):

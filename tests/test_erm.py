@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincert.complexity import loss_matrix
 from chaincert.erm import (
-    empirical_risk,
-    empirical_risks,
     erm,
     opt_risk,
     true_risk,
@@ -44,7 +43,7 @@ def test_empirical_risk_frozen_hand_values():
     gen, cls, env = halving_setup()
     traj = sample_chain(gen, None, 3, SeedSpec(0))
     # path is (1.0,1.0), (0.75,0.75), (0.625,0.625): labels equal features
-    risks = empirical_risks(cls, traj, env)
+    risks = loss_matrix(cls, traj, env).values.mean(axis=1)
     assert risks[0] == pytest.approx(0.0, abs=0)  # identity predicts its own label
     # |0.5 - y| over y in {1.0, 0.75, 0.625}: mean of 0.5, 0.25, 0.125
     assert risks[1] == pytest.approx((0.5 + 0.25 + 0.125) / 3, abs=1e-15)
@@ -54,34 +53,25 @@ def test_empirical_risk_frozen_hand_values():
     assert risks[3] == pytest.approx((0.25 + 0.125 + 0.0625) / 3, abs=1e-15)
 
 
-def test_empirical_risk_single_matches_class_row():
-    gen, cls, env = halving_setup()
-    traj = sample_chain(gen, None, 8, SeedSpec(5))
-    risks = empirical_risks(cls, traj, env)
-    for i, h in enumerate(cls.members):
-        assert empirical_risk(h, traj, env) == pytest.approx(float(risks[i]), abs=0)
-
-
 def test_window_restricts_the_mean():
     gen, cls, env = halving_setup()
     traj = sample_chain(gen, None, 3, SeedSpec(0))
-    r_tail = empirical_risk(cls.members[2], traj, env, window=(1, 3))
+    r_tail = loss_matrix(cls, traj, env, window=(1, 3)).values[2].mean()
     assert r_tail == pytest.approx((0.75 + 0.625) / 2, abs=1e-15)
     with pytest.raises(InvalidInputError):
-        empirical_risk(cls.members[0], traj, env, window=(0, 9))
+        loss_matrix(cls, traj, env, window=(0, 9))
     with pytest.raises(InvalidInputError):
-        empirical_risk(cls.members[0], traj, env, window=(2, 2))
+        loss_matrix(cls, traj, env, window=(2, 2))
 
 
 def test_erm_exact_selection_and_report():
     gen, cls, env = halving_setup()
     traj = sample_chain(gen, None, 6, SeedSpec(1))
-    report = erm(cls, traj, env)
+    report = erm(cls, loss_matrix(cls, traj, env))
     assert report.hypothesis_id == "ident"
     assert report.hypothesis_index == 0
     assert report.empirical_risk == pytest.approx(0.0, abs=0)
     assert report.achieved_gap == 0.0
-    assert report.window == (0, 6)
     assert [hid for hid, _ in report.risk_table] == cls.ids()
 
 
@@ -89,27 +79,30 @@ def test_erm_epsilon_feasible_lowest_index():
     gen, cls, env = halving_setup()
     traj = sample_chain(gen, None, 3, SeedSpec(0))
     # risks in class order: 0, 0.29166..., 0.79166..., 0.14583...
-    report = erm(cls, traj, env, epsilon=0.3, tie_break="lowest_index")
+    report = erm(cls, loss_matrix(cls, traj, env), epsilon=0.3, tie_break="lowest_index")
     assert report.hypothesis_id == "ident"  # index 0 is always feasible
     # reorder so a strictly suboptimal member sits first and inside the slack
     cls_flip = HypothesisClass(tuple(reversed(cls.members)))
-    report_flip = erm(cls_flip, traj, env, epsilon=0.3, tie_break="lowest_index")
+    flip = loss_matrix(cls_flip, traj, env)
+    report_flip = erm(cls_flip, flip, epsilon=0.3, tie_break="lowest_index")
     assert report_flip.hypothesis_id == "step"
     assert report_flip.achieved_gap == pytest.approx((0.25 + 0.125 + 0.0625) / 3, abs=1e-15)
     assert report_flip.achieved_gap <= 0.3
     # first_found still insists on the exact minimum
-    exact_flip = erm(cls_flip, traj, env, epsilon=0.3, tie_break="first_found")
+    exact_flip = erm(cls_flip, flip, epsilon=0.3, tie_break="first_found")
     assert exact_flip.hypothesis_id == "ident"
     assert exact_flip.achieved_gap == 0.0
 
 
 def test_erm_rejects_bad_knobs():
     gen, cls, env = halving_setup()
-    traj = sample_chain(gen, None, 3, SeedSpec(0))
+    matrix = loss_matrix(cls, sample_chain(gen, None, 3, SeedSpec(0)), env)
     with pytest.raises(InvalidInputError):
-        erm(cls, traj, env, epsilon=-0.1)
+        erm(cls, matrix, epsilon=-0.1)
     with pytest.raises(InvalidInputError):
-        erm(cls, traj, env, tie_break="random")
+        erm(cls, matrix, tie_break="random")
+    with pytest.raises(InvalidInputError):
+        erm(constant_grid([0.0]), matrix)  # one row per class member
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,7 +115,7 @@ def test_erm_gap_never_exceeds_epsilon(risks, epsilon):
     cls = constant_grid(np.linspace(0.0, 1.0, len(risks)))
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
     traj = sample_chain(gen, None, 12, SeedSpec(9))
-    report = erm(cls, traj, env, epsilon=epsilon)
+    report = erm(cls, loss_matrix(cls, traj, env), epsilon=epsilon)
     assert 0.0 <= report.achieved_gap <= epsilon
     table = dict(report.risk_table)
     assert report.empirical_risk == table[report.hypothesis_id]

@@ -15,8 +15,6 @@ from chaincert.metric import (
     dist,
     make_rng,
     pairwise_dist,
-    project_x,
-    project_y,
 )
 
 
@@ -25,12 +23,6 @@ def test_dist_hand_values():
     assert dist(ZPoint(0.0, 0.0), ZPoint(1.0, 0.0), spec4) == 0.25
     spec2 = MetricSpec(dim_x=1, dim_y=1, kappa=2.0)
     assert dist(ZPoint(0.0, 0.0), ZPoint(1.0, 1.0), spec2) == 1.0
-
-
-def test_projections():
-    z = ZPoint([0.2, 0.4], [0.9])
-    assert np.array_equal(project_x(z), np.array([0.2, 0.4]))
-    assert np.array_equal(project_y(z), np.array([0.9]))
 
 
 def test_zpoint_rejects_nonfinite():
