@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .complexity import (
+    MC_DRAWS,
     LossMatrix,
     RademacherEstimate,
     loss_matrix,
@@ -302,7 +303,7 @@ def validate_lemma2(
     w_bar: float = 1.0,
     tol: float = 1e-3,
     rad_outer: int = 32,
-    mc_draws: int = 4096,
+    mc_draws: int = MC_DRAWS,
     workers: int = 1,
 ) -> ValidationReport:
     """Mean check: the expected worst-class deviation of the delayed window is
@@ -350,6 +351,7 @@ def validate_lemma2(
             ("rademacher", rad.value),
             ("rademacher_se", rad.se),
             ("rademacher_symmetrized", rad.value_symmetrized),
+            ("rademacher_method", rad.method),
             ("rademacher_bias_allowance", rad_bias),
             ("wasserstein_term", wass_term),
             ("n", n),
@@ -373,7 +375,7 @@ def validate_lemma3(
     trials: int,
     seed: SeedSpec = SeedSpec(0),
     tol: float = 1e-3,
-    mc_draws: int = 4096,
+    mc_draws: int = MC_DRAWS,
     workers: int = 1,
 ) -> ValidationReport:
     """Conditional check: from a stationary start, the delayed-window deviation
@@ -442,7 +444,7 @@ def coverage_experiment(
     w_bar: float = 1.0,
     tol: float = 1e-3,
     rad_outer: int = 32,
-    mc_draws: int = 4096,
+    mc_draws: int = MC_DRAWS,
     erm_tie_break: str = "lowest_index",
     workers: int = 1,
 ) -> ValidationReport:
@@ -521,6 +523,7 @@ def coverage_experiment(
         ("rademacher", rad.value),
         ("rademacher_se", rad.se),
         ("rademacher_bias_allowance", rad_bias),
+        ("rademacher_method", rad.method),
         ("rhat_method", results[0][1].method),
         ("opt_risk", opt_value),
         ("epsilon", float(epsilon)),

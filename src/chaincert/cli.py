@@ -33,6 +33,7 @@ from .certificates import (
     validate_lemma3,
 )
 from .complexity import (
+    MC_DRAWS,
     LossMatrix,
     loss_matrix,
     rademacher_estimate,
@@ -182,7 +183,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
     if args.exact:
         est = rademacher_exact(matrix)
     elif args.draws is None:
-        est = rademacher_estimate(matrix, 4096, seed)
+        est = rademacher_estimate(matrix, MC_DRAWS, seed)
     else:
         est = rademacher_mc(matrix, args.draws, seed)
     payload = {

@@ -27,6 +27,7 @@ from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
 EXACT_N_CAP = 20
+MC_DRAWS = 4096  # default Monte Carlo sign vectors per estimate
 _CHUNK = 1 << 13
 
 
@@ -87,13 +88,31 @@ class RademacherEstimate:
     value_symmetrized: float
 
 
-def _chunk_stats(values: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sign-vector max_h (1/n) sum_t sigma_t L_h(t), plain and with |.| inside."""
-    n = values.shape[1]
-    # hypotheses-major copy: each max then runs across whole rows of the
-    # chunk, not along a row as short as the class, which numpy does slowly
-    scores = np.ascontiguousarray((signs @ values.T).T)  # (H, chunk)
+def _max_stats(scores: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sign-vector max_h (1/n) sum_t sigma_t L_h(t), plain and with |.|
+    inside, from the hypotheses-major (H, chunk) sums.
+
+    Hypotheses-major, each max runs across whole rows of the chunk, not along
+    a row as short as the class, which numpy does slowly."""
     return scores.max(axis=0) / n, np.abs(scores).max(axis=0) / n
+
+
+def _draw_sign_bits(rng: np.random.Generator, take: int, n: int) -> np.ndarray:
+    """``take`` sign vectors of length n as 0.0/1.0 bits, bit 1 meaning
+    sigma = -1, unpacked from ceil(n / 8) random bytes per vector.
+
+    The bits come back as floats so the product that scores them runs in
+    BLAS; a uint8 by float64 product does not."""
+    row_bytes = (n + 7) // 8
+    packed = np.frombuffer(rng.bytes(take * row_bytes), dtype=np.uint8).reshape(take, row_bytes)
+    return np.unpackbits(packed, axis=1, count=n).astype(float)
+
+
+def _bit_stats(values: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_max_stats`` of the sign vectors sigma = 1 - 2 bits, scored as
+    sum_t sigma_t L_h(t) = sum_t L_h(t) - 2 sum_t bits_t L_h(t)."""
+    scores = values.sum(axis=1)[:, None] - 2.0 * (values @ bits.T)  # (H, chunk)
+    return _max_stats(scores, values.shape[1])
 
 
 def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
@@ -111,7 +130,7 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
         ks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
         bits = (ks[:, None] >> bit_positions) & 1
         signs = 1.0 - 2.0 * bits
-        plain, sym = _chunk_stats(matrix.values, signs)
+        plain, sym = _max_stats(np.ascontiguousarray((signs @ matrix.values.T).T), n)
         acc += float(plain.sum())
         acc_sym += float(sym.sum())
     return RademacherEstimate(
@@ -124,7 +143,11 @@ def rademacher_mc(
     draws: int,
     seed: SeedSpec = SeedSpec(0),
 ) -> RademacherEstimate:
-    """Unbiased sign-sampling estimate with a standard error."""
+    """Unbiased sign-sampling estimate with a standard error.
+
+    Each chunk of sign vectors is drawn as packed random bytes, one bit per
+    sign (``_draw_sign_bits``), and scored with one product against the loss
+    matrix (``_bit_stats``)."""
     if not (isinstance(draws, int) and draws >= 2):
         raise InvalidInputError(f"need at least two Monte Carlo draws, got {draws!r}")
     rng = make_rng(seed)
@@ -134,9 +157,8 @@ def rademacher_mc(
     done = 0
     while done < draws:
         take = min(_CHUNK, draws - done)
-        signs = 1.0 - 2.0 * rng.integers(0, 2, size=(take, n))
-        stats[done : done + take], stats_sym[done : done + take] = _chunk_stats(
-            matrix.values, signs
+        stats[done : done + take], stats_sym[done : done + take] = _bit_stats(
+            matrix.values, _draw_sign_bits(rng, take, n)
         )
         done += take
     return RademacherEstimate(
@@ -165,7 +187,7 @@ def rademacher_expected(
     start_mode: str = "stationary",
     tol: float = 1e-3,
     seed: SeedSpec = SeedSpec(0),
-    mc_draws: int = 4096,
+    mc_draws: int = MC_DRAWS,
 ) -> RademacherEstimate:
     """Complexity averaged over fresh chains, one conditional value per chain.
 

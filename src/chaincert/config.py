@@ -21,7 +21,7 @@ Top-level keys (all optional unless a command needs them):
     w_bar         start-to-invariant distance cap [0,1] (default 1.0)
     workers       thread count, int >= 1                (default 1)
     tol           burn-in tolerance in (0, 1)           (default 1e-3)
-    draws         Monte Carlo sign draws, int >= 2      (default 4096)
+    draws         Monte Carlo sign draws, int >= 2      (default complexity.MC_DRAWS)
     rad_outer     trajectories per complexity average   (default 32)
     tie_break     "lowest_index" | "first_found"        (default "lowest_index")
     out_dir       output directory                      (default "results")
@@ -40,12 +40,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
 from .certificates import WINDOW_MODES
+from .complexity import MC_DRAWS
 from .erm import TIE_RULES
 from .errors import InvalidInputError
 from .generators import (
@@ -80,7 +81,7 @@ _DEFAULTS = {
     "w_bar": 1.0,
     "workers": 1,
     "tol": 1e-3,
-    "draws": 4096,
+    "draws": MC_DRAWS,
     "rad_outer": 32,
     "tie_break": "lowest_index",
     "out_dir": "results",
@@ -103,7 +104,7 @@ class ExperimentConfig:
     w_bar: float = 1.0
     workers: int = 1
     tol: float = 1e-3
-    draws: int = 4096
+    draws: int = MC_DRAWS
     rad_outer: int = 32
     tie_break: str = "lowest_index"
     out_dir: str = "results"

@@ -70,6 +70,10 @@ class BoxBound:
         pad = slack * np.maximum(1.0, np.abs(self.hi - self.lo))
         return bool(np.all(arr >= self.lo - pad) and np.all(arr <= self.hi + pad))
 
+    def contains_rows(self, rows: np.ndarray, slack: float = 1e-9) -> bool:
+        """Whether every row of a 2-d array passes ``contains``."""
+        return self.contains(rows, slack)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
 
@@ -89,6 +93,18 @@ class BallBound:
 
     def contains(self, arr: np.ndarray, slack: float = 1e-9) -> bool:
         return bool(np.linalg.norm(arr) <= self.radius * (1.0 + slack))
+
+    def contains_rows(self, rows: np.ndarray, slack: float = 1e-9) -> bool:
+        """Whether every row of a 2-d array passes ``contains``.
+
+        A row whose squared norm lies within a relative 1e-12 of the limit
+        reads as outside, so a rounding difference between this row-wise norm
+        and the one ``contains`` takes can only send a row on to the
+        per-state check, never let through a row that check rejects.
+        """
+        limit = self.radius * (1.0 + slack)
+        squares = np.einsum("ij,ij->i", rows, rows)
+        return bool(np.all(squares <= limit * limit * (1.0 - 1e-12)))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=self.dim)
@@ -255,6 +271,14 @@ class Generator:
                 f"(x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()})"
             )
 
+    def _check_states(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """``_check_state`` over paired rows: one vectorized test, and a scan
+        that names the first escaping state only when that test fails."""
+        if self.x_bound.contains_rows(xs) and self.y_bound.contains_rows(ys):
+            return
+        for x, y in zip(xs, ys):
+            self._check_state(x, y)
+
 
 def analytic_lip_factor(gen: Generator) -> float:
     """Mean per-draw contraction factor sum_i nu_i * ell_i (declared, not probed)."""
@@ -353,10 +377,15 @@ def sample_chain(
         xs = np.empty((n, dim_x))
         ys = np.empty((n, dim_y))
         xs[0], ys[0] = start.x, start.y
-        for t in range(1, n):
-            x_new, y_new = gen._apply(xs[t - 1], int(idx[t - 1]))
-            gen._check_state(x_new, y_new)
-            xs[t], ys[t] = x_new, y_new
+        try:
+            for t in range(1, n):
+                xs[t], ys[t] = gen._apply(xs[t - 1], int(idx[t - 1]))
+        except Exception:
+            # the map may have failed on a state that had already escaped;
+            # that escape is the error to report
+            gen._check_states(xs[1:t], ys[1:t])
+            raise
+        gen._check_states(xs[1:], ys[1:])
     return Trajectory(
         xs=xs,
         ys=ys,

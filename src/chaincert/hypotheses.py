@@ -14,7 +14,7 @@ evaluation errors always mean a genuinely broken declaration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -354,8 +354,13 @@ def test_inner_estimator_is_recorded(n):
                              mc_draws=64)
     coverage = coverage_experiment(gen, cls, env, n=n, epsilon=0.3, trials=2,
                                    seed=SeedSpec(31), rad_outer=2, mc_draws=64)
+    lemma2 = validate_lemma2(gen, cls, env, n=n, trials=2, seed=SeedSpec(31), rad_outer=2,
+                             mc_draws=64)
     assert dict(lemma3.details)["rhat_method"] == method
     assert dict(coverage.details)["rhat_method"] == method
+    # the population complexity averages the same inner estimator over chains
+    assert dict(coverage.details)["rademacher_method"] == f"expected_{method}_stationary"
+    assert dict(lemma2.details)["rademacher_method"] == f"expected_{method}_stationary"
 
 
 def test_coverage_worker_count_invariance():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from chaincert.complexity import (
     EXACT_N_CAP,
     LossMatrix,
+    _bit_stats,
+    _draw_sign_bits,
     growth_bound,
     loss_matrix,
     rademacher_estimate,
@@ -19,7 +21,7 @@ from chaincert.complexity import (
 from chaincert.errors import InvalidInputError, SizeCapError
 from chaincert.generators import sample_chain
 from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss
-from chaincert.metric import SeedSpec
+from chaincert.metric import SeedSpec, make_rng
 
 from test_generators import make_halving, make_iid
 
@@ -76,6 +78,37 @@ def test_mc_is_consistent_with_exact():
     est = rademacher_mc(mat, draws=60_000, seed=SeedSpec(21))
     assert est.se > 0
     assert abs(est.value - exact) <= 3.5 * est.se
+
+
+@pytest.mark.parametrize("n", (1, 7, 8, 9, 201))
+def test_packed_bit_scores_match_direct_signs(n):
+    draws = 300
+    vals = np.random.default_rng(n).random((5, n))
+    bits = _draw_sign_bits(make_rng(SeedSpec(n)), draws, n)
+    # bit t of a vector is bit t (most significant first) of its ceil(n/8)
+    # bytes; the padding bits of the last byte are dropped
+    row_bytes = (n + 7) // 8
+    raw = np.frombuffer(make_rng(SeedSpec(n)).bytes(draws * row_bytes), dtype=np.uint8)
+    t = np.arange(n)
+    expected = (raw.reshape(draws, row_bytes)[:, t // 8] >> (7 - t % 8)) & 1
+    assert bits.dtype == float and np.array_equal(bits, expected)
+    plain, sym = _bit_stats(vals, bits)
+    direct = (1.0 - 2.0 * bits) @ vals.T  # (draws, H)
+    np.testing.assert_allclose(plain, direct.max(axis=1) / n, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sym, np.abs(direct).max(axis=1) / n, rtol=0, atol=1e-12)
+    # the estimator averages exactly these per-draw scores
+    est = rademacher_mc(LossMatrix(values=vals, ell_H=1.0), draws=draws, seed=SeedSpec(n))
+    assert est.value == plain.mean() and est.value_symmetrized == sym.mean()
+
+
+@pytest.mark.parametrize("n", (1, 5, 8, 12))
+def test_mc_lands_near_exact_small_n(n):
+    vals = np.random.default_rng(40 + n).random((4, n))
+    mat = LossMatrix(values=vals, ell_H=1.0)
+    exact = rademacher_exact(mat)
+    est = rademacher_mc(mat, draws=50_000, seed=SeedSpec(n))
+    assert abs(est.value - exact.value) <= 4.0 * est.se
+    assert abs(est.value_symmetrized - exact.value_symmetrized) <= 4.0 * est.se
 
 
 def test_mc_deterministic_and_chunking_invariant():

@@ -7,6 +7,7 @@ from chaincert.errors import (
     InvalidInputError,
 )
 from chaincert.generators import (
+    BallBound,
     BoxBound,
     CategoricalTheta,
     affine_ifs_generator,
@@ -19,6 +20,7 @@ from chaincert.generators import (
     identity_label,
     iid_generator,
     invariant_sampler,
+    labeled_lipschitz_generator,
     sample_chain,
     sample_stationary_chain,
     step,
@@ -177,6 +179,67 @@ def test_image_escape_raises():
     )
     with pytest.raises(GeneratorContractError):
         sample_chain(gen, n=3, seed=SeedSpec(0))
+
+
+def _unit_box_map_generator(governing_map):
+    return deterministic_map_generator(
+        governing_map=governing_map,
+        lip_x=0.0,
+        label_map=identity_label(),
+        metric=MetricSpec(1, 1, 2.0),
+        x_bound=UNIT_BOX,
+        y_bound=UNIT_BOX,
+        z0=ZPoint(0.25, 0.25),
+    )
+
+
+def test_escape_names_first_escaping_state_box():
+    # 0.25, 0.75, then 1.25 leaves the unit box at step 2; 1.75 ... follow
+    gen = _unit_box_map_generator(lambda x, theta: x + 0.5)
+    with pytest.raises(GeneratorContractError) as err:
+        sample_chain(gen, n=6, seed=SeedSpec(0))
+    assert "x=[1.25], y=[1.25]" in str(err.value)
+    assert "1.75" not in str(err.value)
+
+
+def test_escape_names_first_escaping_state_ball():
+    # x' = 0.5 x + (0.5, 0.5) from the origin: (0.5, 0.5), then (0.75, 0.75)
+    # of norm 1.06 leaves the unit ball at step 2 with both coordinates below one
+    ball = BallBound(1.0, 2)
+    gen = labeled_lipschitz_generator(
+        governing_map=lambda x, theta: theta[0] @ x + theta[1],
+        theta_atoms=[(0.5 * np.eye(2), np.array([0.5, 0.5]))],
+        weights=[1.0],
+        lip_x_per_theta=[0.5],
+        label_map=identity_label(),
+        metric=MetricSpec(2, 2, 4.0),
+        x_bound=ball,
+        y_bound=ball,
+        z0=ZPoint([0.0, 0.0], [0.0, 0.0]),
+    )
+    with pytest.raises(GeneratorContractError) as err:
+        sample_chain(gen, n=6, seed=SeedSpec(0))
+    assert "x=[0.75, 0.75], y=[0.75, 0.75]" in str(err.value)
+    assert "0.875" not in str(err.value)
+
+
+def test_escape_reported_when_map_then_fails():
+    def partial(x, theta):
+        if x[0] > 1.0:
+            raise ValueError("map undefined outside the unit interval")
+        return x + 0.5
+
+    # 1.25 escapes at step 2, and the map raises when applied to it
+    with pytest.raises(GeneratorContractError) as err:
+        sample_chain(_unit_box_map_generator(partial), n=6, seed=SeedSpec(0))
+    assert "x=[1.25], y=[1.25]" in str(err.value)
+
+    def broken(x, theta):
+        raise ValueError("broken map")
+
+    # with no escape before it, the map's own error is what surfaces
+    with pytest.raises(ValueError, match="broken map"):
+        sample_chain(_unit_box_map_generator(broken), n=6, seed=SeedSpec(0))
 
 
 def test_a1_rejected_at_construction():
