@@ -40,6 +40,7 @@ VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 
 _PAIR_FLOOR = 1e-12  # probe skips state pairs closer than this
 _PROBE_SLACK = 1e-9
+_BOUND_SLACK = 1e-9  # relative tolerance of the state-bound tests
 
 
 # -- state bounds --------------------------------------------------------------
@@ -66,13 +67,13 @@ class BoxBound:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, arr: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains(self, arr: np.ndarray, slack: float = _BOUND_SLACK) -> bool:
         pad = slack * np.maximum(1.0, np.abs(self.hi - self.lo))
         return bool(np.all(arr >= self.lo - pad) and np.all(arr <= self.hi + pad))
 
-    def contains_rows(self, rows: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains_rows(self, rows: np.ndarray) -> bool:
         """Whether every row of a 2-d array passes ``contains``."""
-        return self.contains(rows, slack)
+        return self.contains(rows)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
@@ -91,10 +92,10 @@ class BallBound:
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise InvalidInputError("ball bound needs a positive integer dimension")
 
-    def contains(self, arr: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains(self, arr: np.ndarray, slack: float = _BOUND_SLACK) -> bool:
         return bool(np.linalg.norm(arr) <= self.radius * (1.0 + slack))
 
-    def contains_rows(self, rows: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains_rows(self, rows: np.ndarray) -> bool:
         """Whether every row of a 2-d array passes ``contains``.
 
         A row whose squared norm lies within a relative 1e-12 of the limit
@@ -102,7 +103,7 @@ class BallBound:
         and the one ``contains`` takes can only send a row on to the
         per-state check, never let through a row that check rejects.
         """
-        limit = self.radius * (1.0 + slack)
+        limit = self.radius * (1.0 + _BOUND_SLACK)
         squares = np.einsum("ij,ij->i", rows, rows)
         return bool(np.all(squares <= limit * limit * (1.0 - 1e-12)))
 
@@ -352,6 +353,11 @@ def sample_chain(
 
     ``draw_offset`` skips that many uniforms of the stream before drawing,
     which is how a suffix is regenerated from an interior state.
+
+    The bounds are checked once the path is filled (or the governing map
+    has raised), so the maps may run on states past the first escaping one,
+    and print numpy's floating-point warnings there, before the
+    ``GeneratorContractError`` naming that first escaping state is raised.
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInputError(f"trajectory length must be a positive integer, got {n!r}")

@@ -2,8 +2,8 @@
 
 A stdlib AST scan, so it runs wherever the tests do. A module's top-level
 import counts as used when the bound name appears as a name anywhere in the
-module (code or annotation, quoted annotations included) or, for a package's
-``__init__``, in its ``__all__``.
+module (code or unquoted annotation) or, for a package's ``__init__``, in its
+``__all__``.
 """
 import ast
 import pathlib
@@ -23,25 +23,13 @@ def _bound_names(node):
 
 def _used_names(tree):
     used = set()
-    annotations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    for ann in annotations:
-        for part in ast.walk(ann) if ann is not None else ():
-            if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                used.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
-                            if isinstance(n, ast.Name))
     return used
 
 
@@ -64,7 +52,7 @@ def test_scan_flags_an_unused_import(tmp_path):
         "import math\n"
         "import numpy as np\n"
         "from typing import Optional, Sequence\n"
-        "def f(x: 'Sequence[int]') -> Optional[int]:\n"
+        "def f(x: Sequence[int]) -> Optional[int]:\n"
         "    return np.sum(x)\n",
         encoding="utf-8",
     )
