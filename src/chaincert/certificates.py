@@ -105,13 +105,14 @@ def certify_population(
         raise InvalidInputError(f"complexity input must be finite and non-negative, got {rademacher!r}")
     if not (0.0 <= w_bar <= 1.0):
         raise InvalidInputError(f"w_bar must lie in [0, 1] (the metric diameter), got {w_bar!r}")
+    confidence = confidence_level(epsilon, n, ell_H, ell_F)  # checks ell_H and ell_F
     rad_term = 4.0 * rademacher
     wass_term = 2.0 * ell_H * ell_F**n * w_bar
     eps_term = 4.0 * epsilon
     return Certificate(
         form="population",
         radius=rad_term + wass_term + eps_term,
-        confidence=confidence_level(epsilon, n, ell_H, ell_F),
+        confidence=confidence,
         rademacher_term=rad_term,
         wasserstein_term=wass_term,
         epsilon_term=eps_term,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -77,12 +78,32 @@ VALIDATOR_NAMES = ("lemma1", "lemma2", "lemma3", "coverage")
 _WINDOW_FLAG = {"delayed": "delayed", "paper-literal": "paper_literal"}
 
 
+def _print_out(text: str) -> None:
+    """Print a line to stdout. If the reader has closed the pipe
+    (``chaincert ... | head``), stdout goes to the null device from then on,
+    so the command still writes its files and exits with its own code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = open(os.devnull, "w")
+        try:
+            # the interpreter flushes the real stdout once more at exit
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+        sys.stdout = devnull
+
+
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_out(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create output directory {path!r}: {exc}") from None
     return path
 
 
@@ -143,7 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
     write_summary(summary, os.path.join(out, "simulate_summary.json"), config_digest(cfg))
-    print(f"wrote {csv_path} ({n} rows)")
+    _print_out(f"wrote {csv_path} ({n} rows)")
     return EXIT_OK
 
 
@@ -177,6 +198,8 @@ def _cmd_wasserstein(args: argparse.Namespace) -> int:
 
 def _cmd_rademacher(args: argparse.Namespace) -> int:
     values = read_loss_matrix_csv(args.matrix)
+    if args.ell_h is not None and not (math.isfinite(args.ell_h) and args.ell_h > 0):
+        raise InvalidInputError(f"--ell-h must be finite and positive, got {args.ell_h!r}")
     ell_H = args.ell_h if args.ell_h is not None else max(float(values.max()), 1e-12)
     matrix = LossMatrix(values, ell_H)
     seed = SeedSpec(args.seed or 0)
@@ -332,8 +355,8 @@ def _emit_validator(report, cfg: ExperimentConfig, prefix: str) -> int:
                           row_header=report.row_header, rows=report.rows)
     write_summary(bundle, os.path.join(out, f"{prefix}_summary.json"), config_digest(cfg))
     verdict = "PASS" if report.passed else "FAIL"
-    print(f"{report.name}: {verdict} (statistic={report.statistic:.6g}, "
-          f"bound={report.bound:.6g}, margin={report.margin:.6g})")
+    _print_out(f"{report.name}: {verdict} (statistic={report.statistic:.6g}, "
+               f"bound={report.bound:.6g}, margin={report.margin:.6g})")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -1,13 +1,14 @@
 """Rademacher complexity of a finite class on a recorded sample.
 
 Two estimators over the same loss matrix: exact enumeration of all sign
-vectors (small n, chunked so memory stays flat) and an unbiased Monte Carlo
-average with a standard error; ``rademacher_estimate`` picks between them by
-sample size. Every estimate carries a plain form, max over the class of the
-signed mean, and a symmetrized form that takes the absolute value inside the
-max, both scored on the same sign vectors; the plain form is what the
-deviation bounds consume, the symmetrized one is a diagnostic for
-sign-asymmetric classes.
+vectors (small n; scored from two tables of partial scores, so no sign
+vector is built and memory stays flat) and an unbiased Monte Carlo average
+with a standard error; ``rademacher_estimate`` picks between them by sample
+size. Every estimate carries a plain form, max over the class of the signed
+mean, and a symmetrized form that takes the absolute value inside the max,
+both scored on the same sign vectors; the plain form is what the deviation
+bounds consume, the symmetrized one is a diagnostic for sign-asymmetric
+classes.
 
 Closed-form ceilings for comparison: the finite-class growth bound
 L_H * sqrt(2 log r / n) and the dimension bound
@@ -88,15 +89,6 @@ class RademacherEstimate:
     value_symmetrized: float
 
 
-def _max_stats(scores: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sign-vector max_h (1/n) sum_t sigma_t L_h(t), plain and with |.|
-    inside, from the hypotheses-major (H, chunk) sums.
-
-    Hypotheses-major, each max runs across whole rows of the chunk, not along
-    a row as short as the class, which numpy does slowly."""
-    return scores.max(axis=0) / n, np.abs(scores).max(axis=0) / n
-
-
 def _draw_sign_bits(rng: np.random.Generator, take: int, n: int) -> np.ndarray:
     """``take`` sign vectors of length n as 0.0/1.0 bits, bit 1 meaning
     sigma = -1, unpacked from ceil(n / 8) random bytes per vector.
@@ -109,32 +101,63 @@ def _draw_sign_bits(rng: np.random.Generator, take: int, n: int) -> np.ndarray:
 
 
 def _bit_stats(values: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_max_stats`` of the sign vectors sigma = 1 - 2 bits, scored as
-    sum_t sigma_t L_h(t) = sum_t L_h(t) - 2 sum_t bits_t L_h(t)."""
+    """Per-sign-vector max_h (1/n) sum_t sigma_t L_h(t), plain and with |.|
+    inside, for the sign vectors sigma = 1 - 2 bits, scored as
+    sum_t L_h(t) - 2 sum_t bits_t L_h(t).
+
+    The sums are hypotheses-major, so each max runs across whole rows of the
+    chunk, not along a row as short as the class, which numpy does slowly."""
+    n = values.shape[1]
     scores = values.sum(axis=1)[:, None] - 2.0 * (values @ bits.T)  # (H, chunk)
-    return _max_stats(scores, values.shape[1])
+    return scores.max(axis=0) / n, np.abs(scores).max(axis=0) / n
+
+
+def _score_table(block: np.ndarray, free: int) -> np.ndarray:
+    """(H, 2^free) partial scores sum_t sigma_t L_h(t) over the columns of
+    ``block``: bit t of the table index set means sigma_t = -1 on column
+    t < free, and the columns from ``free`` on keep sigma = +1."""
+    table = np.empty((block.shape[0], 1 << free))
+    table[:, 0] = block.sum(axis=1)
+    for t in range(free):
+        width = 1 << t
+        np.subtract(table[:, :width], 2.0 * block[:, t : t + 1], out=table[:, width : 2 * width])
+    return table
 
 
 def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
-    """Average over every sign vector; only feasible for small samples."""
+    """Average over every sign vector; only feasible for small samples.
+
+    No sign vector is built. The columns split into a low block of at most
+    13 and a high block, each with a table of its partial scores
+    (``_score_table``), so a sign vector scores as low[:, i] + high[:, j] and
+    one broadcast add scores a tile of 8192. Since score(-sigma) =
+    -score(sigma), only the vectors with sigma_{n-1} = +1 are scored: the
+    class max and min of each give max - min to the plain sum and
+    2 max(max, -min) to the symmetrized one for the pair (sigma, -sigma)."""
+    values = matrix.values
     n = matrix.num_states
     if n > EXACT_N_CAP:
         raise SizeCapError(
             f"exact enumeration covers 2^{n} sign vectors; capped at n = {EXACT_N_CAP}, "
             "use the Monte Carlo estimator instead"
         )
-    total = 1 << n
+    split = min(n - 1, _CHUNK.bit_length() - 1)  # a low table of at most _CHUNK entries
+    low = _score_table(values[:, :split], split)
+    high = _score_table(values[:, split:], n - 1 - split)  # sigma_{n-1} stays +1
+    tile = np.empty_like(low)
     acc = acc_sym = 0.0
-    bit_positions = np.arange(n, dtype=np.uint64)
-    for lo in range(0, total, _CHUNK):
-        ks = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        bits = (ks[:, None] >> bit_positions) & 1
-        signs = 1.0 - 2.0 * bits
-        plain, sym = _max_stats(np.ascontiguousarray((signs @ matrix.values.T).T), n)
-        acc += float(plain.sum())
-        acc_sym += float(sym.sum())
+    for j in range(high.shape[1]):
+        np.add(low, high[:, j : j + 1], out=tile)
+        top, bottom = tile.max(axis=0), tile.min(axis=0)
+        acc += float((top - bottom).sum())
+        acc_sym += 2.0 * float(np.maximum(top, -bottom).sum())
+    total = 1 << n
     return RademacherEstimate(
-        value=acc / total, se=0.0, draws=total, method="exact", value_symmetrized=acc_sym / total
+        value=acc / (total * n),
+        se=0.0,
+        draws=total,
+        method="exact",
+        value_symmetrized=acc_sym / (total * n),
     )
 
 

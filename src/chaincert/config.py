@@ -155,7 +155,10 @@ def _get_num(d: dict, key: str, where: str, lo: float, hi: float,
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InvalidInputError(f"{where}.{key} must be a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise InvalidInputError(f"{where}.{key} lies past the float range") from None
     if not np.isfinite(v):
         raise InvalidInputError(f"{where}.{key} must be finite, got {v!r}")
     if (v < lo or (lo_open and v <= lo)) or (v > hi or (hi_open and v >= hi)):
@@ -169,9 +172,13 @@ def _get_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
     if key not in d:
         raise InvalidInputError(f"{where} needs a numeric array {key!r}")
     try:
-        arr = np.asarray(d[key], dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{where}.{key} must be a numeric array") from None
+        arr = np.asarray(d[key])
+    except ValueError:  # ragged nesting
+        arr = None
+    # strings, booleans and integers past the float range are not numbers here
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{where}.{key} must be a numeric array")
+    arr = arr.astype(float)
     if arr.ndim == ndim - 1:
         arr = arr[..., np.newaxis] if ndim == 2 else arr[np.newaxis, ...]
     if arr.ndim != ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
@@ -407,7 +414,7 @@ def merge_overrides(cfg: ExperimentConfig, **overrides: Any) -> ExperimentConfig
 # -- object construction from blocks ---------------------------------------------
 
 
-def _build_label(d: Optional[dict]) -> LabelMap:
+def _build_label(d: Optional[dict], dim_x: int) -> LabelMap:
     if d is None or d["kind"] == "identity":
         return identity_label()
     if d["kind"] == "linear":
@@ -420,6 +427,10 @@ def _build_label(d: Optional[dict]) -> LabelMap:
         table_y = table_y[:, np.newaxis]
     if table_x.shape[0] != table_y.shape[0]:
         raise InvalidInputError("tabulated label needs one y row per x row")
+    if table_x.shape[1] != dim_x:
+        raise InvalidInputError(
+            f"tabulated label table_x needs {dim_x} columns, one per state coordinate"
+        )
 
     def lookup(x: np.ndarray) -> np.ndarray:
         gaps = np.linalg.norm(table_x - np.asarray(x, dtype=float).reshape(1, -1), axis=1)
@@ -454,7 +465,7 @@ def build_generator(block: dict) -> Generator:
                else np.full(count, 1.0 / count))
     return affine_ifs_generator(
         mats=list(mats), vecs=list(vecs), weights=weights,
-        label_map=_build_label(block.get("label")),
+        label_map=_build_label(block.get("label"), mats.shape[-1]),
         attractor_radius=float(block["attractor_radius"]),
         z0_x=np.asarray(block["z0_x"], dtype=float),
         name="config_affine_ifs",

@@ -154,6 +154,8 @@ def linear_label(weight, bias) -> LabelMap:
     if weight.ndim != 2:
         raise InvalidInputError("linear label needs a 2-d weight matrix")
     bias = np.asarray(bias, dtype=float).reshape(-1)
+    if bias.shape[0] != weight.shape[0]:
+        raise InvalidInputError("linear label needs one bias entry per weight row")
     lip = float(np.linalg.norm(weight, 2))
     return LabelMap(kind="linear", lip=lip, weight=weight, bias=bias)
 
@@ -588,6 +590,10 @@ def affine_ifs_generator(
             )
     kappa = 4.0 * ball
     x0 = np.asarray(z0_x, dtype=float).reshape(-1)
+    if x0.shape != (dim,):
+        raise InvalidInputError(f"affine_ifs start z0_x must have the maps' dimension {dim}")
+    if label_map.kind == "linear" and label_map.weight.shape[1] != dim:
+        raise InvalidInputError(f"linear label weight needs {dim} columns, one per coordinate")
     y0 = np.asarray(label_map.apply(x0), dtype=float).reshape(-1)
     dim_y = y0.shape[0]
     metric = MetricSpec(dim_x=dim, dim_y=dim_y, kappa=kappa)

@@ -99,15 +99,20 @@ def linear_hypothesis(hid: str, weight, bias, declared_lip: Optional[float] = No
     if weight.ndim != 2:
         raise InvalidInputError("linear hypothesis needs a 2-d weight matrix")
     bias = np.asarray(bias, dtype=float).reshape(-1)
+    if bias.shape[0] != weight.shape[0]:
+        raise InvalidInputError("linear hypothesis needs one bias entry per weight row")
     lip = float(np.linalg.norm(weight, 2)) if declared_lip is None else float(declared_lip)
     return Hypothesis(hid=hid, kind="linear", declared_lip=lip, weight=weight, bias=bias)
 
 
 def tabulated_hypothesis(hid: str, table_x, table_y, declared_lip: float) -> Hypothesis:
+    """Nearest-neighbour lookup; a flat table holds one-dimensional rows."""
+    table_x = np.asarray(table_x, dtype=float)
+    table_y = np.asarray(table_y, dtype=float)
     return Hypothesis(
         hid=hid, kind="tabulated", declared_lip=float(declared_lip),
-        table_x=np.asarray(table_x, dtype=float),
-        table_y=np.asarray(table_y, dtype=float),
+        table_x=table_x[:, None] if table_x.ndim == 1 else table_x,
+        table_y=table_y[:, None] if table_y.ndim == 1 else table_y,
     )
 
 
@@ -192,7 +197,21 @@ def compose_ell_h(env: LossEnv, cls: HypothesisClass, spec: MetricSpec) -> float
 
 def finalize_env(env: LossEnv, cls: HypothesisClass, spec: MetricSpec,
                  L_H: Optional[float] = None) -> LossEnv:
-    """Fill in ell_H via composition; L_H defaults to the clip bound."""
+    """Fill in ell_H via composition; L_H defaults to the clip bound.
+
+    Every hypothesis must read dim_x features and predict dim_y labels."""
+    for h in cls.members:
+        if h.kind == "constant":
+            dim_x, dim_y = spec.dim_x, h.value.shape[0]
+        elif h.kind == "linear":
+            dim_y, dim_x = h.weight.shape
+        else:
+            dim_x, dim_y = h.table_x.shape[1], h.table_y.shape[1]
+        if (dim_x, dim_y) != (spec.dim_x, spec.dim_y):
+            raise InvalidInputError(
+                f"hypothesis {h.hid!r} maps {dim_x}-d features to {dim_y}-d labels; "
+                f"the chain has {spec.dim_x} and {spec.dim_y}"
+            )
     ell = compose_ell_h(env, cls, spec)
     sup_value = float(L_H) if L_H is not None else env.clip
     if sup_value > ell * (1.0 + 1e-12):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,17 +49,48 @@ def test_exact_single_row_plain_vs_symmetrized():
     assert est.value_symmetrized == pytest.approx(0.7 * (24.0 / 16.0) / 4.0, abs=1e-15)
 
 
+def _brute_force(vals: np.ndarray) -> tuple[float, float]:
+    """Plain and symmetrized complexity by scoring one sign vector at a time."""
+    n = vals.shape[1]
+    signs = 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    acc = acc_sym = 0.0
+    for sigma in signs:
+        scores = (vals @ sigma).tolist()
+        acc += max(scores) / n
+        acc_sym += max(map(abs, scores)) / n
+    return acc / (1 << n), acc_sym / (1 << n)
+
+
 def test_exact_matches_direct_enumeration_random():
     rng = np.random.default_rng(3)
     for _ in range(5):
         vals = rng.random((3, 6))
         mat = LossMatrix(values=vals, ell_H=2.0)
-        n = vals.shape[1]
-        acc = 0.0
-        for k in range(1 << n):
-            signs = np.array([1.0 - 2.0 * ((k >> t) & 1) for t in range(n)])
-            acc += (vals @ signs).max() / n
-        assert rademacher_exact(mat).value == pytest.approx(acc / (1 << n), rel=1e-12)
+        assert rademacher_exact(mat).value == pytest.approx(_brute_force(vals)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("h", (1, 3, 8))
+def test_exact_matches_brute_force_across_the_split(h):
+    # n = 1..16 crosses the point where the columns split into two score tables
+    for n in range(1, 17):
+        vals = np.random.default_rng(100 * n + h).random((h, n))
+        est = rademacher_exact(LossMatrix(values=vals, ell_H=1.0))
+        plain, sym = _brute_force(vals)
+        assert est.value == pytest.approx(plain, rel=1e-12)
+        assert est.value_symmetrized == pytest.approx(sym, rel=1e-12)
+        assert est.draws == 1 << n
+
+
+@pytest.mark.parametrize("h, cap_mib", ((4, 2.0), (64, 16.0)))
+def test_exact_memory_stays_flat(h, cap_mib):
+    mat = LossMatrix(values=np.random.default_rng(h).random((h, 20)), ell_H=1.0)
+    tracemalloc.start()
+    try:
+        rademacher_exact(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mib * 2**20
 
 
 def test_exact_cap_directs_to_mc():

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -332,6 +334,7 @@ def test_cli_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(unknown_key)]) == 2
 
     assert main(["simulate"]) == 2  # --config missing
+    assert main(["simulate", "--config", bad_preset, "--out", bad_preset]) == 2  # a file
     assert main(["rademacher", str(tmp_path / "missing.csv")]) == 2
 
     expanding = write_config(tmp_path, "bad3.json", {
@@ -438,3 +441,67 @@ def test_cli_wasserstein_and_rademacher(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(0.25, abs=0)
     assert payload["method"].startswith("exact")
+
+
+AFFINE_1D = {"kind": "affine_ifs", "mats": [[[0.5]]], "vecs": [[0.25]],
+             "attractor_radius": 0.5, "z0_x": [0.0]}
+
+
+@pytest.mark.parametrize("generator, member", [
+    # a start state of the wrong dimension, read by a 1-d label
+    (dict(AFFINE_1D, z0_x=[0.0, 0.0], label={"kind": "linear", "weight": [[0.5]],
+                                             "bias": [0.0]}),
+     {"kind": "constant", "value": [0.0]}),
+    # label tables and weights that do not read the 1-d state
+    (dict(AFFINE_1D, label={"kind": "tabulated", "table_x": [[0.0, 0.0], [1.0, 1.0]],
+                            "table_y": [[0.0], [0.5]], "lip": 1.0}),
+     {"kind": "constant", "value": [0.0]}),
+    (dict(AFFINE_1D, label={"kind": "linear", "weight": [[0.5, 0.5]], "bias": [0.0]}),
+     {"kind": "constant", "value": [0.0]}),
+    (dict(AFFINE_1D, label={"kind": "linear", "weight": [[0.5]], "bias": [0.0, 0.0]}),
+     {"kind": "constant", "value": [0.0]}),
+    # hypotheses that do not map the 1-d state to the 1-d label
+    (AFFINE_1D, {"kind": "constant", "value": [0.0, 0.0]}),
+    (AFFINE_1D, {"kind": "linear", "weight": [[1.0]], "bias": [0.0, 0.0]}),
+    (AFFINE_1D, {"kind": "linear", "weight": [[1.0, 1.0]], "bias": [0.0]}),
+    (AFFINE_1D, {"kind": "tabulated", "table_x": [[0.0, 0.0]], "table_y": [[0.0]],
+                 "lip": 1.0}),
+])
+def test_cli_rejects_mismatched_dimensions(tmp_path, generator, member):
+    cfg = write_config(tmp_path, "dims.json", {
+        "generator": generator, "class": {"kind": "finite_list", "members": [member]},
+        "loss": {"kind": "abs_clipped", "clip": 1.0}, "n": 8, "epsilon": 0.1, "trials": 2,
+        "out_dir": str(tmp_path / "never"),
+    })
+    assert main(["validate", "lemma1", "--config", cfg]) == 2
+
+
+def test_cli_flat_tabulated_table_is_a_column(tmp_path):
+    cfg = write_config(tmp_path, "flat.json", {
+        "generator": AFFINE_1D,
+        "class": {"kind": "finite_list", "members": [
+            {"kind": "tabulated", "table_x": [0.0, 1.0], "table_y": [0.0, 0.5], "lip": 1.0}]},
+        "loss": {"kind": "abs_clipped", "clip": 1.0}, "n": 8, "epsilon": 0.1, "trials": 2,
+        "out_dir": str(tmp_path / "flat"),
+    })
+    assert main(["validate", "lemma1", "--config", cfg]) == 0
+
+
+def test_cli_closed_stdout_still_writes_summary(tmp_path, capsys, monkeypatch):
+    # ``chaincert ... | head -c 80``: the reader closes the pipe before the
+    # payload is written
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    mu = tmp_path / "mu.csv"
+    mu.write_text("x_0,y_0\n0.0,0.0\n")
+    nu = tmp_path / "nu.csv"
+    nu.write_text("x_0,y_0\n1.0,1.0\n")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["wasserstein", str(mu), str(nu), "--kappa", "2.0",
+                 "--out", str(tmp_path / "w")])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = read_summary(str(tmp_path / "w" / "wasserstein_summary.json"))
+    assert summary["cost"] == pytest.approx(1.0, abs=1e-12)

@@ -1,11 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chaincert
 from chaincert.errors import InvalidInputError
 from chaincert.metric import (
     MetricSpec,
@@ -111,8 +114,10 @@ def test_streams_bit_identical_across_processes():
         "from chaincert.metric import SeedSpec, make_rng;"
         "print(make_rng(SeedSpec(2024, 17)).integers(0, 2**63, size=5).tolist())"
     )
+    # the child imports the same chaincert as this process
+    env = dict(os.environ, PYTHONPATH=str(Path(chaincert.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
     here = make_rng(SeedSpec(2024, 17)).integers(0, 2**63, size=5).tolist()
     assert out == str(here)
