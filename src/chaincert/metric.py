@@ -16,6 +16,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random lazily; importing it here keeps that cost in the
+# package import rather than inside the first command that seeds a stream
+from numpy.random import SeedSequence, default_rng
 
 from .errors import InvalidInputError
 
@@ -107,11 +110,19 @@ def pairwise_dist(
     xs1: np.ndarray, ys1: np.ndarray, xs2: np.ndarray, ys2: np.ndarray, spec: MetricSpec
 ) -> np.ndarray:
     """Distance matrix between two stacked state arrays, same bound check."""
-    from scipy.spatial.distance import cdist
-
-    raw = cdist(xs1, xs2) + cdist(ys1, ys2)
+    raw = _euclidean(xs1, xs2) + _euclidean(ys1, ys2)
     _check_raw_bound(raw, spec)
     return raw / spec.kappa
+
+
+def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # squares summed one coordinate at a time, in order: the same rounding as
+    # scipy's cdist in every dimension (a broadcast .sum(-1) switches to
+    # pairwise summation from 8 coordinates on and moves the last bits)
+    acc = np.zeros((a.shape[0], b.shape[0]))
+    for c in range(a.shape[1]):
+        acc += (a[:, None, c] - b[None, :, c]) ** 2
+    return np.sqrt(acc)
 
 
 # -- deterministic seed streams ------------------------------------------------
@@ -147,5 +158,5 @@ def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:
 
 def make_rng(seed: SeedSpec) -> np.random.Generator:
     """PCG64 generator keyed by (master_seed, stream_index); bit-stable across runs."""
-    ss = np.random.SeedSequence(entropy=seed.master_seed, spawn_key=(seed.stream_index,))
-    return np.random.default_rng(ss)
+    ss = SeedSequence(entropy=seed.master_seed, spawn_key=(seed.stream_index,))
+    return default_rng(ss)

@@ -1,12 +1,16 @@
-"""Source hygiene of the library: every top-level import is used.
+"""Source hygiene of the library: every top-level import is used, and
+importing the command line loads no scipy.
 
-A stdlib AST scan, so it runs wherever the tests do. A module's top-level
-import counts as used when the bound name appears as a name anywhere in the
-module (code or unquoted annotation) or, for a package's ``__init__``, in its
-``__all__``.
+The unused-import check is a stdlib AST scan, so it runs wherever the tests
+do. A module's top-level import counts as used when the bound name appears as
+a name anywhere in the module (code or unquoted annotation) or, for a
+package's ``__init__``, in its ``__all__``.
 """
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +66,34 @@ def test_scan_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path) == []
+
+
+_IMPORT_GUARD = """
+import sys
+from chaincert import cli
+from chaincert.config import build_bundle, parse_config
+from chaincert.presets import load_preset, preset_names
+for name in preset_names():
+    load_preset(name)
+build_bundle(parse_config({
+    "generator": {"kind": "iid", "atoms_x": [[0.2], [0.7]], "atoms_y": [[0.2], [0.7]],
+                  "kappa": 2.0},
+    "class": {"kind": "finite_list",
+              "members": [{"kind": "constant", "id": "lo", "value": [0.0]}]},
+    "loss": {"kind": "abs_clipped", "clip": 1.0},
+}))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_cli_and_bundles_load_no_scipy():
+    # scipy is imported by the transport solvers alone; numpy.random is loaded
+    # with the package so no command pays for it on its first seed stream
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True, check=True,
+        env=env,
+    ).stdout.split("\n")
+    assert out[0] == "[]"
+    assert out[1] == "True"

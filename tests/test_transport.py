@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from chaincert import transport
 from chaincert.errors import InvalidInputError, SizeCapError
 from chaincert.generators import SeedSpec, sample_chain
 from chaincert.metric import MetricSpec, ZPoint, dist
 from chaincert.transport import (
     EmpiricalMeasure,
+    _cost_matrix,
+    _replicates_cheaply,
+    _solve_assignment,
+    _solve_lp,
     contraction_curve,
     distance_probes,
     kr_dual_lower_bound,
@@ -70,6 +75,85 @@ def test_lp_path_agrees_with_assignment_path():
     ca, _ = w1_exact(a, as_atoms)
     cw, _ = w1_exact(a, as_weights)
     assert abs(ca - cw) <= 1e-9
+
+
+def _uniform_lp(cost):
+    n1, n2 = cost.shape
+    return _solve_lp(cost, np.full(n1, 1.0 / n1), np.full(n2, 1.0 / n2))
+
+
+def _check_marginals(plan, n1, n2):
+    mat = plan.masses(n1, n2)
+    assert np.max(np.abs(mat.sum(axis=1) - 1.0 / n1)) <= 1e-9
+    assert np.max(np.abs(mat.sum(axis=0) - 1.0 / n2)) <= 1e-9
+
+
+def _with_repeats(rng, count, metric, shared=()):
+    # atoms drawn from a small pool, so most appear more than once
+    pool = list(shared) + list(random_uniform_measure(rng, 3, metric).atoms)
+    return EmpiricalMeasure.uniform(
+        [pool[int(i)] for i in rng.integers(0, len(pool), count)], metric
+    )
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 8), (4, 6), (6, 9)])
+def test_replicated_assignment_matches_lp(n1, n2):
+    rng = np.random.default_rng(100 * n1 + n2)
+    metric = MetricSpec(2, 1, 4.0)
+    assert _replicates_cheaply(n1, n2)
+    for trial in range(12):
+        if trial < 8:
+            a = random_uniform_measure(rng, n1, metric)
+            b = random_uniform_measure(rng, n2, metric)
+        else:
+            a = _with_repeats(rng, n1, metric)
+            b = _with_repeats(rng, n2, metric, shared=a.atoms[:2])
+        cost_mat = _cost_matrix(a, b)
+        plan = _solve_assignment(cost_mat)
+        assert abs(plan.cost - _uniform_lp(cost_mat).cost) <= 1e-9
+        _check_marginals(plan, n1, n2)
+        assert abs(plan.cost - float(np.sum(plan.masses(n1, n2) * cost_mat))) <= 1e-12
+        cost, routed = w1_exact(a, b)
+        assert abs(cost - plan.cost) <= 1e-9
+        _check_marginals(routed, n1, n2)
+
+
+def test_routing_rule_blowup_bound():
+    # blow-up (n1/g)(n2/g) of the replicated problem against _MAX_BLOWUP = 16
+    assert _replicates_cheaply(1000, 1000) and _replicates_cheaply(5000, 5000)
+    assert _replicates_cheaply(64, 128) and _replicates_cheaply(300, 400)
+    assert _replicates_cheaply(2, 32) and not _replicates_cheaply(2, 34)
+    assert not _replicates_cheaply(31, 33) and not _replicates_cheaply(1, 1000)
+
+
+@pytest.mark.parametrize(
+    "n1,n2,route",
+    [(2, 32, "assignment"), (2, 34, "lp"), (31, 33, "lp"), (64, 128, "assignment")],
+)
+def test_routing_rule_sides_return_the_right_cost(monkeypatch, n1, n2, route):
+    calls = []
+
+    def assignment(cost):
+        calls.append("assignment")
+        return _solve_assignment(cost)
+
+    def lp(cost, w1, w2):
+        calls.append("lp")
+        return _solve_lp(cost, w1, w2)
+
+    monkeypatch.setattr(transport, "_solve_assignment", assignment)
+    monkeypatch.setattr(transport, "_solve_lp", lp)
+    rng = np.random.default_rng(n1 * n2)
+    metric = MetricSpec(1, 1, 2.0)
+    a = random_uniform_measure(rng, n1, metric)
+    b = random_uniform_measure(rng, n2, metric)
+    cost, plan = w1_exact(a, b)
+    assert calls == [route]
+    # the route not taken, on the same cost matrix, is the oracle
+    cost_mat = _cost_matrix(a, b)
+    other = _uniform_lp(cost_mat) if route == "assignment" else _solve_assignment(cost_mat)
+    assert abs(cost - other.cost) <= 1e-9
+    _check_marginals(plan, n1, n2)
 
 
 def test_w1_symmetry_bit_exact_and_triangle():
