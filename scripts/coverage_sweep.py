@@ -25,7 +25,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rad-outer", type=int, default=16)
     ap.add_argument("--draws", type=int, default=2048)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="results/coverage_sweep")
     args = ap.parse_args(argv)
 
@@ -36,7 +35,7 @@ def main(argv=None):
         report = coverage_experiment(
             bundle.gen, bundle.cls, bundle.env, n, args.epsilon, args.trials,
             seed=SeedSpec(args.seed, stream_index=k),
-            rad_outer=args.rad_outer, mc_draws=args.draws, workers=args.workers,
+            rad_outer=args.rad_outer, mc_draws=args.draws,
         )
         details = dict(report.details)
         rows.append((n, details["coverage_population"],

@@ -20,16 +20,13 @@ FAIL means the inequality is broken, not that the estimate was noisy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .complexity import (
     MC_DRAWS,
     LossMatrix,
-    RademacherEstimate,
     loss_matrix,
     rademacher_estimate,
     rademacher_expected,
@@ -192,25 +189,13 @@ class ValidationReport:
     rows: tuple
 
 
-def _require_finalized(env: LossEnv) -> None:
+def _check_validator_inputs(env: LossEnv, n: int, trials: int) -> None:
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("finalize the loss environment (ell_H) before validating")
-
-
-def _check_trials(trials: int) -> None:
     if not (isinstance(trials, int) and trials >= 2):
         raise InvalidInputError(f"need at least two trials, got {trials!r}")
-
-
-def _map_trials(fn: Callable[[int], tuple], trials: int, workers: int) -> list:
-    """Evaluate one closure per trial index; order and values are unaffected
-    by the worker count because every trial derives its own stream."""
-    if not (isinstance(workers, int) and workers >= 1):
-        raise InvalidInputError(f"workers must be a positive integer, got {workers!r}")
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+    if not (isinstance(n, int) and n >= 1):
+        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
 
 
 def _risk_values(cls, gen, env, tol, seed) -> tuple[np.ndarray, float]:
@@ -223,6 +208,16 @@ def _risk_values(cls, gen, env, tol, seed) -> tuple[np.ndarray, float]:
 
 def _sup_deviation(matrix: LossMatrix, er_values: np.ndarray) -> float:
     return float(np.abs(matrix.values.mean(axis=1) - er_values).max())
+
+
+def _delayed_deviations(gen, cls, env, n, trials, batch_seed, er_values) -> np.ndarray:
+    """Worst-class deviation over the window (n, 2n) of one 2n chain per trial,
+    trial t sampled from ``derive_stream(batch_seed, t)``."""
+    phis = np.empty(trials)
+    for t in range(trials):
+        traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
+        phis[t] = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
+    return phis
 
 
 def _binomial_se(p: float, trials: int) -> float:
@@ -238,7 +233,6 @@ def validate_lemma1(
     trials: int,
     seed: SeedSpec = SeedSpec(0),
     tol: float = 1e-3,
-    workers: int = 1,
 ) -> ValidationReport:
     """Tail check: the worst-class deviation of the delayed window exceeds its
     own mean by epsilon no more often than exp(-2 eps^2 n / C^2) allows.
@@ -246,28 +240,15 @@ def validate_lemma1(
     The centering mean comes from an independent batch of equal size, so the
     tail frequency is measured against a threshold it never touched.
     """
-    _require_finalized(env)
-    _check_trials(trials)
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
+    _check_validator_inputs(env, n, trials)
     if not (0 <= epsilon < 1):
         raise InvalidInputError(f"epsilon must lie in [0, 1), got {epsilon!r}")
     ell_F = analytic_lip_factor(gen)
     c = deviation_constant(env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
-
-    def phi_of(batch: int) -> Callable[[int], float]:
-        batch_seed = derive_stream(seed, batch)
-
-        def run(t: int) -> float:
-            traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
-            return _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
-
-        return run
-
-    center = np.array(_map_trials(phi_of(0), trials, workers))
+    center = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), er_values)
     center_mean = float(center.mean())
-    phis = np.array(_map_trials(phi_of(1), trials, workers))
+    phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 1), er_values)
     exceeded = phis >= center_mean + epsilon
     freq = float(exceeded.mean())
     bound = math.exp(-2.0 * epsilon**2 * n / c**2)
@@ -305,7 +286,6 @@ def validate_lemma2(
     tol: float = 1e-3,
     rad_outer: int = 32,
     mc_draws: int = MC_DRAWS,
-    workers: int = 1,
 ) -> ValidationReport:
     """Mean check: the expected worst-class deviation of the delayed window is
     at most twice the expected complexity plus the distance-decay term.
@@ -314,21 +294,12 @@ def validate_lemma2(
     adds the systematic allowances: the burn-in bias of the stationary-start
     complexity estimate and the true-risk uncertainty.
     """
-    _require_finalized(env)
-    _check_trials(trials)
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
+    _check_validator_inputs(env, n, trials)
     if not (0.0 <= w_bar <= 1.0):
         raise InvalidInputError(f"w_bar must lie in [0, 1], got {w_bar!r}")
     ell_F = analytic_lip_factor(gen)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
-    batch_seed = derive_stream(seed, 0)
-
-    def run(t: int) -> float:
-        traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
-        return _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
-
-    phis = np.array(_map_trials(run, trials, workers))
+    phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), er_values)
     phi_mean = float(phis.mean())
     phi_se = float(phis.std(ddof=1) / math.sqrt(trials))
 
@@ -377,33 +348,25 @@ def validate_lemma3(
     seed: SeedSpec = SeedSpec(0),
     tol: float = 1e-3,
     mc_draws: int = MC_DRAWS,
-    workers: int = 1,
 ) -> ValidationReport:
     """Conditional check: from a stationary start, the delayed-window deviation
     stays below twice the observed-prefix complexity plus 3 epsilon at least
     as often as the one-sided tail promises."""
-    _require_finalized(env)
-    _check_trials(trials)
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
+    _check_validator_inputs(env, n, trials)
     if not (0 < epsilon < 1):
         raise InvalidInputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     ell_F = analytic_lip_factor(gen)
     c = deviation_constant(env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
     batch_seed = derive_stream(seed, 0)
-
-    def run(t: int) -> tuple[float, RademacherEstimate]:
+    phis, estimates = np.empty(trials), []
+    for t in range(trials):
         stream = derive_stream(batch_seed, t)
         traj = sample_stationary_chain(gen, 2 * n, tol, stream)
-        rhat = rademacher_estimate(loss_matrix(cls, traj, env, window=(0, n)),
-                                   mc_draws, derive_stream(stream, 1))
-        phi = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
-        return phi, rhat
-
-    results = _map_trials(run, trials, workers)
-    phis = np.array([r[0] for r in results])
-    rhats = np.array([r[1].value for r in results])
+        estimates.append(rademacher_estimate(loss_matrix(cls, traj, env, window=(0, n)),
+                                             mc_draws, derive_stream(stream, 1)))
+        phis[t] = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
+    rhats = np.array([e.value for e in estimates])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
     freq = float(success.mean())
     target = 1.0 - math.exp(-2.0 * epsilon**2 * n / c**2)
@@ -418,7 +381,7 @@ def validate_lemma3(
         details=(
             ("mean_phi", float(phis.mean())),
             ("mean_rhat", float(rhats.mean())),
-            ("rhat_method", results[0][1].method),
+            ("rhat_method", estimates[0].method),
             ("epsilon", float(epsilon)),
             ("n", n),
             ("trials", trials),
@@ -447,7 +410,6 @@ def coverage_experiment(
     rad_outer: int = 32,
     mc_draws: int = MC_DRAWS,
     erm_tie_break: str = "lowest_index",
-    workers: int = 1,
 ) -> ValidationReport:
     """End-to-end check of both certificate forms against realized deviations.
 
@@ -463,8 +425,7 @@ def coverage_experiment(
     subtracted from each deviation ("adjusted"); the pass verdict keys off
     the adjusted numbers so estimator noise cannot flip it.
     """
-    _require_finalized(env)
-    _check_trials(trials)
+    _check_validator_inputs(env, n, trials)
     if window_mode not in WINDOW_MODES:
         raise InvalidInputError(f"window_mode must be one of {WINDOW_MODES}, got {window_mode!r}")
     ell_F = analytic_lip_factor(gen)
@@ -482,19 +443,15 @@ def coverage_experiment(
 
     window = (n, 2 * n) if window_mode == "delayed" else (0, n)
     batch_seed = derive_stream(seed, 0)
-
-    def run(t: int) -> tuple[float, RademacherEstimate]:
+    deviations, estimates = np.empty(trials), []
+    for t in range(trials):
         stream = derive_stream(batch_seed, t)
-        traj = sample_chain(gen, None, 2 * n, stream)
-        mat = loss_matrix(cls, traj, env, window=window)
-        report = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break)
-        deviation = abs(float(er_values[report.hypothesis_index]) - opt_value)
-        return deviation, rademacher_estimate(mat, mc_draws, derive_stream(stream, 1))
-
-    results = _map_trials(run, trials, workers)
-    deviations = np.array([r[0] for r in results])
+        mat = loss_matrix(cls, sample_chain(gen, None, 2 * n, stream), env, window=window)
+        pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
+        deviations[t] = abs(float(er_values[pick]) - opt_value)
+        estimates.append(rademacher_estimate(mat, mc_draws, derive_stream(stream, 1)))
     radii_emp = np.array(
-        [certify_empirical(r[1].value, env.ell_H, ell_F, n, epsilon).radius for r in results]
+        [certify_empirical(e.value, env.ell_H, ell_F, n, epsilon).radius for e in estimates]
     )
     covered_pop = deviations < cert_pop.radius
     covered_emp = deviations < radii_emp
@@ -525,7 +482,7 @@ def coverage_experiment(
         ("rademacher_se", rad.se),
         ("rademacher_bias_allowance", rad_bias),
         ("rademacher_method", rad.method),
-        ("rhat_method", results[0][1].method),
+        ("rhat_method", estimates[0].method),
         ("opt_risk", opt_value),
         ("epsilon", float(epsilon)),
         ("n", n),

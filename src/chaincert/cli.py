@@ -120,7 +120,6 @@ def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
         epsilon=getattr(args, "epsilon", None),
         delta=getattr(args, "delta", None),
         draws=getattr(args, "draws", None),
-        workers=getattr(args, "workers", None),
         out_dir=getattr(args, "out", None),
         window_mode=_WINDOW_FLAG[window] if window else None,
     )
@@ -313,19 +312,17 @@ def _run_validator(name: str, cfg: ExperimentConfig):
     seed = SeedSpec(cfg.seed)
     if name == "lemma2":
         return validate_lemma2(gen, cls, env, n, trials, seed=seed, w_bar=cfg.w_bar,
-                               tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws,
-                               workers=cfg.workers)
+                               tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws)
     epsilon = _resolve_epsilon(cfg, name, n, env.ell_H, analytic_lip_factor(gen))
     if name == "lemma1":
-        return validate_lemma1(gen, cls, env, n, epsilon, trials, seed=seed,
-                               tol=cfg.tol, workers=cfg.workers)
+        return validate_lemma1(gen, cls, env, n, epsilon, trials, seed=seed, tol=cfg.tol)
     if name == "lemma3":
         return validate_lemma3(gen, cls, env, n, epsilon, trials, seed=seed,
-                               tol=cfg.tol, mc_draws=cfg.draws, workers=cfg.workers)
+                               tol=cfg.tol, mc_draws=cfg.draws)
     return coverage_experiment(gen, cls, env, n, epsilon, trials,
                                window_mode=cfg.window_mode, seed=seed, w_bar=cfg.w_bar,
                                tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws,
-                               erm_tie_break=cfg.tie_break, workers=cfg.workers)
+                               erm_tie_break=cfg.tie_break)
 
 
 def _validator_summary(report, cfg: ExperimentConfig) -> dict:
@@ -376,7 +373,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, trials=False, window=False,
-                      workers=False, draws=False) -> None:
+                      draws=False) -> None:
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument("--n", type=int, help="window length override")
@@ -388,8 +385,6 @@ def _add_config_flags(p: argparse.ArgumentParser, trials=False, window=False,
     if window:
         p.add_argument("--window", choices=sorted(_WINDOW_FLAG),
                        help="training window convention")
-    if workers:
-        p.add_argument("--workers", type=int, help="thread count override")
     if draws:
         p.add_argument("--draws", type=int, help="Monte Carlo sign draws override")
 
@@ -443,11 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run one statistical validator")
     p.add_argument("name", choices=VALIDATOR_NAMES)
-    _add_config_flags(p, trials=True, window=True, workers=True, draws=True)
+    _add_config_flags(p, trials=True, window=True, draws=True)
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("coverage", help="run the end-to-end coverage experiment")
-    _add_config_flags(p, trials=True, window=True, workers=True, draws=True)
+    _add_config_flags(p, trials=True, window=True, draws=True)
     p.set_defaults(handler=_cmd_coverage)
 
     return parser

@@ -19,7 +19,6 @@ Top-level keys (all optional unless a command needs them):
     seed          master seed, 0 <= seed < 2**64        (default 0)
     window_mode   "delayed" | "paper_literal"           (default "delayed")
     w_bar         start-to-invariant distance cap [0,1] (default 1.0)
-    workers       thread count, int >= 1                (default 1)
     tol           burn-in tolerance in (0, 1)           (default 1e-3)
     draws         Monte Carlo sign draws, int >= 2      (default complexity.MC_DRAWS)
     rad_outer     trajectories per complexity average   (default 32)
@@ -79,7 +78,6 @@ _DEFAULTS = {
     "seed": 0,
     "window_mode": "delayed",
     "w_bar": 1.0,
-    "workers": 1,
     "tol": 1e-3,
     "draws": MC_DRAWS,
     "rad_outer": 32,
@@ -102,7 +100,6 @@ class ExperimentConfig:
     seed: int = 0
     window_mode: str = "delayed"
     w_bar: float = 1.0
-    workers: int = 1
     tol: float = 1e-3
     draws: int = MC_DRAWS
     rad_outer: int = 32
@@ -339,7 +336,6 @@ def parse_config(data: Any) -> ExperimentConfig:
                              default=_DEFAULTS["window_mode"]),
         w_bar=(w if (w := _get_num(data, "w_bar", "config", 0.0, 1.0, required=False)) is not None
                else _DEFAULTS["w_bar"]),
-        workers=_get_int(data, "workers", "config", 1, required=False) or _DEFAULTS["workers"],
         tol=(t if (t := _get_num(data, "tol", "config", 0.0, 1.0, lo_open=True, hi_open=True,
                                  required=False)) is not None else _DEFAULTS["tol"]),
         draws=_get_int(data, "draws", "config", 2, required=False) or _DEFAULTS["draws"],
@@ -366,7 +362,6 @@ def canonical_dict(cfg: ExperimentConfig) -> dict:
     out["seed"] = cfg.seed
     out["window_mode"] = cfg.window_mode
     out["w_bar"] = cfg.w_bar
-    out["workers"] = cfg.workers
     out["tol"] = cfg.tol
     out["draws"] = cfg.draws
     out["rad_outer"] = cfg.rad_outer

@@ -137,13 +137,6 @@ class LabelMap:
             return self.weight @ x + self.bias
         return np.asarray(self.fn(x), dtype=float).reshape(-1)
 
-    def apply_many(self, xs: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return xs
-        if self.kind == "linear":
-            return xs @ self.weight.T + self.bias
-        return np.stack([self.apply(x) for x in xs])
-
 
 def identity_label() -> LabelMap:
     return LabelMap(kind="identity", lip=1.0)

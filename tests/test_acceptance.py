@@ -3,9 +3,8 @@
 Every check re-derives its target through an independent route (closed
 forms, enumeration oracles, or frozen constants) and runs at desk scale
 against a wall-clock budget. The determinism check at the end replays the
-randomized pieces with identical seeds, switching the worker count where a
-worker knob exists, and compares the serialized per-trial rows byte for
-byte.
+randomized pieces with identical seeds and compares the serialized per-trial
+rows byte for byte.
 """
 import math
 import os
@@ -228,15 +227,15 @@ def test_erm_slack_contract_holds_exactly():
 # 5 -- one-sided deviation tail ---------------------------------------------------
 
 
-def _tail_report(workers):
+def _tail_report():
     bundle = load_preset("iid_singleton")
     return validate_lemma1(bundle.gen, bundle.cls, bundle.env, n=500, epsilon=0.1,
-                           trials=400, seed=SeedSpec(5), workers=workers)
+                           trials=400, seed=SeedSpec(5))
 
 
 def test_deviation_tail_within_stated_rate():
     t0 = time.perf_counter()
-    report = _tail_report(1)
+    report = _tail_report()
     _STORE["tail"] = _csv_bytes(report.row_header, report.rows)
     _finish(5, "deviation tail rate", 60.0, t0, report.passed,
             extra=f" [freq {report.statistic:.4f} vs {report.bound + report.margin:.4f}]")
@@ -245,19 +244,18 @@ def test_deviation_tail_within_stated_rate():
 # 6 -- expected worst-class deviation against complexity plus decay ---------------
 
 
-def _mean_reports(workers):
+def _mean_reports():
     out = []
     for name in ("iid_four", "halving_map"):
         bundle = load_preset(name)
         out.append((name, validate_lemma2(bundle.gen, bundle.cls, bundle.env,
-                                          n=200, trials=200, seed=SeedSpec(6),
-                                          workers=workers)))
+                                          n=200, trials=200, seed=SeedSpec(6))))
     return out
 
 
 def test_mean_deviation_bounded_by_complexity():
     t0 = time.perf_counter()
-    reports = _mean_reports(1)
+    reports = _mean_reports()
     rows = [(name, t, phi) for name, rep in reports for t, phi in rep.rows]
     _STORE["mean"] = _csv_bytes(("preset", "trial", "phi"), rows)
     ok = all(rep.passed for _, rep in reports)
@@ -269,20 +267,19 @@ def test_mean_deviation_bounded_by_complexity():
 # 7 -- certificate coverage at stated confidence ----------------------------------
 
 
-def _coverage_reports(workers):
+def _coverage_reports():
     iid = load_preset("iid_four")
     rep_iid = coverage_experiment(iid.gen, iid.cls, iid.env, n=500, epsilon=0.1,
-                                  trials=200, seed=SeedSpec(7), workers=workers)
+                                  trials=200, seed=SeedSpec(7))
     halving = load_preset("halving_map")
     rep_h = coverage_experiment(halving.gen, halving.cls, halving.env, n=200,
-                                epsilon=0.1, trials=200, seed=SeedSpec(8),
-                                workers=workers)
+                                epsilon=0.1, trials=200, seed=SeedSpec(8))
     return rep_iid, rep_h
 
 
 def test_certificate_coverage_meets_confidence():
     t0 = time.perf_counter()
-    rep_iid, rep_h = _coverage_reports(1)
+    rep_iid, rep_h = _coverage_reports()
     rows = [("iid_four",) + row for row in rep_iid.rows]
     rows += [("halving_map",) + row for row in rep_h.rows]
     _STORE["coverage"] = _csv_bytes(("preset",) + rep_iid.row_header, rows)
@@ -368,42 +365,38 @@ def test_mean_deviation_exceeds_complexity_lower_bound():
             extra=f" [mean phi {mean_phi:.4f} >= floor {floor:.4f}]")
 
 
-# 10 -- byte-identical reruns, worker count included -------------------------------
+# 10 -- byte-identical reruns ----------------------------------------------------
 
 
-def test_reruns_are_byte_identical_across_worker_counts():
+def test_reruns_are_byte_identical():
     t0 = time.perf_counter()
     recipes = {
-        "rademacher": (lambda w: _csv_bytes(("case", "exact", "mc", "se", "hit"),
-                                            _rows_rademacher_agreement()[0]), False),
-        "transport": (lambda w: _csv_bytes(("case", "exact", "bruteforce", "dual_lower"),
-                                           _rows_transport_agreement()[0]), False),
-        "contraction": (lambda w: _csv_bytes(("preset", "n", "w1"),
-                                             _rows_contraction_decay()[0]), False),
-        "erm": (lambda w: _csv_bytes(("case", "epsilon", "achieved_gap", "ok"),
-                                     _rows_erm_contract()[0]), False),
-        "tail": (lambda w: (lambda rep: _csv_bytes(rep.row_header, rep.rows))(
-            _tail_report(w)), True),
-        "mean": (lambda w: _csv_bytes(("preset", "trial", "phi"),
-                                      [(name, t, phi) for name, rep in _mean_reports(w)
-                                       for t, phi in rep.rows]), True),
-        "coverage": (lambda w: (lambda pair: _csv_bytes(
+        "rademacher": lambda: _csv_bytes(("case", "exact", "mc", "se", "hit"),
+                                         _rows_rademacher_agreement()[0]),
+        "transport": lambda: _csv_bytes(("case", "exact", "bruteforce", "dual_lower"),
+                                        _rows_transport_agreement()[0]),
+        "contraction": lambda: _csv_bytes(("preset", "n", "w1"), _rows_contraction_decay()[0]),
+        "erm": lambda: _csv_bytes(("case", "epsilon", "achieved_gap", "ok"),
+                                  _rows_erm_contract()[0]),
+        "tail": lambda: (lambda rep: _csv_bytes(rep.row_header, rep.rows))(_tail_report()),
+        "mean": lambda: _csv_bytes(("preset", "trial", "phi"),
+                                   [(name, t, phi) for name, rep in _mean_reports()
+                                    for t, phi in rep.rows]),
+        "coverage": lambda: (lambda pair: _csv_bytes(
             ("preset",) + pair[0].row_header,
             [("iid_four",) + r for r in pair[0].rows]
-            + [("halving_map",) + r for r in pair[1].rows]))(_coverage_reports(w)), True),
-        "inversion": (lambda w: _csv_bytes(
+            + [("halving_map",) + r for r in pair[1].rows]))(_coverage_reports()),
+        "inversion": lambda: _csv_bytes(
             ("delta", "n", "ell_H", "ell_F", "epsilon", "n_back", "ok"),
-            _rows_inversion_grid()[0]), False),
-        "lower": (lambda w: _csv_bytes(("trial", "phi"), _rows_lower_bound()[0]), False),
+            _rows_inversion_grid()[0]),
+        "lower": lambda: _csv_bytes(("trial", "phi"), _rows_lower_bound()[0]),
     }
     mismatches = []
-    for name, (recipe, has_workers) in recipes.items():
+    for name, recipe in recipes.items():
         baseline = _STORE.get(name)
         if baseline is None:  # allows running this test alone
-            baseline = recipe(1)
-        if recipe(1) != baseline:
+            baseline = recipe()
+        if recipe() != baseline:
             mismatches.append(f"{name} (rerun)")
-        if has_workers and recipe(3) != baseline:
-            mismatches.append(f"{name} (workers=3)")
     _finish(10, "byte-identical reruns", 600.0, t0, not mismatches,
             extra=f" [{' ,'.join(mismatches) or 'all identical'}]")

@@ -201,17 +201,6 @@ def test_lemma1_zero_epsilon_trivial_bound():
     assert report.passed
 
 
-def test_lemma1_worker_count_invariance():
-    gen = make_iid()
-    cls = iid_spread_class()
-    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    one = validate_lemma1(gen, cls, env, n=24, epsilon=0.1, trials=20, seed=SeedSpec(9))
-    three = validate_lemma1(
-        gen, cls, env, n=24, epsilon=0.1, trials=20, seed=SeedSpec(9), workers=3
-    )
-    assert one == three
-
-
 def test_lemma2_iid_spread_class_passes():
     gen = make_iid()
     cls = iid_spread_class()
@@ -342,6 +331,9 @@ def test_coverage_window_modes_and_validation():
         )
     with pytest.raises(InvalidInputError):
         coverage_experiment(gen, cls, env, n=24, epsilon=0.2, trials=1)
+    for bad_n in (0, 2.5):
+        with pytest.raises(InvalidInputError, match="sample size must be a positive integer"):
+            coverage_experiment(gen, cls, env, n=bad_n, epsilon=0.2, trials=8)
 
 
 @pytest.mark.parametrize("n", (EXACT_N_CAP, EXACT_N_CAP + 1))
@@ -361,17 +353,3 @@ def test_inner_estimator_is_recorded(n):
     # the population complexity averages the same inner estimator over chains
     assert dict(coverage.details)["rademacher_method"] == f"expected_{method}_stationary"
     assert dict(lemma2.details)["rademacher_method"] == f"expected_{method}_stationary"
-
-
-def test_coverage_worker_count_invariance():
-    gen = make_iid()
-    cls = constant_grid([0.0, 1.0])
-    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    one = coverage_experiment(
-        gen, cls, env, n=24, epsilon=0.2, trials=10, seed=SeedSpec(29), rad_outer=4
-    )
-    four = coverage_experiment(
-        gen, cls, env, n=24, epsilon=0.2, trials=10, seed=SeedSpec(29),
-        rad_outer=4, workers=4,
-    )
-    assert one == four

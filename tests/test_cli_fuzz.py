@@ -40,7 +40,7 @@ BASE_PRESET = {"preset": "halving_map"}
 RUN_KEYS = {"n": 8, "epsilon": 0.1, "trials": 2, "rad_outer": 2, "draws": 64}
 BASES = (BASE_IID, BASE_AFFINE, BASE_PRESET)
 
-INT_KEYS = {"n": 1, "trials": 2, "seed": 0, "workers": 1, "draws": 2, "rad_outer": 1}
+INT_KEYS = {"n": 1, "trials": 2, "seed": 0, "draws": 2, "rad_outer": 1}
 # each valid range lies in [0, 1]: (is 0 excluded, is 1 excluded)
 NUM_RANGES = {"epsilon": (False, True), "delta": (True, True), "w_bar": (False, False),
               "tol": (True, True)}
@@ -286,7 +286,6 @@ FLAG_FAULTS = {
                  "--epsilon": st.sampled_from(("-0.1", "1.0", "nan", "inf")),
                  "--delta": st.sampled_from(("0", "1", "-2", "nan"))},
     "coverage": {"--trials": st.integers(-1000, 1).map(str),
-                 "--workers": st.integers(-1000, 0).map(str),
                  "--draws": st.integers(-1000, 1).map(str),
                  "--window": WORDS.filter(lambda s: s not in ("delayed", "paper-literal"))},
     "wasserstein": {"--kappa": st.one_of(_below(0.0, False).map(repr),

@@ -66,8 +66,8 @@ def test_defaults_and_full_parse():
     cfg = parse_config({})
     assert cfg.seed == 0 and cfg.window_mode == "delayed" and cfg.out_dir == "results"
     cfg2 = parse_config({"preset": "iid_four", "n": 100, "epsilon": 0.1, "trials": 10,
-                         "seed": 7, "workers": 3, "w_bar": 0.5})
-    assert cfg2.preset == "iid_four" and cfg2.workers == 3
+                         "seed": 7, "w_bar": 0.5})
+    assert cfg2.preset == "iid_four" and cfg2.seed == 7
     assert cfg2.w_bar == 0.5
 
 
@@ -84,6 +84,8 @@ def test_rejections():
         parse_config({"n": 2.5})
     with pytest.raises(InvalidInputError):
         parse_config({"exact": True})  # removed key: sign enumeration follows n
+    with pytest.raises(InvalidInputError, match=r"unknown key\(s\) \['workers'\]"):
+        parse_config({"workers": 2})  # removed key: trials run in one loop
     with pytest.raises(InvalidInputError):
         parse_config({"seed": -1})
     with pytest.raises(InvalidInputError):
@@ -308,8 +310,7 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
         "trial,deviation,radius_pop,radius_emp,covered_pop,covered_emp"
     assert len(csv1.decode().splitlines()) == 11  # header + one row per trial
 
-    assert main(["coverage", "--config", cfg, "--out", str(tmp_path / "run2"),
-                 "--workers", "3"]) == 0
+    assert main(["coverage", "--config", cfg, "--out", str(tmp_path / "run2")]) == 0
     csv2 = (tmp_path / "run2" / "coverage_trials.csv").read_bytes()
     assert csv1 == csv2
 
@@ -317,10 +318,9 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
     s2 = read_summary(str(tmp_path / "run2" / "coverage_summary.json"))
     assert s1["coverage"] == 1.0 and s1["verdicts"] == {"coverage": "PASS"}
     assert s1["ingredients"]["rhat_method"] == "mc"  # n = 40 is above the exact cap
-    # out_dir and workers differ between the two effective configs
+    # out_dir differs between the two effective configs
     for s in (s1, s2):
         s.pop("config_sha256")
-        s["ingredients"].pop("workers", None)
     a, b = comparable_summary(s1), comparable_summary(s2)
     assert a == b
 
@@ -354,6 +354,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["validate", "lemma2", "--config", failing]) == 4
     summary = read_summary(str(tmp_path / "fail_run" / "validate_lemma2_summary.json"))
     assert summary["verdicts"] == {"lemma2": "FAIL"}
+
+
+def test_cli_rejects_removed_workers_key_and_flag(tmp_path, capsys):
+    good = {"preset": "halving_map", "n": 8, "epsilon": 0.1, "trials": 2,
+            "out_dir": str(tmp_path / "never")}
+    with_key = write_config(tmp_path, "workers.json", dict(good, workers=2))
+    assert main(["coverage", "--config", with_key]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        main(["coverage", "--config", write_config(tmp_path, "good.json", good),
+              "--workers", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_simulate_then_erm(tmp_path, capsys):
