@@ -37,8 +37,8 @@ from .generators import (
     Generator,
     analytic_lip_factor,
     burn_in_steps,
-    sample_chain,
-    sample_stationary_chain,
+    sample_chains,
+    sample_stationary_chains,
 )
 from .hypotheses import HypothesisClass, LossEnv
 from .metric import SeedSpec, derive_stream
@@ -214,8 +214,8 @@ def _delayed_deviations(gen, cls, env, n, trials, batch_seed, er_values) -> np.n
     """Worst-class deviation over the window (n, 2n) of one 2n chain per trial,
     trial t sampled from ``derive_stream(batch_seed, t)``."""
     phis = np.empty(trials)
-    for t in range(trials):
-        traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
+    streams = [derive_stream(batch_seed, t) for t in range(trials)]
+    for t, traj in enumerate(sample_chains(gen, 2 * n, streams)):
         phis[t] = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
     return phis
 
@@ -353,18 +353,16 @@ def validate_lemma3(
     stays below twice the observed-prefix complexity plus 3 epsilon at least
     as often as the one-sided tail promises."""
     _check_validator_inputs(env, n, trials)
-    if not (0 < epsilon < 1):
-        raise InvalidInputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_certificate_inputs(n, epsilon)
     ell_F = analytic_lip_factor(gen)
     c = deviation_constant(env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
     batch_seed = derive_stream(seed, 0)
+    streams = [derive_stream(batch_seed, t) for t in range(trials)]
     phis, estimates = np.empty(trials), []
-    for t in range(trials):
-        stream = derive_stream(batch_seed, t)
-        traj = sample_stationary_chain(gen, 2 * n, tol, stream)
+    for t, traj in enumerate(sample_stationary_chains(gen, 2 * n, tol, streams)):
         estimates.append(rademacher_estimate(loss_matrix(cls, traj, env, window=(0, n)),
-                                             mc_draws, derive_stream(stream, 1)))
+                                             mc_draws, derive_stream(traj.seed, 1)))
         phis[t] = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
     rhats = np.array([e.value for e in estimates])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
@@ -428,6 +426,7 @@ def coverage_experiment(
     _check_validator_inputs(env, n, trials)
     if window_mode not in WINDOW_MODES:
         raise InvalidInputError(f"window_mode must be one of {WINDOW_MODES}, got {window_mode!r}")
+    _check_certificate_inputs(n, epsilon)
     ell_F = analytic_lip_factor(gen)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 3))
     opt_value = float(er_values.min())
@@ -443,13 +442,13 @@ def coverage_experiment(
 
     window = (n, 2 * n) if window_mode == "delayed" else (0, n)
     batch_seed = derive_stream(seed, 0)
+    streams = [derive_stream(batch_seed, t) for t in range(trials)]
     deviations, estimates = np.empty(trials), []
-    for t in range(trials):
-        stream = derive_stream(batch_seed, t)
-        mat = loss_matrix(cls, sample_chain(gen, None, 2 * n, stream), env, window=window)
+    for t, traj in enumerate(sample_chains(gen, 2 * n, streams)):
+        mat = loss_matrix(cls, traj, env, window=window)
         pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
         deviations[t] = abs(float(er_values[pick]) - opt_value)
-        estimates.append(rademacher_estimate(mat, mc_draws, derive_stream(stream, 1)))
+        estimates.append(rademacher_estimate(mat, mc_draws, derive_stream(traj.seed, 1)))
     radii_emp = np.array(
         [certify_empirical(e.value, env.ell_H, ell_F, n, epsilon).radius for e in estimates]
     )

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import Generator, Trajectory, sample_chain, sample_stationary_chain
+from .generators import Generator, Trajectory, sample_chains, sample_stationary_chains
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
@@ -223,13 +223,14 @@ def rademacher_expected(
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
     per_chain = np.empty(outer)
     per_chain_sym = np.empty(outer)
-    for i in range(outer):
-        stream = derive_stream(seed, i)
-        if start_mode == "stationary":
-            traj = sample_stationary_chain(gen, n, tol, stream)
-        else:
-            traj = sample_chain(gen, None, n, stream)
-        est = rademacher_estimate(loss_matrix(cls, traj, env), mc_draws, derive_stream(stream, 1))
+    streams = [derive_stream(seed, i) for i in range(outer)]
+    if start_mode == "stationary":
+        paths = sample_stationary_chains(gen, n, tol, streams)
+    else:
+        paths = sample_chains(gen, n, streams)
+    for i, traj in enumerate(paths):
+        est = rademacher_estimate(loss_matrix(cls, traj, env), mc_draws,
+                                  derive_stream(traj.seed, 1))
         per_chain[i] = est.value
         per_chain_sym[i] = est.value_symmetrized
     return RademacherEstimate(

@@ -428,8 +428,9 @@ def _build_label(d: Optional[dict], dim_x: int) -> LabelMap:
         )
 
     def lookup(x: np.ndarray) -> np.ndarray:
-        gaps = np.linalg.norm(table_x - np.asarray(x, dtype=float).reshape(1, -1), axis=1)
-        return table_y[int(np.argmin(gaps))]
+        # one row of gaps per state row; the nearest table row, lowest index on ties
+        gaps = np.linalg.norm(table_x[None, :, :] - x[:, None, :], axis=2)
+        return table_y[np.argmin(gaps, axis=1)]
 
     return callable_label(lookup, float(d["lip"]))
 

@@ -20,7 +20,7 @@ from .generators import (
     analytic_lip_factor,
     burn_in_steps,
     exact_fixed_point,
-    sample_stationary_chain,
+    sample_stationary_chains,
 )
 from .hypotheses import Hypothesis, HypothesisClass, LossEnv, loss_at, window_loss_values
 from .metric import SeedSpec, derive_stream
@@ -178,8 +178,8 @@ def _replica_means(
     if not (isinstance(run_length, int) and run_length >= 1):
         raise InvalidInputError(f"run_length must be a positive integer, got {run_length!r}")
     out = np.empty((len(cls), replicas))
-    for r in range(replicas):
-        traj = sample_stationary_chain(gen, run_length, tol, derive_stream(seed, r))
+    streams = [derive_stream(seed, r) for r in range(replicas)]
+    for r, traj in enumerate(sample_stationary_chains(gen, run_length, tol, streams)):
         out[:, r] = window_loss_values(cls, traj.xs, traj.ys, env).mean(axis=1)
     return out
 

@@ -20,12 +20,21 @@ declared feature factor scaled by (1 + Lip(label)) / kappa. Chain states sit
 on the label map's graph after the first step, and the shipped presets pick
 kappa = 1 + Lip(label) scaling so this analytic factor also bounds the
 observed two-point contraction along chains.
+
+Chains are stepped in lockstep: a block of m states, one row per chain,
+advances one step by grouping its rows by draw index and calling the
+governing map once per group. So maps act row-wise on a block. A governing
+map takes an (m, d_x) block of feature rows and one theta atom and returns
+an (m, d_x) block; a label callable takes an (m, d_x) block and returns an
+(m, d_y) block; row i of the output depends on row i of the input only. A
+map that returns the wrong shape, or that fails on a block but runs on each
+row alone (one written for a single state), raises ``InvalidInputError``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +50,11 @@ VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 _PAIR_FLOOR = 1e-12  # probe skips state pairs closer than this
 _PROBE_SLACK = 1e-9
 _BOUND_SLACK = 1e-9  # relative tolerance of the state-bound tests
+_BLOCK_STATES = 1 << 14  # chain states one stepped block holds at most
+_ROW_CONTRACT = (
+    "governing maps and label maps act row-wise: they take an (m, d) block of "
+    "states, one row per chain, and return one output row per input row"
+)
 
 
 # -- state bounds --------------------------------------------------------------
@@ -122,7 +136,8 @@ class BallBound:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Lipschitz map from features to labels with a declared constant."""
+    """Lipschitz map from features to labels with a declared constant; it maps
+    an (m, d_x) block of feature rows to an (m, d_y) block of label rows."""
 
     kind: str  # identity | linear | callable
     lip: float
@@ -134,8 +149,10 @@ class LabelMap:
         if self.kind == "identity":
             return x
         if self.kind == "linear":
-            return self.weight @ x + self.bias
-        return np.asarray(self.fn(x), dtype=float).reshape(-1)
+            # a stack of matrix-vector products rounds like weight @ row for
+            # every row; x @ weight.T does not
+            return (self.weight @ x[:, :, None])[:, :, 0] + self.bias
+        return self.fn(x)
 
 
 def identity_label() -> LabelMap:
@@ -227,6 +244,8 @@ class Generator:
                 self.metric.check_point(atom)
                 if not (self.x_bound.contains(atom.x) and self.y_bound.contains(atom.y)):
                     raise GeneratorContractError("iid atom lies outside the declared bounds")
+            object.__setattr__(self, "_atom_xs", np.stack([a.x for a in self.theta.atoms]))
+            object.__setattr__(self, "_atom_ys", np.stack([a.y for a in self.theta.atoms]))
             lips = np.zeros(len(self.theta))
         else:
             if self.label_map is None or self.governing_map is None:
@@ -252,14 +271,6 @@ class Generator:
             )
         object.__setattr__(self, "_analytic_factor", factor)
 
-    # raw-array step; ZPoint construction is kept out of the hot path
-    def _apply(self, x: np.ndarray, theta_index: int) -> tuple[np.ndarray, np.ndarray]:
-        atom = self.theta.atoms[theta_index]
-        if self.variant == "iid":
-            return atom.x, atom.y
-        x_new = np.asarray(self.governing_map(x, atom), dtype=float).reshape(-1)
-        return x_new, self.label_map.apply(x_new)
-
     def _check_state(self, x: np.ndarray, y: np.ndarray) -> None:
         if not (self.x_bound.contains(x) and self.y_bound.contains(y)):
             raise GeneratorContractError(
@@ -267,18 +278,138 @@ class Generator:
                 f"(x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()})"
             )
 
-    def _check_states(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """``_check_state`` over paired rows: one vectorized test, and a scan
-        that names the first escaping state only when that test fails."""
-        if self.x_bound.contains_rows(xs) and self.y_bound.contains_rows(ys):
-            return
-        for x, y in zip(xs, ys):
-            self._check_state(x, y)
-
 
 def analytic_lip_factor(gen: Generator) -> float:
     """Mean per-draw contraction factor sum_i nu_i * ell_i (declared, not probed)."""
     return gen._analytic_factor
+
+
+# -- the lockstep stepper ----------------------------------------------------------
+
+
+def _as_rows(out, rows: int, width: Optional[int], what: str) -> np.ndarray:
+    arr = np.asarray(out, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != rows or (width is not None and arr.shape[1] != width):
+        raise InvalidInputError(
+            f"{what} returned shape {arr.shape} for a block of {rows} rows; {_ROW_CONTRACT}"
+        )
+    return arr
+
+
+def _fails_on_a_row(fn, block: np.ndarray, args: tuple) -> bool:
+    try:
+        for row in block:
+            fn(row, *args)
+    except Exception:
+        return True
+    return False
+
+
+def _call_rows(fn, block: np.ndarray, width: Optional[int], what: str, *args) -> np.ndarray:
+    """``fn(block, *args)`` held to the row-block contract. A map that raises
+    on the block but runs on each of its rows alone was written for single
+    rows, and that is the error reported."""
+    try:
+        out = fn(block, *args)
+    except Exception as err:
+        if not _fails_on_a_row(fn, block, args):
+            raise InvalidInputError(
+                f"{what} fails on a block of {len(block)} rows but runs on each row "
+                f"alone; {_ROW_CONTRACT}"
+            ) from err
+        raise
+    return _as_rows(out, len(block), width, what)
+
+
+def _advance(gen: Generator, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of every row of the (m, d_x) block ``x``, row i under draw idx[i].
+    The iid map ignores the state, so there ``idx`` may hold any number of steps."""
+    if gen.variant == "iid":
+        return gen._atom_xs[idx], gen._atom_ys[idx]
+    atoms, dim_x = gen.theta.atoms, gen.metric.dim_x
+    if len(atoms) == 1 or len(idx) == 1:
+        x_new = _call_rows(gen.governing_map, x, dim_x, "governing map", atoms[idx[0]])
+    else:
+        # rows sorted by draw, so that each draw's rows are one contiguous slice
+        order = np.argsort(idx, kind="stable")
+        x_sorted, start, parts = x[order], 0, []
+        for a, stop in enumerate(np.cumsum(np.bincount(idx, minlength=len(atoms))).tolist()):
+            if stop > start:
+                parts.append(_call_rows(gen.governing_map, x_sorted[start:stop], dim_x,
+                                        "governing map", atoms[a]))
+            start = stop
+        x_new = np.empty_like(x)
+        x_new[order] = np.concatenate(parts)
+    return x_new, _call_rows(gen.label_map.apply, x_new, gen.metric.dim_y, "label map")
+
+
+def _step_block(gen: Generator, x0, y0, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step m chains in lockstep: chain i starts at row i of (x0, y0) (or at
+    the one row given) and takes the draws idx[i]. Returns the paths, shaped
+    (m, steps + 1, d), so that each chain's path is one contiguous array.
+
+    The bounds are checked once the block is filled, or once a map has
+    raised, so the maps may run on states past a first escaping one, and
+    print numpy's floating-point warnings there, before the error is raised.
+    That error is the one stepping the chains one at a time would raise.
+    """
+    m, steps = idx.shape
+    xs = np.empty((m, steps + 1, gen.metric.dim_x))
+    ys = np.empty((m, steps + 1, gen.metric.dim_y))
+    xs[:, 0], ys[:, 0] = x0, y0
+    x, t = xs[:, 0], steps + 1
+    try:
+        if gen.variant == "iid":  # F(z, theta) = theta: all steps in one gather
+            xs[:, 1:], ys[:, 1:] = _advance(gen, x, idx)
+        else:
+            for t in range(1, steps + 1):
+                # the maps read the last step's own (contiguous) output block
+                x, y = _advance(gen, x, idx[:, t - 1])
+                xs[:, t], ys[:, t] = x, y
+    except Exception:
+        _raise_first_failure(gen, xs[:, :t], ys[:, :t], idx)
+        raise
+    # the start rows ride along in this test; one outside the bounds only
+    # sends the block on to the scan, which looks at steps 1.. alone
+    if not (gen.x_bound.contains_rows(xs.reshape(-1, xs.shape[2]))
+            and gen.y_bound.contains_rows(ys.reshape(-1, ys.shape[2]))):
+        _raise_first_failure(gen, xs, ys, idx)
+    return xs, ys
+
+
+def _raise_first_failure(gen: Generator, xs: np.ndarray, ys: np.ndarray, idx: np.ndarray) -> None:
+    """Raise the error of the first failing chain in chain order, and within
+    it of the first escaping state among the filled steps of ``xs``.
+
+    Several chains are replayed one at a time: a map that raised on the block
+    may have raised on a later chain than one that escapes, or before a state
+    of an earlier chain escapes. What the replays leave (a map that is not
+    row-wise, or a row that only the stricter ``contains_rows`` rejects) is
+    scanned as filled.
+    """
+    if idx.shape[0] > 1:
+        for c in range(idx.shape[0]):
+            _step_block(gen, xs[c, 0], ys[c, 0], idx[c:c + 1])
+    for c in range(xs.shape[0]):
+        for x, y in zip(xs[c, 1:], ys[c, 1:]):
+            gen._check_state(x, y)
+
+
+def _block_size(states_per_chain: int) -> int:
+    """Chains per stepped block, so that a block holds at most _BLOCK_STATES states."""
+    return max(1, _BLOCK_STATES // states_per_chain)
+
+
+def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray):
+    """End states of the chains started at the rows of (x0, y0), chain i
+    under the draws idx[i]; stepped in blocks, keeping only the last rows."""
+    x_end, y_end = np.empty_like(x0), np.empty_like(y0)
+    size = _block_size(idx.shape[1] + 1)
+    for lo in range(0, idx.shape[0], size):
+        hi = lo + size
+        xs, ys = _step_block(gen, x0[lo:hi], y0[lo:hi], idx[lo:hi])
+        x_end[lo:hi], y_end[lo:hi] = xs[:, -1], ys[:, -1]
+    return x_end, y_end
 
 
 def step(gen: Generator, z: ZPoint, theta_index: int) -> ZPoint:
@@ -286,9 +417,8 @@ def step(gen: Generator, z: ZPoint, theta_index: int) -> ZPoint:
     gen.metric.check_point(z)
     if not (0 <= theta_index < len(gen.theta)):
         raise InvalidInputError(f"theta index {theta_index} out of range")
-    x_new, y_new = gen._apply(z.x, theta_index)
-    gen._check_state(x_new, y_new)
-    return ZPoint(x_new, y_new)
+    xs, ys = _step_block(gen, z.x, z.y, np.array([[theta_index]]))
+    return ZPoint(xs[0, 1], ys[0, 1])
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -337,22 +467,28 @@ class Trajectory:
         )
 
 
-def sample_chain(
+def sample_chains(
     gen: Generator,
+    n: int,
+    seeds: Sequence[SeedSpec],
     z0: Optional[ZPoint] = None,
-    n: int = 1,
-    seed: SeedSpec = SeedSpec(0),
     draw_offset: int = 0,
-) -> Trajectory:
-    """Sample a length-n path (n points, n-1 draws) starting at z0.
+) -> Iterator[Trajectory]:
+    """Sample one length-n path (n points, n-1 draws) from z0 per seed, and
+    yield them in seed order.
 
-    ``draw_offset`` skips that many uniforms of the stream before drawing,
-    which is how a suffix is regenerated from an interior state.
+    Path i draws from ``seeds[i]`` alone, so it equals the one-chain
+    ``sample_chain(gen, z0, n, seeds[i], draw_offset)`` bit for bit; the
+    chains are stepped together in blocks of at most ``_BLOCK_STATES``
+    states, so memory does not grow with the number of seeds. A path is a
+    view into its block. ``draw_offset`` skips that many uniforms of each
+    stream before drawing, which is how a suffix is regenerated from an
+    interior state.
 
-    The bounds are checked once the path is filled (or the governing map
-    has raised), so the maps may run on states past the first escaping one,
-    and print numpy's floating-point warnings there, before the
-    ``GeneratorContractError`` naming that first escaping state is raised.
+    The bounds are checked once a block is filled (or a map has raised), so
+    the maps may run on states past a first escaping one, and print numpy's
+    floating-point warnings there, before the ``GeneratorContractError``
+    naming the first escaping state of the first failing chain is raised.
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInputError(f"trajectory length must be a positive integer, got {n!r}")
@@ -361,41 +497,40 @@ def sample_chain(
     start = gen.z0 if z0 is None else z0
     gen.metric.check_point(start)
     gen._check_state(start.x, start.y)
+    return _paths(gen, start, n, list(seeds), draw_offset)
 
-    if n > 1:
-        u = make_rng(seed).random(draw_offset + n - 1)[draw_offset:]
-        idx = gen.theta.indices_from_uniform(u)
-    else:
-        idx = np.zeros(0, dtype=int)
 
-    dim_x, dim_y = gen.metric.dim_x, gen.metric.dim_y
-    if gen.variant == "iid" and n > 1:
-        atom_xs = np.stack([a.x for a in gen.theta.atoms])
-        atom_ys = np.stack([a.y for a in gen.theta.atoms])
-        xs = np.vstack([start.x[None, :], atom_xs[idx]])
-        ys = np.vstack([start.y[None, :], atom_ys[idx]])
-    else:
-        xs = np.empty((n, dim_x))
-        ys = np.empty((n, dim_y))
-        xs[0], ys[0] = start.x, start.y
-        try:
-            for t in range(1, n):
-                xs[t], ys[t] = gen._apply(xs[t - 1], int(idx[t - 1]))
-        except Exception:
-            # the map may have failed on a state that had already escaped;
-            # that escape is the error to report
-            gen._check_states(xs[1:t], ys[1:t])
-            raise
-        gen._check_states(xs[1:], ys[1:])
-    return Trajectory(
-        xs=xs,
-        ys=ys,
-        theta_indices=idx,
-        seed=seed,
-        draw_offset=draw_offset,
-        metric=gen.metric,
-        initial_law=("point", start),
-    )
+def _paths(gen: Generator, start: ZPoint, n: int, seeds: list, draw_offset: int):
+    size = _block_size(n)
+    for lo in range(0, len(seeds), size):
+        block = seeds[lo:lo + size]
+        idx = np.empty((len(block), n - 1), dtype=int)
+        for i, seed in enumerate(block):
+            u = make_rng(seed).random(draw_offset + n - 1)[draw_offset:]
+            idx[i] = gen.theta.indices_from_uniform(u)
+        xs, ys = _step_block(gen, start.x, start.y, idx)
+        for i, seed in enumerate(block):
+            yield Trajectory(
+                xs=xs[i],
+                ys=ys[i],
+                theta_indices=idx[i],
+                seed=seed,
+                draw_offset=draw_offset,
+                metric=gen.metric,
+                initial_law=("point", start),
+            )
+
+
+def sample_chain(
+    gen: Generator,
+    z0: Optional[ZPoint] = None,
+    n: int = 1,
+    seed: SeedSpec = SeedSpec(0),
+    draw_offset: int = 0,
+) -> Trajectory:
+    """Sample a length-n path (n points, n-1 draws) starting at z0: the
+    one-chain call of ``sample_chains``."""
+    return next(sample_chains(gen, n, [seed], z0, draw_offset))
 
 
 def continue_chain(gen: Generator, traj: Trajectory, k: int) -> Trajectory:
@@ -423,47 +558,51 @@ def burn_in_steps(gen: Generator, tol: float) -> int:
     return max(1, math.ceil(math.log(tol) / math.log(factor)))
 
 
+def sample_stationary_chains(
+    gen: Generator, n: int, tol: float, seeds: Sequence[SeedSpec]
+) -> Iterator[Trajectory]:
+    """Per seed, burn in to within ``tol`` of the invariant law, then record
+    n points; the paths are stepped together as in ``sample_chains``."""
+    b = burn_in_steps(gen, tol)
+    return (full.slice(b, b + n, initial_law=("plugin", tol))
+            for full in sample_chains(gen, b + n, seeds))
+
+
 def sample_stationary_chain(
     gen: Generator, n: int, tol: float, seed: SeedSpec
 ) -> Trajectory:
     """Burn in to within ``tol`` of the invariant law, then record n points."""
-    b = burn_in_steps(gen, tol)
-    full = sample_chain(gen, gen.z0, b + n, seed)
-    return full.slice(b, b + n, initial_law=("plugin", tol))
+    return next(sample_stationary_chains(gen, n, tol, [seed]))
 
 
-def _sample_start(gen: Generator, rng: np.random.Generator) -> ZPoint:
+def _sample_start(gen: Generator, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     x = gen.x_bound.sample(rng)
     if gen.variant == "iid":
         y = gen.y_bound.sample(rng)
     else:
-        y = gen.label_map.apply(x)
+        y = _call_rows(gen.label_map.apply, x[None], gen.metric.dim_y, "label map")[0]
         if not gen.y_bound.contains(y):
             y = gen.y_bound.sample(rng)
-    return ZPoint(x, y)
+    return x, y
 
 
 def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
     """Run ``count`` independent chains for ``steps`` draws from sampled starts.
 
-    Returns (starts, draw index matrix, final states); the draw matrix is what
-    lets callers replay suffixes of these same chains.
+    Chain i draws its start, then its draws, from ``derive_stream(seed, i)``;
+    the chains are stepped together. Returns (draw index matrix, final
+    states); the draw matrix is what lets callers replay suffixes of these
+    same chains.
     """
-    starts: list[ZPoint] = []
-    finals: list[ZPoint] = []
+    x0 = np.empty((count, gen.metric.dim_x))
+    y0 = np.empty((count, gen.metric.dim_y))
     indices = np.empty((count, steps), dtype=int)
     for i in range(count):
         rng = make_rng(derive_stream(seed, i))
-        start = _sample_start(gen, rng)
-        idx = gen.theta.indices_from_uniform(rng.random(steps))
-        indices[i] = idx
-        x, y = start.x, start.y
-        for t in range(steps):
-            x, y = gen._apply(x, int(idx[t]))
-            gen._check_state(x, y)
-        starts.append(start)
-        finals.append(ZPoint(x, y))
-    return starts, indices, finals
+        x0[i], y0[i] = _sample_start(gen, rng)
+        indices[i] = gen.theta.indices_from_uniform(rng.random(steps))
+    x_end, y_end = _final_states(gen, x0, y0, indices)
+    return indices, [ZPoint(x, y) for x, y in zip(x_end, y_end)]
 
 
 def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
@@ -478,7 +617,7 @@ def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
     if not (isinstance(count, int) and count >= 1):
         raise InvalidInputError(f"atom count must be a positive integer, got {count!r}")
     b = burn_in_steps(gen, tol)
-    _, _, finals = _chain_bundle(gen, b, count, seed)
+    _, finals = _chain_bundle(gen, b, count, seed)
     return EmpiricalMeasure.uniform(finals, gen.metric)
 
 
@@ -504,7 +643,7 @@ def empirical_contraction_probe(
         rng = make_rng(derive_stream(seed, j))
         pair = []
         for c in range(2):
-            start = _sample_start(gen, rng)
+            start = ZPoint(*_sample_start(gen, rng))
             chain_seed = derive_stream(seed, (c + 1) * num_pairs + j)
             traj = sample_chain(gen, start, chain_len, chain_seed)
             pick = int(rng.integers(1, chain_len))
@@ -513,11 +652,12 @@ def empirical_contraction_probe(
         base = dist(za, zb, gen.metric)
         if base < _PAIR_FLOOR:
             continue
+        # rows 0..k-1 carry za under every draw, rows k..2k-1 carry zb
+        k = len(gen.theta)
+        xs, ys = _advance(gen, np.repeat([za.x, zb.x], k, axis=0), np.tile(np.arange(k), 2))
         ratio = 0.0
         for i, w in enumerate(gen.theta.weights):
-            xa, ya = gen._apply(za.x, i)
-            xb, yb = gen._apply(zb.x, i)
-            num = dist(ZPoint(xa, ya), ZPoint(xb, yb), gen.metric)
+            num = dist(ZPoint(xs[i], ys[i]), ZPoint(xs[k + i], ys[k + i]), gen.metric)
             ratio += float(w) * (num / base)
         if ratio > worst:
             worst, witness = ratio, (za, zb)
@@ -544,7 +684,9 @@ def iid_generator(atoms: Sequence[ZPoint], weights, metric: MetricSpec, x_bound,
 
 def _affine_map(x: np.ndarray, theta) -> np.ndarray:
     mat, vec = theta
-    return mat @ x + vec
+    # a stack of matrix-vector products rounds like mat @ row for every row;
+    # x @ mat.T does not
+    return (mat @ x[:, :, None])[:, :, 0] + vec
 
 
 def affine_ifs_generator(
@@ -587,7 +729,7 @@ def affine_ifs_generator(
         raise InvalidInputError(f"affine_ifs start z0_x must have the maps' dimension {dim}")
     if label_map.kind == "linear" and label_map.weight.shape[1] != dim:
         raise InvalidInputError(f"linear label weight needs {dim} columns, one per coordinate")
-    y0 = np.asarray(label_map.apply(x0), dtype=float).reshape(-1)
+    y0 = _call_rows(label_map.apply, x0[None], None, "label map")[0]
     dim_y = y0.shape[0]
     metric = MetricSpec(dim_x=dim, dim_y=dim_y, kappa=kappa)
     z0 = ZPoint(x0, y0)
@@ -605,6 +747,13 @@ def labeled_lipschitz_generator(
     label_map: LabelMap, metric: MetricSpec, x_bound, y_bound,
     z0: ZPoint, name: str = "labeled_lipschitz",
 ) -> Generator:
+    """Chain x' = governing_map(x, theta) over the draw law, labelled by ``label_map``.
+
+    ``governing_map(X, atom)`` acts row-wise: it takes an (m, d_x) block of
+    feature rows and one of ``theta_atoms`` and returns the (m, d_x) block of
+    images, row i from row i alone. A label callable maps an (m, d_x) block
+    to an (m, d_y) block the same way.
+    """
     theta = CategoricalTheta(tuple(theta_atoms), np.asarray(weights, dtype=float))
     return Generator(
         variant="labeled_lipschitz", metric=metric, theta=theta,
@@ -619,6 +768,13 @@ def deterministic_map_generator(
     x_bound, y_bound, z0: ZPoint, fixed_point: Optional[ZPoint] = None,
     name: str = "deterministic_map",
 ) -> Generator:
+    """Chain x' = governing_map(x, None): one map, no randomness.
+
+    ``governing_map(X, None)`` acts row-wise: it takes an (m, d_x) block of
+    feature rows and returns the (m, d_x) block of images, row i from row i
+    alone. A label callable maps an (m, d_x) block to an (m, d_y) block the
+    same way.
+    """
     theta = CategoricalTheta((None,), np.array([1.0]))
     return Generator(
         variant="deterministic_map", metric=metric, theta=theta,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidInputError
-from .generators import Generator, sample_chain
+from .generators import Generator, sample_chains
 from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist
 
 HYPOTHESIS_KINDS = ("constant", "linear", "tabulated")
@@ -273,8 +273,7 @@ def verify_a2(
         raise InvalidInputError("finalize the loss environment before verifying it")
     states: list[ZPoint] = []
     chains = max(2, (2 * num_pairs) // max(chain_len - 1, 1) + 1)
-    for c in range(chains):
-        traj = sample_chain(gen, None, chain_len, derive_stream(seed, c))
+    for traj in sample_chains(gen, chain_len, [derive_stream(seed, c) for c in range(chains)]):
         states.extend(traj.point(t) for t in range(1, chain_len))
     xs = np.stack([z.x for z in states])
     ys = np.stack([z.y for z in states])

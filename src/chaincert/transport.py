@@ -308,28 +308,29 @@ def contraction_curve(
     the final n draws of its paired reference chain (common random numbers):
     each pushed atom is still an honest n-step chain sample from mu0, while
     the pairing realizes the pathwise contraction, so the curve tracks the
-    geometric rate instead of the finite-atom sampling floor.
+    geometric rate instead of the finite-atom sampling floor. Each curve point
+    replays its atoms together as one lockstep block, which checks the
+    replayed states against the generator's declared bounds.
     """
-    from .generators import _chain_bundle, burn_in_steps
+    from .generators import _chain_bundle, _final_states, burn_in_steps
 
     if not (isinstance(n_max, int) and n_max >= 0):
         raise InvalidInputError(f"n_max must be a non-negative integer, got {n_max!r}")
     if not mu0_atoms:
         raise InvalidInputError("contraction curve needs at least one start atom")
+    if not (isinstance(atoms_per_step, int) and atoms_per_step >= 1):
+        raise InvalidInputError(f"atoms_per_step must be a positive integer, got {atoms_per_step!r}")
     for a in mu0_atoms:
         gen.metric.check_point(a)
     horizon = max(burn_in_steps(gen, pi_tol), n_max)
-    _, draw_idx, finals = _chain_bundle(gen, horizon, atoms_per_step, seed)
+    draw_idx, finals = _chain_bundle(gen, horizon, atoms_per_step, seed)
     pi_hat = EmpiricalMeasure.uniform(finals, gen.metric)
     starts = [mu0_atoms[i % len(mu0_atoms)] for i in range(atoms_per_step)]
+    x0, y0 = np.stack([z.x for z in starts]), np.stack([z.y for z in starts])
     curve = []
     for n in range(n_max + 1):
-        pushed = []
-        for i, start in enumerate(starts):
-            x, y = start.x, start.y
-            for t in range(horizon - n, horizon):
-                x, y = gen._apply(x, int(draw_idx[i, t]))
-            pushed.append(ZPoint(x, y))
+        xs, ys = _final_states(gen, x0, y0, draw_idx[:, horizon - n:])
+        pushed = [ZPoint(x, y) for x, y in zip(xs, ys)]
         value, _ = w1_exact(EmpiricalMeasure.uniform(pushed, gen.metric), pi_hat)
         curve.append((n, value))
     return curve

@@ -356,6 +356,23 @@ def test_cli_exit_codes(tmp_path):
     assert summary["verdicts"] == {"lemma2": "FAIL"}
 
 
+@pytest.mark.parametrize("epsilon", [0, 1.5])
+def test_cli_coverage_rejects_bad_slack_before_set_up(tmp_path, capsys, monkeypatch, epsilon):
+    def never(*args, **kwargs):
+        raise AssertionError("true-risk set-up ran before the slack check")
+
+    monkeypatch.setattr("chaincert.certificates.true_risk_table", never)
+    cfg = write_config(tmp_path, "eps.json", {
+        "preset": "halving_map", "n": 200, "epsilon": epsilon, "trials": 200,
+        "out_dir": str(tmp_path / "never"),
+    })
+    assert main(["coverage", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    # 1.5 is already out of the config's range; 0 passes the config and is
+    # rejected by the certificate's own check, before any set-up
+    assert "epsilon must lie in" in err and "Traceback" not in err
+
+
 def test_cli_rejects_removed_workers_key_and_flag(tmp_path, capsys):
     good = {"preset": "halving_map", "n": 8, "epsilon": 0.1, "trials": 2,
             "out_dir": str(tmp_path / "never")}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from chaincert import generators
+from chaincert.config import build_generator
 from chaincert.errors import (
     AssumptionViolationError,
     GeneratorContractError,
@@ -10,9 +12,11 @@ from chaincert.generators import (
     BallBound,
     BoxBound,
     CategoricalTheta,
+    _step_block,
     affine_ifs_generator,
     analytic_lip_factor,
     burn_in_steps,
+    callable_label,
     continue_chain,
     deterministic_map_generator,
     empirical_contraction_probe,
@@ -22,10 +26,13 @@ from chaincert.generators import (
     invariant_sampler,
     labeled_lipschitz_generator,
     sample_chain,
+    sample_chains,
     sample_stationary_chain,
+    sample_stationary_chains,
     step,
 )
-from chaincert.metric import MetricSpec, SeedSpec, ZPoint, dist
+from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng
+from chaincert.presets import load_preset, preset_names
 
 UNIT_BOX = BoxBound([0.0], [1.0])
 
@@ -207,7 +214,7 @@ def test_escape_names_first_escaping_state_ball():
     # of norm 1.06 leaves the unit ball at step 2 with both coordinates below one
     ball = BallBound(1.0, 2)
     gen = labeled_lipschitz_generator(
-        governing_map=lambda x, theta: theta[0] @ x + theta[1],
+        governing_map=lambda x, theta: x @ theta[0].T + theta[1],
         theta_atoms=[(0.5 * np.eye(2), np.array([0.5, 0.5]))],
         weights=[1.0],
         lip_x_per_theta=[0.5],
@@ -271,3 +278,201 @@ def test_trajectory_slice_offsets():
     assert np.array_equal(part.xs, traj.xs[4:9])
     tail = continue_chain(gen, part, 0)
     assert np.array_equal(tail.xs, part.xs)
+
+
+# -- the lockstep stepper against a per-row reference ----------------------------
+
+
+def _reference_paths(gen, n, seeds, label_row):
+    """Each seed's path stepped one state at a time, as the chain is defined:
+    mat @ x + vec for the affine IFS, the governing map on the lone row for
+    the other maps, and ``label_row`` for the label."""
+    paths = []
+    for seed in seeds:
+        idx = gen.theta.indices_from_uniform(make_rng(seed).random(n - 1))
+        xs, ys = [gen.z0.x], [gen.z0.y]
+        for i in idx:
+            atom = gen.theta.atoms[i]
+            if gen.variant == "iid":
+                x, y = atom.x, atom.y
+            else:
+                if gen.variant == "affine_ifs":
+                    x = atom[0] @ xs[-1] + atom[1]
+                else:
+                    x = np.asarray(gen.governing_map(xs[-1], atom), dtype=float).reshape(-1)
+                y = label_row(x)
+            xs.append(x)
+            ys.append(y)
+        paths.append((np.array(xs), np.array(ys), idx))
+    return paths
+
+
+def _row_label(gen):
+    lab = gen.label_map
+    if lab is None or lab.kind == "identity":
+        return lambda x: x
+    return lambda x: lab.weight @ x + lab.bias
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_reference(gen, n, count, label_row):
+    seeds = [derive_stream(SeedSpec(31), c) for c in range(count)]
+    paths = list(sample_chains(gen, n, seeds))
+    assert len(paths) == count
+    for traj, seed, (xs, ys, idx) in zip(paths, seeds, _reference_paths(gen, n, seeds, label_row)):
+        assert traj.seed == seed
+        assert _same_bits(traj.xs, xs) and _same_bits(traj.ys, ys)
+        assert np.array_equal(traj.theta_indices, idx)
+    return paths
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_lockstep_matches_per_row_reference_on_presets(name):
+    gen = load_preset(name).gen
+    _assert_matches_reference(gen, 60, 7, _row_label(gen))
+    # the stationary form is the burned-in tail of the same paths
+    b = burn_in_steps(gen, 1e-3)
+    seeds = [derive_stream(SeedSpec(5), c) for c in range(4)]
+    reference = _reference_paths(gen, b + 20, seeds, _row_label(gen))
+    for traj, (xs, ys, _) in zip(sample_stationary_chains(gen, 20, 1e-3, seeds), reference):
+        assert _same_bits(traj.xs, xs[b:]) and _same_bits(traj.ys, ys[b:])
+        assert traj.initial_law == ("plugin", 1e-3)
+
+
+def _random_affine_block(rng, dim, label):
+    mats = []
+    for _ in range(4):
+        mat = rng.normal(size=(dim, dim))
+        mats.append((mat * (0.7 / np.linalg.norm(mat, 2))).tolist())
+    vecs = rng.normal(size=(4, dim))
+    return {"kind": "affine_ifs", "mats": mats, "vecs": vecs.tolist(),
+            "attractor_radius": 3.0 * float(np.linalg.norm(vecs, axis=1).max()),
+            "z0_x": [0.1] * dim, "label": label}
+
+
+def test_lockstep_matches_per_row_reference_on_random_affine_ifs():
+    rng = np.random.default_rng(17)
+    linear = {"kind": "linear", "weight": (0.3 * rng.normal(size=(2, 3))).tolist(),
+              "bias": [0.1, -0.2]}
+    gen = build_generator(_random_affine_block(rng, 3, linear))
+    _assert_matches_reference(gen, 80, 9, _row_label(gen))
+
+    table_x = 0.5 * rng.normal(size=(9, 3))
+    table_y = 0.2 * rng.normal(size=(9, 2))
+    tabulated = {"kind": "tabulated", "table_x": table_x.tolist(),
+                 "table_y": table_y.tolist(), "lip": 1.0}
+    gen = build_generator(_random_affine_block(rng, 3, tabulated))
+
+    def nearest_row(x):
+        return table_y[int(np.argmin(np.linalg.norm(table_x - x.reshape(1, -1), axis=1)))]
+
+    _assert_matches_reference(gen, 80, 9, nearest_row)
+
+
+def test_lockstep_spans_several_blocks():
+    gen = load_preset("affine_triangle").gen
+    n = 40
+    count = generators._BLOCK_STATES // n + 3
+    paths = _assert_matches_reference(gen, n, count, _row_label(gen))
+    assert paths[0].xs.base is not paths[-1].xs.base  # two blocks
+
+
+def _shift_generator(governing_map):
+    # x' = x + theta on the unit interval from 0, with draws 0, 5/16 and 3/2
+    return labeled_lipschitz_generator(
+        governing_map=governing_map,
+        theta_atoms=[0.0, 0.3125, 1.5],
+        weights=[0.5, 0.25, 0.25],
+        lip_x_per_theta=[0.0, 0.0, 0.0],
+        label_map=identity_label(),
+        metric=MetricSpec(1, 1, 2.0),
+        x_bound=UNIT_BOX,
+        y_bound=UNIT_BOX,
+        z0=ZPoint(0.0, 0.0),
+    )
+
+
+def _late_and_early_escapes():
+    idx = np.zeros((6, 6), dtype=int)
+    idx[3, :4] = 1  # chain 3: 0.3125, 0.625, 0.9375, then 1.25 escapes at step 4
+    idx[5, 0] = 2  # chain 5: 1.5 escapes at step 1
+    return idx
+
+
+def test_block_escape_names_first_chain_then_first_step():
+    gen = _shift_generator(lambda x, theta: x + theta)
+    with pytest.raises(GeneratorContractError) as err:
+        _step_block(gen, gen.z0.x, gen.z0.y, _late_and_early_escapes())
+    assert "x=[1.25], y=[1.25]" in str(err.value)
+    assert "1.5" not in str(err.value)
+
+
+def test_block_escape_reported_when_map_then_raises():
+    def partial(x, theta):
+        if np.any(x > 1.4):
+            raise ValueError("map undefined past 1.4")
+        return x + theta
+
+    gen = _shift_generator(partial)
+    # chain 5 escapes at step 1 and the map raises on that state at step 2
+    idx = np.zeros((6, 6), dtype=int)
+    idx[5, 0] = 2
+    with pytest.raises(GeneratorContractError) as err:
+        _step_block(gen, gen.z0.x, gen.z0.y, idx)
+    assert "x=[1.5], y=[1.5]" in str(err.value)
+    # chain 3 escapes later in time but comes first in chain order
+    with pytest.raises(GeneratorContractError) as err:
+        _step_block(gen, gen.z0.x, gen.z0.y, _late_and_early_escapes())
+    assert "x=[1.25], y=[1.25]" in str(err.value)
+
+
+def test_block_map_error_of_an_earlier_chain_wins():
+    def poisoned(x, theta):
+        if np.any(x == 0.625):
+            raise ValueError("poisoned state")
+        return x + theta
+
+    gen = _shift_generator(poisoned)
+    idx = np.zeros((6, 6), dtype=int)
+    idx[1, :2] = 1  # chain 1 reaches 0.625 inside the bounds; the map raises there
+    idx[4, 0] = 2  # chain 4 escapes at step 1, before chain 1's map error
+    with pytest.raises(ValueError, match="poisoned state"):
+        _step_block(gen, gen.z0.x, gen.z0.y, idx)
+
+
+def test_single_row_map_is_rejected_with_the_row_block_contract():
+    ball = BallBound(1.0, 2)
+    gen = labeled_lipschitz_generator(
+        governing_map=lambda x, theta: theta[0] @ x + theta[1],
+        theta_atoms=[(0.5 * np.eye(2), np.array([0.25, 0.25]))],
+        weights=[1.0],
+        lip_x_per_theta=[0.5],
+        label_map=identity_label(),
+        metric=MetricSpec(2, 2, 4.0),
+        x_bound=ball,
+        y_bound=ball,
+        z0=ZPoint([0.0, 0.0], [0.0, 0.0]),
+    )
+    for count in (1, 3):
+        with pytest.raises(InvalidInputError, match="act row-wise") as err:
+            list(sample_chains(gen, 6, [SeedSpec(c) for c in range(count)]))
+        assert "runs on each row alone" in str(err.value)
+
+
+def test_wrong_block_shapes_are_rejected():
+    # the block fails, and the replay of its first chain alone names the
+    # error a one-chain run raises
+    flat = _unit_box_map_generator(lambda x, theta: 0.5 * x.ravel())
+    with pytest.raises(InvalidInputError, match=r"returned shape \(1,\).*act row-wise"):
+        list(sample_chains(flat, 4, [SeedSpec(c) for c in range(3)]))
+
+    first_row_label = labeled_lipschitz_generator(
+        governing_map=halving_map, theta_atoms=[None], weights=[1.0], lip_x_per_theta=[0.5],
+        label_map=callable_label(lambda x: x[0], 1.0), metric=MetricSpec(1, 1, 2.0),
+        x_bound=UNIT_BOX, y_bound=UNIT_BOX, z0=ZPoint(1.0, 1.0),
+    )
+    with pytest.raises(InvalidInputError, match=r"label map returned shape \(1,\)"):
+        list(sample_chains(first_row_label, 4, [SeedSpec(c) for c in range(3)]))

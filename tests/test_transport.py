@@ -234,3 +234,10 @@ def test_contraction_curve_iid_collapses_after_one_step():
     values = dict(curve)
     # after one step the pushed cloud replays the reference draws exactly
     assert values[1] == 0.0 and values[2] == 0.0 and values[3] == 0.0
+
+
+@pytest.mark.parametrize("atoms", [0, -1, 2.5])
+def test_contraction_curve_rejects_bad_atom_count(atoms):
+    with pytest.raises(InvalidInputError, match="atoms_per_step"):
+        contraction_curve(make_halving(), [ZPoint(1.0, 1.0)], n_max=3, atoms_per_step=atoms)
+
