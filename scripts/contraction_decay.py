@@ -2,7 +2,9 @@
 
 Writes a two-column CSV (step, transport cost) suitable for a log-scale
 plot, plus a summary holding the fitted geometric rate next to the
-analytic contraction factor of the generator.
+analytic contraction factor of the generator. The fitted slope and rate are
+null when fewer than two steps have a positive cost (the i.i.d. presets
+reach their invariant law in one step).
 """
 
 import argparse
@@ -19,9 +21,11 @@ from chaincert.transport import contraction_curve
 
 
 def fitted_log_slope(curve):
+    """Least-squares slope of log cost over the steps n >= 1 with a positive
+    cost; None when fewer than two such steps leave nothing to fit."""
     pts = [(n, v) for n, v in curve if n >= 1 and v > 0.0]
     if len(pts) < 2:
-        return float("nan")
+        return None
     ns = np.array([n for n, _ in pts], dtype=float)
     logs = np.array([math.log(v) for _, v in pts])
     slope, _ = np.polyfit(ns, logs, 1)
@@ -52,7 +56,7 @@ def main(argv=None):
         "pi_tol": args.pi_tol,
         "seed": args.seed,
         "fitted_log_slope": slope,
-        "fitted_rate": math.exp(slope) if math.isfinite(slope) else float("nan"),
+        "fitted_rate": None if slope is None else math.exp(slope),
         "analytic_factor": factor,
     }
     result = ResultBundle(kind="contraction_curve", summary=summary,
@@ -60,7 +64,8 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     emit_plot_data(result, "contraction_curve", os.path.join(args.out, "contraction_curve.csv"))
     write_summary(result, os.path.join(args.out, "contraction_summary.json"))
-    print(f"{args.preset}: fitted rate {summary['fitted_rate']:.4f} "
+    rate = "none" if slope is None else f"{summary['fitted_rate']:.4f}"
+    print(f"{args.preset}: fitted rate {rate} "
           f"vs analytic factor {factor:.4f} over {len(curve)} points")
     print(f"wrote {args.out}/contraction_curve.csv")
     return 0

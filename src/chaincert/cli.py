@@ -36,6 +36,7 @@ from .certificates import (
 from .complexity import (
     MC_DRAWS,
     LossMatrix,
+    check_draws,
     loss_matrix,
     rademacher_estimate,
     rademacher_exact,
@@ -200,6 +201,8 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
     if args.ell_h is not None and not (math.isfinite(args.ell_h) and args.ell_h > 0):
         raise InvalidInputError(f"--ell-h must be finite and positive, got {args.ell_h!r}")
     ell_H = args.ell_h if args.ell_h is not None else max(float(values.max()), 1e-12)
+    if args.draws is not None:
+        check_draws(args.draws, "--draws")
     matrix = LossMatrix(values, ell_H)
     seed = SeedSpec(args.seed or 0)
     if args.exact:
@@ -214,6 +217,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
         "draws": est.draws,
         "method": est.method,
         "value_symmetrized": est.value_symmetrized,
+        "se_symmetrized": est.se_symmetrized,
         "class_size": values.shape[0],
         "n": matrix.num_states,
         "ell_H": ell_H,
@@ -386,7 +390,7 @@ def _add_config_flags(p: argparse.ArgumentParser, trials=False, window=False,
         p.add_argument("--window", choices=sorted(_WINDOW_FLAG),
                        help="training window convention")
     if draws:
-        p.add_argument("--draws", type=int, help="Monte Carlo sign draws override")
+        p.add_argument("--draws", type=int, help="Monte Carlo sign draws override (even, >= 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rademacher", help="complexity estimate for a loss-matrix CSV")
     p.add_argument("matrix", help="headerless CSV, one row per hypothesis")
     p.add_argument("--exact", action="store_true", help="force exact sign enumeration")
-    p.add_argument("--draws", type=int, help="Monte Carlo sign draws")
+    p.add_argument("--draws", type=int, help="Monte Carlo sign draws (even, >= 4)")
     p.add_argument("--ell-h", type=float, help="declared loss bound (default: matrix max)")
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
     p.add_argument("--out", help="optional output directory")

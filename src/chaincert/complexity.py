@@ -4,11 +4,15 @@ Two estimators over the same loss matrix: exact enumeration of all sign
 vectors (small n; scored from two tables of partial scores, so no sign
 vector is built and memory stays flat) and an unbiased Monte Carlo average
 with a standard error; ``rademacher_estimate`` picks between them by sample
-size. Every estimate carries a plain form, max over the class of the signed
-mean, and a symmetrized form that takes the absolute value inside the max,
-both scored on the same sign vectors; the plain form is what the deviation
-bounds consume, the symmetrized one is a diagnostic for sign-asymmetric
-classes.
+size. Both score a sign vector sigma once for the pair (sigma, -sigma),
+since score(-sigma) = -score(sigma), and one reduction (``_pair_sums``)
+turns scores into pair sums: the exact path adds them up, the Monte Carlo
+path averages them over draws/2 random pairs. Every estimate carries a
+plain form, max over the class of the signed mean, and a symmetrized form
+that takes the absolute value inside the max, both scored on the same sign
+vectors, each with its own standard error; the plain form is what the
+deviation bounds consume, the symmetrized one is a diagnostic for
+sign-asymmetric classes.
 
 Closed-form ceilings for comparison: the finite-class growth bound
 L_H * sqrt(2 log r / n) and the dimension bound
@@ -79,14 +83,28 @@ def loss_matrix(
 
 @dataclass(frozen=True)
 class RademacherEstimate:
-    """Plain estimate with its standard error, and the symmetrized value
-    scored on the same sign vectors (or the same chains, for expectations)."""
+    """Plain estimate with its standard error, and the symmetrized value with
+    its own, scored on the same sign vectors (or the same chains, for
+    expectations). Both errors are 0.0 for exact enumeration."""
 
     value: float
     se: float
     draws: int
     method: str
     value_symmetrized: float
+    se_symmetrized: float
+
+
+def check_draws(draws, where: str = "draws") -> int:
+    """``draws`` if it is an even integer of at least 4: Monte Carlo scores
+    draws/2 antithetic pairs (sigma, -sigma), and a standard error needs at
+    least two pairs."""
+    if isinstance(draws, bool) or not isinstance(draws, int) or draws < 4 or draws % 2:
+        raise InvalidInputError(
+            f"{where} must be an even integer >= 4 (Monte Carlo scores draws/2 "
+            f"sign pairs), got {draws!r}"
+        )
+    return draws
 
 
 def _draw_sign_bits(rng: np.random.Generator, take: int, n: int) -> np.ndarray:
@@ -100,16 +118,29 @@ def _draw_sign_bits(rng: np.random.Generator, take: int, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n).astype(float)
 
 
-def _bit_stats(values: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sign-vector max_h (1/n) sum_t sigma_t L_h(t), plain and with |.|
-    inside, for the sign vectors sigma = 1 - 2 bits, scored as
-    sum_t L_h(t) - 2 sum_t bits_t L_h(t).
+def _bit_scores(values: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """(H, take) scores sum_t sigma_t L_h(t) of the sign vectors
+    sigma = 1 - 2 bits, computed as sum_t L_h(t) - 2 sum_t bits_t L_h(t).
 
-    The sums are hypotheses-major, so each max runs across whole rows of the
-    chunk, not along a row as short as the class, which numpy does slowly."""
-    n = values.shape[1]
-    scores = values.sum(axis=1)[:, None] - 2.0 * (values @ bits.T)  # (H, chunk)
-    return scores.max(axis=0) / n, np.abs(scores).max(axis=0) / n
+    The scores are hypotheses-major, so the class max and min run across
+    whole rows of the chunk, not along a row as short as the class, which
+    numpy does slowly."""
+    return values.sum(axis=1)[:, None] - 2.0 * (values @ bits.T)
+
+
+def _pair_sums(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sign vector sigma of an (H, m) score tile, the pair (sigma, -sigma)
+    sums of both forms, up to the factor 1/n: score(-sigma) = -score(sigma),
+    so the class max over the pair sums to top - bottom, with top and bottom
+    the class max and min of score(sigma), and the max of |score| is
+    max(top, -bottom) for both vectors of the pair."""
+    top, neg_bottom = scores.max(axis=0), scores.min(axis=0)
+    # in place, so fewer per-tile arrays are live; top + (-bottom) rounds
+    # exactly as top - bottom
+    np.negative(neg_bottom, out=neg_bottom)
+    reach = np.maximum(top, neg_bottom)
+    top += neg_bottom
+    return top, reach
 
 
 def _score_table(block: np.ndarray, free: int) -> np.ndarray:
@@ -131,9 +162,8 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
     13 and a high block, each with a table of its partial scores
     (``_score_table``), so a sign vector scores as low[:, i] + high[:, j] and
     one broadcast add scores a tile of 8192. Since score(-sigma) =
-    -score(sigma), only the vectors with sigma_{n-1} = +1 are scored: the
-    class max and min of each give max - min to the plain sum and
-    2 max(max, -min) to the symmetrized one for the pair (sigma, -sigma)."""
+    -score(sigma), only the vectors with sigma_{n-1} = +1 are scored, and
+    ``_pair_sums`` turns each into the sums of its pair (sigma, -sigma)."""
     values = matrix.values
     n = matrix.num_states
     if n > EXACT_N_CAP:
@@ -148,9 +178,9 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
     acc = acc_sym = 0.0
     for j in range(high.shape[1]):
         np.add(low, high[:, j : j + 1], out=tile)
-        top, bottom = tile.max(axis=0), tile.min(axis=0)
-        acc += float((top - bottom).sum())
-        acc_sym += 2.0 * float(np.maximum(top, -bottom).sum())
+        spread, reach = _pair_sums(tile)
+        acc += float(spread.sum())
+        acc_sym += 2.0 * float(reach.sum())
     total = 1 << n
     return RademacherEstimate(
         value=acc / (total * n),
@@ -158,7 +188,15 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
         draws=total,
         method="exact",
         value_symmetrized=acc_sym / (total * n),
+        se_symmetrized=0.0,
     )
+
+
+def _mean_se(stats: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of ``stats``, centred on the first entry:
+    equal entries give that entry back exactly, with an error of 0.0."""
+    dev = stats - stats[0]
+    return float(stats[0] + dev.mean()), float(dev.std(ddof=1) / math.sqrt(stats.size))
 
 
 def rademacher_mc(
@@ -166,30 +204,37 @@ def rademacher_mc(
     draws: int,
     seed: SeedSpec = SeedSpec(0),
 ) -> RademacherEstimate:
-    """Unbiased sign-sampling estimate with a standard error.
+    """Unbiased sign-sampling estimate from draws/2 antithetic pairs
+    (sigma, -sigma), with a standard error for each form.
 
-    Each chunk of sign vectors is drawn as packed random bytes, one bit per
-    sign (``_draw_sign_bits``), and scored with one product against the loss
-    matrix (``_bit_stats``)."""
-    if not (isinstance(draws, int) and draws >= 2):
-        raise InvalidInputError(f"need at least two Monte Carlo draws, got {draws!r}")
+    ``draws`` counts sign vectors, so it must be even, and at least 4 for two
+    pairs. Only the draws/2 vectors sigma are drawn, in chunks of packed
+    random bytes, one bit per sign (``_draw_sign_bits``), each chunk scored
+    with one product against the loss matrix. The pairs are independent:
+    the value and standard error are the mean and error of the pair
+    statistics, (top - bottom) / 2n for the plain form. The pairing cuts the
+    plain form's variance but not the symmetrized form's, whose |score| is
+    the same for sigma and -sigma, so its pair statistic max(top, -bottom) / n
+    is one draw counted twice; it reports its own ``se_symmetrized``."""
+    check_draws(draws)
     rng = make_rng(seed)
     n = matrix.num_states
-    stats = np.empty(draws)
-    stats_sym = np.empty(draws)
-    done = 0
-    while done < draws:
-        take = min(_CHUNK, draws - done)
-        stats[done : done + take], stats_sym[done : done + take] = _bit_stats(
-            matrix.values, _draw_sign_bits(rng, take, n)
-        )
-        done += take
+    pairs = draws // 2
+    spread = np.empty(pairs)
+    reach = np.empty(pairs)
+    for done in range(0, pairs, _CHUNK):
+        take = min(_CHUNK, pairs - done)
+        scores = _bit_scores(matrix.values, _draw_sign_bits(rng, take, n))
+        spread[done : done + take], reach[done : done + take] = _pair_sums(scores)
+    value, se = _mean_se(spread / (2 * n))
+    value_sym, se_sym = _mean_se(reach / n)
     return RademacherEstimate(
-        value=float(stats.mean()),
-        se=float(stats.std(ddof=1) / math.sqrt(draws)),
+        value=value,
+        se=se,
         draws=draws,
         method="mc",
-        value_symmetrized=float(stats_sym.mean()),
+        value_symmetrized=value_sym,
+        se_symmetrized=se_sym,
     )
 
 
@@ -239,6 +284,7 @@ def rademacher_expected(
         draws=outer,
         method=f"expected_{est.method}_{start_mode}",
         value_symmetrized=float(per_chain_sym.mean()),
+        se_symmetrized=float(per_chain_sym.std(ddof=1) / math.sqrt(outer)),
     )
 
 

@@ -20,7 +20,7 @@ Top-level keys (all optional unless a command needs them):
     window_mode   "delayed" | "paper_literal"           (default "delayed")
     w_bar         start-to-invariant distance cap [0,1] (default 1.0)
     tol           burn-in tolerance in (0, 1)           (default 1e-3)
-    draws         Monte Carlo sign draws, int >= 2      (default complexity.MC_DRAWS)
+    draws         Monte Carlo sign draws, even int >= 4 (default complexity.MC_DRAWS)
     rad_outer     trajectories per complexity average   (default 32)
     tie_break     "lowest_index" | "first_found"        (default "lowest_index")
     out_dir       output directory                      (default "results")
@@ -45,7 +45,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .certificates import WINDOW_MODES
-from .complexity import MC_DRAWS
+from .complexity import MC_DRAWS, check_draws
 from .erm import TIE_RULES
 from .errors import InvalidInputError
 from .generators import (
@@ -338,7 +338,7 @@ def parse_config(data: Any) -> ExperimentConfig:
                else _DEFAULTS["w_bar"]),
         tol=(t if (t := _get_num(data, "tol", "config", 0.0, 1.0, lo_open=True, hi_open=True,
                                  required=False)) is not None else _DEFAULTS["tol"]),
-        draws=_get_int(data, "draws", "config", 2, required=False) or _DEFAULTS["draws"],
+        draws=check_draws(data["draws"], "config.draws") if "draws" in data else _DEFAULTS["draws"],
         rad_outer=_get_int(data, "rad_outer", "config", 1, required=False) or _DEFAULTS["rad_outer"],
         tie_break=_get_str(data, "tie_break", "config", choices=TIE_RULES,
                            default=_DEFAULTS["tie_break"]),

@@ -40,7 +40,9 @@ BASE_PRESET = {"preset": "halving_map"}
 RUN_KEYS = {"n": 8, "epsilon": 0.1, "trials": 2, "rad_outer": 2, "draws": 64}
 BASES = (BASE_IID, BASE_AFFINE, BASE_PRESET)
 
-INT_KEYS = {"n": 1, "trials": 2, "seed": 0, "draws": 2, "rad_outer": 1}
+INT_KEYS = {"n": 1, "trials": 2, "seed": 0, "draws": 4, "rad_outer": 1}
+# draws counts sign vectors scored in antithetic pairs, so it must also be even
+ODD_DRAWS = st.integers(2, 10**6).map(lambda k: 2 * k + 1)
 # each valid range lies in [0, 1]: (is 0 excluded, is 1 excluded)
 NUM_RANGES = {"epsilon": (False, True), "delta": (True, True), "w_bar": (False, False),
               "tol": (True, True)}
@@ -157,6 +159,8 @@ def top_level_faults(draw):
         bad_int = st.integers(-(10**6), floor - 1)
         if key == "seed":
             bad_int = st.one_of(bad_int, st.integers(2**64, 2**70))
+        elif key == "draws":
+            bad_int = st.one_of(bad_int, ODD_DRAWS)
         return key, draw(st.one_of(GARBAGE, st.floats(allow_nan=True), bad_int))
     if key in NUM_RANGES:
         lo_open, hi_open = NUM_RANGES[key]
@@ -286,14 +290,14 @@ FLAG_FAULTS = {
                  "--epsilon": st.sampled_from(("-0.1", "1.0", "nan", "inf")),
                  "--delta": st.sampled_from(("0", "1", "-2", "nan"))},
     "coverage": {"--trials": st.integers(-1000, 1).map(str),
-                 "--draws": st.integers(-1000, 1).map(str),
+                 "--draws": st.one_of(st.integers(-1000, 3), ODD_DRAWS).map(str),
                  "--window": WORDS.filter(lambda s: s not in ("delayed", "paper-literal"))},
     "wasserstein": {"--kappa": st.one_of(_below(0.0, False).map(repr),
                                          st.sampled_from(("nan", "inf", "0.1")))},
     # the matrix's largest entry is 1.0; ell_H may undercut it by a relative 1e-12
     "rademacher": {"--ell-h": st.one_of(_below(0.99, False).map(repr),
                                         st.sampled_from(("nan", "inf", "-inf"))),
-                   "--draws": st.integers(-1000, 1).map(str),
+                   "--draws": st.one_of(st.integers(-1000, 3), ODD_DRAWS).map(str),
                    "--seed": st.one_of(st.integers(-1000, -1), st.integers(2**64, 2**70)).map(str)},
     "certify": {"--rademacher": st.one_of(_below(0.0, True).map(repr), st.just("nan")),
                 "--ell-h": st.one_of(_below(0.0, False).map(repr), st.just("inf")),

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from chaincert.complexity import (
     EXACT_N_CAP,
     LossMatrix,
-    _bit_stats,
+    _bit_scores,
     _draw_sign_bits,
+    _pair_sums,
     growth_bound,
     loss_matrix,
     rademacher_estimate,
@@ -23,6 +24,7 @@ from chaincert.errors import InvalidInputError, SizeCapError
 from chaincert.generators import sample_chain
 from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss
 from chaincert.metric import SeedSpec, make_rng
+from chaincert.presets import load_preset
 
 from test_generators import make_halving, make_iid
 
@@ -115,22 +117,74 @@ def test_mc_is_consistent_with_exact():
 @pytest.mark.parametrize("n", (1, 7, 8, 9, 201))
 def test_packed_bit_scores_match_direct_signs(n):
     draws = 300
+    pairs = draws // 2  # one drawn vector sigma per pair (sigma, -sigma)
     vals = np.random.default_rng(n).random((5, n))
-    bits = _draw_sign_bits(make_rng(SeedSpec(n)), draws, n)
+    bits = _draw_sign_bits(make_rng(SeedSpec(n)), pairs, n)
     # bit t of a vector is bit t (most significant first) of its ceil(n/8)
     # bytes; the padding bits of the last byte are dropped
     row_bytes = (n + 7) // 8
-    raw = np.frombuffer(make_rng(SeedSpec(n)).bytes(draws * row_bytes), dtype=np.uint8)
+    raw = np.frombuffer(make_rng(SeedSpec(n)).bytes(pairs * row_bytes), dtype=np.uint8)
     t = np.arange(n)
-    expected = (raw.reshape(draws, row_bytes)[:, t // 8] >> (7 - t % 8)) & 1
+    expected = (raw.reshape(pairs, row_bytes)[:, t // 8] >> (7 - t % 8)) & 1
     assert bits.dtype == float and np.array_equal(bits, expected)
-    plain, sym = _bit_stats(vals, bits)
-    direct = (1.0 - 2.0 * bits) @ vals.T  # (draws, H)
-    np.testing.assert_allclose(plain, direct.max(axis=1) / n, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(sym, np.abs(direct).max(axis=1) / n, rtol=0, atol=1e-12)
-    # the estimator averages exactly these per-draw scores
+    spread, reach = _pair_sums(_bit_scores(vals, bits))
+    plain, sym = spread / (2 * n), reach / n
+    # pair oracle: score sigma and -sigma directly and average the two maxima
+    direct = (1.0 - 2.0 * bits) @ vals.T  # (pairs, H)
+    np.testing.assert_allclose(
+        plain, (direct.max(axis=1) / n + (-direct).max(axis=1) / n) / 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        sym, (np.abs(direct).max(axis=1) / n + np.abs(-direct).max(axis=1) / n) / 2,
+        rtol=0, atol=1e-12)
+    # the estimator takes exactly the centred mean of these pair statistics
     est = rademacher_mc(LossMatrix(values=vals, ell_H=1.0), draws=draws, seed=SeedSpec(n))
-    assert est.value == plain.mean() and est.value_symmetrized == sym.mean()
+    assert est.value == plain[0] + (plain - plain[0]).mean()
+    assert est.value_symmetrized == sym[0] + (sym - sym[0]).mean()
+
+
+def test_exact_is_frozen_on_lemma3_inputs():
+    # affine_triangle loss matrices at n = EXACT_N_CAP, as lemma 3 scores them;
+    # lemma 3's outputs stay byte-identical, so the values are frozen to the bit
+    frozen = {
+        0: ("0x1.f47b7570bc7fdp-6", "0x1.efa5fdb4bc03dp-5"),
+        1: ("0x1.f95bb8dd2a67ep-6", "0x1.f5a92b731714ep-5"),
+        2: ("0x1.047f5a93eb94ep-5", "0x1.023ddd9dfd9b6p-4"),
+    }
+    bundle = load_preset("affine_triangle")
+    for seed, (plain, sym) in frozen.items():
+        traj = sample_chain(bundle.gen, None, EXACT_N_CAP, SeedSpec(seed))
+        est = rademacher_exact(loss_matrix(bundle.cls, traj, bundle.env))
+        assert (est.value.hex(), est.value_symmetrized.hex()) == (plain, sym)
+        assert est.se == est.se_symmetrized == 0.0
+
+
+def test_mc_equals_exact_when_every_pair_scores_the_same():
+    # n = 1: sigma and -sigma are the only two sign vectors, so every pair
+    # statistic is the exact value of both forms
+    mat = LossMatrix(values=np.array([[0.3], [0.9], [0.55]]), ell_H=1.0)
+    exact = rademacher_exact(mat)
+    est = rademacher_mc(mat, draws=50_000, seed=SeedSpec(1))
+    assert est.value == exact.value and est.value_symmetrized == exact.value_symmetrized
+    assert est.se == 0.0 and est.se_symmetrized == 0.0
+    # one hypothesis: top = bottom, so every plain pair statistic is 0, the
+    # exact value by sign symmetry
+    one = LossMatrix(values=np.random.default_rng(30).random((1, 30)), ell_H=1.0)
+    est = rademacher_mc(one, draws=4096, seed=SeedSpec(2))
+    assert est.value == 0.0 and est.se == 0.0
+    assert est.se_symmetrized > 0.0
+
+
+@pytest.mark.parametrize("draws", (-4, 0, 1, 2, 3, 5, 4097, 4.0, True))
+def test_mc_draw_count_rule(draws):
+    mat = LossMatrix(values=np.random.default_rng(0).random((2, 30)), ell_H=1.0)
+    with pytest.raises(InvalidInputError, match="even integer >= 4"):
+        rademacher_mc(mat, draws=draws)
+
+
+def test_mc_smallest_draw_count_has_an_error():
+    mat = LossMatrix(values=np.random.default_rng(0).random((2, 30)), ell_H=1.0)
+    est = rademacher_mc(mat, draws=4, seed=SeedSpec(3))
+    assert est.draws == 4 and math.isfinite(est.se) and math.isfinite(est.se_symmetrized)
 
 
 @pytest.mark.parametrize("n", (1, 5, 8, 12))
@@ -140,7 +194,9 @@ def test_mc_lands_near_exact_small_n(n):
     exact = rademacher_exact(mat)
     est = rademacher_mc(mat, draws=50_000, seed=SeedSpec(n))
     assert abs(est.value - exact.value) <= 4.0 * est.se
-    assert abs(est.value_symmetrized - exact.value_symmetrized) <= 4.0 * est.se
+    # antithetic pairs cut the plain form's variance only, so the
+    # symmetrized form is held to its own, larger, standard error
+    assert abs(est.value_symmetrized - exact.value_symmetrized) <= 4.0 * est.se_symmetrized
 
 
 def test_mc_deterministic_and_chunking_invariant():

@@ -389,6 +389,30 @@ def test_cli_rejects_removed_workers_key_and_flag(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("draws", [2, 5])
+def test_cli_draw_count_rule_in_every_place(tmp_path, capsys, draws):
+    good = {"preset": "halving_map", "n": 8, "epsilon": 0.1, "trials": 2,
+            "out_dir": str(tmp_path / "never")}
+    matrix = tmp_path / "loss.csv"
+    matrix.write_text("0.0,1.0\n1.0,0.0\n")
+    runs = (
+        ["coverage", "--config", write_config(tmp_path, "draws.json", dict(good, draws=draws))],
+        ["coverage", "--config", write_config(tmp_path, "good.json", good),
+         "--draws", str(draws)],
+        ["rademacher", str(matrix), "--draws", str(draws)],
+        ["rademacher", str(matrix), "--exact", "--draws", str(draws)],
+    )
+    for argv in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be an even integer >= 4" in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()
+    assert main(["rademacher", str(matrix), "--draws", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "mc" and payload["draws"] == 4
+    assert payload["se_symmetrized"] >= 0.0
+
+
 def test_cli_simulate_then_erm(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", {
         "preset": "halving_map", "n": 32, "epsilon": 0.05,

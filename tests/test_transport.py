@@ -1,3 +1,9 @@
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -234,6 +240,21 @@ def test_contraction_curve_iid_collapses_after_one_step():
     values = dict(curve)
     # after one step the pushed cloud replays the reference draws exactly
     assert values[1] == 0.0 and values[2] == 0.0 and values[3] == 0.0
+
+
+def test_decay_script_writes_null_rate_for_a_flat_curve(tmp_path):
+    # iid_four's curve is 0 from step 1 on, so no slope can be fitted
+    path = Path(__file__).resolve().parents[1] / "scripts" / "contraction_decay.py"
+    spec = importlib.util.spec_from_file_location("contraction_decay", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "decay"
+    argv = ["--preset", "iid_four", "--n-max", "3", "--atoms", "20", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert script.main(argv) == 0
+    summary = json.loads((out / "contraction_summary.json").read_text())
+    assert summary["fitted_log_slope"] is None and summary["fitted_rate"] is None
+    assert (out / "contraction_curve.csv").read_text().splitlines()[0] == "n,w1"
 
 
 @pytest.mark.parametrize("atoms", [0, -1, 2.5])
