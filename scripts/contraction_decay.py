@@ -4,7 +4,9 @@ Writes a two-column CSV (step, transport cost) suitable for a log-scale
 plot, plus a summary holding the fitted geometric rate next to the
 analytic contraction factor of the generator. The fitted slope and rate are
 null when fewer than two steps have a positive cost (the i.i.d. presets
-reach their invariant law in one step).
+reach their invariant law in one step). Malformed flags exit 2 and
+assumption violations exit 3, each with one line on stderr, as in the
+``chaincert`` command line.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import os
 
 import numpy as np
 
+from chaincert.cli import run_with_exit_codes
 from chaincert.generators import analytic_lip_factor
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names
@@ -40,8 +43,10 @@ def main(argv=None):
     ap.add_argument("--pi-tol", type=float, default=1e-3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/contraction")
-    args = ap.parse_args(argv)
+    return run_with_exit_codes(_run, ap.parse_args(argv))
 
+
+def _run(args):
     bundle = load_preset(args.preset)
     curve = contraction_curve(
         bundle.gen, [bundle.gen.z0], args.n_max,

@@ -4,12 +4,17 @@ For each window length n the script runs the full pipeline (simulate,
 learn, certify) over many trials and records how often each certificate
 form contained the realized excess risk. Output is a four-column CSV
 (n, coverage_pop, coverage_emp, confidence) for plotting plus a summary.
+Malformed flags exit 2 and assumption violations exit 3, each with one line
+on stderr, as in the ``chaincert`` command line.
 """
 
 import argparse
 import os
 
 from chaincert.certificates import coverage_experiment
+from chaincert.cli import run_with_exit_codes
+from chaincert.complexity import check_draws
+from chaincert.errors import InvalidInputError
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names
 from chaincert.reporting import ResultBundle, emit_plot_data, write_summary
@@ -26,9 +31,19 @@ def main(argv=None):
     ap.add_argument("--rad-outer", type=int, default=16)
     ap.add_argument("--draws", type=int, default=2048)
     ap.add_argument("--out", default="results/coverage_sweep")
-    args = ap.parse_args(argv)
+    return run_with_exit_codes(_run, ap.parse_args(argv))
 
-    ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+
+def _run(args):
+    try:
+        ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    except ValueError:
+        raise InvalidInputError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}"
+        ) from None
+    if not ns:
+        raise InvalidInputError("--n-list must name at least one window length")
+    check_draws(args.draws, "--draws")
     bundle = load_preset(args.preset)
     rows = []
     for k, n in enumerate(ns):

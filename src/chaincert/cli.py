@@ -17,11 +17,12 @@ validator finished and reported FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .certificates import (
     certify_empirical,
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .generators import analytic_lip_factor, sample_chain
 from .hypotheses import verify_a2
-from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream
+from .metric import MetricSpec, SeedSpec, derive_stream
 from .reporting import (
     ResultBundle,
     read_atoms_csv,
@@ -174,12 +175,7 @@ def _cmd_wasserstein(args: argparse.Namespace) -> int:
     if xs1.shape[1] != xs2.shape[1] or ys1.shape[1] != ys2.shape[1]:
         raise InvalidInputError("the two atom files must share x and y dimensions")
     metric = MetricSpec(xs1.shape[1], ys1.shape[1], args.kappa)
-    mu = EmpiricalMeasure.uniform(
-        [ZPoint(xs1[i], ys1[i]) for i in range(xs1.shape[0])], metric
-    )
-    nu = EmpiricalMeasure.uniform(
-        [ZPoint(xs2[i], ys2[i]) for i in range(xs2.shape[0])], metric
-    )
+    mu, nu = EmpiricalMeasure(xs1, ys1, metric), EmpiricalMeasure(xs2, ys2, metric)
     cost, plan = w1_exact(mu, nu)
     payload = {
         "cost": cost,
@@ -393,7 +389,9 @@ def _add_config_flags(p: argparse.ArgumentParser, trials=False, window=False,
         p.add_argument("--draws", type=int, help="Monte Carlo sign draws override (even, >= 4)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="chaincert",
         description="risk certificates for learners trained on contractive chain data",
@@ -452,17 +450,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_with_exit_codes(handler: Callable[[argparse.Namespace], int],
+                        args: argparse.Namespace) -> int:
+    """Return ``handler(args)``, or the exit code of the package error it
+    raises, after one line on stderr naming it. The entry-point scripts
+    share this mapping."""
     try:
-        return args.handler(args)
+        return handler(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (AssumptionViolationError, GeneratorContractError) as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
+
+
+def main(argv: Optional[list] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_with_exit_codes(args.handler, args)
 
 
 if __name__ == "__main__":

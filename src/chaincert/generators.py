@@ -590,9 +590,9 @@ def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
     """Run ``count`` independent chains for ``steps`` draws from sampled starts.
 
     Chain i draws its start, then its draws, from ``derive_stream(seed, i)``;
-    the chains are stepped together. Returns (draw index matrix, final
-    states); the draw matrix is what lets callers replay suffixes of these
-    same chains.
+    the chains are stepped together. Returns the (count, steps) draw index
+    matrix and the final states as (count, dim_x) and (count, dim_y) rows;
+    the draw matrix is what lets callers replay suffixes of these same chains.
     """
     x0 = np.empty((count, gen.metric.dim_x))
     y0 = np.empty((count, gen.metric.dim_y))
@@ -602,7 +602,7 @@ def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
         x0[i], y0[i] = _sample_start(gen, rng)
         indices[i] = gen.theta.indices_from_uniform(rng.random(steps))
     x_end, y_end = _final_states(gen, x0, y0, indices)
-    return indices, [ZPoint(x, y) for x, y in zip(x_end, y_end)]
+    return indices, x_end, y_end
 
 
 def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
@@ -617,8 +617,8 @@ def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
     if not (isinstance(count, int) and count >= 1):
         raise InvalidInputError(f"atom count must be a positive integer, got {count!r}")
     b = burn_in_steps(gen, tol)
-    _, finals = _chain_bundle(gen, b, count, seed)
-    return EmpiricalMeasure.uniform(finals, gen.metric)
+    _, x_end, y_end = _chain_bundle(gen, b, count, seed)
+    return EmpiricalMeasure(x_end, y_end, gen.metric)
 
 
 def empirical_contraction_probe(

@@ -49,6 +49,15 @@ class ZPoint:
         object.__setattr__(self, "x", _as_coords(self.x, "x"))
         object.__setattr__(self, "y", _as_coords(self.y, "y"))
 
+    @classmethod
+    def _unchecked(cls, x: np.ndarray, y: np.ndarray) -> "ZPoint":
+        """A point on coordinate rows that are already checked, finite and
+        read-only; they are shared, not copied."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "x", x)
+        object.__setattr__(z, "y", y)
+        return z
+
     def __eq__(self, other):
         if not isinstance(other, ZPoint):
             return NotImplemented

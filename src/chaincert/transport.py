@@ -1,6 +1,11 @@
 """Exact transport distance between finite state measures.
 
-The order-1 transport cost between two atom lists is solved exactly. Two
+An ``EmpiricalMeasure`` keeps its atoms as stacked coordinate rows, and the
+cost matrix, the canonical argument order and the curve's pushed clouds are
+computed from those arrays; its ``atoms`` are a ``ZPoint`` view for the
+point-wise duality bound.
+
+The order-1 transport cost between two measures is solved exactly. Two
 uniform measures of n1 and n2 atoms are an assignment problem on k = lcm(n1,
 n2) replicated atoms, solved that way whenever the replication stays cheap
 (see ``_replicates_cheaply``); anything else goes to the transportation
@@ -14,7 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,24 +33,55 @@ _MARGINAL_TOL = 1e-9
 _LIP_TOL = 1e-9
 
 
+def _as_rows(values, width: int, label: str) -> np.ndarray:
+    try:
+        rows = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"empirical measure {label} rows must be numeric") from None
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise InvalidInputError(
+            f"empirical measure {label} rows must have shape (atoms, {width}), "
+            f"got {rows.shape}"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise InvalidInputError(f"empirical measure {label} rows contain a non-finite coordinate")
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Finitely supported measure: atoms with positive weights summing to one."""
+    """Finitely supported measure: atoms with positive weights summing to one.
 
-    atoms: tuple
-    weights: np.ndarray
+    Atom i is the state (xs[i], ys[i]); ``xs`` is (m, dim_x) and ``ys`` is
+    (m, dim_y), both read-only copies checked once on construction. Leaving
+    ``weights`` out gives the uniform measure. ``atoms`` is a ``ZPoint`` view
+    of the rows, built on first use; the solvers read the arrays.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
     metric: MetricSpec
+    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
+        if not isinstance(self.metric, MetricSpec):
+            raise InvalidInputError("empirical measure needs a MetricSpec")
+        xs = _as_rows(self.xs, self.metric.dim_x, "x")
+        ys = _as_rows(self.ys, self.metric.dim_y, "y")
+        m = xs.shape[0]
+        if m == 0:
             raise InvalidInputError("empirical measure needs at least one atom")
-        for a in atoms:
-            if not isinstance(a, ZPoint):
-                raise InvalidInputError("empirical measure atoms must be ZPoint values")
-            self.metric.check_point(a)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.shape[0] != len(atoms):
+        if ys.shape[0] != m:
+            raise InvalidInputError("empirical measure needs one y row per x row")
+        if self.weights is None:
+            w = np.full(m, 1.0 / m)
+        else:
+            try:
+                w = np.array(self.weights, dtype=float).reshape(-1)
+            except (TypeError, ValueError):
+                raise InvalidInputError("empirical measure weights must be numeric") from None
+        if w.shape[0] != m:
             raise InvalidInputError("empirical measure needs one weight per atom")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise InvalidInputError("empirical measure weights must be finite and positive")
@@ -52,23 +89,30 @@ class EmpiricalMeasure:
             raise InvalidInputError(
                 f"empirical measure weights must sum to 1 within 1e-12, got {float(w.sum())!r}"
             )
-        w = w.copy()
         w.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, atoms: Sequence[ZPoint], metric: MetricSpec) -> "EmpiricalMeasure":
-        k = len(atoms)
-        return cls(tuple(atoms), np.full(k, 1.0 / k), metric)
+        """Uniform measure on a sequence of ``ZPoint`` atoms."""
+        atoms = tuple(atoms)
+        if not atoms:
+            raise InvalidInputError("empirical measure needs at least one atom")
+        for a in atoms:
+            if not isinstance(a, ZPoint):
+                raise InvalidInputError("empirical measure atoms must be ZPoint values")
+            metric.check_point(a)
+        return cls(np.stack([a.x for a in atoms]), np.stack([a.y for a in atoms]), metric)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        # rows of the checked read-only arrays, so the points need no copy
+        return tuple(map(ZPoint._unchecked, self.xs, self.ys))
 
     def __len__(self) -> int:
-        return len(self.atoms)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.stack([a.x for a in self.atoms])
-        ys = np.stack([a.y for a in self.atoms])
-        return xs, ys
+        return self.xs.shape[0]
 
     def integrate(self, fn: Callable[[ZPoint], float]) -> float:
         return float(sum(w * fn(a) for w, a in zip(self.weights, self.atoms)))
@@ -97,14 +141,11 @@ class TransportPlan:
 def _cost_matrix(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> np.ndarray:
     if mu1.metric != mu2.metric:
         raise InvalidInputError("transport needs both measures on the same declared metric")
-    xs1, ys1 = mu1.stacked()
-    xs2, ys2 = mu2.stacked()
-    return pairwise_dist(xs1, ys1, xs2, ys2, mu1.metric)
+    return pairwise_dist(mu1.xs, mu1.ys, mu2.xs, mu2.ys, mu1.metric)
 
 
 def _canonical_key(mu: EmpiricalMeasure) -> tuple:
-    xs, ys = mu.stacked()
-    return (len(mu), xs.tobytes(), ys.tobytes(), mu.weights.tobytes())
+    return (len(mu), mu.xs.tobytes(), mu.ys.tobytes(), mu.weights.tobytes())
 
 
 def _validate_plan(plan: TransportPlan, mu1, mu2, cost_mat) -> None:
@@ -219,16 +260,16 @@ def w1_exact(
             f"combined atom count {len(mu1) + len(mu2)} exceeds the exact-solve cap "
             f"{atom_cap}; thin the measures first"
         )
-    if _canonical_key(mu2) < _canonical_key(mu1):
-        cost, plan = w1_exact(mu2, mu1, atom_cap)
-        return cost, plan.transpose()
+    swap = _canonical_key(mu2) < _canonical_key(mu1)
+    if swap:
+        mu1, mu2 = mu2, mu1
     cost_mat = _cost_matrix(mu1, mu2)
     if mu1.is_uniform() and mu2.is_uniform() and _replicates_cheaply(len(mu1), len(mu2)):
         plan = _solve_assignment(cost_mat)
     else:
         plan = _solve_lp(cost_mat, mu1.weights, mu2.weights)
     _validate_plan(plan, mu1, mu2, cost_mat)
-    return plan.cost, plan
+    return plan.cost, plan.transpose() if swap else plan
 
 
 def w1_bruteforce(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
@@ -259,8 +300,12 @@ def kr_dual_lower_bound(
     a violation beyond 1e-9 rejects the probe rather than returning a bogus
     bound. By weak duality the result never exceeds the exact cost.
     """
+    if not (isinstance(max_check_pairs, int) and max_check_pairs >= 1):
+        raise InvalidInputError(
+            f"max_check_pairs must be a positive integer, got {max_check_pairs!r}"
+        )
     spec = spec if spec is not None else mu1.metric
-    atoms = list(mu1.atoms) + list(mu2.atoms)
+    atoms = mu1.atoms + mu2.atoms
     pairs = [(i, j) for i in range(len(atoms)) for j in range(i + 1, len(atoms))]
     if len(pairs) > max_check_pairs:
         stride = len(pairs) // max_check_pairs + 1
@@ -316,21 +361,17 @@ def contraction_curve(
 
     if not (isinstance(n_max, int) and n_max >= 0):
         raise InvalidInputError(f"n_max must be a non-negative integer, got {n_max!r}")
-    if not mu0_atoms:
-        raise InvalidInputError("contraction curve needs at least one start atom")
     if not (isinstance(atoms_per_step, int) and atoms_per_step >= 1):
         raise InvalidInputError(f"atoms_per_step must be a positive integer, got {atoms_per_step!r}")
-    for a in mu0_atoms:
-        gen.metric.check_point(a)
+    mu0 = EmpiricalMeasure.uniform(mu0_atoms, gen.metric)
     horizon = max(burn_in_steps(gen, pi_tol), n_max)
-    draw_idx, finals = _chain_bundle(gen, horizon, atoms_per_step, seed)
-    pi_hat = EmpiricalMeasure.uniform(finals, gen.metric)
-    starts = [mu0_atoms[i % len(mu0_atoms)] for i in range(atoms_per_step)]
-    x0, y0 = np.stack([z.x for z in starts]), np.stack([z.y for z in starts])
+    draw_idx, x_end, y_end = _chain_bundle(gen, horizon, atoms_per_step, seed)
+    pi_hat = EmpiricalMeasure(x_end, y_end, gen.metric)
+    starts = np.arange(atoms_per_step) % len(mu0)
+    x0, y0 = mu0.xs[starts], mu0.ys[starts]
     curve = []
     for n in range(n_max + 1):
         xs, ys = _final_states(gen, x0, y0, draw_idx[:, horizon - n:])
-        pushed = [ZPoint(x, y) for x, y in zip(xs, ys)]
-        value, _ = w1_exact(EmpiricalMeasure.uniform(pushed, gen.metric), pi_hat)
+        value, _ = w1_exact(EmpiricalMeasure(xs, ys, gen.metric), pi_hat)
         curve.append((n, value))
     return curve

@@ -1,5 +1,6 @@
-"""Source hygiene of the library: every top-level import is used, and
-importing the command line loads no scipy.
+"""Source hygiene of the library: every top-level import is used,
+importing the command line loads no scipy, and the hooks the benchmark
+(``perfbench/``) attaches to still exist with the arguments it reads.
 
 The unused-import check is a stdlib AST scan, so it runs wherever the tests
 do. A module's top-level import counts as used when the bound name appears as
@@ -7,14 +8,20 @@ a name anywhere in the module (code or unquoted annotation) or, for a
 package's ``__init__``, in its ``__all__``.
 """
 import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "chaincert"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chaincert"
+PERFBENCH = ROOT / "perfbench"
 
 
 def _bound_names(node):
@@ -97,3 +104,111 @@ def test_cli_and_bundles_load_no_scipy():
     ).stdout.split("\n")
     assert out[0] == "[]"
     assert out[1] == "True"
+
+
+# -- the benchmark's hooks -------------------------------------------------------
+# perfbench/ is read here, never edited: the tracer wraps library functions by
+# name and derives its counters from their arguments, and the workload calls
+# entry points and reads measures. A renamed function or parameter would make
+# a traced run fail or count nothing, so these checks keep them in step.
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _argument_keys(node, functions, seen=()):
+    """Keys of ``a["key"]`` read in ``node``, following calls into the
+    module-level ``functions`` it names."""
+    keys = set()
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id == "a" and isinstance(sub.slice, ast.Constant)):
+            keys.add(sub.slice.value)
+        elif isinstance(sub, ast.Name) and sub.id in functions and sub.id not in seen:
+            keys |= _argument_keys(functions[sub.id], functions, seen + (sub.id,))
+    return keys
+
+
+def _traced_spans():
+    """(module, function, argument keys its layer and counters read) for each
+    span of the tracer's ``_named_spans``."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    listing = next(n for n in ast.walk(functions["_named_spans"]) if isinstance(n, ast.List))
+    spans = []
+    for entry in listing.elts:
+        module, attr = (e.value for e in entry.elts[:2])
+        keys = set()
+        for part in entry.elts[2:]:
+            keys |= _argument_keys(part, functions)
+        spans.append((module, attr, keys))
+    return spans
+
+
+def test_tracer_wraps_functions_that_take_the_arguments_it_reads():
+    spans = _traced_spans()
+    assert [(m, f) for m, f, _ in spans] == [
+        (m, f) for m, f, _, _ in _load_perfbench("tracer")._named_spans()
+    ]
+    read = set()
+    for module, attr, keys in spans:
+        fn = getattr(importlib.import_module(module), attr)
+        params = inspect.signature(fn).parameters
+        assert keys <= set(params), (module, attr, sorted(keys - set(params)))
+        read |= keys
+    assert {"n", "cls", "xs", "draws", "matrix", "mu1", "mu2"} <= read
+
+
+def test_tracer_entry_points_and_module_layers_exist():
+    tracer = _load_perfbench("tracer")
+    from chaincert import cli
+
+    assert list(inspect.signature(cli.main).parameters) == ["argv"]
+    for short in tracer._MODULE_LAYERS:
+        module = importlib.import_module("chaincert." + short)
+        assert any(inspect.isfunction(v) and v.__module__ == module.__name__
+                   and not k.startswith("_") for k, v in vars(module).items()), short
+    spec = importlib.util.spec_from_file_location(
+        "_decay_script", ROOT / "scripts" / "contraction_decay.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert list(inspect.signature(script.main).parameters) == ["argv"]
+
+
+def test_workload_calls_exist_and_reads_measures_as_it_expects():
+    workload = _load_perfbench("workload")
+    tree = ast.parse((PERFBENCH / "workload.py").read_text(encoding="utf-8"))
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("chaincert"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                target = getattr(module, alias.name)  # raises if the name is gone
+                if inspect.ismodule(target):
+                    aliases[alias.asname or alias.name] = target
+    assert {"cli", "generators", "reporting"} <= set(aliases)
+    used = 0
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            assert hasattr(aliases[node.value.id], node.attr), (node.value.id, node.attr)
+            used += 1
+    assert used >= 3
+
+    from chaincert.generators import invariant_sampler
+    from chaincert.metric import SeedSpec
+    from chaincert.presets import load_preset
+    from chaincert.transport import EmpiricalMeasure
+
+    for attr in ("__len__", "is_uniform", "atoms"):
+        assert hasattr(EmpiricalMeasure, attr), attr
+    gen = load_preset("affine_triangle").gen
+    measure = invariant_sampler(gen, 1e-3, 5, SeedSpec(3))
+    assert len(measure) == 5 and measure.is_uniform()
+    rows = workload._atom_rows(measure)
+    assert rows == [tuple(x) + tuple(y) for x, y in zip(measure.xs, measure.ys)]
+    assert np.array_equal(np.array(rows), np.hstack([measure.xs, measure.ys]))

@@ -9,8 +9,9 @@ import pytest
 
 from chaincert import transport
 from chaincert.errors import InvalidInputError, SizeCapError
-from chaincert.generators import SeedSpec, sample_chain
+from chaincert.generators import SeedSpec, invariant_sampler, sample_chain
 from chaincert.metric import MetricSpec, ZPoint, dist
+from chaincert.presets import load_preset
 from chaincert.transport import (
     EmpiricalMeasure,
     _cost_matrix,
@@ -30,10 +31,8 @@ LINE = MetricSpec(1, 1, 1.0)
 
 
 def line_measure(xs, weights=None):
-    atoms = [ZPoint(v, 0.0) for v in xs]
-    if weights is None:
-        return EmpiricalMeasure.uniform(atoms, LINE)
-    return EmpiricalMeasure(tuple(atoms), np.asarray(weights, dtype=float), LINE)
+    xs = np.asarray(xs, dtype=float)[:, None]
+    return EmpiricalMeasure(xs, np.zeros_like(xs), LINE, weights)
 
 
 def random_uniform_measure(rng, count, metric, scale=0.4):
@@ -77,7 +76,8 @@ def test_lp_path_agrees_with_assignment_path():
     a = random_uniform_measure(rng, 6, metric)
     p1, p2, p3 = (ZPoint(rng.uniform(0, 0.4), rng.uniform(0, 0.4)) for _ in range(3))
     as_atoms = EmpiricalMeasure.uniform([p1, p1, p2, p3], metric)
-    as_weights = EmpiricalMeasure((p1, p2, p3), np.array([0.5, 0.25, 0.25]), metric)
+    as_weights = EmpiricalMeasure([p1.x, p2.x, p3.x], [p1.y, p2.y, p3.y], metric,
+                                  np.array([0.5, 0.25, 0.25]))
     ca, _ = w1_exact(a, as_atoms)
     cw, _ = w1_exact(a, as_weights)
     assert abs(ca - cw) <= 1e-9
@@ -216,9 +216,70 @@ def test_bruteforce_preconditions():
 
 def test_measure_validation():
     with pytest.raises(InvalidInputError):
-        EmpiricalMeasure((), np.array([]), LINE)
+        EmpiricalMeasure(np.empty((0, 1)), np.empty((0, 1)), LINE, np.array([]))
     with pytest.raises(InvalidInputError):
-        EmpiricalMeasure((ZPoint(0.0, 0.0),), np.array([0.5]), LINE)
+        EmpiricalMeasure([[0.0]], [[0.0]], LINE, np.array([0.5]))
+
+
+@pytest.mark.parametrize(
+    "xs,ys,weights",
+    [
+        ([[0.0]], [[0.0], [0.1]], None),          # one y row per x row
+        ([[0.0, 0.1]], [[0.0]], None),            # x width differs from dim_x
+        ([0.0, 0.1], [0.0, 0.1], None),           # flat, not rows
+        ([[np.nan]], [[0.0]], None),              # non-finite coordinate
+        ([[0.0]], [[np.inf]], None),
+        ([["a"]], [[0.0]], None),                 # not numeric
+        ([[0.0], [0.1]], [[0.0], [0.1]], [0.5]),  # one weight per atom
+        ([[0.0], [0.1]], [[0.0], [0.1]], [1.5, -0.5]),
+        ([[0.0], [0.1]], [[0.0], [0.1]], [0.5, np.nan]),
+        ([[0.0], [0.1]], [[0.0], [0.1]], [0.5, 0.4]),
+    ],
+)
+def test_measure_rejects_malformed_rows(xs, ys, weights):
+    with pytest.raises(InvalidInputError):
+        EmpiricalMeasure(xs, ys, LINE, weights)
+
+
+def test_measure_rejects_a_missing_metric_and_the_empty_atom_list():
+    with pytest.raises(InvalidInputError, match="MetricSpec"):
+        EmpiricalMeasure([[0.0]], [[0.0]], None)
+    with pytest.raises(InvalidInputError, match="at least one atom"):
+        EmpiricalMeasure.uniform([], LINE)
+    with pytest.raises(InvalidInputError, match="ZPoint"):
+        EmpiricalMeasure.uniform([(0.0, 0.0)], LINE)
+    with pytest.raises(InvalidInputError, match="dimensions"):
+        EmpiricalMeasure.uniform([ZPoint([0.0, 0.0], 0.0)], LINE)
+
+
+def test_measure_rows_are_read_only_copies_and_atoms_view_them():
+    xs, ys = np.array([[0.1], [0.3]]), np.array([[0.2], [0.4]])
+    mu = EmpiricalMeasure(xs, ys, LINE)
+    xs[0, 0] = 0.9
+    assert mu.xs[0, 0] == 0.1 and not mu.xs.flags.writeable
+    assert not mu.ys.flags.writeable and not mu.weights.flags.writeable
+    assert mu.atoms == (ZPoint(0.1, 0.2), ZPoint(0.3, 0.4))
+    assert mu.atoms is mu.atoms
+    assert all(not z.x.flags.writeable and not z.y.flags.writeable for z in mu.atoms)
+    assert mu.is_uniform() and mu.weights.tolist() == [0.5, 0.5]
+    same = EmpiricalMeasure.uniform(mu.atoms, LINE)
+    assert np.array_equal(same.xs, mu.xs) and np.array_equal(same.ys, mu.ys)
+    assert np.array_equal(same.weights, mu.weights)
+
+
+@pytest.mark.parametrize("max_check_pairs", [0, -1, 2.5])
+def test_kr_dual_rejects_bad_pair_budget(max_check_pairs):
+    a = line_measure([0.0, 0.2])
+    b = line_measure([0.1, 0.3])
+    with pytest.raises(InvalidInputError, match="max_check_pairs"):
+        kr_dual_lower_bound(a, b, distance_probes(a.atoms, LINE), max_check_pairs=max_check_pairs)
+
+
+def test_kr_dual_one_pair_budget_still_checks_probes():
+    a = line_measure([0.0, 0.2])
+    b = line_measure([0.1, 0.3])
+    got = kr_dual_lower_bound(a, b, distance_probes(b.atoms, LINE), max_check_pairs=1)
+    assert 0.0 <= got <= w1_exact(a, b)[0] + 1e-12
 
 
 def test_contraction_curve_halving_is_exact_geometric():
@@ -262,3 +323,41 @@ def test_contraction_curve_rejects_bad_atom_count(atoms):
     with pytest.raises(InvalidInputError, match="atoms_per_step"):
         contraction_curve(make_halving(), [ZPoint(1.0, 1.0)], n_max=3, atoms_per_step=atoms)
 
+
+
+# float.hex of seeded transport outputs, recorded before the measures held
+# stacked arrays; a change that moves any of them is a change of results
+AFFINE_CURVE = (
+    "0x1.a37e06cec354cp-2", "0x1.4c5c841dd443cp-4", "0x1.21041fedb6759p-6",
+    "0x1.b5ab8c54e8d20p-9", "0x1.73a3953e784ecp-11", "0x1.236079627592ep-13",
+    "0x1.c9adaef84222cp-16", "0x1.634d6b695a997p-18", "0x1.213243d21edb9p-20",
+)
+HALVING_CURVE = (
+    "0x1.ffffffffffed2p-2", "0x1.ffffffffffda3p-3", "0x1.ffffffffffb46p-4",
+    "0x1.ffffffffff68cp-5", "0x1.fffffffffed18p-6", "0x1.fffffffffda30p-7",
+    "0x1.fffffffffb460p-8", "0x1.fffffffff68c0p-9", "0x1.ffffffffed180p-10",
+    "0x1.ffffffffda300p-11", "0x1.ffffffffb4600p-12",
+)
+CLOUD_W1 = "0x1.1c6478ddc4376p-4"
+
+
+@pytest.mark.parametrize(
+    "preset,n_max,atoms,pi_tol,seed,expected",
+    [("affine_triangle", 8, 128, 1e-8, 11, AFFINE_CURVE),
+     ("halving_map", 10, 4, 1e-13, 12, HALVING_CURVE)],
+)
+def test_decay_curve_is_frozen(preset, n_max, atoms, pi_tol, seed, expected):
+    gen = load_preset(preset).gen
+    curve = contraction_curve(gen, [gen.z0], n_max, atoms, pi_tol, SeedSpec(seed))
+    assert [n for n, _ in curve] == list(range(n_max + 1))
+    assert tuple(v.hex() for _, v in curve) == expected
+
+
+def test_w1_on_sampled_clouds_is_frozen():
+    # 64 x 64 goes to the assignment, 64 x 128 (nu listed twice) to the LP
+    gen = load_preset("affine_triangle").gen
+    mu = invariant_sampler(gen, 1e-3, 64, SeedSpec(21))
+    nu = invariant_sampler(gen, 1e-3, 64, SeedSpec(22))
+    nu2 = EmpiricalMeasure(np.vstack([nu.xs, nu.xs]), np.vstack([nu.ys, nu.ys]), gen.metric)
+    for a, b in ((mu, nu), (nu, mu), (mu, nu2), (nu2, mu)):
+        assert w1_exact(a, b)[0].hex() == CLOUD_W1
