@@ -593,14 +593,16 @@ def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
     the chains are stepped together. Returns the (count, steps) draw index
     matrix and the final states as (count, dim_x) and (count, dim_y) rows;
     the draw matrix is what lets callers replay suffixes of these same chains.
+    The uniforms of all chains are mapped to draw indices in one call.
     """
     x0 = np.empty((count, gen.metric.dim_x))
     y0 = np.empty((count, gen.metric.dim_y))
-    indices = np.empty((count, steps), dtype=int)
+    uniforms = np.empty((count, steps))
     for i in range(count):
         rng = make_rng(derive_stream(seed, i))
         x0[i], y0[i] = _sample_start(gen, rng)
-        indices[i] = gen.theta.indices_from_uniform(rng.random(steps))
+        uniforms[i] = rng.random(steps)
+    indices = gen.theta.indices_from_uniform(uniforms)
     x_end, y_end = _final_states(gen, x0, y0, indices)
     return indices, x_end, y_end
 

@@ -23,6 +23,8 @@ from .metric import MetricSpec, SeedSpec
 
 VOLATILE_SUMMARY_KEYS = ("created_at", "software_version")
 
+_PLAIN_JSON = frozenset((float, int, str, type(None)))
+
 PLOT_KINDS = {
     "contraction_curve": ("n", "w1"),
     "coverage_sweep": ("n", "coverage_pop", "coverage_emp", "confidence"),
@@ -49,6 +51,11 @@ class ResultBundle:
 
 
 def _cell(value: Any) -> str:
+    # exact types first; bool, numpy integers and other numpy floats take the chain
+    if type(value) is float or type(value) is np.float64:
+        return float.__repr__(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -63,6 +70,9 @@ def _cell(value: Any) -> str:
 
 
 def _jsonable(value: Any) -> Any:
+    # exact plain types are already JSON values; bool takes its own branch
+    if type(value) in _PLAIN_JSON:
+        return value
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

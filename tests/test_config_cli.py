@@ -205,6 +205,25 @@ def test_rows_csv_bytes(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows_csv(("trial", "value", "flag"), ((0, 0.1, 1), (1, 2.5e-3, 0)), str(path))
     assert path.read_bytes() == b"trial,value,flag\n0,0.1,1\n1,0.0025,0\n"
+    # plain and numpy scalars of each kind write the same cell
+    row = (True, np.bool_(False), 7, np.int64(-7), 0.1, np.float64(0.1), np.float32(0.5),
+           -0.0, "ab")
+    write_rows_csv([f"c{i}" for i in range(len(row))], (row,), str(path))
+    assert path.read_bytes().split(b"\n")[1] == b"1,0,7,-7,0.1,0.1,0.5,-0.0,ab"
+
+
+def test_summary_values_keep_their_json_types(tmp_path):
+    summary = {"b": True, "nb": np.bool_(False), "i": 3, "ni": np.int64(4), "f": 0.1,
+               "nf": np.float64(0.25), "s": "x", "none": None, "plan": [[0, 1, 0.5]],
+               "arr": np.array([1.5, 2.0]), "seed": SeedSpec(5)}
+    payload = write_summary(ResultBundle(kind="k", summary=summary), str(tmp_path / "s.json"))
+    back = read_summary(str(tmp_path / "s.json"))
+    for p in (payload, back):
+        assert p["b"] is True and p["nb"] is False
+        assert [type(p[k]) for k in ("i", "ni", "f", "nf", "s")] == [int, int, float, float, str]
+        assert (p["i"], p["ni"], p["f"], p["nf"], p["s"], p["none"]) == (3, 4, 0.1, 0.25, "x", None)
+        assert p["plan"] == [[0, 1, 0.5]] and p["arr"] == [1.5, 2.0]
+        assert p["seed"] == {"master_seed": 5, "stream_index": 0}
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Source hygiene of the library: every top-level import is used,
-importing the command line loads no scipy, and the hooks the benchmark
+importing the command line loads no scipy, an assignment solve loads no
+``scipy.optimize``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
 
 The unused-import check is a stdlib AST scan, so it runs wherever the tests
@@ -104,6 +105,39 @@ def test_cli_and_bundles_load_no_scipy():
     ).stdout.split("\n")
     assert out[0] == "[]"
     assert out[1] == "True"
+
+
+_WASSERSTEIN_GUARD = """
+import contextlib, io, sys
+from chaincert import cli
+mu, *targets = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["wasserstein", mu, nu, "--kappa", "2.0"]) for nu in targets]
+print(codes)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_wasserstein_assignments_load_no_scipy_optimize(tmp_path):
+    # equal sizes and doubled targets both go to the assignment, which loads
+    # scipy's compiled extension alone; scipy.optimize costs ~0.6 s to import
+    rng = np.random.default_rng(7)
+    files = []
+    for name, count in (("mu", 64), ("nu", 64), ("nu2", 128)):
+        path = tmp_path / f"{name}.csv"
+        rows = rng.uniform(0.0, 0.4, (count, 2)).tolist()
+        path.write_text("x_0,y_0\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows),
+                        encoding="utf-8")
+        files.append(str(path))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _WASSERSTEIN_GUARD, *files], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout.split("\n")
+    assert out[0] == "[0, 0]"
+    loaded = ast.literal_eval(out[1])
+    assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
+    assert "scipy.optimize._lsap" in loaded
 
 
 # -- the benchmark's hooks -------------------------------------------------------

@@ -1,7 +1,10 @@
 import contextlib
+import importlib.machinery
 import importlib.util
 import io
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +163,89 @@ def test_routing_rule_sides_return_the_right_cost(monkeypatch, n1, n2, route):
     other = _uniform_lp(cost_mat) if route == "assignment" else _solve_assignment(cost_mat)
     assert abs(cost - other.cost) <= 1e-9
     _check_marginals(plan, n1, n2)
+
+
+@pytest.fixture
+def fresh_solver():
+    # the assignment solver is loaded once per process; load it afresh here
+    # and leave no test's choice behind for the next
+    transport._linear_sum_assignment.cache_clear()
+    yield transport._linear_sum_assignment
+    transport._linear_sum_assignment.cache_clear()
+
+
+def _cost_cases():
+    rng = np.random.default_rng(31)
+    metric = MetricSpec(2, 1, 4.0)
+    for n1, n2 in ((64, 64), (9, 9), (64, 128), (6, 9)):
+        a = random_uniform_measure(rng, n1, metric)
+        b = random_uniform_measure(rng, n2, metric)
+        yield _cost_matrix(a, b)
+        # atoms drawn from a small pool, so costs tie between repeated atoms
+        yield _cost_matrix(_with_repeats(rng, n1, metric),
+                           _with_repeats(rng, n2, metric, shared=a.atoms[:2]))
+        yield rng.integers(0, 3, (n1, n2)).astype(float)
+
+
+def _replicated(cost):
+    n1, n2 = cost.shape
+    k = math.lcm(n1, n2)
+    return cost[np.ix_(np.repeat(np.arange(n1), k // n1), np.repeat(np.arange(n2), k // n2))]
+
+
+def test_assignment_extension_loads_without_scipy_optimize(monkeypatch, fresh_solver):
+    assert Path(transport._lsap_extension_path()).is_file()
+    # the public import would fail, so a working solver came from the extension
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    rows, cols = fresh_solver()(np.array([[4.0, 1.0], [2.0, 8.0]]))
+    assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
+
+
+def test_assignment_extension_matches_the_public_function(fresh_solver):
+    fast = fresh_solver()
+    from scipy.optimize import linear_sum_assignment
+
+    for cost in _cost_cases():
+        for c in (cost, _replicated(cost)):
+            got, want = fast(c), linear_sum_assignment(c)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_lp_runs_after_the_assignment_extension_loaded(fresh_solver):
+    fresh_solver()
+    for cost in _cost_cases():
+        plan = _solve_assignment(cost)
+        assert abs(plan.cost - _uniform_lp(cost).cost) <= 1e-9
+
+
+def _junk_extension(tmp_path):
+    path = tmp_path / ("_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    path.write_bytes(b"not a shared object")
+    return str(path)
+
+
+@pytest.mark.parametrize("locate", [lambda tmp_path: None, _junk_extension],
+                         ids=["missing", "unloadable"])
+def test_assignment_falls_back_to_the_public_import(monkeypatch, tmp_path, fresh_solver,
+                                                    locate):
+    fresh_solver()
+    expected = [_solve_assignment(c) for c in _cost_cases()]
+    import scipy.optimize
+
+    original = scipy.optimize.linear_sum_assignment
+    calls = []
+
+    def public(cost):
+        calls.append(cost.shape)
+        return original(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", public)
+    path = locate(tmp_path)
+    monkeypatch.setattr(transport, "_lsap_extension_path", lambda: path)
+    transport._linear_sum_assignment.cache_clear()
+    assert [_solve_assignment(c) for c in _cost_cases()] == expected
+    assert len(calls) == len(expected)
 
 
 def test_w1_symmetry_bit_exact_and_triangle():
@@ -354,7 +440,7 @@ def test_decay_curve_is_frozen(preset, n_max, atoms, pi_tol, seed, expected):
 
 
 def test_w1_on_sampled_clouds_is_frozen():
-    # 64 x 64 goes to the assignment, 64 x 128 (nu listed twice) to the LP
+    # 64 x 64 and 64 x 128 (nu listed twice) both go to the assignment
     gen = load_preset("affine_triangle").gen
     mu = invariant_sampler(gen, 1e-3, 64, SeedSpec(21))
     nu = invariant_sampler(gen, 1e-3, 64, SeedSpec(22))
