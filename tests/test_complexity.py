@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from chaincert.complexity import (
     EXACT_N_CAP,
     LossMatrix,
+    _TILE,
     _bit_scores,
-    _draw_sign_bits,
     _pair_sums,
+    _sign_tiles,
     growth_bound,
     loss_matrix,
     rademacher_estimate,
@@ -114,32 +115,92 @@ def test_mc_is_consistent_with_exact():
     assert abs(est.value - exact) <= 3.5 * est.se
 
 
+def _raw_bits(seed: int, pairs: int, n: int) -> np.ndarray:
+    """The bits of ``pairs`` sign vectors unpacked from one draw of all their
+    bytes: bit t of a vector is bit t (most significant first) of its
+    ceil(n/8) bytes, and the padding bits of the last byte are dropped."""
+    row_bytes = (n + 7) // 8
+    raw = np.frombuffer(make_rng(SeedSpec(seed)).bytes(pairs * row_bytes), dtype=np.uint8)
+    t = np.arange(n)
+    return (raw.reshape(pairs, row_bytes)[:, t // 8] >> (7 - t % 8)) & 1
+
+
 @pytest.mark.parametrize("n", (1, 7, 8, 9, 201))
 def test_packed_bit_scores_match_direct_signs(n):
-    draws = 300
-    pairs = draws // 2  # one drawn vector sigma per pair (sigma, -sigma)
     vals = np.random.default_rng(n).random((5, n))
-    bits = _draw_sign_bits(make_rng(SeedSpec(n)), pairs, n)
-    # bit t of a vector is bit t (most significant first) of its ceil(n/8)
-    # bytes; the padding bits of the last byte are dropped
-    row_bytes = (n + 7) // 8
-    raw = np.frombuffer(make_rng(SeedSpec(n)).bytes(pairs * row_bytes), dtype=np.uint8)
-    t = np.arange(n)
-    expected = (raw.reshape(pairs, row_bytes)[:, t // 8] >> (7 - t % 8)) & 1
-    assert bits.dtype == float and np.array_equal(bits, expected)
-    spread, reach = _pair_sums(_bit_scores(vals, bits))
-    plain, sym = spread / (2 * n), reach / n
-    # pair oracle: score sigma and -sigma directly and average the two maxima
-    direct = (1.0 - 2.0 * bits) @ vals.T  # (pairs, H)
-    np.testing.assert_allclose(
-        plain, (direct.max(axis=1) / n + (-direct).max(axis=1) / n) / 2, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(
-        sym, (np.abs(direct).max(axis=1) / n + np.abs(-direct).max(axis=1) / n) / 2,
-        rtol=0, atol=1e-12)
-    # the estimator takes exactly the centred mean of these pair statistics
-    est = rademacher_mc(LossMatrix(values=vals, ell_H=1.0), draws=draws, seed=SeedSpec(n))
-    assert est.value == plain[0] + (plain - plain[0]).mean()
-    assert est.value_symmetrized == sym[0] + (sym - sym[0]).mean()
+    # pair counts below one tile, exactly one tile, and across three tiles
+    # with a partial last one
+    for draws in (300, 2 * _TILE, 2 * (2 * _TILE + 7)):
+        pairs = draws // 2  # one drawn vector sigma per pair (sigma, -sigma)
+        tiles, spread, reach = [], [], []
+        for start, bits in _sign_tiles(make_rng(SeedSpec(n)), pairs, n):
+            # every tile is a view of one reused buffer, in stream order
+            assert bits.dtype == float and 1 <= len(bits) <= _TILE
+            assert start == sum(map(len, tiles))
+            assert not tiles or np.shares_memory(bits, first)
+            first = bits
+            tiles.append(bits.copy())
+            tile_spread, tile_reach = _pair_sums(_bit_scores(vals, bits))
+            spread.append(tile_spread)
+            reach.append(tile_reach)
+        assert len(tiles) == -(-pairs // _TILE)
+        bits = np.concatenate(tiles)
+        assert np.array_equal(bits, _raw_bits(n, pairs, n))
+        plain, sym = np.concatenate(spread) / (2 * n), np.concatenate(reach) / n
+        # pair oracle: score sigma and -sigma directly and average the two maxima
+        direct = (1.0 - 2.0 * bits) @ vals.T  # (pairs, H)
+        np.testing.assert_allclose(
+            plain, (direct.max(axis=1) / n + (-direct).max(axis=1) / n) / 2, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            sym, (np.abs(direct).max(axis=1) / n + np.abs(-direct).max(axis=1) / n) / 2,
+            rtol=0, atol=1e-12)
+        # the estimator takes exactly the centred mean of these pair statistics
+        est = rademacher_mc(LossMatrix(values=vals, ell_H=1.0), draws=draws, seed=SeedSpec(n))
+        assert est.value == plain[0] + (plain - plain[0]).mean()
+        assert est.value_symmetrized == sym[0] + (sym - sym[0]).mean()
+
+
+@pytest.mark.parametrize("n", (8, 21, 200, 500))
+def test_mc_scores_one_unbroken_byte_stream(n, monkeypatch):
+    # the tiles read the random stream exactly as one draw of every pair's
+    # bytes would, whatever the row width; no product is compared, so this
+    # holds on any BLAS
+    import chaincert.complexity as complexity
+
+    scored = []
+    real = complexity._bit_scores
+
+    def recording(values, bits):
+        scored.append(bits.copy())
+        return real(values, bits)
+
+    monkeypatch.setattr(complexity, "_bit_scores", recording)
+    pairs = 3 * _TILE + 5
+    vals = np.random.default_rng(n).random((3, n))
+    rademacher_mc(LossMatrix(values=vals, ell_H=1.0), draws=2 * pairs, seed=SeedSpec(n))
+    assert len(scored) == 4
+    assert np.array_equal(np.concatenate(scored), _raw_bits(n, pairs, n))
+
+
+def _warm_mc_peak(mat: LossMatrix, draws: int) -> int:
+    rademacher_mc(mat, draws, SeedSpec(1))
+    tracemalloc.start()
+    try:
+        rademacher_mc(mat, draws, SeedSpec(1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_memory_is_one_tile():
+    mat = LossMatrix(values=np.random.default_rng(4).random((4, 200)), ell_H=1.0)
+    peak = _warm_mc_peak(mat, 4096)
+    assert peak <= 1.5 * 2**20
+    # 16x the draws: the scoring buffers stay one tile; only the two float64
+    # statistics the estimator keeps per pair (its error is a second pass
+    # over them) grow with the draw count, give or take a few small objects
+    kept = 2 * 8 * (65_536 - 4096) // 2
+    assert _warm_mc_peak(mat, 65_536) <= peak + kept + 2**16
 
 
 def test_exact_is_frozen_on_lemma3_inputs():
@@ -216,6 +277,7 @@ def test_loss_matrix_from_trajectory():
     traj = sample_chain(gen, None, 3, SeedSpec(0))
     mat = loss_matrix(cls, traj, env)
     assert mat.num_hypotheses == 3 and mat.num_states == 3
+    assert mat.ell_H == env.ell_H and mat.values.dtype == float
     # states y = 1.0, 0.75, 0.625 against constants 0, 0.5, 1
     assert mat.values[0] == pytest.approx([1.0, 0.75, 0.625], abs=0)
     assert mat.values[2] == pytest.approx([0.0, 0.25, 0.375], abs=1e-15)
