@@ -22,7 +22,7 @@ from .generators import (
     exact_fixed_point,
     sample_stationary_chains,
 )
-from .hypotheses import Hypothesis, HypothesisClass, LossEnv, loss_at, window_loss_values
+from .hypotheses import Hypothesis, HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream
 
 TIE_RULES = ("lowest_index", "first_found")
@@ -133,10 +133,8 @@ def true_risk_table(
                 for r in rows
             )
         z_star = exact_fixed_point(gen)
-        return tuple(
-            RiskEstimate(value=loss_at(env, h, z_star), se=0.0, method="fixed_point")
-            for h in cls.members
-        )
+        rows = window_loss_values(cls, z_star.x[None], z_star.y[None], env)
+        return tuple(RiskEstimate(value=float(r[0]), se=0.0, method="fixed_point") for r in rows)
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("ergodic risk needs a finalized loss environment")
     means = _replica_means(cls, gen, env, replicas, run_length, tol, seed)

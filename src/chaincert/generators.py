@@ -43,7 +43,7 @@ from .errors import (
     GeneratorContractError,
     InvalidInputError,
 )
-from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng
+from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng, row_dist
 
 VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 
@@ -400,15 +400,18 @@ def _block_size(states_per_chain: int) -> int:
     return max(1, _BLOCK_STATES // states_per_chain)
 
 
-def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray):
-    """End states of the chains started at the rows of (x0, y0), chain i
-    under the draws idx[i]; stepped in blocks, keeping only the last rows."""
+def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray, at=-1):
+    """States of the chains started at the rows of (x0, y0), chain i under
+    the draws idx[i], each taken after at[i] steps (the end by default);
+    stepped in blocks, keeping only the taken rows."""
     x_end, y_end = np.empty_like(x0), np.empty_like(y0)
+    at = np.broadcast_to(at, idx.shape[:1])
     size = _block_size(idx.shape[1] + 1)
     for lo in range(0, idx.shape[0], size):
         hi = lo + size
         xs, ys = _step_block(gen, x0[lo:hi], y0[lo:hi], idx[lo:hi])
-        x_end[lo:hi], y_end[lo:hi] = xs[:, -1], ys[:, -1]
+        rows = np.arange(xs.shape[0])
+        x_end[lo:hi], y_end[lo:hi] = xs[rows, at[lo:hi]], ys[rows, at[lo:hi]]
     return x_end, y_end
 
 
@@ -447,10 +450,6 @@ class Trajectory:
 
     def point(self, i: int) -> ZPoint:
         return ZPoint(self.xs[i], self.ys[i])
-
-    @property
-    def points(self) -> tuple[ZPoint, ...]:
-        return tuple(self.point(i) for i in range(len(self)))
 
     def slice(self, start: int, end: int, initial_law: Optional[tuple] = None) -> "Trajectory":
         if not (0 <= start < end <= len(self)):
@@ -623,6 +622,13 @@ def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
     return EmpiricalMeasure(x_end, y_end, gen.metric)
 
 
+def _check_pair_budget(num_pairs, chain_len) -> None:
+    """The sampled checks take an integer num_pairs >= 1 and chain_len >= 2."""
+    for name, value, least in (("num_pairs", num_pairs, 1), ("chain_len", chain_len, 2)):
+        if not (isinstance(value, int) and value >= least):
+            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def empirical_contraction_probe(
     gen: Generator,
     num_pairs: int = 64,
@@ -634,39 +640,41 @@ def empirical_contraction_probe(
     Each pair takes one state from each of two independent chains (skipping
     the start, so labelled states sit on the label graph), and averages
     d(F(z, theta), F(zbar, theta)) / d(z, zbar) exactly over the draw law.
-    The maximum must stay within 1e-9 of the analytic factor.
+    The maximum must stay within 1e-9 of the analytic factor. All the chains
+    are stepped together, and each kept pair is pushed under every draw.
     """
-    if chain_len < 2:
-        raise InvalidInputError("probe needs chain_len >= 2")
+    _check_pair_budget(num_pairs, chain_len)
     factor = analytic_lip_factor(gen)
-    worst = 0.0
-    witness = None
+    starts, picks, uniforms = [], [], []
     for j in range(num_pairs):
-        rng = make_rng(derive_stream(seed, j))
-        pair = []
-        for c in range(2):
-            start = ZPoint(*_sample_start(gen, rng))
-            chain_seed = derive_stream(seed, (c + 1) * num_pairs + j)
-            traj = sample_chain(gen, start, chain_len, chain_seed)
-            pick = int(rng.integers(1, chain_len))
-            pair.append(traj.point(pick))
-        za, zb = pair
-        base = dist(za, zb, gen.metric)
-        if base < _PAIR_FLOOR:
-            continue
-        # rows 0..k-1 carry za under every draw, rows k..2k-1 carry zb
-        k = len(gen.theta)
-        xs, ys = _advance(gen, np.repeat([za.x, zb.x], k, axis=0), np.tile(np.arange(k), 2))
-        ratio = 0.0
-        for i, w in enumerate(gen.theta.weights):
-            num = dist(ZPoint(xs[i], ys[i]), ZPoint(xs[k + i], ys[k + i]), gen.metric)
-            ratio += float(w) * (num / base)
-        if ratio > worst:
-            worst, witness = ratio, (za, zb)
+        rng = make_rng(derive_stream(seed, j))  # pair j's starts and picks
+        for c in range(2):  # row 2 j + c is chain c of pair j
+            starts.append(_sample_start(gen, rng))
+            picks.append(rng.integers(1, chain_len))
+            chain_rng = make_rng(derive_stream(seed, (c + 1) * num_pairs + j))
+            uniforms.append(chain_rng.random(chain_len - 1))
+    x0, y0 = map(np.array, zip(*starts))
+    idx = gen.theta.indices_from_uniform(np.array(uniforms))
+    xs, ys = _final_states(gen, x0, y0, idx, np.array(picks))
+    base = row_dist(xs[0::2], ys[0::2], xs[1::2], ys[1::2], gen.metric)
+    kept = np.flatnonzero(base >= _PAIR_FLOOR)
+    if not len(kept):
+        return 0.0
+    # row p k + i carries kept pair p under draw i, on either side
+    k = len(gen.theta)
+    draws = np.tile(np.arange(k), len(kept))
+    num = row_dist(*_advance(gen, np.repeat(xs[2 * kept], k, axis=0), draws),
+                   *_advance(gen, np.repeat(xs[2 * kept + 1], k, axis=0), draws),
+                   gen.metric).reshape(len(kept), k)
+    ratios = np.zeros(len(kept))
+    for i, w in enumerate(gen.theta.weights):
+        ratios += float(w) * (num[:, i] / base[kept])
+    worst = float(ratios.max(initial=0.0))
     if worst > factor + _PROBE_SLACK:
+        p = 2 * kept[np.argmax(ratios)]
         raise GeneratorContractError(
             f"probe ratio {worst!r} exceeds the analytic factor {factor!r} "
-            f"at pair {witness!r}"
+            f"at pair {(ZPoint(xs[p], ys[p]), ZPoint(xs[p + 1], ys[p + 1]))!r}"
         )
     return worst
 

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidInputError
-from .generators import Generator, sample_chains
-from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist
+from .generators import Generator, _check_pair_budget, sample_chains
+from .metric import MetricSpec, SeedSpec, ZPoint, _triangle_pairs, derive_stream, row_dist
 
 HYPOTHESIS_KINDS = ("constant", "linear", "tabulated")
 _A2_SLACK = 1e-9
@@ -219,18 +219,6 @@ def finalize_env(env: LossEnv, cls: HypothesisClass, spec: MetricSpec,
     return replace(env, ell_H=ell, L_H=sup_value)
 
 
-def loss_at(env: LossEnv, h: Hypothesis, z: ZPoint) -> float:
-    """Composite loss at one state, guarded by the declared bound."""
-    val = float(env.loss_rows(h.predict(z.x[None, :])[0], z.y))
-    if not np.isfinite(val) or val < 0:
-        raise AssumptionViolationError(f"loss must be finite and non-negative, got {val!r}")
-    if np.isfinite(env.ell_H) and val > env.ell_H * (1.0 + 1e-12):
-        raise AssumptionViolationError(
-            f"loss value {val!r} exceeds the declared bound ell_H = {env.ell_H!r}"
-        )
-    return val
-
-
 def window_loss_values(
     cls: HypothesisClass, xs: np.ndarray, ys: np.ndarray, env: LossEnv
 ) -> np.ndarray:
@@ -269,47 +257,30 @@ def verify_a2(
     verifies both the value bound and the Lipschitz ratio. A violation raises
     with the witnessing pair; success returns the observed maxima.
     """
+    _check_pair_budget(num_pairs, chain_len)
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("finalize the loss environment before verifying it")
-    states: list[ZPoint] = []
-    chains = max(2, (2 * num_pairs) // max(chain_len - 1, 1) + 1)
-    for traj in sample_chains(gen, chain_len, [derive_stream(seed, c) for c in range(chains)]):
-        states.extend(traj.point(t) for t in range(1, chain_len))
-    xs = np.stack([z.x for z in states])
-    ys = np.stack([z.y for z in states])
+    chains = max(2, (2 * num_pairs) // (chain_len - 1) + 1)
+    paths = list(sample_chains(gen, chain_len, [derive_stream(seed, c) for c in range(chains)]))
+    xs = np.concatenate([traj.xs[1:] for traj in paths])
+    ys = np.concatenate([traj.ys[1:] for traj in paths])
     rows = window_loss_values(cls, xs, ys, env)
-    max_value = float(rows.max())
 
-    count = len(states)
-    checked = 0
-    max_ratio = 0.0
-    witness = None
+    # every stride-th pair in row-major order, skipping pairs closer than 1e-12
+    count = xs.shape[0]
     stride = max(1, (count * (count - 1) // 2) // num_pairs)
-    flat = 0
-    for i in range(count):
-        for j in range(i + 1, count):
-            flat += 1
-            if flat % stride:
-                continue
-            base = dist(states[i], states[j], gen.metric)
-            if base < 1e-12:
-                continue
-            gaps = np.abs(rows[:, i] - rows[:, j])
-            ratio = float(gaps.max()) / base
-            checked += 1
-            if ratio > max_ratio:
-                max_ratio, witness = ratio, (states[i], states[j])
-            if checked >= num_pairs:
-                break
-        if checked >= num_pairs:
-            break
-    if max_value > env.ell_H * (1.0 + 1e-12):
-        raise AssumptionViolationError(
-            f"loss value {max_value!r} exceeds ell_H = {env.ell_H!r}"
-        )
+    i, j = _triangle_pairs(count, stride - 1, stride)
+    base = row_dist(xs[i], ys[i], xs[j], ys[j], gen.metric)
+    keep = np.flatnonzero(base >= 1e-12)[:num_pairs]
+    i, j = i[keep], j[keep]
+    ratios = np.abs(rows[:, i] - rows[:, j]).max(axis=0) / base[keep]
+    max_ratio = float(ratios.max(initial=0.0))
     if max_ratio > env.ell_H * (1.0 + _A2_SLACK):
+        w = int(np.argmax(ratios))
+        witness = (ZPoint(xs[i[w]], ys[i[w]]), ZPoint(xs[j[w]], ys[j[w]]))
         raise AssumptionViolationError(
             f"loss Lipschitz ratio {max_ratio!r} exceeds ell_H = {env.ell_H!r} "
             f"at pair {witness!r}"
         )
-    return A2Report(max_ratio=max_ratio, max_value=max_value, pairs_checked=checked, ell_H=env.ell_H)
+    return A2Report(max_ratio=max_ratio, max_value=float(rows.max()), pairs_checked=len(keep),
+                    ell_H=env.ell_H)

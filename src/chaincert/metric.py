@@ -98,7 +98,7 @@ class MetricSpec:
 
 def _check_raw_bound(raw, spec: MetricSpec) -> None:
     limit = spec.kappa * spec.diameter_bound
-    worst = float(np.max(raw))
+    worst = float(np.max(raw, initial=0.0))
     if worst > limit * (1.0 + _REL_SLACK):
         raise InvalidInputError(
             f"kappa bound violated: raw coordinate-sum distance {worst!r} exceeds "
@@ -110,7 +110,17 @@ def dist(z: ZPoint, zbar: ZPoint, spec: MetricSpec) -> float:
     """Normalized sum distance; guaranteed inside [0, diameter_bound]."""
     spec.check_point(z)
     spec.check_point(zbar)
-    raw = float(np.linalg.norm(z.x - zbar.x)) + float(np.linalg.norm(z.y - zbar.y))
+    return float(row_dist(z.x[None], z.y[None], zbar.x[None], zbar.y[None], spec)[0])
+
+
+def row_dist(xs1: np.ndarray, ys1: np.ndarray, xs2: np.ndarray, ys2: np.ndarray,
+             spec: MetricSpec) -> np.ndarray:
+    """Distance of row i of one stacked state array to row i of another, same
+    bound check; a one-row side is paired with every row of the other."""
+    # one dot product per row rounds like np.linalg.norm of that row alone;
+    # norm(d, axis=1) sums the squares otherwise from two coordinates on
+    dx, dy = (xs1 - xs2)[:, None], (ys1 - ys2)[:, None]
+    raw = np.sqrt((dx @ dx.mT)[:, 0, 0]) + np.sqrt((dy @ dy.mT)[:, 0, 0])
     _check_raw_bound(raw, spec)
     return raw / spec.kappa
 
@@ -122,6 +132,15 @@ def pairwise_dist(
     raw = _euclidean(xs1, xs2) + _euclidean(ys1, ys2)
     _check_raw_bound(raw, spec)
     return raw / spec.kappa
+
+
+def _triangle_pairs(m: int, first: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j < m at row-major positions first, first + stride, ...;
+    only the picked pairs are built."""
+    flat = np.arange(first, m * (m - 1) // 2, stride)
+    ends = np.cumsum(np.arange(m - 1, 0, -1))  # one past each row's last position
+    i = np.searchsorted(ends, flat, side="right")
+    return i, flat - ends[i] + m
 
 
 def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

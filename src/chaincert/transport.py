@@ -1,9 +1,8 @@
 """Exact transport distance between finite state measures.
 
 An ``EmpiricalMeasure`` keeps its atoms as stacked coordinate rows, and the
-cost matrix, the canonical argument order and the curve's pushed clouds are
-computed from those arrays; its ``atoms`` are a ``ZPoint`` view for the
-point-wise duality bound.
+cost matrix, the canonical argument order, the curve's pushed clouds and the
+duality bound's probes are computed from those arrays.
 
 The order-1 transport cost between two measures is solved exactly. Two
 uniform measures of n1 and n2 atoms are an assignment problem on k = lcm(n1,
@@ -31,12 +30,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .metric import MetricSpec, SeedSpec, ZPoint, dist, pairwise_dist
+from .metric import MetricSpec, SeedSpec, ZPoint, _triangle_pairs, pairwise_dist, row_dist
 
 ATOM_CAP = 2000
 _MAX_BLOWUP = 16
 _MARGINAL_TOL = 1e-9
 _LIP_TOL = 1e-9
+_PROBE_CONTRACT = "probes act row-wise: f(xs, ys) maps the rows of m states to m values"
 
 
 def _as_rows(values, width: int, label: str) -> np.ndarray:
@@ -119,9 +119,6 @@ class EmpiricalMeasure:
 
     def __len__(self) -> int:
         return self.xs.shape[0]
-
-    def integrate(self, fn: Callable[[ZPoint], float]) -> float:
-        return float(sum(w * fn(a) for w, a in zip(self.weights, self.atoms)))
 
     def is_uniform(self) -> bool:
         return bool(np.all(np.abs(self.weights - 1.0 / len(self)) <= 1e-12))
@@ -335,50 +332,56 @@ def w1_bruteforce(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
 def kr_dual_lower_bound(
     mu1: EmpiricalMeasure,
     mu2: EmpiricalMeasure,
-    probe_functions: Sequence[Callable[[ZPoint], float]],
+    probe_functions: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
     spec: MetricSpec | None = None,
     max_check_pairs: int = 4096,
 ) -> float:
     """Duality lower bound max_f |mu1(f) - mu2(f)| over 1-Lipschitz probes.
 
-    Each probe is spot-verified on a deterministic subsample of atom pairs;
-    a violation beyond 1e-9 rejects the probe rather than returning a bogus
-    bound. By weak duality the result never exceeds the exact cost.
+    A probe maps the stacked (m, dim_x) and (m, dim_y) rows of m states to
+    their m values. It runs once on the atoms of both measures and is checked
+    on a deterministic subsample of atom pairs; a violation beyond 1e-9
+    rejects it rather than returning a bogus bound. By weak duality the
+    result never exceeds the exact cost.
     """
     if not (isinstance(max_check_pairs, int) and max_check_pairs >= 1):
         raise InvalidInputError(
             f"max_check_pairs must be a positive integer, got {max_check_pairs!r}"
         )
     spec = spec if spec is not None else mu1.metric
-    atoms = mu1.atoms + mu2.atoms
-    pairs = [(i, j) for i in range(len(atoms)) for j in range(i + 1, len(atoms))]
-    if len(pairs) > max_check_pairs:
-        stride = len(pairs) // max_check_pairs + 1
-        pairs = pairs[::stride]
+    if {(mu.metric.dim_x, mu.metric.dim_y) for mu in (mu1, mu2)} != {(spec.dim_x, spec.dim_y)}:
+        raise InvalidInputError("the duality bound needs both measures in the declared dimensions")
+    xs, ys = np.concatenate([mu1.xs, mu2.xs]), np.concatenate([mu1.ys, mu2.ys])
+    m, total = len(xs), len(xs) * (len(xs) - 1) // 2
+    i, j = _triangle_pairs(m, 0, 1 if total <= max_check_pairs else total // max_check_pairs + 1)
+    allowed = row_dist(xs[i], ys[i], xs[j], ys[j], spec) * (1.0 + _LIP_TOL) + _LIP_TOL
     best = 0.0
     for k, fn in enumerate(probe_functions):
-        vals = [float(fn(a)) for a in atoms]
-        if not all(np.isfinite(vals)):
-            raise InvalidInputError(f"probe {k} returned a non-finite value")
-        for i, j in pairs:
-            gap = abs(vals[i] - vals[j])
-            allowed = dist(atoms[i], atoms[j], spec) * (1.0 + _LIP_TOL) + _LIP_TOL
-            if gap > allowed:
-                raise InvalidInputError(
-                    f"probe {k} is not 1-Lipschitz: |f(z)-f(zbar)| = {gap!r} exceeds "
-                    f"the distance at atom pair ({i}, {j})"
-                )
-        m1 = mu1.integrate(fn)
-        m2 = mu2.integrate(fn)
-        best = max(best, abs(m1 - m2))
+        try:
+            vals = np.asarray(fn(xs, ys), dtype=float)
+        except (TypeError, ValueError, AttributeError, IndexError) as err:
+            raise InvalidInputError(f"probe {k} fails on stacked rows; {_PROBE_CONTRACT}") from err
+        if vals.shape != (m,) or not np.all(np.isfinite(vals)):
+            raise InvalidInputError(
+                f"probe {k} returned shape {vals.shape}, not {m} finite values; {_PROBE_CONTRACT}")
+        gaps = np.abs(vals[i] - vals[j])
+        bad = np.flatnonzero(gaps > allowed)
+        if bad.size:
+            raise InvalidInputError(
+                f"probe {k} is not 1-Lipschitz: |f(z)-f(zbar)| = {float(gaps[bad[0]])!r} "
+                f"exceeds the distance at atom pair ({i[bad[0]]}, {j[bad[0]]})"
+            )
+        best = max(best, abs(float(mu1.weights @ vals[:len(mu1)] - mu2.weights @ vals[len(mu1):])))
     return best
 
 
 def distance_probes(anchors: Sequence[ZPoint], spec: MetricSpec) -> list:
-    """Distance-to-anchor probes f = d(., a); 1-Lipschitz by the triangle inequality."""
+    """Distance-to-anchor probes f = d(., a), 1-Lipschitz by the triangle
+    inequality; each maps the stacked rows (xs, ys) of m states to m distances."""
 
     def make(a: ZPoint):
-        return lambda z: dist(z, a, spec)
+        spec.check_point(a)
+        return lambda xs, ys: row_dist(xs, ys, a.x[None], a.y[None], spec)
 
     return [make(a) for a in anchors]
 

@@ -11,7 +11,6 @@ from chaincert.hypotheses import (
     constant_hypothesis,
     finalize_env,
     linear_hypothesis,
-    loss_at,
     make_abs_loss,
     make_squared_loss,
     tabulated_hypothesis,
@@ -20,11 +19,18 @@ from chaincert.hypotheses import (
 )
 from chaincert.metric import MetricSpec, SeedSpec, ZPoint
 
+from chaincert.generators import empirical_contraction_probe
+
 from test_generators import make_halving, make_iid
 
 
 def unit_square():
     return MetricSpec(dim_x=1, dim_y=1, kappa=2.0)
+
+
+def loss_of(env, h, z):
+    """Composite loss of one hypothesis at one state: a one-row window."""
+    return window_loss_values(HypothesisClass((h,)), z.x[None], z.y[None], env)[0, 0]
 
 
 def test_predictions_by_kind():
@@ -103,11 +109,11 @@ def test_finalize_env_and_value_guard():
 
     z = ZPoint(x=np.array([0.25]), y=np.array([0.9]))
     h = cls.members[0]
-    assert loss_at(env, h, z) == pytest.approx(0.9, abs=1e-15)
+    assert loss_of(env, h, z) == pytest.approx(0.9, abs=1e-15)
 
     # clip engages exactly at the declared level
     env_tight = finalize_env(make_abs_loss(clip=0.5), cls, spec)
-    assert loss_at(env_tight, h, z) == pytest.approx(0.5, abs=0)
+    assert loss_of(env_tight, h, z) == pytest.approx(0.5, abs=0)
 
 
 def test_loss_rows_match_pointwise():
@@ -127,7 +133,7 @@ def test_loss_rows_match_pointwise():
     for hi, h in enumerate(cls.members):
         for t in range(9):
             z = ZPoint(x=xs[t], y=ys[t])
-            assert rows[hi, t] == pytest.approx(loss_at(env, h, z), abs=0)
+            assert rows[hi, t] == pytest.approx(loss_of(env, h, z), abs=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -180,3 +186,25 @@ def test_verify_a2_requires_finalized_env():
     env = make_abs_loss(clip=1.0)
     with pytest.raises(InvalidInputError):
         verify_a2(env, cls, gen)
+
+
+def _a2_on_halving(num_pairs, chain_len):
+    gen = make_halving()
+    cls = constant_grid([0.5])
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    verify_a2(env, cls, gen, num_pairs=num_pairs, chain_len=chain_len)
+
+
+def _probe_on_halving(num_pairs, chain_len):
+    empirical_contraction_probe(make_halving(), num_pairs=num_pairs, chain_len=chain_len)
+
+
+@pytest.mark.parametrize("check", [_a2_on_halving, _probe_on_halving])
+@pytest.mark.parametrize(
+    "num_pairs, chain_len, field",
+    [(0, 8, "num_pairs"), (-3, 8, "num_pairs"), (-2, 8, "num_pairs"), (3.0, 8, "num_pairs"),
+     (8, 1, "chain_len"), (8, 0, "chain_len"), (8, 4.0, "chain_len")],
+)
+def test_sampled_checks_reject_bad_pair_budgets(check, num_pairs, chain_len, field):
+    with pytest.raises(InvalidInputError, match=field):
+        check(num_pairs, chain_len)

@@ -16,8 +16,10 @@ from chaincert.metric import (
     ZPoint,
     derive_stream,
     dist,
+    _triangle_pairs,
     make_rng,
     pairwise_dist,
+    row_dist,
 )
 
 
@@ -78,6 +80,30 @@ def test_pairwise_matches_scalar_dist():
         for j in range(6):
             zi, zj = ZPoint(xs[i], ys[i]), ZPoint(xs[j], ys[j])
             assert mat[i, j] == pytest.approx(dist(zi, zj, spec), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_row_dist_rounds_like_the_norm_of_each_row(dim):
+    rng = np.random.default_rng(dim)
+    spec = MetricSpec(dim_x=dim, dim_y=dim, kappa=10.0 * dim)
+    xs1, ys1 = _random_points(rng, 200, dim, dim, 1.0)
+    xs2, ys2 = _random_points(rng, 200, dim, dim, 1.0)
+    loop = [(float(np.linalg.norm(xs1[i] - xs2[i])) + float(np.linalg.norm(ys1[i] - ys2[i])))
+            / spec.kappa for i in range(200)]
+    assert row_dist(xs1, ys1, xs2, ys2, spec).tolist() == loop
+    # a one-row side is paired with every row of the other
+    anchor = ZPoint(xs2[0], ys2[0])
+    assert row_dist(xs1, ys1, xs2[:1], ys2[:1], spec).tolist() == [
+        dist(ZPoint(xs1[i], ys1[i]), anchor, spec) for i in range(200)]
+    assert row_dist(xs1[:0], ys1[:0], xs2[:0], ys2[:0], spec).shape == (0,)
+
+
+def test_triangle_pairs_match_the_row_major_loop():
+    for m in range(12):
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for first, stride in ((0, 1), (0, 4), (3, 4), (10, 7)):
+            i, j = _triangle_pairs(m, first, stride)
+            assert list(zip(i.tolist(), j.tolist())) == pairs[first::stride]
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**32))

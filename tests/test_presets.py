@@ -11,7 +11,7 @@ from chaincert.generators import (
     empirical_contraction_probe,
     sample_chain,
 )
-from chaincert.hypotheses import verify_a2
+from chaincert.hypotheses import A2Report, verify_a2
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names
 
@@ -65,6 +65,27 @@ def test_probe_agrees_with_declared_factor():
         bundle = load_preset(name)
         probe = empirical_contraction_probe(bundle.gen, num_pairs=48, chain_len=10, seed=SeedSpec(8))
         assert probe <= analytic_lip_factor(bundle.gen) + 1e-9
+
+
+# A2 reports (num_pairs=64, chain_len=12, seed 9) and probe ratios
+# (num_pairs=48, chain_len=10, seed 8) as the point-at-a-time checks gave them
+FROZEN_CHECKS = {
+    "halving_map": (A2Report(1.0, 0.75, 58, 2.0), "0x1.0000000012d4cp-1"),
+    "affine_triangle": (A2Report(0.9999584485422557, 0.403254678573283, 64, 2.0),
+                        "0x1.99999999999c0p-3"),
+    "labeled_affine": (A2Report(1.5, 0.19859374999999999, 64, 1.5), "0x1.9999999999a1ep-2"),
+    "iid_four": (A2Report(1.6842105263157894, 0.9, 58, 2.0), "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CHECKS))
+def test_row_wise_checks_keep_the_frozen_values(name):
+    bundle = load_preset(name)
+    report, probe = FROZEN_CHECKS[name]
+    assert verify_a2(bundle.env, bundle.cls, bundle.gen, num_pairs=64, chain_len=12,
+                     seed=SeedSpec(9)) == report
+    ratio = empirical_contraction_probe(bundle.gen, num_pairs=48, chain_len=10, seed=SeedSpec(8))
+    assert ratio.hex() == probe
 
 
 def test_iid_four_exact_risks():

@@ -279,7 +279,19 @@ def test_kr_dual_weak_duality_and_probe_check():
     assert got == pytest.approx(dist(z, zbar, metric), abs=1e-12)
 
     with pytest.raises(InvalidInputError):
-        kr_dual_lower_bound(a, b, [lambda zz: 100.0 * zz.x[0]])
+        kr_dual_lower_bound(a, b, [lambda xs, ys: 100.0 * xs[:, 0]])
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [lambda z: float(z.x[0]), lambda xs, ys: xs[:, :1]],
+    ids=["one-point probe", "wrong shape"],
+)
+def test_kr_dual_holds_probes_to_the_row_contract(probe):
+    a = line_measure([0.0, 0.2])
+    b = line_measure([0.1, 0.3])
+    with pytest.raises(InvalidInputError, match="probes act row-wise"):
+        kr_dual_lower_bound(a, b, [probe])
 
 
 def test_atom_cap_enforced():
