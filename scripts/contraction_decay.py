@@ -19,7 +19,7 @@ from chaincert.cli import run_with_exit_codes
 from chaincert.generators import analytic_lip_factor
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names
-from chaincert.reporting import ResultBundle, emit_plot_data, write_summary
+from chaincert.reporting import write_rows_csv, write_summary
 from chaincert.transport import contraction_curve
 
 
@@ -64,11 +64,10 @@ def _run(args):
         "fitted_rate": None if slope is None else math.exp(slope),
         "analytic_factor": factor,
     }
-    result = ResultBundle(kind="contraction_curve", summary=summary,
-                          row_header=("n", "w1"), rows=tuple(curve))
     os.makedirs(args.out, exist_ok=True)
-    emit_plot_data(result, "contraction_curve", os.path.join(args.out, "contraction_curve.csv"))
-    write_summary(result, os.path.join(args.out, "contraction_summary.json"))
+    write_rows_csv(("n", "w1"), curve, os.path.join(args.out, "contraction_curve.csv"))
+    write_summary("contraction_curve", summary,
+                  os.path.join(args.out, "contraction_summary.json"))
     rate = "none" if slope is None else f"{summary['fitted_rate']:.4f}"
     print(f"{args.preset}: fitted rate {rate} "
           f"vs analytic factor {factor:.4f} over {len(curve)} points")

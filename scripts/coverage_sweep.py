@@ -17,7 +17,7 @@ from chaincert.complexity import check_draws
 from chaincert.errors import InvalidInputError
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names
-from chaincert.reporting import ResultBundle, emit_plot_data, write_summary
+from chaincert.reporting import write_rows_csv, write_summary
 
 
 def main(argv=None):
@@ -67,12 +67,11 @@ def _run(args):
         "rad_outer": args.rad_outer,
         "mc_draws": args.draws,
     }
-    result = ResultBundle(kind="coverage_sweep", summary=summary,
-                          row_header=("n", "coverage_pop", "coverage_emp", "confidence"),
-                          rows=tuple(rows))
     os.makedirs(args.out, exist_ok=True)
-    emit_plot_data(result, "coverage_sweep", os.path.join(args.out, "coverage_sweep.csv"))
-    write_summary(result, os.path.join(args.out, "coverage_sweep_summary.json"))
+    write_rows_csv(("n", "coverage_pop", "coverage_emp", "confidence"), rows,
+                   os.path.join(args.out, "coverage_sweep.csv"))
+    write_summary("coverage_sweep", summary,
+                  os.path.join(args.out, "coverage_sweep_summary.json"))
     print(f"wrote {args.out}/coverage_sweep.csv")
     return 0
 

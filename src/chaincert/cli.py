@@ -8,7 +8,7 @@ Subcommands:
     erm           run the approximate minimizer on a trajectory CSV
     certify       evaluate a certificate formula from flags
     validate      run one statistical validator (lemma1|lemma2|lemma3|coverage)
-    coverage      run the end-to-end coverage experiment
+    coverage      run the end-to-end coverage experiment (validate coverage)
 
 Exit codes: 0 success, 2 invalid configuration or input, 3 assumption
 violation (expected contraction at or above one, loss scale breached), 4 a
@@ -40,7 +40,6 @@ from .complexity import (
     check_draws,
     loss_matrix,
     rademacher_estimate,
-    rademacher_exact,
     rademacher_mc,
 )
 from .config import (
@@ -60,7 +59,6 @@ from .generators import analytic_lip_factor, sample_chain
 from .hypotheses import verify_a2
 from .metric import MetricSpec, SeedSpec, derive_stream
 from .reporting import (
-    ResultBundle,
     read_atoms_csv,
     read_loss_matrix_csv,
     read_trajectory_csv,
@@ -99,6 +97,18 @@ def _print_out(text: str) -> None:
 
 def _print_json(payload: dict) -> None:
     _print_out(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_json(args: argparse.Namespace, kind: str, payload: dict,
+               config_sha256: Optional[str] = None) -> int:
+    """Print the payload, and with ``--out`` also write it as the command's
+    summary JSON."""
+    _print_json(payload)
+    if args.out:
+        out = _ensure_dir(args.out)
+        write_summary(kind, payload, os.path.join(out, f"{args.command}_summary.json"),
+                      config_sha256)
+    return EXIT_OK
 
 
 def _ensure_dir(path: str) -> str:
@@ -154,17 +164,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _ensure_dir(cfg.out_dir)
     csv_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
-    summary = ResultBundle(
-        kind="trajectory",
-        summary={
-            "generator": bundle.gen.name,
-            "n": n,
-            "seed": cfg.seed,
-            "contraction_factor": analytic_lip_factor(bundle.gen),
-            "trajectory_csv": os.path.basename(csv_path),
-        },
-    )
-    write_summary(summary, os.path.join(out, "simulate_summary.json"), config_digest(cfg))
+    summary = {
+        "generator": bundle.gen.name,
+        "n": n,
+        "seed": cfg.seed,
+        "contraction_factor": analytic_lip_factor(bundle.gen),
+        "trajectory_csv": os.path.basename(csv_path),
+    }
+    write_summary("trajectory", summary, os.path.join(out, "simulate_summary.json"),
+                  config_digest(cfg))
     _print_out(f"wrote {csv_path} ({n} rows)")
     return EXIT_OK
 
@@ -184,12 +192,7 @@ def _cmd_wasserstein(args: argparse.Namespace) -> int:
         "target_atoms": xs2.shape[0],
         "kappa": args.kappa,
     }
-    _print_json(payload)
-    if args.out:
-        out = _ensure_dir(args.out)
-        write_summary(ResultBundle(kind="transport", summary=payload),
-                      os.path.join(out, "wasserstein_summary.json"))
-    return EXIT_OK
+    return _emit_json(args, "transport", payload)
 
 
 def _cmd_rademacher(args: argparse.Namespace) -> int:
@@ -201,9 +204,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
         check_draws(args.draws, "--draws")
     matrix = LossMatrix(values, ell_H)
     seed = SeedSpec(args.seed or 0)
-    if args.exact:
-        est = rademacher_exact(matrix)
-    elif args.draws is None:
+    if args.draws is None:
         est = rademacher_estimate(matrix, MC_DRAWS, seed)
     else:
         est = rademacher_mc(matrix, args.draws, seed)
@@ -218,12 +219,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
         "n": matrix.num_states,
         "ell_H": ell_H,
     }
-    _print_json(payload)
-    if args.out:
-        out = _ensure_dir(args.out)
-        write_summary(ResultBundle(kind="rademacher", summary=payload),
-                      os.path.join(out, "rademacher_summary.json"))
-    return EXIT_OK
+    return _emit_json(args, "rademacher", payload)
 
 
 def _cmd_erm(args: argparse.Namespace) -> int:
@@ -258,12 +254,7 @@ def _cmd_erm(args: argparse.Namespace) -> int:
         "window": list(window),
         "risk_table": [[hid, float(v)] for hid, v in report.risk_table],
     }
-    _print_json(payload)
-    if args.out:
-        out = _ensure_dir(args.out)
-        write_summary(ResultBundle(kind="erm", summary=payload),
-                      os.path.join(out, "erm_summary.json"), config_digest(cfg))
-    return EXIT_OK
+    return _emit_json(args, "erm", payload, config_digest(cfg))
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -293,12 +284,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "delta": args.delta,
         },
     }
-    _print_json(payload)
-    if args.out:
-        out = _ensure_dir(args.out)
-        write_summary(ResultBundle(kind="certificate", summary=payload),
-                      os.path.join(out, "certify_summary.json"))
-    return EXIT_OK
+    return _emit_json(args, "certificate", payload)
 
 
 def _run_validator(name: str, cfg: ExperimentConfig):
@@ -344,29 +330,20 @@ def _validator_summary(report, cfg: ExperimentConfig) -> dict:
     }
 
 
-def _emit_validator(report, cfg: ExperimentConfig, prefix: str) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
+    cfg = _effective_config(args)
+    report = _run_validator(args.name, cfg)
+    # ``coverage`` is ``validate coverage`` under its own file prefix
+    prefix = "coverage" if args.command == "coverage" else f"validate_{args.name}"
     out = _ensure_dir(cfg.out_dir)
     write_rows_csv(report.row_header, report.rows,
                    os.path.join(out, f"{prefix}_trials.csv"))
-    bundle = ResultBundle(kind="validation", summary=_validator_summary(report, cfg),
-                          row_header=report.row_header, rows=report.rows)
-    write_summary(bundle, os.path.join(out, f"{prefix}_summary.json"), config_digest(cfg))
+    write_summary("validation", _validator_summary(report, cfg),
+                  os.path.join(out, f"{prefix}_summary.json"), config_digest(cfg))
     verdict = "PASS" if report.passed else "FAIL"
     _print_out(f"{report.name}: {verdict} (statistic={report.statistic:.6g}, "
                f"bound={report.bound:.6g}, margin={report.margin:.6g})")
     return EXIT_OK if report.passed else EXIT_FAIL
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    report = _run_validator(args.name, cfg)
-    return _emit_validator(report, cfg, f"validate_{args.name}")
-
-
-def _cmd_coverage(args: argparse.Namespace) -> int:
-    cfg = _effective_config(args)
-    report = _run_validator("coverage", cfg)
-    return _emit_validator(report, cfg, "coverage")
 
 
 # -- parser ----------------------------------------------------------------------
@@ -411,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rademacher", help="complexity estimate for a loss-matrix CSV")
     p.add_argument("matrix", help="headerless CSV, one row per hypothesis")
-    p.add_argument("--exact", action="store_true", help="force exact sign enumeration")
     p.add_argument("--draws", type=int, help="Monte Carlo sign draws (even, >= 4)")
     p.add_argument("--ell-h", type=float, help="declared loss bound (default: matrix max)")
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
@@ -445,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="run the end-to-end coverage experiment")
     _add_config_flags(p, trials=True, window=True, draws=True)
-    p.set_defaults(handler=_cmd_coverage)
+    p.set_defaults(handler=_cmd_validate, name="coverage")
 
     return parser
 

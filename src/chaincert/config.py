@@ -414,25 +414,13 @@ def _build_label(d: Optional[dict], dim_x: int) -> LabelMap:
         return identity_label()
     if d["kind"] == "linear":
         return linear_label(d["weight"], d["bias"])
-    table_x = np.asarray(d["table_x"], dtype=float)
-    table_y = np.asarray(d["table_y"], dtype=float)
-    if table_x.ndim == 1:
-        table_x = table_x[:, np.newaxis]
-    if table_y.ndim == 1:
-        table_y = table_y[:, np.newaxis]
-    if table_x.shape[0] != table_y.shape[0]:
-        raise InvalidInputError("tabulated label needs one y row per x row")
-    if table_x.shape[1] != dim_x:
+    # a tabulated hypothesis checks the declared lip against the table
+    table = tabulated_hypothesis("label", d["table_x"], d["table_y"], float(d["lip"]))
+    if table.table_x.shape[1] != dim_x:
         raise InvalidInputError(
             f"tabulated label table_x needs {dim_x} columns, one per state coordinate"
         )
-
-    def lookup(x: np.ndarray) -> np.ndarray:
-        # one row of gaps per state row; the nearest table row, lowest index on ties
-        gaps = np.linalg.norm(table_x[None, :, :] - x[:, None, :], axis=2)
-        return table_y[np.argmin(gaps, axis=1)]
-
-    return callable_label(lookup, float(d["lip"]))
+    return callable_label(table.predict, table.declared_lip)
 
 
 def build_generator(block: dict) -> Generator:

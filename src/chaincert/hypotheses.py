@@ -13,6 +13,7 @@ evaluation errors always mean a genuinely broken declaration.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -62,19 +63,21 @@ class Hypothesis:
             tx, ty = self.table_x, self.table_y
             if tx.shape[0] != ty.shape[0] or tx.shape[0] == 0:
                 raise InvalidInputError("tabulated hypothesis needs matching non-empty tables")
-            for i in range(tx.shape[0]):
-                for j in range(i + 1, tx.shape[0]):
-                    dx = float(np.linalg.norm(tx[i] - tx[j]))
-                    dy = float(np.linalg.norm(ty[i] - ty[j]))
-                    if dx == 0.0:
-                        if dy > 0.0:
-                            raise InvalidInputError("tabulated hypothesis maps one x to two labels")
-                        continue
-                    if dy > self.declared_lip * dx * (1.0 + _A2_SLACK):
-                        raise InvalidInputError(
-                            f"declared_lip {self.declared_lip!r} understates the table "
-                            f"ratio {dy / dx!r} of hypothesis {self.hid!r}"
-                        )
+            # row i against the rows after it, so the first violating pair is found first
+            xcols, ycols = tx.T.copy(), ty.T.copy()
+            for i in range(tx.shape[0] - 1):
+                dx, dy = _gaps_after(xcols, i), _gaps_after(ycols, i)
+                clash = (dx == 0.0) & (dy > 0.0)
+                bad = np.flatnonzero(clash | (dy > self.declared_lip * dx * (1.0 + _A2_SLACK)))
+                if bad.size == 0:
+                    continue
+                j = bad[0]
+                if clash[j]:
+                    raise InvalidInputError("tabulated hypothesis maps one x to two labels")
+                raise InvalidInputError(
+                    f"declared_lip {self.declared_lip!r} understates the table "
+                    f"ratio {float(dy[j] / dx[j])!r} of hypothesis {self.hid!r}"
+                )
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized prediction over stacked feature rows."""
@@ -85,6 +88,12 @@ class Hypothesis:
         # nearest tabulated feature, lowest index on ties
         d2 = ((xs[:, None, :] - self.table_x[None, :, :]) ** 2).sum(axis=2)
         return self.table_y[np.argmin(d2, axis=1)]
+
+
+def _gaps_after(cols: np.ndarray, i: int) -> np.ndarray:
+    """Euclidean gaps from row i of a table stored column by column to each later
+    row; chained hypot does not underflow on gaps near 1e-160 as a sum of squares does."""
+    return functools.reduce(np.hypot, (c[i + 1:] - c[i] for c in cols), 0.0)
 
 
 def constant_hypothesis(hid: str, value) -> Hypothesis:

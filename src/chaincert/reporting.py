@@ -1,4 +1,4 @@
-"""Result persistence: summary JSON, per-trial CSV, trajectory CSV, plot data.
+"""Result persistence: summary JSON, per-trial and plot CSVs, trajectory CSV.
 
 Everything written here is deterministic given the payload: floats go through
 ``repr`` (shortest round-trip form), rows keep their trial order, and the only
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -24,30 +23,6 @@ from .metric import MetricSpec, SeedSpec
 VOLATILE_SUMMARY_KEYS = ("created_at", "software_version")
 
 _PLAIN_JSON = frozenset((float, int, str, type(None)))
-
-PLOT_KINDS = {
-    "contraction_curve": ("n", "w1"),
-    "coverage_sweep": ("n", "coverage_pop", "coverage_emp", "confidence"),
-}
-
-
-@dataclass(frozen=True)
-class ResultBundle:
-    """One command's outputs: a summary object plus optional per-trial rows."""
-
-    kind: str
-    summary: dict
-    row_header: tuple = ()
-    rows: tuple = ()
-
-    def __post_init__(self):
-        if self.rows and not self.row_header:
-            raise InvalidInputError("result rows need a header")
-        for row in self.rows:
-            if len(row) != len(self.row_header):
-                raise InvalidInputError(
-                    f"row width {len(row)} does not match header width {len(self.row_header)}"
-                )
 
 
 def _cell(value: Any) -> str:
@@ -92,16 +67,24 @@ def _jsonable(value: Any) -> Any:
 
 
 def write_rows_csv(header, rows, path: str) -> None:
+    """Write a header line and one line per row; a row whose width differs
+    from the header's is invalid input, and nothing is written."""
     lines = [",".join(str(h) for h in header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    for row in rows:
+        if len(row) != len(header):
+            raise InvalidInputError(
+                f"row width {len(row)} does not match header width {len(header)}"
+            )
+        lines.append(",".join(_cell(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_summary(bundle: ResultBundle, path: str, config_sha256: Optional[str] = None) -> dict:
+def write_summary(kind: str, summary: dict, path: str,
+                  config_sha256: Optional[str] = None) -> dict:
     """Write the summary JSON; returns the payload that was written."""
-    payload = {str(k): _jsonable(v) for k, v in bundle.summary.items()}
-    payload["kind"] = bundle.kind
+    payload = {str(k): _jsonable(v) for k, v in summary.items()}
+    payload["kind"] = kind
     payload["software_version"] = __version__
     payload["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if config_sha256 is not None:
@@ -206,16 +189,3 @@ def read_loss_matrix_csv(path: str) -> np.ndarray:
     """Read a headerless loss matrix: one row per hypothesis, one column per step."""
     return _read_numeric_csv(path, "loss matrix", has_header=False)[1]
 
-
-def emit_plot_data(bundle: ResultBundle, kind: str, path: str) -> None:
-    """Write a tidy one-observation-per-row CSV for external plotting."""
-    if kind not in PLOT_KINDS:
-        raise InvalidInputError(f"unknown plot kind {kind!r}; known: {sorted(PLOT_KINDS)}")
-    if bundle.kind != kind:
-        raise InvalidInputError(f"bundle kind {bundle.kind!r} does not match plot kind {kind!r}")
-    header = PLOT_KINDS[kind]
-    if bundle.rows and tuple(bundle.row_header) != header:
-        raise InvalidInputError(
-            f"bundle rows have header {bundle.row_header}, plot kind needs {header}"
-        )
-    write_rows_csv(header, bundle.rows, path)

@@ -25,9 +25,7 @@ from chaincert.generators import analytic_lip_factor, sample_chain
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset
 from chaincert.reporting import (
-    ResultBundle,
     comparable_summary,
-    emit_plot_data,
     read_atoms_csv,
     read_loss_matrix_csv,
     read_summary,
@@ -210,13 +208,19 @@ def test_rows_csv_bytes(tmp_path):
            -0.0, "ab")
     write_rows_csv([f"c{i}" for i in range(len(row))], (row,), str(path))
     assert path.read_bytes().split(b"\n")[1] == b"1,0,7,-7,0.1,0.1,0.5,-0.0,ab"
+    # a row narrower or wider than the header is rejected before the file is written
+    for bad in ((0, 0.1), (0, 0.1, 1, 2)):
+        target = tmp_path / f"bad_{len(bad)}.csv"
+        with pytest.raises(InvalidInputError, match="row width"):
+            write_rows_csv(("trial", "value", "flag"), ((1, 0.5, 0), bad), str(target))
+        assert not target.exists()
 
 
 def test_summary_values_keep_their_json_types(tmp_path):
     summary = {"b": True, "nb": np.bool_(False), "i": 3, "ni": np.int64(4), "f": 0.1,
                "nf": np.float64(0.25), "s": "x", "none": None, "plan": [[0, 1, 0.5]],
                "arr": np.array([1.5, 2.0]), "seed": SeedSpec(5)}
-    payload = write_summary(ResultBundle(kind="k", summary=summary), str(tmp_path / "s.json"))
+    payload = write_summary("k", summary, str(tmp_path / "s.json"))
     back = read_summary(str(tmp_path / "s.json"))
     for p in (payload, back):
         assert p["b"] is True and p["nb"] is False
@@ -284,29 +288,13 @@ def test_readers_reject_malformed_files(tmp_path, reader, fault):
 
 
 def test_summary_round_trip_and_volatile_fields(tmp_path):
-    bundle = ResultBundle(kind="validation", summary={"radius": 0.5, "passed": True})
-    a = write_summary(bundle, str(tmp_path / "a.json"), "ff" * 32)
-    b = write_summary(bundle, str(tmp_path / "b.json"), "ff" * 32)
+    summary = {"radius": 0.5, "passed": True}
+    a = write_summary("validation", summary, str(tmp_path / "a.json"), "ff" * 32)
+    b = write_summary("validation", summary, str(tmp_path / "b.json"), "ff" * 32)
     assert comparable_summary(a) == comparable_summary(b)
     loaded = read_summary(str(tmp_path / "a.json"))
     assert loaded["radius"] == 0.5 and loaded["config_sha256"] == "ff" * 32
     assert "created_at" in loaded and "software_version" in loaded
-
-
-def test_emit_plot_data(tmp_path):
-    rows = ((0, 0.5), (1, 0.25), (2, 0.125))
-    bundle = ResultBundle(kind="contraction_curve", summary={}, row_header=("n", "w1"),
-                          rows=rows)
-    path = tmp_path / "curve.csv"
-    emit_plot_data(bundle, "contraction_curve", str(path))
-    assert path.read_text().splitlines() == ["n,w1", "0,0.5", "1,0.25", "2,0.125"]
-    empty = ResultBundle(kind="coverage_sweep", summary={})
-    emit_plot_data(empty, "coverage_sweep", str(tmp_path / "empty.csv"))
-    assert (tmp_path / "empty.csv").read_text() == "n,coverage_pop,coverage_emp,confidence\n"
-    with pytest.raises(InvalidInputError):
-        emit_plot_data(bundle, "coverage_sweep", str(tmp_path / "x.csv"))
-    with pytest.raises(InvalidInputError):
-        emit_plot_data(bundle, "histogram", str(tmp_path / "x.csv"))
 
 
 # -- command line ----------------------------------------------------------------
@@ -419,7 +407,6 @@ def test_cli_draw_count_rule_in_every_place(tmp_path, capsys, draws):
         ["coverage", "--config", write_config(tmp_path, "good.json", good),
          "--draws", str(draws)],
         ["rademacher", str(matrix), "--draws", str(draws)],
-        ["rademacher", str(matrix), "--exact", "--draws", str(draws)],
     )
     for argv in runs:
         assert main(argv) == 2
@@ -513,10 +500,13 @@ def test_cli_wasserstein_and_rademacher(tmp_path, capsys):
 
     matrix = tmp_path / "loss.csv"
     matrix.write_text("0.0,1.0\n1.0,0.0\n")
-    assert main(["rademacher", str(matrix), "--exact"]) == 0
+    assert main(["rademacher", str(matrix)]) == 0  # two states: enumerated
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(0.25, abs=0)
-    assert payload["method"].startswith("exact")
+    assert payload["method"] == "exact"
+    with pytest.raises(SystemExit) as exc:  # removed flag
+        main(["rademacher", str(matrix), "--exact"])
+    assert exc.value.code == 2
 
 
 AFFINE_1D = {"kind": "affine_ifs", "mats": [[[0.5]]], "vecs": [[0.25]],
@@ -550,6 +540,21 @@ def test_cli_rejects_mismatched_dimensions(tmp_path, generator, member):
         "out_dir": str(tmp_path / "never"),
     })
     assert main(["validate", "lemma1", "--config", cfg]) == 2
+
+
+def test_cli_rejects_understated_tabulated_label(tmp_path, capsys):
+    # the table's ratio is 1.0; a lip of 0.01 would understate ell_F
+    label = {"kind": "tabulated", "table_x": [[0.0], [0.5]], "table_y": [[0.0], [0.5]]}
+    for lip, code in ((0.01, 2), (1.0, 0)):
+        cfg = write_config(tmp_path, "label.json", {
+            "generator": dict(AFFINE_1D, label=dict(label, lip=lip)),
+            "class": {"kind": "finite_list", "members": [{"kind": "constant", "value": [0.0]}]},
+            "loss": {"kind": "abs_clipped", "clip": 1.0}, "n": 8,
+            "out_dir": str(tmp_path / f"lip_{lip}"),
+        })
+        assert main(["simulate", "--config", cfg]) == code
+    assert "understates the table ratio 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "lip_0.01").exists()
 
 
 def test_cli_flat_tabulated_table_is_a_column(tmp_path):

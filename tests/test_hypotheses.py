@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaincert.errors import AssumptionViolationError, InvalidInputError
@@ -55,6 +55,9 @@ def test_declared_lip_is_checked():
         tabulated_hypothesis("t", [[0.0], [1.0]], [[0.0], [5.0]], declared_lip=1.0)
     with pytest.raises(InvalidInputError):
         tabulated_hypothesis("t", [[0.0], [0.0]], [[0.0], [1.0]], declared_lip=9.0)
+    # pairs in row order: (0, 1) has ratio 0.5, (0, 2) 1.5, (1, 2) 2.5
+    with pytest.raises(InvalidInputError, match=r"table ratio 1\.5 "):
+        tabulated_hypothesis("t", [[0.0], [1.0], [2.0]], [[0.0], [0.5], [3.0]], declared_lip=1.0)
     # spectral norm of [[3,4]] is 5
     h = linear_hypothesis("ok", [[3.0, 4.0]], [0.0])
     assert h.declared_lip == pytest.approx(5.0, abs=1e-12)
@@ -142,6 +145,7 @@ def test_loss_rows_match_pointwise():
     lip=st.floats(0.0, 4.0),
     kappa=st.floats(0.5, 8.0),
 )
+@example(clip=1.0, lip=5.243106953923926e-160, kappa=1.0)  # a squared gap here is subnormal
 def test_compose_dominates_both_parts(clip, lip, kappa):
     spec = MetricSpec(dim_x=1, dim_y=1, kappa=kappa)
     cls = HypothesisClass(
