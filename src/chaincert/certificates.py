@@ -200,7 +200,7 @@ def _check_validator_inputs(env: LossEnv, n: int, trials: int) -> None:
 
 def _risk_values(cls, gen, env, tol, seed) -> tuple[np.ndarray, float]:
     """True risks in class order plus a single worst-case uncertainty margin."""
-    table = true_risk_table(cls, gen, env, mode="auto", tol=tol, seed=seed)
+    table = true_risk_table(cls, gen, env, tol=tol, seed=seed)
     values = np.array([e.value for e in table])
     unc = max(3.0 * e.se + e.bias_bound for e in table)
     return values, unc
@@ -304,7 +304,7 @@ def validate_lemma2(
     phi_se = float(phis.std(ddof=1) / math.sqrt(trials))
 
     rad = rademacher_expected(
-        cls, gen, env, n, outer=rad_outer, start_mode="stationary",
+        cls, gen, env, n, outer=rad_outer,
         tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
     )
     rad_bias = env.ell_H * ell_F ** burn_in_steps(gen, tol)
@@ -432,7 +432,7 @@ def coverage_experiment(
     opt_value = float(er_values.min())
 
     rad = rademacher_expected(
-        cls, gen, env, n, outer=rad_outer, start_mode="stationary",
+        cls, gen, env, n, outer=rad_outer,
         tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
     )
     rad_bias = env.ell_H * ell_F ** burn_in_steps(gen, tol)

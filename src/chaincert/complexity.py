@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import Generator, Trajectory, sample_chains, sample_stationary_chains
+from .generators import Generator, Trajectory, sample_stationary_chains
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
@@ -293,28 +293,23 @@ def rademacher_expected(
     env: LossEnv,
     n: int,
     outer: int = 32,
-    start_mode: str = "stationary",
     tol: float = 1e-3,
     seed: SeedSpec = SeedSpec(0),
     mc_draws: int = MC_DRAWS,
 ) -> RademacherEstimate:
     """Complexity averaged over fresh chains, one conditional value per chain.
 
-    ``start_mode`` picks the chain law: ``stationary`` burns in to within
-    ``tol`` first, ``point`` starts every chain at the declared z0.
+    Every chain starts stationary: it is burned in to within ``tol`` of the
+    invariant law before its ``n`` recorded states. Each chain's value is
+    exact or Monte Carlo as ``rademacher_estimate`` picks, and ``method``
+    reads ``expected_<that method>_stationary``.
     """
-    if start_mode not in ("stationary", "point"):
-        raise InvalidInputError(f"start_mode must be 'stationary' or 'point', got {start_mode!r}")
     if not (isinstance(outer, int) and outer >= 2):
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
     per_chain = np.empty(outer)
     per_chain_sym = np.empty(outer)
     streams = [derive_stream(seed, i) for i in range(outer)]
-    if start_mode == "stationary":
-        paths = sample_stationary_chains(gen, n, tol, streams)
-    else:
-        paths = sample_chains(gen, n, streams)
-    for i, traj in enumerate(paths):
+    for i, traj in enumerate(sample_stationary_chains(gen, n, tol, streams)):
         est = rademacher_estimate(loss_matrix(cls, traj, env), mc_draws,
                                   derive_stream(traj.seed, 1))
         per_chain[i] = est.value
@@ -323,7 +318,7 @@ def rademacher_expected(
         value=float(per_chain.mean()),
         se=float(per_chain.std(ddof=1) / math.sqrt(outer)),
         draws=outer,
-        method=f"expected_{est.method}_{start_mode}",
+        method=f"expected_{est.method}_stationary",
         value_symmetrized=float(per_chain_sym.mean()),
         se_symmetrized=float(per_chain_sym.std(ddof=1) / math.sqrt(outer)),
     )

@@ -21,7 +21,7 @@ Top-level keys (all optional unless a command needs them):
     w_bar         start-to-invariant distance cap [0,1] (default 1.0)
     tol           burn-in tolerance in (0, 1)           (default 1e-3)
     draws         Monte Carlo sign draws, even int >= 4 (default complexity.MC_DRAWS)
-    rad_outer     trajectories per complexity average   (default 32)
+    rad_outer     complexity trajectories, int >= 2     (default 32)
     tie_break     "lowest_index" | "first_found"        (default "lowest_index")
     out_dir       output directory                      (default "results")
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -54,7 +54,6 @@ from .generators import (
     LabelMap,
     ZPoint,
     affine_ifs_generator,
-    callable_label,
     identity_label,
     iid_generator,
     linear_label,
@@ -71,20 +70,6 @@ from .hypotheses import (
 )
 from .metric import MetricSpec, pairwise_dist
 from .presets import PresetBundle, load_preset
-
-_BLOCK_KEYS = ("generator", "class", "loss")
-_OPTIONAL_KEYS = ("preset", "n", "epsilon", "delta", "trials") + _BLOCK_KEYS
-_DEFAULTS = {
-    "seed": 0,
-    "window_mode": "delayed",
-    "w_bar": 1.0,
-    "tol": 1e-3,
-    "draws": MC_DRAWS,
-    "rad_outer": 32,
-    "tie_break": "lowest_index",
-    "out_dir": "results",
-}
-_TOP_KEYS = frozenset(_OPTIONAL_KEYS) | frozenset(_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -105,6 +90,14 @@ class ExperimentConfig:
     rad_outer: int = 32
     tie_break: str = "lowest_index"
     out_dir: str = "results"
+
+
+_BLOCK_KEYS = ("generator", "class", "loss")
+# config key of each field; the class block is the one whose name differs
+_KEY_OF = {f.name: "class" if f.name == "class_block" else f.name
+           for f in fields(ExperimentConfig)}
+_TOP_KEYS = frozenset(_KEY_OF.values())
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not None}
 
 
 # -- low-level field checks ------------------------------------------------------
@@ -189,18 +182,15 @@ def _get_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
 
 
 def _check_label_block(d: dict, where: str) -> None:
-    kind = _get_str(d, "kind", where, choices=("identity", "linear", "tabulated"))
+    # no tabulated kind: a nearest-row lookup jumps at cell boundaries, so it
+    # has no Lipschitz constant to declare unless every label row is equal
+    kind = _get_str(d, "kind", where, choices=("identity", "linear"))
     if kind == "identity":
         _check_keys(d, ("kind",), where)
-    elif kind == "linear":
+    else:
         _check_keys(d, ("kind", "weight", "bias"), where)
         _get_array(d, "weight", where, 2)
         _get_array(d, "bias", where, 1)
-    else:
-        _check_keys(d, ("kind", "table_x", "table_y", "lip"), where)
-        _get_array(d, "table_x", where, 2)
-        _get_array(d, "table_y", where, 2)
-        _get_num(d, "lip", where, 0.0, float("inf"), hi_open=True)
 
 
 def _check_generator_block(d: dict) -> None:
@@ -339,7 +329,7 @@ def parse_config(data: Any) -> ExperimentConfig:
         tol=(t if (t := _get_num(data, "tol", "config", 0.0, 1.0, lo_open=True, hi_open=True,
                                  required=False)) is not None else _DEFAULTS["tol"]),
         draws=check_draws(data["draws"], "config.draws") if "draws" in data else _DEFAULTS["draws"],
-        rad_outer=_get_int(data, "rad_outer", "config", 1, required=False) or _DEFAULTS["rad_outer"],
+        rad_outer=_get_int(data, "rad_outer", "config", 2, required=False) or _DEFAULTS["rad_outer"],
         tie_break=_get_str(data, "tie_break", "config", choices=TIE_RULES,
                            default=_DEFAULTS["tie_break"]),
         out_dir=_get_str(data, "out_dir", "config", default=_DEFAULTS["out_dir"]),
@@ -358,23 +348,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def canonical_dict(cfg: ExperimentConfig) -> dict:
-    out: dict[str, Any] = dict(_DEFAULTS)
-    out["seed"] = cfg.seed
-    out["window_mode"] = cfg.window_mode
-    out["w_bar"] = cfg.w_bar
-    out["tol"] = cfg.tol
-    out["draws"] = cfg.draws
-    out["rad_outer"] = cfg.rad_outer
-    out["tie_break"] = cfg.tie_break
-    out["out_dir"] = cfg.out_dir
-    for key, value in (
-        ("preset", cfg.preset), ("generator", cfg.generator), ("class", cfg.class_block),
-        ("loss", cfg.loss), ("n", cfg.n), ("epsilon", cfg.epsilon), ("delta", cfg.delta),
-        ("trials", cfg.trials),
-    ):
-        if value is not None:
-            out[key] = value
-    return out
+    """Every set field under its config key; unset optional fields are left out."""
+    values = {key: getattr(cfg, name) for name, key in _KEY_OF.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def canonical_json(obj: Any) -> str:
@@ -409,18 +385,11 @@ def merge_overrides(cfg: ExperimentConfig, **overrides: Any) -> ExperimentConfig
 # -- object construction from blocks ---------------------------------------------
 
 
-def _build_label(d: Optional[dict], dim_x: int) -> LabelMap:
-    if d is None or d["kind"] == "identity":
+def _build_label(d: Optional[dict]) -> LabelMap:
+    if d is None:
         return identity_label()
-    if d["kind"] == "linear":
-        return linear_label(d["weight"], d["bias"])
-    # a tabulated hypothesis checks the declared lip against the table
-    table = tabulated_hypothesis("label", d["table_x"], d["table_y"], float(d["lip"]))
-    if table.table_x.shape[1] != dim_x:
-        raise InvalidInputError(
-            f"tabulated label table_x needs {dim_x} columns, one per state coordinate"
-        )
-    return callable_label(table.predict, table.declared_lip)
+    _check_label_block(d, "generator.label")  # a block may come here unparsed
+    return identity_label() if d["kind"] == "identity" else linear_label(d["weight"], d["bias"])
 
 
 def build_generator(block: dict) -> Generator:
@@ -449,7 +418,7 @@ def build_generator(block: dict) -> Generator:
                else np.full(count, 1.0 / count))
     return affine_ifs_generator(
         mats=list(mats), vecs=list(vecs), weights=weights,
-        label_map=_build_label(block.get("label"), mats.shape[-1]),
+        label_map=_build_label(block.get("label")),
         attractor_radius=float(block["attractor_radius"]),
         z0_x=np.asarray(block["z0_x"], dtype=float),
         name="config_affine_ifs",

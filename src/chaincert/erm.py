@@ -22,7 +22,7 @@ from .generators import (
     exact_fixed_point,
     sample_stationary_chains,
 )
-from .hypotheses import Hypothesis, HypothesisClass, LossEnv, window_loss_values
+from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream
 
 TIE_RULES = ("lowest_index", "first_found")
@@ -91,78 +91,51 @@ class RiskEstimate:
     bias_bound: float = 0.0
 
 
-RISK_MODES = ("auto", "exact", "ergodic")
-
-
-def _resolve_mode(mode: str, gen: Generator) -> str:
-    if mode not in RISK_MODES:
-        raise InvalidInputError(f"mode must be one of {RISK_MODES}, got {mode!r}")
-    has_closed_form = gen.variant in ("iid", "deterministic_map")
-    if mode == "auto":
-        return "exact" if has_closed_form else "ergodic"
-    if mode == "exact" and not has_closed_form:
-        raise InvalidInputError(
-            f"variant {gen.variant!r} has no closed-form invariant law; use ergodic mode"
-        )
-    return mode
+_REPLICAS = 32      # ergodic replica chains per risk table
+_RUN_LENGTH = 256   # recorded states per replica chain
 
 
 def true_risk_table(
     cls: HypothesisClass,
     gen: Generator,
     env: LossEnv,
-    mode: str = "auto",
-    replicas: int = 32,
-    run_length: int = 256,
     tol: float = 1e-3,
     seed: SeedSpec = SeedSpec(0),
 ) -> tuple[RiskEstimate, ...]:
     """Invariant-law risk of every class member, in class order.
 
-    Ergodic estimates share the same replica chains across the class, so
-    differences between members are not polluted by sampling noise.
+    The generator's variant picks the method: ``iid`` takes the expectation
+    over its atoms and ``deterministic_map`` evaluates its fixed point, both
+    exactly; every other variant is estimated from replica chains that start
+    stationary (burned in to within ``tol``). Ergodic estimates share the same
+    replica chains across the class, so differences between members are not
+    polluted by sampling noise.
     """
-    resolved = _resolve_mode(mode, gen)
-    if resolved == "exact":
-        if gen.variant == "iid":
-            xs = np.stack([a.x for a in gen.theta.atoms])
-            ys = np.stack([a.y for a in gen.theta.atoms])
-            rows = window_loss_values(cls, xs, ys, env)
-            return tuple(
-                RiskEstimate(value=float(r @ gen.theta.weights), se=0.0, method="atom_expectation")
-                for r in rows
-            )
+    if gen.variant == "iid":
+        xs = np.stack([a.x for a in gen.theta.atoms])
+        ys = np.stack([a.y for a in gen.theta.atoms])
+        rows = window_loss_values(cls, xs, ys, env)
+        return tuple(
+            RiskEstimate(value=float(r @ gen.theta.weights), se=0.0, method="atom_expectation")
+            for r in rows
+        )
+    if gen.variant == "deterministic_map":
         z_star = exact_fixed_point(gen)
         rows = window_loss_values(cls, z_star.x[None], z_star.y[None], env)
         return tuple(RiskEstimate(value=float(r[0]), se=0.0, method="fixed_point") for r in rows)
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("ergodic risk needs a finalized loss environment")
-    means = _replica_means(cls, gen, env, replicas, run_length, tol, seed)
+    means = _replica_means(cls, gen, env, _REPLICAS, _RUN_LENGTH, tol, seed)
     bias = env.ell_H * analytic_lip_factor(gen) ** burn_in_steps(gen, tol)
     return tuple(
         RiskEstimate(
             value=float(m.mean()),
-            se=float(m.std(ddof=1) / np.sqrt(replicas)),
+            se=float(m.std(ddof=1) / np.sqrt(_REPLICAS)),
             method="ergodic_mc",
             bias_bound=bias,
         )
         for m in means
     )
-
-
-def true_risk(
-    h: Hypothesis,
-    gen: Generator,
-    env: LossEnv,
-    mode: str = "auto",
-    replicas: int = 32,
-    run_length: int = 256,
-    tol: float = 1e-3,
-    seed: SeedSpec = SeedSpec(0),
-) -> RiskEstimate:
-    return true_risk_table(
-        HypothesisClass((h,)), gen, env, mode, replicas, run_length, tol, seed
-    )[0]
 
 
 def _replica_means(
@@ -171,29 +144,8 @@ def _replica_means(
 ) -> np.ndarray:
     """Per-replica mean losses, shaped (class size, replicas); chains are shared
     across the class so comparisons see the same randomness."""
-    if not (isinstance(replicas, int) and replicas >= 2):
-        raise InvalidInputError(f"need at least two replicas, got {replicas!r}")
-    if not (isinstance(run_length, int) and run_length >= 1):
-        raise InvalidInputError(f"run_length must be a positive integer, got {run_length!r}")
     out = np.empty((len(cls), replicas))
     streams = [derive_stream(seed, r) for r in range(replicas)]
     for r, traj in enumerate(sample_stationary_chains(gen, run_length, tol, streams)):
         out[:, r] = window_loss_values(cls, traj.xs, traj.ys, env).mean(axis=1)
     return out
-
-
-def opt_risk(
-    cls: HypothesisClass,
-    gen: Generator,
-    env: LossEnv,
-    mode: str = "auto",
-    replicas: int = 32,
-    run_length: int = 256,
-    tol: float = 1e-3,
-    seed: SeedSpec = SeedSpec(0),
-) -> tuple[str, RiskEstimate]:
-    """Best invariant-law risk over the class, lowest index on ties."""
-    table = true_risk_table(cls, gen, env, mode, replicas, run_length, tol, seed)
-    values = np.array([e.value for e in table])
-    best = int(np.flatnonzero(values == values.min())[0])
-    return cls.members[best].hid, table[best]

@@ -50,6 +50,8 @@ VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 _PAIR_FLOOR = 1e-12  # probe skips state pairs closer than this
 _PROBE_SLACK = 1e-9
 _BOUND_SLACK = 1e-9  # relative tolerance of the state-bound tests
+_FIXED_POINT_TOL = 1e-15  # step distance at which fixed-point iteration stops
+_FIXED_POINT_MAX_ITER = 100000
 _BLOCK_STATES = 1 << 14  # chain states one stepped block holds at most
 _ROW_CONTRACT = (
     "governing maps and label maps act row-wise: they take an (m, d) block of "
@@ -81,8 +83,8 @@ class BoxBound:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, arr: np.ndarray, slack: float = _BOUND_SLACK) -> bool:
-        pad = slack * np.maximum(1.0, np.abs(self.hi - self.lo))
+    def contains(self, arr: np.ndarray) -> bool:
+        pad = _BOUND_SLACK * np.maximum(1.0, np.abs(self.hi - self.lo))
         return bool(np.all(arr >= self.lo - pad) and np.all(arr <= self.hi + pad))
 
     def contains_rows(self, rows: np.ndarray) -> bool:
@@ -106,8 +108,8 @@ class BallBound:
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise InvalidInputError("ball bound needs a positive integer dimension")
 
-    def contains(self, arr: np.ndarray, slack: float = _BOUND_SLACK) -> bool:
-        return bool(np.linalg.norm(arr) <= self.radius * (1.0 + slack))
+    def contains(self, arr: np.ndarray) -> bool:
+        return bool(np.linalg.norm(arr) <= self.radius * (1.0 + _BOUND_SLACK))
 
     def contains_rows(self, rows: np.ndarray) -> bool:
         """Whether every row of a 2-d array passes ``contains``.
@@ -794,16 +796,16 @@ def deterministic_map_generator(
     )
 
 
-def exact_fixed_point(gen: Generator, tol: float = 1e-15, max_iter: int = 100000) -> ZPoint:
+def exact_fixed_point(gen: Generator) -> ZPoint:
     """Fixed point of a deterministic_map generator, iterated to convergence."""
     if gen.variant != "deterministic_map":
         raise InvalidInputError("fixed points are defined for the deterministic_map variant")
     if gen.fixed_point is not None:
         return gen.fixed_point
     z = gen.z0
-    for _ in range(max_iter):
+    for _ in range(_FIXED_POINT_MAX_ITER):
         nxt = step(gen, z, 0)
-        if dist(z, nxt, gen.metric) <= tol:
+        if dist(z, nxt, gen.metric) <= _FIXED_POINT_TOL:
             return nxt
         z = nxt
     raise AssumptionViolationError("fixed-point iteration did not converge; factor too close to one")

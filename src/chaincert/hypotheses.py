@@ -161,14 +161,13 @@ def constant_grid(values: Sequence) -> HypothesisClass:
 
 @dataclass(frozen=True)
 class LossEnv:
-    """Loss with declared regularity: value clip, argument Lipschitz constant,
-    composite state constant ell_H, and value supremum L_H (<= ell_H)."""
+    """Loss with declared regularity: value clip (the value supremum, at most
+    ell_H), argument Lipschitz constant, and composite state constant ell_H."""
 
     kind: str
     clip: float
     loss_lip: float
     ell_H: float = float("nan")
-    L_H: float = float("nan")
 
     def loss_rows(self, y_pred: np.ndarray, y_true: np.ndarray) -> np.ndarray:
         gap = np.linalg.norm(y_pred - y_true, axis=-1)
@@ -204,9 +203,8 @@ def compose_ell_h(env: LossEnv, cls: HypothesisClass, spec: MetricSpec) -> float
     return max(env.clip, lip_part)
 
 
-def finalize_env(env: LossEnv, cls: HypothesisClass, spec: MetricSpec,
-                 L_H: Optional[float] = None) -> LossEnv:
-    """Fill in ell_H via composition; L_H defaults to the clip bound.
+def finalize_env(env: LossEnv, cls: HypothesisClass, spec: MetricSpec) -> LossEnv:
+    """Fill in ell_H via composition.
 
     Every hypothesis must read dim_x features and predict dim_y labels."""
     for h in cls.members:
@@ -221,11 +219,7 @@ def finalize_env(env: LossEnv, cls: HypothesisClass, spec: MetricSpec,
                 f"hypothesis {h.hid!r} maps {dim_x}-d features to {dim_y}-d labels; "
                 f"the chain has {spec.dim_x} and {spec.dim_y}"
             )
-    ell = compose_ell_h(env, cls, spec)
-    sup_value = float(L_H) if L_H is not None else env.clip
-    if sup_value > ell * (1.0 + 1e-12):
-        raise InvalidInputError("L_H must not exceed ell_H")
-    return replace(env, ell_H=ell, L_H=sup_value)
+    return replace(env, ell_H=compose_ell_h(env, cls, spec))
 
 
 def window_loss_values(

@@ -6,8 +6,9 @@ normalized coordinate sum
     d(z, zbar) = (||x - xbar||_2 + ||y - ybar||_2) / kappa,
 
 where kappa is a declared normalizer chosen so that d never exceeds the
-declared diameter bound (1 by default). The normalizer is part of the metric
-declaration, not inferred from data; the bound is checked on every evaluation.
+diameter bound 1 that the certificates assume. The normalizer is part of the
+metric declaration, not inferred from data; the bound is checked on every
+evaluation.
 """
 from __future__ import annotations
 
@@ -69,12 +70,12 @@ class ZPoint:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Declared geometry: coordinate dimensions, normalizer, diameter bound."""
+    """Declared geometry: coordinate dimensions and the normalizer that keeps
+    every distance inside the diameter bound 1."""
 
     dim_x: int
     dim_y: int
     kappa: float
-    diameter_bound: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.dim_x, int) and self.dim_x >= 1):
@@ -83,10 +84,6 @@ class MetricSpec:
             raise InvalidInputError(f"dim_y must be a positive integer, got {self.dim_y}")
         if not (np.isfinite(self.kappa) and self.kappa > 0):
             raise InvalidInputError(f"kappa must be finite and positive, got {self.kappa}")
-        if not (np.isfinite(self.diameter_bound) and self.diameter_bound > 0):
-            raise InvalidInputError(
-                f"diameter_bound must be finite and positive, got {self.diameter_bound}"
-            )
 
     def check_point(self, z: ZPoint) -> None:
         if z.x.shape != (self.dim_x,) or z.y.shape != (self.dim_y,):
@@ -97,17 +94,16 @@ class MetricSpec:
 
 
 def _check_raw_bound(raw, spec: MetricSpec) -> None:
-    limit = spec.kappa * spec.diameter_bound
     worst = float(np.max(raw, initial=0.0))
-    if worst > limit * (1.0 + _REL_SLACK):
+    if worst > spec.kappa * (1.0 + _REL_SLACK):
         raise InvalidInputError(
             f"kappa bound violated: raw coordinate-sum distance {worst!r} exceeds "
-            f"kappa*diameter_bound = {limit!r}; declare a larger kappa"
+            f"kappa = {spec.kappa!r} times the diameter bound 1; declare a larger kappa"
         )
 
 
 def dist(z: ZPoint, zbar: ZPoint, spec: MetricSpec) -> float:
-    """Normalized sum distance; guaranteed inside [0, diameter_bound]."""
+    """Normalized sum distance; guaranteed inside [0, 1]."""
     spec.check_point(z)
     spec.check_point(zbar)
     return float(row_dist(z.x[None], z.y[None], zbar.x[None], zbar.y[None], spec)[0])

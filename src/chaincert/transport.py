@@ -285,9 +285,7 @@ def _solve_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> TransportPlan
     return TransportPlan(entries, max(float(res.fun), 0.0))
 
 
-def w1_exact(
-    mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, atom_cap: int = ATOM_CAP
-) -> tuple[float, TransportPlan]:
+def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> tuple[float, TransportPlan]:
     """Exact order-1 transport cost and an optimal plan.
 
     Two uniform measures are solved as an assignment on replicated atoms
@@ -295,12 +293,12 @@ def w1_exact(
     sizes); other uniform pairs, and all non-uniform weights, go to the
     transportation LP. Arguments are first put in a canonical order
     (by a deterministic byte key) so the returned cost is exactly symmetric
-    in the two measures.
+    in the two measures. The combined atom count is capped at ``ATOM_CAP``.
     """
-    if len(mu1) + len(mu2) > atom_cap:
+    if len(mu1) + len(mu2) > ATOM_CAP:
         raise SizeCapError(
             f"combined atom count {len(mu1) + len(mu2)} exceeds the exact-solve cap "
-            f"{atom_cap}; thin the measures first"
+            f"{ATOM_CAP}; thin the measures first"
         )
     swap = _canonical_key(mu2) < _canonical_key(mu1)
     if swap:
@@ -333,24 +331,23 @@ def kr_dual_lower_bound(
     mu1: EmpiricalMeasure,
     mu2: EmpiricalMeasure,
     probe_functions: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    spec: MetricSpec | None = None,
     max_check_pairs: int = 4096,
 ) -> float:
     """Duality lower bound max_f |mu1(f) - mu2(f)| over 1-Lipschitz probes.
 
     A probe maps the stacked (m, dim_x) and (m, dim_y) rows of m states to
     their m values. It runs once on the atoms of both measures and is checked
-    on a deterministic subsample of atom pairs; a violation beyond 1e-9
-    rejects it rather than returning a bogus bound. By weak duality the
-    result never exceeds the exact cost.
+    on a deterministic subsample of atom pairs under the measures' shared
+    metric; a violation beyond 1e-9 rejects it rather than returning a bogus
+    bound. By weak duality the result never exceeds the exact cost.
     """
     if not (isinstance(max_check_pairs, int) and max_check_pairs >= 1):
         raise InvalidInputError(
             f"max_check_pairs must be a positive integer, got {max_check_pairs!r}"
         )
-    spec = spec if spec is not None else mu1.metric
-    if {(mu.metric.dim_x, mu.metric.dim_y) for mu in (mu1, mu2)} != {(spec.dim_x, spec.dim_y)}:
-        raise InvalidInputError("the duality bound needs both measures in the declared dimensions")
+    if mu1.metric != mu2.metric:
+        raise InvalidInputError("the duality bound needs both measures on the same declared metric")
+    spec = mu1.metric
     xs, ys = np.concatenate([mu1.xs, mu2.xs]), np.concatenate([mu1.ys, mu2.ys])
     m, total = len(xs), len(xs) * (len(xs) - 1) // 2
     i, j = _triangle_pairs(m, 0, 1 if total <= max_check_pairs else total // max_check_pairs + 1)

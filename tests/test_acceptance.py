@@ -124,7 +124,7 @@ def _rows_transport_agreement():
         exact, _ = w1_exact(mu1, mu2)
         brute = w1_bruteforce(mu1, mu2)
         probes = distance_probes(list(mu1.atoms) + list(mu2.atoms), spec)
-        dual = kr_dual_lower_bound(mu1, mu2, probes, spec)
+        dual = kr_dual_lower_bound(mu1, mu2, probes)
         worst_gap = max(worst_gap, abs(exact - brute))
         dual_ok = dual_ok and dual <= exact + 1e-12
         rows.append((case, exact, brute, dual))
@@ -350,7 +350,7 @@ def _rows_lower_bound():
     rad = rademacher_expected(bundle.cls, bundle.gen, bundle.env, n,
                               outer=32, seed=SeedSpec(91))
     rows = [(t, float(phis[t])) for t in range(trials)]
-    return rows, phis, rad, bundle.env.L_H
+    return rows, phis, rad, bundle.env.clip
 
 
 def test_mean_deviation_exceeds_complexity_lower_bound():

@@ -287,22 +287,18 @@ def test_loss_matrix_from_trajectory():
         LossMatrix(values=np.array([[-0.1]]), ell_H=1.0)
 
 
-def test_expected_rademacher_runs_both_modes():
+def test_expected_rademacher_starts_stationary():
     gen = make_iid()
     cls = constant_grid([0.0, 1.0])
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
     est_st = rademacher_expected(cls, gen, env, n=8, outer=6, seed=SeedSpec(2))
-    est_pt = rademacher_expected(cls, gen, env, n=8, outer=6, start_mode="point", seed=SeedSpec(2))
     assert est_st.method == "expected_exact_stationary"
-    assert est_pt.method == "expected_exact_point"
     assert 0.0 <= est_st.value <= 1.0
     # repeatability
     again = rademacher_expected(cls, gen, env, n=8, outer=6, seed=SeedSpec(2))
     assert again == est_st
     with pytest.raises(InvalidInputError):
         rademacher_expected(cls, gen, env, n=8, outer=1)
-    with pytest.raises(InvalidInputError):
-        rademacher_expected(cls, gen, env, n=8, outer=4, start_mode="warm")
 
 
 def test_expected_rademacher_mc_inner_for_large_n():

@@ -13,6 +13,7 @@ from chaincert.cli import main
 from chaincert.config import (
     ExperimentConfig,
     build_bundle,
+    build_generator,
     canonical_dict,
     canonical_json,
     config_digest,
@@ -97,6 +98,10 @@ def test_rejections():
         parse_config({"epsilon": 1.0})
     with pytest.raises(InvalidInputError):
         parse_config({"class": {"kind": "finite_list", "members": []}})
+    # one outer chain has no standard error; lemma2 and coverage need two
+    with pytest.raises(InvalidInputError, match=r"config\.rad_outer"):
+        parse_config({"preset": "iid_four", "n": 50, "trials": 4, "epsilon": 0.1,
+                      "rad_outer": 1})
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -111,6 +116,17 @@ def test_digest_order_invariance_and_sensitivity():
     assert config_digest(parse_config(eps)) == config_digest(parse_config(reordered))
     changed = dict(base, epsilon=0.2)
     assert config_digest(parse_config(eps)) != config_digest(parse_config(changed))
+
+
+@pytest.mark.parametrize("data, digest", [
+    (blocks_config(), "6ee05bc7c4f02a5b5b29b9cdbdef6adc9363d72eeb3681fd4054cd21d86d7c6f"),
+    ({}, "15e89a9cb5e2d8a0307b41ce28933da1d7316586d374dca1df6bf1dc24f14ce0"),
+    ({"preset": "affine_triangle", "n": 20, "epsilon": 0.3, "trials": 12, "tol": 1e-3},
+     "bf9a2db92bf3675763501e83cdffddd0f312d8a68cc6d4cbe8c4d006484b08fc"),
+], ids=["blocks", "empty", "affine_triangle"])
+def test_config_digests_are_pinned(data, digest):
+    # summaries record this digest; it ties old results to their configs
+    assert config_digest(parse_config(data)) == digest
 
 
 def test_merge_overrides():
@@ -518,10 +534,10 @@ AFFINE_1D = {"kind": "affine_ifs", "mats": [[[0.5]]], "vecs": [[0.25]],
     (dict(AFFINE_1D, z0_x=[0.0, 0.0], label={"kind": "linear", "weight": [[0.5]],
                                              "bias": [0.0]}),
      {"kind": "constant", "value": [0.0]}),
-    # label tables and weights that do not read the 1-d state
-    (dict(AFFINE_1D, label={"kind": "tabulated", "table_x": [[0.0, 0.0], [1.0, 1.0]],
-                            "table_y": [[0.0], [0.5]], "lip": 1.0}),
+    # a label with two coordinates, against a member predicting one
+    (dict(AFFINE_1D, label={"kind": "linear", "weight": [[0.5], [0.5]], "bias": [0.0, 0.0]}),
      {"kind": "constant", "value": [0.0]}),
+    # label weights that do not read the 1-d state
     (dict(AFFINE_1D, label={"kind": "linear", "weight": [[0.5, 0.5]], "bias": [0.0]}),
      {"kind": "constant", "value": [0.0]}),
     (dict(AFFINE_1D, label={"kind": "linear", "weight": [[0.5]], "bias": [0.0, 0.0]}),
@@ -543,18 +559,27 @@ def test_cli_rejects_mismatched_dimensions(tmp_path, generator, member):
 
 
 def test_cli_rejects_understated_tabulated_label(tmp_path, capsys):
-    # the table's ratio is 1.0; a lip of 0.01 would understate ell_F
+    # a nearest-row label jumps at cell boundaries, so no lip bounds it unless
+    # every label row is equal: the kind is gone and every lip exits 2
     label = {"kind": "tabulated", "table_x": [[0.0], [0.5]], "table_y": [[0.0], [0.5]]}
-    for lip, code in ((0.01, 2), (1.0, 0)):
+    for lip in (0.01, 1.0):
         cfg = write_config(tmp_path, "label.json", {
             "generator": dict(AFFINE_1D, label=dict(label, lip=lip)),
             "class": {"kind": "finite_list", "members": [{"kind": "constant", "value": [0.0]}]},
             "loss": {"kind": "abs_clipped", "clip": 1.0}, "n": 8,
             "out_dir": str(tmp_path / f"lip_{lip}"),
         })
-        assert main(["simulate", "--config", cfg]) == code
-    assert "understates the table ratio 1.0" in capsys.readouterr().err
-    assert not (tmp_path / "lip_0.01").exists()
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "must be one of ['identity', 'linear']" in capsys.readouterr().err
+        assert not (tmp_path / f"lip_{lip}").exists()
+    # a two-map system that jumps between its label rows declared a factor of
+    # 0.333 while the contraction probe measured 4.83; a block handed to
+    # build_generator unparsed is rejected the same way
+    with pytest.raises(InvalidInputError, match="identity"):
+        build_generator({"kind": "affine_ifs", "mats": [[[0.5]], [[0.5]]],
+                         "vecs": [[0.25], [-0.25]], "attractor_radius": 0.5, "z0_x": [0.0],
+                         "label": dict(label, table_x=[[-0.5], [0.5]],
+                                       table_y=[[-0.5], [0.5]], lip=1.0)})
 
 
 def test_cli_flat_tabulated_table_is_a_column(tmp_path):

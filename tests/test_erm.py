@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincert.complexity import loss_matrix
-from chaincert.erm import (
-    erm,
-    opt_risk,
-    true_risk,
-    true_risk_table,
-)
+from chaincert.erm import _replica_means, erm, true_risk_table
 from chaincert.errors import InvalidInputError
-from chaincert.generators import sample_chain
+from chaincert.generators import (
+    affine_ifs_generator,
+    analytic_lip_factor,
+    burn_in_steps,
+    identity_label,
+    sample_chain,
+)
 from chaincert.hypotheses import (
     HypothesisClass,
     constant_grid,
@@ -124,8 +125,9 @@ def test_erm_gap_never_exceeds_epsilon(risks, epsilon):
 
 def test_true_risk_iid_atom_expectation():
     gen = make_iid()  # atoms (0.2, 0.2) and (0.7, 0.7), equal weight
-    env = finalize_env(make_abs_loss(clip=1.0), constant_grid([0.0]), gen.metric)
-    est = true_risk(constant_hypothesis("zero", [0.0]), gen, env)
+    cls = constant_grid([0.0])
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    (est,) = true_risk_table(cls, gen, env)
     assert est.method == "atom_expectation"
     assert est.se == 0.0 and est.bias_bound == 0.0
     assert est.value == pytest.approx(0.5 * 0.2 + 0.5 * 0.7, abs=1e-15)
@@ -133,40 +135,48 @@ def test_true_risk_iid_atom_expectation():
 
 def test_true_risk_fixed_point():
     gen = make_halving()
-    env = finalize_env(make_abs_loss(clip=1.0), constant_grid([0.0]), gen.metric)
-    est = true_risk(constant_hypothesis("zero", [0.0]), gen, env)
+    cls = constant_grid([0.0])
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    (est,) = true_risk_table(cls, gen, env)
     assert est.method == "fixed_point"
     assert est.se == 0.0 and est.bias_bound == 0.0
     assert est.value == pytest.approx(0.5, abs=1e-9)  # fixed point of x/2 + 1/4
 
 
 def test_true_risk_ergodic_mode_agrees_with_exact():
+    # the replica chains behind an ergodic table, run on a generator whose
+    # table is exact, land within their own error bars of the exact value
     gen = make_iid()
-    env = finalize_env(make_abs_loss(clip=1.0), constant_grid([0.0]), gen.metric)
-    h = constant_hypothesis("zero", [0.0])
-    exact = true_risk(h, gen, env)
-    erg = true_risk(h, gen, env, mode="ergodic", replicas=16, run_length=128, seed=SeedSpec(6))
-    assert erg.method == "ergodic_mc"
-    assert erg.se > 0.0
-    assert abs(erg.value - exact.value) <= 3.0 * erg.se + erg.bias_bound
+    cls = constant_grid([0.0])
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    (exact,) = true_risk_table(cls, gen, env)
+    means = _replica_means(cls, gen, env, 16, 128, 1e-3, SeedSpec(6))[0]
+    se = means.std(ddof=1) / np.sqrt(16)
+    bias = env.ell_H * analytic_lip_factor(gen) ** burn_in_steps(gen, 1e-3)
+    assert se > 0.0
+    assert abs(means.mean() - exact.value) <= 3.0 * se + bias
 
 
-def test_true_risk_exact_mode_rejected_without_closed_form():
-    from chaincert.generators import affine_ifs_generator, identity_label
-
+def _ifs_setup():
     gen = affine_ifs_generator(
-        mats=[0.2 * np.eye(2)],
-        vecs=[np.array([0.3, 0.0])],
-        weights=[1.0],
+        mats=[0.2 * np.eye(2), 0.3 * np.eye(2)],
+        vecs=[np.array([0.3, 0.0]), np.array([0.0, 0.2])],
+        weights=[0.5, 0.5],
         label_map=identity_label(),
-        attractor_radius=0.2,
+        attractor_radius=0.5,
         z0_x=np.array([0.0, 0.0]),
     )
-    env = finalize_env(make_abs_loss(clip=1.0), constant_grid([[0.0, 0.0]]), gen.metric)
-    with pytest.raises(InvalidInputError):
-        true_risk(constant_hypothesis("o", [0.0, 0.0]), gen, env, mode="exact")
-    with pytest.raises(InvalidInputError):
-        true_risk(constant_hypothesis("o", [0.0, 0.0]), gen, env, mode="typo")
+    cls = constant_grid([[0.0, 0.0], [0.2, 0.1]])
+    return gen, cls, finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+
+
+def test_true_risk_table_is_ergodic_without_closed_form():
+    gen, cls, env = _ifs_setup()
+    table = true_risk_table(cls, gen, env, seed=SeedSpec(5))
+    means = _replica_means(cls, gen, env, 32, 256, 1e-3, SeedSpec(5))
+    for est, m in zip(table, means):
+        assert est.method == "ergodic_mc"
+        assert est.value == float(m.mean()) and est.se > 0.0 and est.bias_bound > 0.0
 
 
 def test_true_risk_table_matches_singletons():
@@ -175,20 +185,20 @@ def test_true_risk_table_matches_singletons():
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
     table = true_risk_table(cls, gen, env)
     for h, est in zip(cls.members, table):
-        assert est == true_risk(h, gen, env)
+        assert (est,) == true_risk_table(HypothesisClass((h,)), gen, env)
 
 
 def test_opt_risk_prefers_true_minimizer():
     gen = make_iid()
     cls = constant_grid([0.0, 0.45, 1.0])  # 0.45 sits between the atoms
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    best_id, est = opt_risk(cls, gen, env)
-    assert best_id == "const_1"
-    assert est.value == pytest.approx(0.5 * 0.25 + 0.5 * 0.25, abs=1e-15)
+    values = [est.value for est in true_risk_table(cls, gen, env)]
+    assert int(np.argmin(values)) == 1
+    assert min(values) == pytest.approx(0.5 * 0.25 + 0.5 * 0.25, abs=1e-15)
 
 
 def test_opt_risk_deterministic_seeded():
-    gen, cls, env = halving_setup()
-    a = opt_risk(cls, gen, env, seed=SeedSpec(4))
-    b = opt_risk(cls, gen, env, seed=SeedSpec(4))
-    assert a == b
+    gen, cls, env = _ifs_setup()
+    a = true_risk_table(cls, gen, env, seed=SeedSpec(4))
+    assert a == true_risk_table(cls, gen, env, seed=SeedSpec(4))
+    assert a != true_risk_table(cls, gen, env, seed=SeedSpec(5))

@@ -31,6 +31,7 @@ from chaincert.generators import (
     sample_stationary_chains,
     step,
 )
+from chaincert.hypotheses import tabulated_hypothesis
 from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng
 from chaincert.presets import load_preset, preset_names
 
@@ -360,11 +361,16 @@ def test_lockstep_matches_per_row_reference_on_random_affine_ifs():
     gen = build_generator(_random_affine_block(rng, 3, linear))
     _assert_matches_reference(gen, 80, 9, _row_label(gen))
 
+    # a nearest-row label, built directly: config has no tabulated label
     table_x = 0.5 * rng.normal(size=(9, 3))
     table_y = 0.2 * rng.normal(size=(9, 2))
-    tabulated = {"kind": "tabulated", "table_x": table_x.tolist(),
-                 "table_y": table_y.tolist(), "lip": 1.0}
-    gen = build_generator(_random_affine_block(rng, 3, tabulated))
+    block = _random_affine_block(rng, 3, None)
+    gen = affine_ifs_generator(
+        mats=list(np.asarray(block["mats"])), vecs=list(np.asarray(block["vecs"])),
+        weights=np.full(4, 0.25),
+        label_map=callable_label(tabulated_hypothesis("label", table_x, table_y, 1.0).predict, 1.0),
+        attractor_radius=block["attractor_radius"], z0_x=np.asarray(block["z0_x"]),
+    )
 
     def nearest_row(x):
         return table_y[int(np.argmin(np.linalg.norm(table_x - x.reshape(1, -1), axis=1)))]

@@ -106,9 +106,7 @@ def test_finalize_env_and_value_guard():
     cls = constant_grid([0.0, 1.0])
     env = finalize_env(make_abs_loss(clip=1.0), cls, spec)
     assert env.ell_H == pytest.approx(2.0, abs=0)
-    assert env.L_H == pytest.approx(1.0, abs=0)
-    with pytest.raises(InvalidInputError):
-        finalize_env(make_abs_loss(clip=1.0), cls, spec, L_H=5.0)
+    assert env.clip == pytest.approx(1.0, abs=0)
 
     z = ZPoint(x=np.array([0.25]), y=np.array([0.9]))
     h = cls.members[0]
@@ -179,7 +177,7 @@ def test_verify_a2_rejects_understated_bound():
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
     # shrink the declared constant below the real Lipschitz ratio
     broken = type(env)(kind=env.kind, clip=env.clip, loss_lip=env.loss_lip,
-                       ell_H=0.05, L_H=0.05)
+                       ell_H=0.05)
     with pytest.raises(AssumptionViolationError):
         verify_a2(broken, cls, gen, num_pairs=64, chain_len=8, seed=SeedSpec(3))
 

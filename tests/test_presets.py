@@ -33,7 +33,7 @@ def test_bundles_are_well_formed(name):
     assert bundle.name == name
     assert bundle.gen.name == name
     assert math.isfinite(bundle.env.ell_H) and bundle.env.ell_H > 0
-    assert bundle.env.L_H <= bundle.env.ell_H
+    assert bundle.env.clip <= bundle.env.ell_H
     assert 0.0 <= analytic_lip_factor(bundle.gen) < 1.0
     # declared loss scale really dominates the sampled loss geometry
     verify_a2(bundle.env, bundle.cls, bundle.gen, num_pairs=32, chain_len=8, seed=SeedSpec(3))
@@ -90,7 +90,8 @@ def test_row_wise_checks_keep_the_frozen_values(name):
 
 def test_iid_four_exact_risks():
     bundle = load_preset("iid_four")
-    table = true_risk_table(bundle.cls, bundle.gen, bundle.env, mode="exact")
+    table = true_risk_table(bundle.cls, bundle.gen, bundle.env)
+    assert {est.method for est in table} == {"atom_expectation"}
     values = [est.value for est in table]
     assert values == pytest.approx([0.475, 0.2875, 0.30416666666666664, 0.525], abs=1e-12)
     # unique minimizer sits strictly inside the grid
@@ -99,7 +100,8 @@ def test_iid_four_exact_risks():
 
 def test_halving_stationary_risks():
     bundle = load_preset("halving_map")
-    table = true_risk_table(bundle.cls, bundle.gen, bundle.env, mode="exact")
+    table = true_risk_table(bundle.cls, bundle.gen, bundle.env)
+    assert {est.method for est in table} == {"fixed_point"}
     values = [est.value for est in table]
     assert values == pytest.approx([0.0, 0.0, 0.5, 0.0], abs=0)
 

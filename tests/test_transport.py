@@ -11,8 +11,19 @@ import numpy as np
 import pytest
 
 from chaincert import transport
-from chaincert.errors import InvalidInputError, SizeCapError
-from chaincert.generators import SeedSpec, invariant_sampler, sample_chain
+from chaincert.errors import (
+    AssumptionViolationError,
+    GeneratorContractError,
+    InvalidInputError,
+    SizeCapError,
+)
+from chaincert.generators import (
+    SeedSpec,
+    affine_ifs_generator,
+    invariant_sampler,
+    linear_label,
+    sample_chain,
+)
 from chaincert.metric import MetricSpec, ZPoint, dist
 from chaincert.presets import load_preset
 from chaincert.transport import (
@@ -294,6 +305,18 @@ def test_kr_dual_holds_probes_to_the_row_contract(probe):
         kr_dual_lower_bound(a, b, [probe])
 
 
+def test_kr_dual_needs_both_measures_on_one_metric():
+    # the bound is read under mu1's metric; a mu2 on another kappa is refused
+    # as the solver refuses it, not checked under the wrong normalizer
+    a = line_measure([0.0, 0.2])
+    b = EmpiricalMeasure(np.array([[0.1], [0.3]]), np.zeros((2, 1)), MetricSpec(1, 1, 2.0))
+    probes = distance_probes(list(a.atoms), LINE)
+    with pytest.raises(InvalidInputError, match="same declared metric"):
+        kr_dual_lower_bound(a, b, probes)
+    with pytest.raises(InvalidInputError, match="same declared metric"):
+        w1_exact(a, b)
+
+
 def test_atom_cap_enforced():
     rng = np.random.default_rng(2)
     metric = MetricSpec(1, 1, 2.0)
@@ -459,3 +482,51 @@ def test_w1_on_sampled_clouds_is_frozen():
     nu2 = EmpiricalMeasure(np.vstack([nu.xs, nu.xs]), np.vstack([nu.ys, nu.ys]), gen.metric)
     for a, b in ((mu, nu), (nu, mu), (mu, nu2), (nu2, mu)):
         assert w1_exact(a, b)[0].hex() == CLOUD_W1
+
+
+def _random_labeled_ifs(rng):
+    """A random affine system with a linear label, and start atoms inside its
+    state ball; the constructor may reject it (exit 3 on the command line)."""
+    dim, dim_y, maps = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(2, 5))
+    mats = []
+    for _ in range(maps):
+        mat = rng.normal(size=(dim, dim))
+        mats.append(mat * (rng.uniform(0.05, 0.9) / np.linalg.norm(mat, 2)))
+    vecs = rng.normal(size=(maps, dim)) * rng.uniform(0.1, 1.0)
+    weight = rng.normal(size=(dim_y, dim))
+    weight *= rng.uniform(0.0, 0.9) / np.linalg.norm(weight, 2)
+    bias = 0.05 * rng.normal(size=dim_y)
+    gen = affine_ifs_generator(
+        mats=mats, vecs=list(vecs), weights=rng.dirichlet(np.ones(maps)),
+        label_map=linear_label(weight, bias),
+        attractor_radius=float(rng.uniform(1.0, 6.0) * np.linalg.norm(vecs, axis=1).max()),
+        z0_x=np.zeros(dim),
+    )
+    ball = gen.x_bound.radius
+    starts = []
+    for _ in range(3):
+        x = rng.normal(size=dim)
+        x *= ball * rng.uniform(0.0, 1.0) / np.linalg.norm(x)
+        starts.append(ZPoint(x, weight @ x + bias))
+    return gen, starts
+
+
+def test_contraction_curve_within_pathwise_coupling_bound():
+    # each pushed atom replays the final n draws of its reference chain from a
+    # start in the state ball of radius R + r, so the identity coupling gives
+    # curve(n) <= (1 + L) * 2(R + r) / kappa * (max_a s_a)^n with no sampling slack
+    rng = np.random.default_rng(2024)
+    accepted = 0
+    for _ in range(60):
+        try:
+            gen, starts = _random_labeled_ifs(rng)
+            curve = contraction_curve(gen, starts, n_max=6, atoms_per_step=16,
+                                      seed=SeedSpec(int(rng.integers(2**32))))
+        except (AssumptionViolationError, GeneratorContractError):
+            continue
+        accepted += 1
+        scale = (1.0 + gen.label_map.lip) * 2.0 * gen.x_bound.radius / gen.metric.kappa
+        for n, value in curve[1:]:
+            bound = scale * float(gen.lip_x_per_theta.max()) ** n
+            assert value <= bound * (1.0 + 1e-12), (n, value, bound)
+    assert accepted >= 30
