@@ -25,6 +25,7 @@ import sys
 from typing import Callable, Optional
 
 from .certificates import (
+    CERTIFICATE_FORMS,
     certify_empirical,
     certify_population,
     check_certificate,
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_erm)
 
     p = sub.add_parser("certify", help="evaluate a certificate formula from flags")
-    p.add_argument("--form", choices=("population", "empirical"), required=True)
+    p.add_argument("--form", choices=CERTIFICATE_FORMS, required=True)
     p.add_argument("--rademacher", type=float, required=True,
                    help="complexity input (expected or observed form)")
     p.add_argument("--ell-h", type=float, required=True, help="loss scale bound")

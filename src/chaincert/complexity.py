@@ -333,14 +333,3 @@ def growth_bound(n: int, class_size: int, L_H: float) -> float:
     if not (np.isfinite(L_H) and L_H >= 0):
         raise InvalidInputError(f"L_H must be finite and non-negative, got {L_H!r}")
     return L_H * math.sqrt(2.0 * math.log(class_size) / n)
-
-
-def vc_bound(n: int, dim: int, L_H: float) -> float:
-    """Dimension ceiling L_H * sqrt(2 d log(e n / d) / n) for 1 <= d <= n."""
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
-    if not (isinstance(dim, int) and 1 <= dim <= n):
-        raise InvalidInputError(f"dimension must be an integer in [1, {n}], got {dim!r}")
-    if not (np.isfinite(L_H) and L_H >= 0):
-        raise InvalidInputError(f"L_H must be finite and non-negative, got {L_H!r}")
-    return L_H * math.sqrt(2.0 * dim * math.log(math.e * n / dim) / n)

@@ -29,10 +29,12 @@ Complexity estimates enumerate every sign vector up to
 ``complexity.EXACT_N_CAP`` states and draw ``draws`` Monte Carlo sign vectors
 above it; no key overrides that choice.
 
-Structural validation happens here; value-level feasibility (contraction
-below one, bounds kept invariant) stays with the constructors so that a
-config describing an expanding map is rejected as an assumption violation,
-not as a malformed file.
+Each block has one reader: it checks the block's structure and returns the
+call that builds its object. ``parse_config`` runs the readers for their
+checks, so a malformed block raises ``InvalidInputError`` (exit 2) at parse
+time; ``build_bundle`` runs them again and makes the calls. Value checks
+(contraction below one, bounds kept invariant) stay with the constructors, so
+an expanding map exits 3 as an assumption violation, not 2 as a malformed file.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -59,6 +62,8 @@ from .generators import (
     linear_label,
 )
 from .hypotheses import (
+    HYPOTHESIS_KINDS,
+    Hypothesis,
     HypothesisClass,
     LossEnv,
     constant_hypothesis,
@@ -92,7 +97,6 @@ class ExperimentConfig:
     out_dir: str = "results"
 
 
-_BLOCK_KEYS = ("generator", "class", "loss")
 # config key of each field; the class block is the one whose name differs
 _KEY_OF = {f.name: "class" if f.name == "class_block" else f.name
            for f in fields(ExperimentConfig)}
@@ -178,22 +182,19 @@ def _get_array(d: dict, key: str, where: str, ndim: int) -> np.ndarray:
     return arr
 
 
-# -- block structure checks ------------------------------------------------------
+# -- block readers ---------------------------------------------------------------
 
 
-def _check_label_block(d: dict, where: str) -> None:
-    # no tabulated kind: a nearest-row lookup jumps at cell boundaries, so it
-    # has no Lipschitz constant to declare unless every label row is equal
-    kind = _get_str(d, "kind", where, choices=("identity", "linear"))
-    if kind == "identity":
-        _check_keys(d, ("kind",), where)
-    else:
-        _check_keys(d, ("kind", "weight", "bias"), where)
-        _get_array(d, "weight", where, 2)
-        _get_array(d, "bias", where, 1)
+def _read_weights(d: dict, count: int, what: str) -> np.ndarray:
+    if "weights" not in d:
+        return np.full(count, 1.0 / count)
+    w = _get_array(d, "weights", "generator", 1)
+    if w.shape[0] != count:
+        raise InvalidInputError(f"generator.weights needs one entry per {what}")
+    return w
 
 
-def _check_generator_block(d: dict) -> None:
+def _read_generator(d: dict) -> Callable[[], Generator]:
     where = "generator"
     kind = _get_str(d, "kind", where, choices=("iid", "affine_ifs"))
     if kind == "iid":
@@ -202,52 +203,84 @@ def _check_generator_block(d: dict) -> None:
         ay = _get_array(d, "atoms_y", where, 2)
         if ax.shape[0] != ay.shape[0]:
             raise InvalidInputError("generator.atoms_x and atoms_y need one row per atom each")
-        if "weights" in d:
-            w = _get_array(d, "weights", where, 1)
-            if w.shape[0] != ax.shape[0]:
-                raise InvalidInputError("generator.weights needs one entry per atom")
-        _get_num(d, "kappa", where, 0.0, float("inf"), lo_open=True, hi_open=True)
-    else:
-        _check_keys(
-            d, ("kind", "mats", "vecs", "weights", "label", "attractor_radius", "z0_x"), where
+        weights = _read_weights(d, ax.shape[0], "atom")
+        kappa = _get_num(d, "kappa", where, 0.0, np.inf, lo_open=True, hi_open=True)
+        return partial(_iid_generator, ax, ay, weights, kappa)
+    _check_keys(d, ("kind", "mats", "vecs", "weights", "label", "attractor_radius", "z0_x"), where)
+    mats = _get_array(d, "mats", where, 3)
+    vecs = _get_array(d, "vecs", where, 2)
+    if mats.shape[0] != vecs.shape[0]:
+        raise InvalidInputError("generator.mats and vecs need one entry per map each")
+    weights = _read_weights(d, mats.shape[0], "map")
+    radius = _get_num(d, "attractor_radius", where, 0.0, np.inf, lo_open=True, hi_open=True)
+    z0_x = _get_array(d, "z0_x", where, 1)
+    label = _read_label(d["label"]) if "label" in d else identity_label
+    return lambda: affine_ifs_generator(
+        mats=list(mats), vecs=list(vecs), weights=weights, label_map=label(),
+        attractor_radius=radius, z0_x=z0_x, name="config_affine_ifs")
+
+
+def _iid_generator(ax: np.ndarray, ay: np.ndarray, weights: np.ndarray,
+                   kappa: float) -> Generator:
+    metric = MetricSpec(ax.shape[1], ay.shape[1], kappa)
+    gaps = pairwise_dist(ax, ay, ax, ay, metric)
+    if float(gaps.max(initial=0.0)) > 1.0:
+        raise InvalidInputError(
+            "iid atoms span a diameter above one under the declared kappa; "
+            f"worst pair distance {float(gaps.max())!r}"
         )
-        mats = _get_array(d, "mats", where, 3)
-        vecs = _get_array(d, "vecs", where, 2)
-        if mats.shape[0] != vecs.shape[0]:
-            raise InvalidInputError("generator.mats and vecs need one entry per map each")
-        if "weights" in d:
-            w = _get_array(d, "weights", where, 1)
-            if w.shape[0] != mats.shape[0]:
-                raise InvalidInputError("generator.weights needs one entry per map")
-        _get_num(d, "attractor_radius", where, 0.0, float("inf"), lo_open=True, hi_open=True)
-        _get_array(d, "z0_x", where, 1)
-        if "label" in d:
-            if not isinstance(d["label"], dict):
-                raise InvalidInputError("generator.label must be an object")
-            _check_label_block(d["label"], "generator.label")
+    pad = 1e-9
+    x_bound = BoxBound(ax.min(axis=0) - pad, ax.max(axis=0) + pad)
+    y_bound = BoxBound(ay.min(axis=0) - pad, ay.max(axis=0) + pad)
+    atoms = tuple(ZPoint(ax[i], ay[i]) for i in range(ax.shape[0]))
+    return iid_generator(atoms, weights, metric, x_bound, y_bound, name="config_iid")
 
 
-def _check_member(d: dict, where: str) -> None:
-    kind = _get_str(d, "kind", where, choices=("constant", "linear", "tabulated"))
+def _read_label(d: Any) -> Callable[[], LabelMap]:
+    # no tabulated kind: a nearest-row lookup jumps at cell boundaries, so it
+    # has no Lipschitz constant to declare unless every label row is equal
+    where = "generator.label"
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{where} must be an object")
+    kind = _get_str(d, "kind", where, choices=("identity", "linear"))
+    if kind == "identity":
+        _check_keys(d, ("kind",), where)
+        return identity_label
+    _check_keys(d, ("kind", "weight", "bias"), where)
+    _get_array(d, "weight", where, 2)
+    _get_array(d, "bias", where, 1)
+    # the JSON values as written: the constructor rejects a weight of depth one,
+    # which the depth check above promotes to a matrix
+    return partial(linear_label, d["weight"], d["bias"])
+
+
+def _read_member(d: Any, i: int) -> Callable[[], Hypothesis]:
+    # the constructors take the JSON values as written, as linear labels do
+    where = f"class.members[{i}]"
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"{where} must be an object")
+    kind = _get_str(d, "kind", where, choices=HYPOTHESIS_KINDS)
     if kind == "constant":
         _check_keys(d, ("kind", "id", "value"), where)
         _get_array(d, "value", where, 1)
+        build = partial(constant_hypothesis, value=d["value"])
     elif kind == "linear":
         _check_keys(d, ("kind", "id", "weight", "bias", "lip"), where)
         _get_array(d, "weight", where, 2)
         _get_array(d, "bias", where, 1)
-        if "lip" in d:
-            _get_num(d, "lip", where, 0.0, float("inf"), hi_open=True)
+        lip = _get_num(d, "lip", where, 0.0, np.inf, hi_open=True, required=False)
+        build = partial(linear_hypothesis, weight=d["weight"], bias=d["bias"], declared_lip=lip)
     else:
         _check_keys(d, ("kind", "id", "table_x", "table_y", "lip"), where)
         _get_array(d, "table_x", where, 2)
         _get_array(d, "table_y", where, 2)
-        _get_num(d, "lip", where, 0.0, float("inf"), hi_open=True)
-    if "id" in d:
-        _get_str(d, "id", where)
+        lip = _get_num(d, "lip", where, 0.0, np.inf, hi_open=True)
+        build = partial(tabulated_hypothesis, table_x=d["table_x"], table_y=d["table_y"],
+                        declared_lip=lip)
+    return partial(build, _get_str(d, "id", where) if "id" in d else f"h{i}")
 
 
-def _check_class_block(d: dict) -> None:
+def _read_class(d: dict) -> Callable[[], HypothesisClass]:
     where = "class"
     kind = _get_str(d, "kind", where, choices=("finite_list", "linear_grid"))
     if kind == "finite_list":
@@ -255,33 +288,65 @@ def _check_class_block(d: dict) -> None:
         members = d.get("members")
         if not isinstance(members, list) or not members:
             raise InvalidInputError("class.members must be a non-empty list")
-        for i, m in enumerate(members):
-            if not isinstance(m, dict):
-                raise InvalidInputError(f"class.members[{i}] must be an object")
-            _check_member(m, f"class.members[{i}]")
-    else:
-        _check_keys(
-            d, ("kind", "w_lo", "w_hi", "w_points", "b_lo", "b_hi", "b_points"), where
-        )
-        w_lo = _get_num(d, "w_lo", where, -np.inf, np.inf)
-        w_hi = _get_num(d, "w_hi", where, -np.inf, np.inf)
-        b_lo = _get_num(d, "b_lo", where, -np.inf, np.inf)
-        b_hi = _get_num(d, "b_hi", where, -np.inf, np.inf)
-        _get_int(d, "w_points", where, 1)
-        _get_int(d, "b_points", where, 1)
-        if w_lo > w_hi or b_lo > b_hi:
-            raise InvalidInputError("class grid bounds must satisfy lo <= hi")
+        builds = [_read_member(m, i) for i, m in enumerate(members)]
+        return lambda: HypothesisClass(tuple(build() for build in builds))
+    _check_keys(d, ("kind", "w_lo", "w_hi", "w_points", "b_lo", "b_hi", "b_points"), where)
+    w_lo = _get_num(d, "w_lo", where, -np.inf, np.inf)
+    w_hi = _get_num(d, "w_hi", where, -np.inf, np.inf)
+    b_lo = _get_num(d, "b_lo", where, -np.inf, np.inf)
+    b_hi = _get_num(d, "b_hi", where, -np.inf, np.inf)
+    w_points = _get_int(d, "w_points", where, 1)
+    b_points = _get_int(d, "b_points", where, 1)
+    if w_lo > w_hi or b_lo > b_hi:
+        raise InvalidInputError("class grid bounds must satisfy lo <= hi")
+
+    def linear_grid() -> HypothesisClass:
+        ws = np.linspace(w_lo, w_hi, w_points)
+        bs = np.linspace(b_lo, b_hi, b_points)
+        return HypothesisClass(tuple(
+            linear_hypothesis(f"line_{i}_{j}", [[float(w)]], [float(b)])
+            for i, w in enumerate(ws)
+            for j, b in enumerate(bs)
+        ))
+    return linear_grid
 
 
-def _check_loss_block(d: dict) -> None:
+def _read_loss(d: dict) -> Callable[[], LossEnv]:
     where = "loss"
     kind = _get_str(d, "kind", where, choices=("abs_clipped", "squared_clipped"))
     if kind == "abs_clipped":
         _check_keys(d, ("kind", "clip"), where)
+        build = make_abs_loss
     else:
         _check_keys(d, ("kind", "clip", "domain_diameter"), where)
-        _get_num(d, "domain_diameter", where, 0.0, float("inf"), lo_open=True, hi_open=True)
-    _get_num(d, "clip", where, 0.0, float("inf"), lo_open=True, hi_open=True)
+        diameter = _get_num(d, "domain_diameter", where, 0.0, np.inf, lo_open=True, hi_open=True)
+        build = partial(make_squared_loss, domain_diameter=diameter)
+    return partial(build, clip=_get_num(d, "clip", where, 0.0, np.inf, lo_open=True, hi_open=True))
+
+
+# config key of each block, and its reader
+_READERS = {"generator": _read_generator, "class": _read_class, "loss": _read_loss}
+
+
+def build_generator(block: dict) -> Generator:
+    return _read_generator(block)()
+
+
+def build_bundle(cfg: ExperimentConfig) -> PresetBundle:
+    """Materialize the chain, class, and finalized loss a config describes."""
+    if cfg.preset is not None:
+        return load_preset(cfg.preset)
+    blocks = {"generator": cfg.generator, "class": cfg.class_block, "loss": cfg.loss}
+    missing = [key for key, block in blocks.items() if block is None]
+    if missing:
+        raise InvalidInputError(
+            f"config needs either a preset or all three blocks; missing {missing}"
+        )
+    make_gen, make_cls, make_loss = (read(blocks[key]) for key, read in _READERS.items())
+    gen, cls = make_gen(), make_cls()
+    env = finalize_env(make_loss(), cls, gen.metric)
+    return PresetBundle(name="custom", gen=gen, cls=cls, env=env,
+                        description="assembled from explicit config blocks")
 
 
 # -- parse / serialize -----------------------------------------------------------
@@ -293,19 +358,16 @@ def parse_config(data: Any) -> ExperimentConfig:
     _check_keys(data, _TOP_KEYS, "config")
 
     preset = _get_str(data, "preset", "config") if "preset" in data else None
-    for key in _BLOCK_KEYS:
+    for key in _READERS:
         if key in data and not isinstance(data[key], dict):
             raise InvalidInputError(f"config.{key} must be an object")
-    if preset is not None and any(key in data for key in _BLOCK_KEYS):
+    if preset is not None and any(key in data for key in _READERS):
         raise InvalidInputError(
             "config.preset already fixes generator, class, and loss; drop the explicit blocks"
         )
-    if "generator" in data:
-        _check_generator_block(data["generator"])
-    if "class" in data:
-        _check_class_block(data["class"])
-    if "loss" in data:
-        _check_loss_block(data["loss"])
+    for key, read in _READERS.items():
+        if key in data:
+            read(data[key])  # its checks alone; build_bundle makes the call it returns
 
     epsilon = _get_num(data, "epsilon", "config", 0.0, 1.0, hi_open=True, required=False)
     delta = _get_num(data, "delta", "config", 0.0, 1.0, lo_open=True, hi_open=True, required=False)
@@ -380,101 +442,3 @@ def merge_overrides(cfg: ExperimentConfig, **overrides: Any) -> ExperimentConfig
         elif key == "delta":
             data.pop("epsilon", None)
     return parse_config(data)
-
-
-# -- object construction from blocks ---------------------------------------------
-
-
-def _build_label(d: Optional[dict]) -> LabelMap:
-    if d is None:
-        return identity_label()
-    _check_label_block(d, "generator.label")  # a block may come here unparsed
-    return identity_label() if d["kind"] == "identity" else linear_label(d["weight"], d["bias"])
-
-
-def build_generator(block: dict) -> Generator:
-    if block["kind"] == "iid":
-        ax = _get_array(block, "atoms_x", "generator", 2)
-        ay = _get_array(block, "atoms_y", "generator", 2)
-        count = ax.shape[0]
-        weights = (np.asarray(block["weights"], dtype=float) if "weights" in block
-                   else np.full(count, 1.0 / count))
-        metric = MetricSpec(ax.shape[1], ay.shape[1], float(block["kappa"]))
-        gaps = pairwise_dist(ax, ay, ax, ay, metric)
-        if float(gaps.max(initial=0.0)) > 1.0:
-            raise InvalidInputError(
-                "iid atoms span a diameter above one under the declared kappa; "
-                f"worst pair distance {float(gaps.max())!r}"
-            )
-        pad = 1e-9
-        x_bound = BoxBound(ax.min(axis=0) - pad, ax.max(axis=0) + pad)
-        y_bound = BoxBound(ay.min(axis=0) - pad, ay.max(axis=0) + pad)
-        atoms = tuple(ZPoint(ax[i], ay[i]) for i in range(count))
-        return iid_generator(atoms, weights, metric, x_bound, y_bound, name="config_iid")
-    mats = _get_array(block, "mats", "generator", 3)
-    vecs = _get_array(block, "vecs", "generator", 2)
-    count = mats.shape[0]
-    weights = (np.asarray(block["weights"], dtype=float) if "weights" in block
-               else np.full(count, 1.0 / count))
-    return affine_ifs_generator(
-        mats=list(mats), vecs=list(vecs), weights=weights,
-        label_map=_build_label(block.get("label")),
-        attractor_radius=float(block["attractor_radius"]),
-        z0_x=np.asarray(block["z0_x"], dtype=float),
-        name="config_affine_ifs",
-    )
-
-
-def build_class(block: dict) -> HypothesisClass:
-    if block["kind"] == "linear_grid":
-        ws = np.linspace(block["w_lo"], block["w_hi"], block["w_points"])
-        bs = np.linspace(block["b_lo"], block["b_hi"], block["b_points"])
-        members = tuple(
-            linear_hypothesis(f"line_{i}_{j}", [[float(w)]], [float(b)])
-            for i, w in enumerate(ws)
-            for j, b in enumerate(bs)
-        )
-        return HypothesisClass(members)
-    members = []
-    for i, m in enumerate(block["members"]):
-        hid = m.get("id", f"h{i}")
-        if m["kind"] == "constant":
-            members.append(constant_hypothesis(hid, np.asarray(m["value"], dtype=float)))
-        elif m["kind"] == "linear":
-            lip = float(m["lip"]) if "lip" in m else None
-            members.append(
-                linear_hypothesis(hid, np.asarray(m["weight"], dtype=float),
-                                  np.asarray(m["bias"], dtype=float), declared_lip=lip)
-            )
-        else:
-            members.append(
-                tabulated_hypothesis(hid, np.asarray(m["table_x"], dtype=float),
-                                     np.asarray(m["table_y"], dtype=float),
-                                     declared_lip=float(m["lip"]))
-            )
-    return HypothesisClass(tuple(members))
-
-
-def build_loss(block: dict) -> LossEnv:
-    if block["kind"] == "abs_clipped":
-        return make_abs_loss(clip=float(block["clip"]))
-    return make_squared_loss(clip=float(block["clip"]),
-                             domain_diameter=float(block["domain_diameter"]))
-
-
-def build_bundle(cfg: ExperimentConfig) -> PresetBundle:
-    """Materialize the chain, class, and finalized loss a config describes."""
-    if cfg.preset is not None:
-        return load_preset(cfg.preset)
-    missing = [name for name, blk in
-               (("generator", cfg.generator), ("class", cfg.class_block), ("loss", cfg.loss))
-               if blk is None]
-    if missing:
-        raise InvalidInputError(
-            f"config needs either a preset or all three blocks; missing {missing}"
-        )
-    gen = build_generator(cfg.generator)
-    cls = build_class(cfg.class_block)
-    env = finalize_env(build_loss(cfg.loss), cls, gen.metric)
-    return PresetBundle(name="custom", gen=gen, cls=cls, env=env,
-                        description="assembled from explicit config blocks")

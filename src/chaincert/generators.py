@@ -83,13 +83,13 @@ class BoxBound:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, arr: np.ndarray) -> bool:
+    def inside(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows of a 2-d array lie in the box."""
         pad = _BOUND_SLACK * np.maximum(1.0, np.abs(self.hi - self.lo))
-        return bool(np.all(arr >= self.lo - pad) and np.all(arr <= self.hi + pad))
+        return np.all((rows >= self.lo - pad) & (rows <= self.hi + pad), axis=1)
 
-    def contains_rows(self, rows: np.ndarray) -> bool:
-        """Whether every row of a 2-d array passes ``contains``."""
-        return self.contains(rows)
+    def contains(self, arr: np.ndarray) -> bool:
+        return bool(self.inside(np.reshape(arr, (1, -1)))[0])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
@@ -108,20 +108,15 @@ class BallBound:
         if not (isinstance(self.dim, int) and self.dim >= 1):
             raise InvalidInputError("ball bound needs a positive integer dimension")
 
+    def inside(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows of a 2-d array lie in the ball."""
+        # one dot product per row, as in metric.row_dist, rounds like
+        # np.linalg.norm of that row alone
+        r = rows[:, None]
+        return np.sqrt((r @ r.mT)[:, 0, 0]) <= self.radius * (1.0 + _BOUND_SLACK)
+
     def contains(self, arr: np.ndarray) -> bool:
-        return bool(np.linalg.norm(arr) <= self.radius * (1.0 + _BOUND_SLACK))
-
-    def contains_rows(self, rows: np.ndarray) -> bool:
-        """Whether every row of a 2-d array passes ``contains``.
-
-        A row whose squared norm lies within a relative 1e-12 of the limit
-        reads as outside, so a rounding difference between this row-wise norm
-        and the one ``contains`` takes can only send a row on to the
-        per-state check, never let through a row that check rejects.
-        """
-        limit = self.radius * (1.0 + _BOUND_SLACK)
-        squares = np.einsum("ij,ij->i", rows, rows)
-        return bool(np.all(squares <= limit * limit * (1.0 - 1e-12)))
+        return bool(self.inside(np.reshape(arr, (1, -1)))[0])
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=self.dim)
@@ -273,13 +268,6 @@ class Generator:
             )
         object.__setattr__(self, "_analytic_factor", factor)
 
-    def _check_state(self, x: np.ndarray, y: np.ndarray) -> None:
-        if not (self.x_bound.contains(x) and self.y_bound.contains(y)):
-            raise GeneratorContractError(
-                f"generator image escaped the declared bounds at state "
-                f"(x={np.asarray(x).tolist()}, y={np.asarray(y).tolist()})"
-            )
-
 
 def analytic_lip_factor(gen: Generator) -> float:
     """Mean per-draw contraction factor sum_i nu_i * ell_i (declared, not probed)."""
@@ -371,12 +359,29 @@ def _step_block(gen: Generator, x0, y0, idx: np.ndarray) -> tuple[np.ndarray, np
     except Exception:
         _raise_first_failure(gen, xs[:, :t], ys[:, :t], idx)
         raise
-    # the start rows ride along in this test; one outside the bounds only
-    # sends the block on to the scan, which looks at steps 1.. alone
-    if not (gen.x_bound.contains_rows(xs.reshape(-1, xs.shape[2]))
-            and gen.y_bound.contains_rows(ys.reshape(-1, ys.shape[2]))):
+    # the start rows ride along in the mask, which the check then drops
+    if not _inside(gen, xs, ys)[:, 1:].all():
         _raise_first_failure(gen, xs, ys, idx)
     return xs, ys
+
+
+def _inside(gen: Generator, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Which states of the (m, t, d) paths lie in the bounds, as an (m, t) mask."""
+    m, t = xs.shape[:2]
+    return (gen.x_bound.inside(xs.reshape(m * t, xs.shape[2]))
+            & gen.y_bound.inside(ys.reshape(m * t, ys.shape[2]))).reshape(m, t)
+
+
+def _check_paths(gen: Generator, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise on the first state of the (m, t, d) paths, in chain order, that
+    leaves the bounds."""
+    escaped = np.argwhere(~_inside(gen, xs, ys))
+    if len(escaped):
+        c, t = escaped[0]
+        raise GeneratorContractError(
+            f"generator image escaped the declared bounds at state "
+            f"(x={xs[c, t].tolist()}, y={ys[c, t].tolist()})"
+        )
 
 
 def _raise_first_failure(gen: Generator, xs: np.ndarray, ys: np.ndarray, idx: np.ndarray) -> None:
@@ -386,15 +391,12 @@ def _raise_first_failure(gen: Generator, xs: np.ndarray, ys: np.ndarray, idx: np
     Several chains are replayed one at a time: a map that raised on the block
     may have raised on a later chain than one that escapes, or before a state
     of an earlier chain escapes. What the replays leave (a map that is not
-    row-wise, or a row that only the stricter ``contains_rows`` rejects) is
-    scanned as filled.
+    row-wise) is read from the mask of the filled steps.
     """
     if idx.shape[0] > 1:
         for c in range(idx.shape[0]):
             _step_block(gen, xs[c, 0], ys[c, 0], idx[c:c + 1])
-    for c in range(xs.shape[0]):
-        for x, y in zip(xs[c, 1:], ys[c, 1:]):
-            gen._check_state(x, y)
+    _check_paths(gen, xs[:, 1:], ys[:, 1:])
 
 
 def _block_size(states_per_chain: int) -> int:
@@ -497,7 +499,7 @@ def sample_chains(
         raise InvalidInputError(f"draw_offset must be a non-negative integer, got {draw_offset!r}")
     start = gen.z0 if z0 is None else z0
     gen.metric.check_point(start)
-    gen._check_state(start.x, start.y)
+    _check_paths(gen, start.x[None, None], start.y[None, None])
     return _paths(gen, start, n, list(seeds), draw_offset)
 
 

@@ -19,7 +19,6 @@ from chaincert.complexity import (
     rademacher_exact,
     rademacher_expected,
     rademacher_mc,
-    vc_bound,
 )
 from chaincert.errors import InvalidInputError, SizeCapError
 from chaincert.generators import sample_chain
@@ -317,16 +316,6 @@ def test_growth_bound_frozen_value():
         growth_bound(0, 4, 1.0)
     with pytest.raises(InvalidInputError):
         growth_bound(10, 4, -1.0)
-
-
-def test_vc_bound_frozen_value():
-    assert vc_bound(100, 1, 1.0) == pytest.approx(0.33481846382743265, abs=1e-12)
-    # dim equal to sample size collapses the log to one
-    assert vc_bound(64, 64, 1.0) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    with pytest.raises(InvalidInputError):
-        vc_bound(10, 11, 1.0)
-    with pytest.raises(InvalidInputError):
-        vc_bound(10, 0, 1.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -212,6 +212,36 @@ def test_build_iid_diameter_guard():
         build_bundle(parse_config(data))
 
 
+def _parse_error(data):
+    with pytest.raises(InvalidInputError) as err:
+        parse_config(data)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("key, block", [
+    ("generator", {"kind": "bogus"}),
+    ("class", {"kind": "bogus"}),
+    ("loss", {"kind": "hinge", "clip": 1.0}),
+], ids=["generator", "class", "loss"])
+def test_build_bundle_checks_blocks_it_was_handed_unparsed(key, block):
+    # one reader per block serves parse_config and build_bundle alike, so a
+    # config built directly is rejected with the message parsing gives
+    data = dict(blocks_config(), **{key: block})
+    cfg = ExperimentConfig(generator=data["generator"], class_block=data["class"],
+                           loss=data["loss"])
+    with pytest.raises(InvalidInputError) as err:
+        build_bundle(cfg)
+    assert str(err.value) == _parse_error(data)
+
+
+def test_build_generator_rejects_an_unknown_key():
+    block = dict(blocks_config()["generator"], extra=1)
+    with pytest.raises(InvalidInputError) as err:
+        build_generator(block)
+    assert str(err.value) == _parse_error({"generator": block})
+    assert "unknown key(s) ['extra'] in generator" in str(err.value)
+
+
 # -- reporting -------------------------------------------------------------------
 
 
@@ -580,6 +610,28 @@ def test_cli_rejects_understated_tabulated_label(tmp_path, capsys):
                          "vecs": [[0.25], [-0.25]], "attractor_radius": 0.5, "z0_x": [0.0],
                          "label": dict(label, table_x=[[-0.5], [0.5]],
                                        table_y=[[-0.5], [0.5]], lip=1.0)})
+
+
+@pytest.mark.parametrize("where, message", [
+    ("member", "linear hypothesis needs a 2-d weight matrix"),
+    ("label", "linear label needs a 2-d weight matrix"),
+])
+def test_cli_rejects_a_weight_of_depth_one(tmp_path, capsys, where, message):
+    # the depth check reads a flat weight as a one-column matrix; the
+    # constructors see the JSON value as written and reject it
+    generator, member = dict(AFFINE_1D), {"kind": "linear", "weight": [[1.0]], "bias": [0.0]}
+    if where == "member":
+        member["weight"] = [1.0]
+    else:
+        generator["label"] = {"kind": "linear", "weight": [0.5], "bias": [0.0]}
+    cfg = write_config(tmp_path, "flat.json", {
+        "generator": generator, "class": {"kind": "finite_list", "members": [member]},
+        "loss": {"kind": "abs_clipped", "clip": 1.0}, "n": 8,
+        "out_dir": str(tmp_path / "never"),
+    })
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_flat_tabulated_table_is_a_column(tmp_path):

@@ -231,6 +231,31 @@ def test_escape_names_first_escaping_state_ball():
     assert "0.875" not in str(err.value)
 
 
+def test_bound_masks_and_one_point_tests_agree_at_the_limit():
+    # rows one ulp inside and one ulp outside each bound's limit, stacked
+    # with rows of random direction one ulp of scale around the sphere
+    ball = BallBound(0.75, 3)
+    limit = 0.75 * (1.0 + generators._BOUND_SLACK)
+    rows = [[v, 0.0, 0.0] for v in (np.nextafter(limit, 0.0), limit, np.nextafter(limit, 1.0))]
+    for u in np.random.default_rng(3).normal(size=(64, 3)):
+        scale = limit / np.linalg.norm(u)
+        rows += [u * np.nextafter(scale, 0.0), u * scale, u * np.nextafter(scale, 2.0)]
+    rows = np.array(rows)
+    mask = ball.inside(rows)
+    assert mask.tolist() == [ball.contains(row) for row in rows]
+    assert mask[:3].tolist() == [True, True, False]
+    assert 0 < mask[3:].sum() < len(rows) - 3
+
+    box = BoxBound([0.0, -1.0], [1.0, 2.0])
+    pad = generators._BOUND_SLACK * np.maximum(1.0, box.hi - box.lo)
+    rows = []
+    for edge, out in ((box.hi + pad, np.inf), (box.lo - pad, -np.inf)):
+        rows += [np.nextafter(edge, -out), edge, np.nextafter(edge, out)]
+    mask = box.inside(np.array(rows))
+    assert mask.tolist() == [box.contains(row) for row in rows]
+    assert mask.tolist() == [True, True, False] * 2
+
+
 def test_escape_reported_when_map_then_fails():
     def partial(x, theta):
         if x[0] > 1.0:

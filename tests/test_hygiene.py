@@ -1,14 +1,19 @@
-"""Source hygiene of the library: every top-level import is used,
-importing the command line loads no scipy, an assignment solve loads no
+"""Source hygiene of the library: every top-level import is used, every
+private module-level function and class is referenced, importing the command
+line loads no scipy, an assignment solve loads no
 ``scipy.optimize``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
 
 The unused-import check is a stdlib AST scan, so it runs wherever the tests
 do. A module's top-level import counts as used when the bound name appears as
 a name anywhere in the module (code or unquoted annotation) or, for a
-package's ``__init__``, in its ``__all__``.
+package's ``__init__``, in its ``__all__``. The dead-helper check is the same
+kind of scan over the whole package: a module-level ``_name`` function or
+class is dead when no module names it (as a name or an attribute) outside its
+own body.
 """
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -74,6 +79,42 @@ def test_scan_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert _unused_imports(path) == []
+
+
+def _references(node):
+    return [sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))]
+
+
+def _dead_private_helpers(paths):
+    """Module-level ``_name`` functions and classes that no module of
+    ``paths`` names outside the helper's own body."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    named = collections.Counter(ref for tree in trees.values() for ref in _references(tree))
+    return sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and named[node.name] == _references(node).count(node.name)
+    )
+
+
+def test_scan_flags_a_dead_private_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _dead()\n"  # calls itself alone
+        "class _Shape:\n    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\nx = a._used()\ny = a._Shape\n", encoding="utf-8")
+    assert _dead_private_helpers(sorted(tmp_path.glob("*.py"))) == ["a.py:_dead"]
+
+
+def test_no_dead_private_helpers():
+    assert _dead_private_helpers(sorted(PACKAGE.glob("*.py"))) == []
 
 
 _IMPORT_GUARD = """
