@@ -36,7 +36,7 @@ from .errors import AssumptionViolationError, InvalidInputError
 from .generators import (
     Generator,
     analytic_lip_factor,
-    burn_in_steps,
+    burn_in_allowance,
     sample_chains,
     sample_stationary_chains,
 )
@@ -307,7 +307,7 @@ def validate_lemma2(
         cls, gen, env, n, outer=rad_outer,
         tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
     )
-    rad_bias = env.ell_H * ell_F ** burn_in_steps(gen, tol)
+    rad_bias = burn_in_allowance(gen, tol, env.ell_H)
     wass_term = env.ell_H * ell_F**n * w_bar
     bound = 2.0 * rad.value + wass_term
     margin = 3.0 * math.hypot(phi_se, 2.0 * rad.se) + 2.0 * rad_bias + er_unc
@@ -435,7 +435,7 @@ def coverage_experiment(
         cls, gen, env, n, outer=rad_outer,
         tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
     )
-    rad_bias = env.ell_H * ell_F ** burn_in_steps(gen, tol)
+    rad_bias = burn_in_allowance(gen, tol, env.ell_H)
     rad_input = rad.value + 3.0 * rad.se + rad_bias
     cert_pop = certify_population(rad_input, env.ell_H, ell_F, n, epsilon, w_bar)
     confidence = cert_pop.confidence

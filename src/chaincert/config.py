@@ -102,6 +102,7 @@ _KEY_OF = {f.name: "class" if f.name == "class_block" else f.name
            for f in fields(ExperimentConfig)}
 _TOP_KEYS = frozenset(_KEY_OF.values())
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not None}
+_GRID_CAP = 10_000  # members a linear_grid class may have (100 x 100)
 
 
 # -- low-level field checks ------------------------------------------------------
@@ -299,6 +300,10 @@ def _read_class(d: dict) -> Callable[[], HypothesisClass]:
     b_points = _get_int(d, "b_points", where, 1)
     if w_lo > w_hi or b_lo > b_hi:
         raise InvalidInputError("class grid bounds must satisfy lo <= hi")
+    if w_points * b_points > _GRID_CAP:
+        raise InvalidInputError(
+            f"class grid of {w_points} x {b_points} points exceeds the cap of {_GRID_CAP} members"
+        )
 
     def linear_grid() -> HypothesisClass:
         ws = np.linspace(w_lo, w_hi, w_points)
@@ -328,7 +333,15 @@ def _read_loss(d: dict) -> Callable[[], LossEnv]:
 _READERS = {"generator": _read_generator, "class": _read_class, "loss": _read_loss}
 
 
+def _check_objects(blocks: dict) -> None:
+    """Raise unless every block, keyed by its config key, is a JSON object."""
+    for key, block in blocks.items():
+        if not isinstance(block, dict):
+            raise InvalidInputError(f"config.{key} must be an object")
+
+
 def build_generator(block: dict) -> Generator:
+    _check_objects({"generator": block})
     return _read_generator(block)()
 
 
@@ -342,11 +355,11 @@ def build_bundle(cfg: ExperimentConfig) -> PresetBundle:
         raise InvalidInputError(
             f"config needs either a preset or all three blocks; missing {missing}"
         )
+    _check_objects(blocks)
     make_gen, make_cls, make_loss = (read(blocks[key]) for key, read in _READERS.items())
     gen, cls = make_gen(), make_cls()
     env = finalize_env(make_loss(), cls, gen.metric)
-    return PresetBundle(name="custom", gen=gen, cls=cls, env=env,
-                        description="assembled from explicit config blocks")
+    return PresetBundle(name="custom", gen=gen, cls=cls, env=env)
 
 
 # -- parse / serialize -----------------------------------------------------------
@@ -358,9 +371,7 @@ def parse_config(data: Any) -> ExperimentConfig:
     _check_keys(data, _TOP_KEYS, "config")
 
     preset = _get_str(data, "preset", "config") if "preset" in data else None
-    for key in _READERS:
-        if key in data and not isinstance(data[key], dict):
-            raise InvalidInputError(f"config.{key} must be an object")
+    _check_objects({key: data[key] for key in _READERS if key in data})
     if preset is not None and any(key in data for key in _READERS):
         raise InvalidInputError(
             "config.preset already fixes generator, class, and loss; drop the explicit blocks"

@@ -17,8 +17,7 @@ from .complexity import LossMatrix
 from .errors import InvalidInputError
 from .generators import (
     Generator,
-    analytic_lip_factor,
-    burn_in_steps,
+    burn_in_allowance,
     exact_fixed_point,
     sample_stationary_chains,
 )
@@ -126,7 +125,7 @@ def true_risk_table(
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("ergodic risk needs a finalized loss environment")
     means = _replica_means(cls, gen, env, _REPLICAS, _RUN_LENGTH, tol, seed)
-    bias = env.ell_H * analytic_lip_factor(gen) ** burn_in_steps(gen, tol)
+    bias = burn_in_allowance(gen, tol, env.ell_H)
     return tuple(
         RiskEstimate(
             value=float(m.mean()),

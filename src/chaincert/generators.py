@@ -33,7 +33,7 @@ row alone (one written for a single state), raises ``InvalidInputError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -226,7 +226,6 @@ class Generator:
     lip_x_per_theta: Optional[np.ndarray] = None
     name: str = ""
     fixed_point: Optional[ZPoint] = None
-    lip_per_theta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -258,9 +257,6 @@ class Generator:
                 raise InvalidInputError("deterministic_map uses a single dummy theta atom")
             object.__setattr__(self, "lip_x_per_theta", table)
             lips = table * (1.0 + self.label_map.lip) / self.metric.kappa
-        lips = lips.copy()
-        lips.setflags(write=False)
-        object.__setattr__(self, "lip_per_theta", lips)
         factor = float(self.theta.weights @ lips)
         if factor >= 1.0:
             raise AssumptionViolationError(
@@ -433,41 +429,24 @@ def step(gen: Generator, z: ZPoint, theta_index: int) -> ZPoint:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A sampled chain path; consecutive points are linked by one recorded draw.
+    """A sampled chain path: states ``xs``/``ys``, one row per state.
 
-    ``seed`` and ``draw_offset`` identify the uniform draws used: draw t of the
-    path consumed ``make_rng(seed).random(...)`` position ``draw_offset + t``.
-    Suffix regeneration from any interior state therefore reproduces the
-    original tail bit-exactly.
+    ``seed`` names the stream the path drew from, before any slicing: a slice
+    keeps its parent's seed, so its first draw is not the stream's first.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    theta_indices: np.ndarray
     seed: SeedSpec
-    draw_offset: int
     metric: MetricSpec
-    initial_law: tuple
 
     def __len__(self) -> int:
         return self.xs.shape[0]
 
-    def point(self, i: int) -> ZPoint:
-        return ZPoint(self.xs[i], self.ys[i])
-
-    def slice(self, start: int, end: int, initial_law: Optional[tuple] = None) -> "Trajectory":
+    def slice(self, start: int, end: int) -> "Trajectory":
         if not (0 <= start < end <= len(self)):
             raise InvalidInputError(f"slice [{start}, {end}) out of range for length {len(self)}")
-        law = initial_law if initial_law is not None else ("point", self.point(start))
-        return Trajectory(
-            xs=self.xs[start:end],
-            ys=self.ys[start:end],
-            theta_indices=self.theta_indices[start : max(end - 1, start)],
-            seed=self.seed,
-            draw_offset=self.draw_offset + start,
-            metric=self.metric,
-            initial_law=law,
-        )
+        return Trajectory(self.xs[start:end], self.ys[start:end], self.seed, self.metric)
 
 
 def sample_chains(
@@ -475,18 +454,14 @@ def sample_chains(
     n: int,
     seeds: Sequence[SeedSpec],
     z0: Optional[ZPoint] = None,
-    draw_offset: int = 0,
 ) -> Iterator[Trajectory]:
     """Sample one length-n path (n points, n-1 draws) from z0 per seed, and
     yield them in seed order.
 
     Path i draws from ``seeds[i]`` alone, so it equals the one-chain
-    ``sample_chain(gen, z0, n, seeds[i], draw_offset)`` bit for bit; the
-    chains are stepped together in blocks of at most ``_BLOCK_STATES``
-    states, so memory does not grow with the number of seeds. A path is a
-    view into its block. ``draw_offset`` skips that many uniforms of each
-    stream before drawing, which is how a suffix is regenerated from an
-    interior state.
+    ``sample_chain(gen, z0, n, seeds[i])`` bit for bit; the chains are
+    stepped together in blocks of at most ``_BLOCK_STATES`` states, so memory
+    does not grow with the number of seeds. A path is a view into its block.
 
     The bounds are checked once a block is filled (or a map has raised), so
     the maps may run on states past a first escaping one, and print numpy's
@@ -495,33 +470,22 @@ def sample_chains(
     """
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInputError(f"trajectory length must be a positive integer, got {n!r}")
-    if not (isinstance(draw_offset, int) and draw_offset >= 0):
-        raise InvalidInputError(f"draw_offset must be a non-negative integer, got {draw_offset!r}")
     start = gen.z0 if z0 is None else z0
     gen.metric.check_point(start)
     _check_paths(gen, start.x[None, None], start.y[None, None])
-    return _paths(gen, start, n, list(seeds), draw_offset)
+    return _paths(gen, start, n, list(seeds))
 
 
-def _paths(gen: Generator, start: ZPoint, n: int, seeds: list, draw_offset: int):
+def _paths(gen: Generator, start: ZPoint, n: int, seeds: list):
     size = _block_size(n)
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
         idx = np.empty((len(block), n - 1), dtype=int)
         for i, seed in enumerate(block):
-            u = make_rng(seed).random(draw_offset + n - 1)[draw_offset:]
-            idx[i] = gen.theta.indices_from_uniform(u)
+            idx[i] = gen.theta.indices_from_uniform(make_rng(seed).random(n - 1))
         xs, ys = _step_block(gen, start.x, start.y, idx)
         for i, seed in enumerate(block):
-            yield Trajectory(
-                xs=xs[i],
-                ys=ys[i],
-                theta_indices=idx[i],
-                seed=seed,
-                draw_offset=draw_offset,
-                metric=gen.metric,
-                initial_law=("point", start),
-            )
+            yield Trajectory(xs=xs[i], ys=ys[i], seed=seed, metric=gen.metric)
 
 
 def sample_chain(
@@ -529,22 +493,10 @@ def sample_chain(
     z0: Optional[ZPoint] = None,
     n: int = 1,
     seed: SeedSpec = SeedSpec(0),
-    draw_offset: int = 0,
 ) -> Trajectory:
     """Sample a length-n path (n points, n-1 draws) starting at z0: the
     one-chain call of ``sample_chains``."""
-    return next(sample_chains(gen, n, [seed], z0, draw_offset))
-
-
-def continue_chain(gen: Generator, traj: Trajectory, k: int) -> Trajectory:
-    """Regenerate the suffix of ``traj`` starting from its k-th state.
-
-    Uses only (Z_k, the trajectory's stream identity); the result matches the
-    original tail bit-exactly, which is the Markov property made testable.
-    """
-    if not (0 <= k < len(traj)):
-        raise InvalidInputError(f"suffix start {k} out of range")
-    return sample_chain(gen, traj.point(k), len(traj) - k, traj.seed, traj.draw_offset + k)
+    return next(sample_chains(gen, n, [seed], z0))
 
 
 def burn_in_steps(gen: Generator, tol: float) -> int:
@@ -561,14 +513,19 @@ def burn_in_steps(gen: Generator, tol: float) -> int:
     return max(1, math.ceil(math.log(tol) / math.log(factor)))
 
 
+def burn_in_allowance(gen: Generator, tol: float, ell_H: float) -> float:
+    """ell_H * ell_F^B, B = ``burn_in_steps(gen, tol)``: the bias a burned-in
+    start leaves in a mean of losses with Lipschitz constant ell_H."""
+    return ell_H * analytic_lip_factor(gen) ** burn_in_steps(gen, tol)
+
+
 def sample_stationary_chains(
     gen: Generator, n: int, tol: float, seeds: Sequence[SeedSpec]
 ) -> Iterator[Trajectory]:
     """Per seed, burn in to within ``tol`` of the invariant law, then record
     n points; the paths are stepped together as in ``sample_chains``."""
     b = burn_in_steps(gen, tol)
-    return (full.slice(b, b + n, initial_law=("plugin", tol))
-            for full in sample_chains(gen, b + n, seeds))
+    return (full.slice(b, b + n) for full in sample_chains(gen, b + n, seeds))
 
 
 def sample_stationary_chain(
@@ -687,12 +644,11 @@ def empirical_contraction_probe(
 
 
 def iid_generator(atoms: Sequence[ZPoint], weights, metric: MetricSpec, x_bound, y_bound,
-                  z0: Optional[ZPoint] = None, name: str = "iid") -> Generator:
+                  name: str = "iid") -> Generator:
     theta = CategoricalTheta(tuple(atoms), np.asarray(weights, dtype=float))
-    start = z0 if z0 is not None else theta.atoms[0]
     return Generator(
         variant="iid", metric=metric, theta=theta, x_bound=x_bound, y_bound=y_bound,
-        z0=start, name=name,
+        z0=theta.atoms[0], name=name,
     )
 
 

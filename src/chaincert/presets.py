@@ -46,7 +46,6 @@ class PresetBundle:
     gen: Generator
     cls: HypothesisClass
     env: LossEnv
-    description: str
 
 
 def _halve(x, theta):
@@ -74,39 +73,36 @@ def _iid_gen(atom_pairs, name: str) -> Generator:
     return iid_generator(atoms, weights, MetricSpec(1, 1, 2.0), _UNIT, _UNIT, name=name)
 
 
-def _finish(name: str, gen: Generator, cls: HypothesisClass, description: str) -> PresetBundle:
+def _finish(name: str, gen: Generator, cls: HypothesisClass) -> PresetBundle:
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    return PresetBundle(name=name, gen=gen, cls=cls, env=env, description=description)
+    return PresetBundle(name=name, gen=gen, cls=cls, env=env)
 
 
 def _build_iid_singleton() -> PresetBundle:
+    """Independent draws from two atoms, one constant predictor; the
+    scalar-mean tail case."""
     gen = _iid_gen(((0.2, 0.2), (0.7, 0.7)), "iid_singleton")
-    return _finish(
-        "iid_singleton", gen, constant_grid([0.0]),
-        "independent draws from two atoms, one constant predictor; the "
-        "scalar-mean tail case",
-    )
+    return _finish("iid_singleton", gen, constant_grid([0.0]))
 
 
 def _build_iid_two() -> PresetBundle:
+    """Independent draws from two atoms, two constant predictors at the
+    label range ends."""
     gen = _iid_gen(((0.2, 0.2), (0.7, 0.7)), "iid_two")
-    return _finish(
-        "iid_two", gen, constant_grid([0.0, 1.0]),
-        "independent draws from two atoms, two constant predictors at the "
-        "label range ends",
-    )
+    return _finish("iid_two", gen, constant_grid([0.0, 1.0]))
 
 
 def _build_iid_four() -> PresetBundle:
+    """Independent draws from eight spread atoms, four constant predictors;
+    the default coverage benchmark."""
     gen = _iid_gen(_SPREAD_ATOMS, "iid_four")
-    return _finish(
-        "iid_four", gen, constant_grid([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]),
-        "independent draws from eight spread atoms, four constant predictors; "
-        "the default coverage benchmark",
-    )
+    return _finish("iid_four", gen, constant_grid([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]))
 
 
 def _build_halving_map() -> PresetBundle:
+    """Deterministic contraction toward 0.5 with geometric state decay;
+    distances to the invariant point are exact, three of the four predictors
+    are optimal in the limit."""
     gen = deterministic_map_generator(
         governing_map=_halve,
         lip_x=0.5,
@@ -126,15 +122,12 @@ def _build_halving_map() -> PresetBundle:
             linear_hypothesis("step", [[0.5]], [0.25]),
         )
     )
-    return _finish(
-        "halving_map", gen, cls,
-        "deterministic contraction toward 0.5 with geometric state decay; "
-        "distances to the invariant point are exact, three of the four "
-        "predictors are optimal in the limit",
-    )
+    return _finish("halving_map", gen, cls)
 
 
 def _build_affine_triangle() -> PresetBundle:
+    """Planar random affine maps pulled toward three shifted centers; mean
+    contraction factor 0.2, plug-in distance curves decay at that rate."""
     eye = np.eye(2)
     gen = affine_ifs_generator(
         mats=[0.2 * eye, 0.2 * eye, 0.2 * eye],
@@ -153,15 +146,12 @@ def _build_affine_triangle() -> PresetBundle:
             constant_hypothesis("north", [0.0, 0.15]),
         )
     )
-    return _finish(
-        "affine_triangle", gen, cls,
-        "planar random affine maps pulled toward three shifted centers; "
-        "mean contraction factor 0.2, plug-in distance curves decay at "
-        "that rate",
-    )
+    return _finish("affine_triangle", gen, cls)
 
 
 def _build_labeled_affine() -> PresetBundle:
+    """Scalar random affine features with a decreasing linear label map;
+    mean contraction factor 0.4 on the joint state."""
     gen = labeled_lipschitz_generator(
         governing_map=_scalar_affine,
         theta_atoms=((0.3, 0.2), (0.5, 0.1)),
@@ -181,11 +171,7 @@ def _build_labeled_affine() -> PresetBundle:
             constant_hypothesis("low", [0.3]),
         )
     )
-    return _finish(
-        "labeled_affine", gen, cls,
-        "scalar random affine features with a decreasing linear label map; "
-        "mean contraction factor 0.4 on the joint state",
-    )
+    return _finish("labeled_affine", gen, cls)
 
 
 _REGISTRY: dict[str, Callable[[], PresetBundle]] = {

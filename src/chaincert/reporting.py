@@ -148,9 +148,7 @@ def _read_numeric_csv(path: str, what: str, has_header: bool) -> tuple[list, np.
 def read_trajectory_csv(path: str, kappa: float) -> Trajectory:
     """Load a trajectory written by ``write_trajectory_csv``.
 
-    The file carries no draw provenance, so the result has a placeholder seed
-    and an ``external`` initial law; it supports risk evaluation and window
-    selection but not suffix regeneration.
+    The file carries no draw provenance, so the result's seed is ``SeedSpec(0)``.
     """
     header, data = _read_numeric_csv(path, "trajectory", has_header=True)
     dim_x = sum(1 for name in header if name.startswith("x_"))
@@ -161,15 +159,7 @@ def read_trajectory_csv(path: str, kappa: float) -> Trajectory:
             f"trajectory file {path!r} needs header step,x_0..,y_0.. and rows of its width"
         )
     metric = MetricSpec(dim_x, dim_y, kappa)
-    return Trajectory(
-        xs=data[:, 1 : 1 + dim_x],
-        ys=data[:, 1 + dim_x :],
-        theta_indices=np.zeros(max(data.shape[0] - 1, 0), dtype=int),
-        seed=SeedSpec(0),
-        draw_offset=0,
-        metric=metric,
-        initial_law=("external", path),
-    )
+    return Trajectory(data[:, 1 : 1 + dim_x], data[:, 1 + dim_x :], SeedSpec(0), metric)
 
 
 def read_atoms_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

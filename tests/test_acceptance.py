@@ -199,10 +199,7 @@ def _rows_erm_contract():
         )
         cls = HypothesisClass(members)
         env = finalize_env(make_abs_loss(1.0), cls, spec)
-        traj = Trajectory(xs=xs, ys=np.zeros((n, 1)),
-                          theta_indices=np.zeros(max(n - 1, 0), dtype=np.int64),
-                          seed=SeedSpec(0), draw_offset=0, metric=spec,
-                          initial_law=("external", "synthetic"))
+        traj = Trajectory(xs=xs, ys=np.zeros((n, 1)), seed=SeedSpec(0), metric=spec)
         eps = float(rng.random() * 0.4)
         matrix = loss_matrix(cls, traj, env)
         slack = erm(cls, matrix, epsilon=eps)

@@ -193,6 +193,26 @@ def test_build_linear_grid_class():
     assert ids[0] == "line_0_0" and ids[-1] == "line_2_1"
 
 
+def _grid_config(w_points, b_points):
+    data = blocks_config()
+    data["class"] = {"kind": "linear_grid", "w_lo": 0.0, "w_hi": 1.0, "w_points": w_points,
+                     "b_lo": 0.0, "b_hi": 0.5, "b_points": b_points}
+    return data
+
+
+@pytest.mark.parametrize("w_points, b_points", [(2**70, 1), (101, 100)])
+def test_cli_rejects_a_grid_past_the_cap(tmp_path, capsys, w_points, b_points):
+    data = dict(_grid_config(w_points, b_points), out_dir=str(tmp_path / "never"))
+    assert main(["simulate", "--config", write_config(tmp_path, "grid.json", data)]) == 2
+    err = capsys.readouterr().err
+    assert f"{w_points} x {b_points} points exceeds the cap of 10000 members" in err
+    assert "Traceback" not in err and not (tmp_path / "never").exists()
+
+
+def test_grid_at_the_cap_parses():
+    assert parse_config(_grid_config(100, 100)).class_block["w_points"] == 100
+
+
 def test_build_expanding_map_is_assumption_violation():
     data = {
         "generator": {"kind": "affine_ifs", "mats": [[[1.2]]], "vecs": [[0.0]],
@@ -222,7 +242,10 @@ def _parse_error(data):
     ("generator", {"kind": "bogus"}),
     ("class", {"kind": "bogus"}),
     ("loss", {"kind": "hinge", "clip": 1.0}),
-], ids=["generator", "class", "loss"])
+    ("generator", 1.0),
+    ("class", [1]),
+    ("loss", "x"),
+], ids=["generator", "class", "loss", "generator_number", "class_list", "loss_string"])
 def test_build_bundle_checks_blocks_it_was_handed_unparsed(key, block):
     # one reader per block serves parse_config and build_bundle alike, so a
     # config built directly is rejected with the message parsing gives
@@ -240,6 +263,12 @@ def test_build_generator_rejects_an_unknown_key():
         build_generator(block)
     assert str(err.value) == _parse_error({"generator": block})
     assert "unknown key(s) ['extra'] in generator" in str(err.value)
+
+
+def test_build_generator_rejects_a_block_that_is_not_an_object():
+    with pytest.raises(InvalidInputError) as err:
+        build_generator(1.0)
+    assert str(err.value) == _parse_error({"generator": 1.0})
 
 
 # -- reporting -------------------------------------------------------------------

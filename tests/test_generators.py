@@ -17,7 +17,6 @@ from chaincert.generators import (
     analytic_lip_factor,
     burn_in_steps,
     callable_label,
-    continue_chain,
     deterministic_map_generator,
     empirical_contraction_probe,
     exact_fixed_point,
@@ -105,7 +104,7 @@ def test_iid_states_are_atoms_bit_exact():
     atom_x = {a.x[0] for a in gen.theta.atoms}
     assert set(traj.xs[1:, 0].tolist()) <= atom_x
     for t in range(1, 40):
-        assert traj.point(t) in gen.theta.atoms
+        assert ZPoint(traj.xs[t], traj.ys[t]) in gen.theta.atoms
 
 
 def test_chain_is_deterministic_given_seed():
@@ -117,14 +116,21 @@ def test_chain_is_deterministic_given_seed():
     assert not np.array_equal(a.xs, c.xs)
 
 
+def _replay(gen, traj, k, offset=0):
+    """The tail of ``traj`` from its state k, stepped again from that state
+    alone under the draws its stream gave from position ``offset + k`` on."""
+    u = make_rng(traj.seed).random(offset + len(traj) - 1)[offset + k:]
+    xs, ys = _step_block(gen, traj.xs[k], traj.ys[k], gen.theta.indices_from_uniform(u)[None])
+    return xs[0], ys[0]
+
+
 def test_suffix_regeneration_bit_exact():
+    # the Markov property: state k and the stream's later draws fix the tail
     for gen in (make_halving(), make_iid(), make_affine_worked_example()):
         traj = sample_chain(gen, n=20, seed=SeedSpec(42))
         for k in (0, 1, 7, 19):
-            tail = continue_chain(gen, traj, k)
-            assert np.array_equal(tail.xs, traj.xs[k:])
-            assert np.array_equal(tail.ys, traj.ys[k:])
-            assert np.array_equal(tail.theta_indices, traj.theta_indices[k:])
+            xs, ys = _replay(gen, traj, k)
+            assert _same_bits(xs, traj.xs[k:]) and _same_bits(ys, traj.ys[k:])
 
 
 def test_burn_in_steps():
@@ -168,7 +174,6 @@ def test_stationary_chain_slicing():
     gen = make_halving()
     traj = sample_stationary_chain(gen, n=5, tol=1e-3, seed=SeedSpec(2))
     assert len(traj) == 5
-    assert traj.initial_law == ("plugin", 1e-3)
     assert abs(traj.xs[0, 0] - 0.5) < 1e-3 * 2  # burned in
 
 
@@ -300,10 +305,21 @@ def test_trajectory_slice_offsets():
     gen = make_iid()
     traj = sample_chain(gen, n=12, seed=SeedSpec(77))
     part = traj.slice(4, 9)
-    assert len(part) == 5
+    assert len(part) == 5 and part.seed == traj.seed
     assert np.array_equal(part.xs, traj.xs[4:9])
-    tail = continue_chain(gen, part, 0)
-    assert np.array_equal(tail.xs, part.xs)
+    # a slice keeps its parent's stream, so its draws start at the slice offset
+    xs, ys = _replay(gen, part, 0, offset=4)
+    assert _same_bits(xs, part.xs) and _same_bits(ys, part.ys)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_stationary_slice_replays_from_its_seed(name):
+    gen = load_preset(name).gen
+    traj = sample_stationary_chain(gen, 12, 1e-3, SeedSpec(23))
+    b = burn_in_steps(gen, 1e-3)
+    for k in (0, 5, 11):
+        xs, ys = _replay(gen, traj, k, offset=b)
+        assert _same_bits(xs, traj.xs[k:]) and _same_bits(ys, traj.ys[k:])
 
 
 # -- the lockstep stepper against a per-row reference ----------------------------
@@ -329,7 +345,7 @@ def _reference_paths(gen, n, seeds, label_row):
                 y = label_row(x)
             xs.append(x)
             ys.append(y)
-        paths.append((np.array(xs), np.array(ys), idx))
+        paths.append((np.array(xs), np.array(ys)))
     return paths
 
 
@@ -348,10 +364,9 @@ def _assert_matches_reference(gen, n, count, label_row):
     seeds = [derive_stream(SeedSpec(31), c) for c in range(count)]
     paths = list(sample_chains(gen, n, seeds))
     assert len(paths) == count
-    for traj, seed, (xs, ys, idx) in zip(paths, seeds, _reference_paths(gen, n, seeds, label_row)):
+    for traj, seed, (xs, ys) in zip(paths, seeds, _reference_paths(gen, n, seeds, label_row)):
         assert traj.seed == seed
         assert _same_bits(traj.xs, xs) and _same_bits(traj.ys, ys)
-        assert np.array_equal(traj.theta_indices, idx)
     return paths
 
 
@@ -363,9 +378,8 @@ def test_lockstep_matches_per_row_reference_on_presets(name):
     b = burn_in_steps(gen, 1e-3)
     seeds = [derive_stream(SeedSpec(5), c) for c in range(4)]
     reference = _reference_paths(gen, b + 20, seeds, _row_label(gen))
-    for traj, (xs, ys, _) in zip(sample_stationary_chains(gen, 20, 1e-3, seeds), reference):
+    for traj, (xs, ys) in zip(sample_stationary_chains(gen, 20, 1e-3, seeds), reference):
         assert _same_bits(traj.xs, xs[b:]) and _same_bits(traj.ys, ys[b:])
-        assert traj.initial_law == ("plugin", 1e-3)
 
 
 def _random_affine_block(rng, dim, label):

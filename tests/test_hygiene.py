@@ -10,7 +10,8 @@ a name anywhere in the module (code or unquoted annotation) or, for a
 package's ``__init__``, in its ``__all__``. The dead-helper check is the same
 kind of scan over the whole package: a module-level ``_name`` function or
 class is dead when no module names it (as a name or an attribute) outside its
-own body.
+own body, and a module-level ``_NAME = ...`` constant is dead when no module
+reads it (loads it as a name or an attribute).
 """
 import ast
 import collections
@@ -86,31 +87,52 @@ def _references(node):
             for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))]
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_constants(tree):
+    """Names bound by the module-level ``_NAME = ...`` assignments of ``tree``."""
+    return [target.id
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and _is_private(target.id)]
+
+
 def _dead_private_helpers(paths):
     """Module-level ``_name`` functions and classes that no module of
-    ``paths`` names outside the helper's own body."""
+    ``paths`` names outside the helper's own body, and module-level
+    ``_NAME = ...`` constants that no module of ``paths`` reads."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
     named = collections.Counter(ref for tree in trees.values() for ref in _references(tree))
-    return sorted(
+    read = {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+    helpers = [
         f"{module}:{node.name}"
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
-        and named[node.name] == _references(node).count(node.name)
-    )
+        and _is_private(node.name) and named[node.name] == _references(node).count(node.name)
+    ]
+    constants = [f"{module}:{name}" for module, tree in trees.items()
+                 for name in _private_constants(tree) if name not in read]
+    return sorted(helpers + constants)
 
 
 def test_scan_flags_a_dead_private_helper(tmp_path):
     (tmp_path / "a.py").write_text(
         "def _used():\n    return 1\n"
         "def _dead():\n    return _dead()\n"  # calls itself alone
-        "class _Shape:\n    pass\n",
+        "class _Shape:\n    pass\n"
+        "_X = 1\n"  # bound, never read
+        "_LIMIT: int = 2\n"
+        "_SIZE = _LIMIT\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text(
-        "from . import a\nx = a._used()\ny = a._Shape\n", encoding="utf-8")
-    assert _dead_private_helpers(sorted(tmp_path.glob("*.py"))) == ["a.py:_dead"]
+        "from . import a\nx = a._used()\ny = a._Shape\nz = a._SIZE\n", encoding="utf-8")
+    assert _dead_private_helpers(sorted(tmp_path.glob("*.py"))) == ["a.py:_X", "a.py:_dead"]
 
 
 def test_no_dead_private_helpers():
