@@ -30,6 +30,7 @@ from .complexity import (
     loss_matrix,
     rademacher_estimate,
     rademacher_expected,
+    shared_method,
 )
 from .erm import erm, true_risk_table
 from .errors import AssumptionViolationError, InvalidInputError
@@ -379,7 +380,7 @@ def validate_lemma3(
         details=(
             ("mean_phi", float(phis.mean())),
             ("mean_rhat", float(rhats.mean())),
-            ("rhat_method", estimates[0].method),
+            ("rhat_method", shared_method(estimates)),
             ("epsilon", float(epsilon)),
             ("n", n),
             ("trials", trials),
@@ -481,7 +482,8 @@ def coverage_experiment(
         ("rademacher_se", rad.se),
         ("rademacher_bias_allowance", rad_bias),
         ("rademacher_method", rad.method),
-        ("rhat_method", estimates[0].method),
+        ("rhat_method", shared_method(estimates)),
+        ("rhat_exact_trials", sum(e.method == "exact" for e in estimates)),
         ("opt_risk", opt_value),
         ("epsilon", float(epsilon)),
         ("n", n),

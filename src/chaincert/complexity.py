@@ -1,20 +1,24 @@
 """Rademacher complexity of a finite class on a recorded sample.
 
-Two estimators over the same loss matrix: exact enumeration of all sign
-vectors (small n; scored from two tables of partial scores, so no sign
-vector is built and memory stays flat) and an unbiased Monte Carlo average
-with a standard error; ``rademacher_estimate`` picks between them by sample
-size. Both score a sign vector sigma once for the pair (sigma, -sigma),
-since score(-sigma) = -score(sigma), and one reduction (``_pair_sums``)
-turns scores into pair sums: the exact path adds them up, the Monte Carlo
-path averages them over draws/2 random pairs, drawn and scored in tiles of
-512 sign vectors through one reused buffer, so its memory grows with the
-draw count only by the pair statistics it keeps. Every estimate carries a
-plain form, max over the class of the signed mean, and a symmetrized form
-that takes the absolute value inside the max, both scored on the same sign
-vectors, each with its own standard error; the plain form is what the
-deviation bounds consume, the symmetrized one is a diagnostic for
-sign-asymmetric classes.
+Three estimators over the same loss matrix: exact enumeration of all sign
+vectors (n <= ``EXACT_N_CAP``; scored from two tables of partial scores, so
+no sign vector is built and memory stays flat), exact enumeration of the
+sums of signs over groups of equal columns (any n, while the grid of group
+sums has at most 2^EXACT_N_CAP points), and an unbiased Monte Carlo average
+with a standard error. ``rademacher_estimate`` picks: plain enumeration up
+to ``EXACT_N_CAP`` states; above it, grouped enumeration when the grid fits
+and Monte Carlo when it does not. All three score a sign vector sigma once
+for the pair (sigma, -sigma), since score(-sigma) = -score(sigma), and one
+reduction (``_pair_sums``) turns scores into pair sums: the exact paths add
+them up (the grouped one weighted by each grid point's probability), the
+Monte Carlo path averages them over draws/2 random pairs, drawn and scored
+in tiles of 512 sign vectors through one reused buffer, so its memory grows
+with the draw count only by the pair statistics it keeps. Every estimate
+carries a plain form, max over the class of the signed mean, and a
+symmetrized form that takes the absolute value inside the max, both scored
+on the same sign vectors, each with its own standard error; the plain form
+is what the deviation bounds consume, the symmetrized one is a diagnostic
+for sign-asymmetric classes.
 
 Closed-form ceilings for comparison: the finite-class growth bound
 L_H * sqrt(2 log r / n) and the dimension bound
@@ -35,7 +39,7 @@ from .metric import SeedSpec, derive_stream, make_rng
 
 EXACT_N_CAP = 20
 MC_DRAWS = 4096  # default Monte Carlo sign vectors per estimate
-_CHUNK = 1 << 13  # exact enumeration's tile of sign vectors
+_CHUNK = 1 << 13  # exact enumeration's tile of sign vectors or of grid points
 # Monte Carlo sign vectors scored per product. An (H, n) @ (n, 512) product
 # with n * H < 1,024 stays on one OpenBLAS thread, where one product of all
 # draws/2 columns split over two threads whose helper mostly spun. Timed on
@@ -106,7 +110,12 @@ def loss_matrix(
 class RademacherEstimate:
     """Plain estimate with its standard error, and the symmetrized value with
     its own, scored on the same sign vectors (or the same chains, for
-    expectations). Both errors are 0.0 for exact enumeration."""
+    expectations). Both errors are 0.0 for exact enumeration.
+
+    ``draws`` counts what was scored: the 2^n sign vectors of plain
+    enumeration, the grid points of grouped enumeration (at most
+    2^EXACT_N_CAP), the Monte Carlo sign vectors, or the chains of an
+    expectation."""
 
     value: float
     se: float
@@ -226,6 +235,109 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
     )
 
 
+def _column_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of ``values`` and how often each occurs, found by
+    a lexsort and a compare of adjacent sorted columns. The groups come out
+    in the sorted order of their columns, so reordering the columns of
+    ``values`` changes neither the groups nor their order."""
+    ordered = values[:, np.lexsort(values)]
+    fresh = np.ones(ordered.shape[1], dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return ordered[:, starts], np.diff(starts, append=ordered.shape[1])
+
+
+def _grid_size(counts: np.ndarray) -> int:
+    """Points in the grid of group sums, prod_c (m_c + 1), exactly while it is
+    at most 2^EXACT_N_CAP; past that, a partial product that already exceeds
+    it, since every factor is at least 2."""
+    return math.prod((counts[: EXACT_N_CAP + 1] + 1).tolist())
+
+
+def _sum_law(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values 2k - m and probabilities C(m, k) / 2^m, k = 0..m, of a sum of m
+    independent signs.
+
+    Each log C(m, k) / C(m, m // 2) is a running sum of log ratios taken
+    outward from the middle, where the mass is, so no factor overflows or
+    needs a big integer at any m and the large terms carry full precision;
+    one division then makes the probabilities sum to one. The half with
+    k <= m/2 is mirrored, so the sums S and -S weigh exactly the same."""
+    j = np.arange(m // 2, 0, -1)
+    log_rel = np.concatenate(([0.0], np.cumsum(np.log(j / (m + 1 - j)))))
+    half = np.exp(log_rel[::-1])
+    probs = np.concatenate((half, half[: (m + 1) // 2][::-1]))
+    probs /= probs.sum()
+    return 2.0 * np.arange(m + 1) - m, probs
+
+
+def _grid_scores(
+    columns: np.ndarray, laws: list, index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H, len(index)) scores sum_c L_h(c) S_c and (len(index),) probabilities
+    at the points ``index`` of the grid of group sums S_c, with the sums
+    and probabilities of each group in ``laws`` and the first group's sum
+    varying fastest along the grid."""
+    scores, weights = np.zeros((columns.shape[0], index.size)), np.ones(index.size)
+    stride = 1
+    for col, (sums, probs) in zip(columns.T, laws):
+        digit = index // stride % sums.size
+        scores += col[:, None] * sums[digit]
+        weights *= probs[digit]
+        stride *= sums.size
+    return scores, weights
+
+
+def rademacher_grouped(columns: np.ndarray, counts: np.ndarray) -> RademacherEstimate:
+    """Exact average over every sign vector of a matrix whose distinct
+    columns ``columns`` occur ``counts`` times (``_column_groups``).
+
+    A sign vector scores sum_c L_h(c) S_c, with S_c the sum of the m_c signs
+    on group c, which is 2k - m_c with probability C(m_c, k) / 2^m_c. So the
+    expectation is a weighted sum over the grid of prod_c (m_c + 1) values
+    of (S_c), capped at 2^EXACT_N_CAP points, whatever n is. The groups split
+    into a low block of at most ``_CHUNK`` grid points, scored once, and a
+    high block scored a slice at a time, so that one broadcast add of the
+    low scores and a slice of high scores fills a tile of at most ``_CHUNK``
+    points and memory stays flat. The weights are symmetric under S <-> -S,
+    so ``_pair_sums`` over the whole grid, halved, gives the plain form.
+    ``draws`` counts the grid points scored."""
+    points = _grid_size(counts)
+    if points > 1 << EXACT_N_CAP:
+        raise SizeCapError(
+            f"grouped enumeration covers {points} or more points of group sums; capped at "
+            f"2^{EXACT_N_CAP}, use the Monte Carlo estimator instead"
+        )
+    laws = [_sum_law(m) for m in counts.tolist()]
+    split, low_points = 0, 1
+    while split < len(laws) and low_points * laws[split][0].size <= _CHUNK:
+        low_points *= laws[split][0].size
+        split += 1
+    low, low_weights = _grid_scores(columns[:, :split], laws[:split], np.arange(low_points))
+    h, high_points = columns.shape[0], points // low_points
+    step = min(_CHUNK // low_points, high_points)  # high grid points per tile
+    buf = np.empty(h * low_points * step)
+    acc = acc_sym = 0.0
+    for start in range(0, high_points, step):
+        index = np.arange(start, min(start + step, high_points))
+        high, high_weights = _grid_scores(columns[:, split:], laws[split:], index)
+        tile = buf[: h * low_points * index.size].reshape(h, low_points, index.size)
+        np.add(low[:, :, None], high[:, None, :], out=tile)
+        spread, reach = _pair_sums(tile.reshape(h, -1))
+        weights = np.multiply.outer(low_weights, high_weights).ravel()
+        acc += float(weights @ spread)
+        acc_sym += float(weights @ reach)
+    n = int(counts.sum())
+    return RademacherEstimate(
+        value=acc / (2 * n),
+        se=0.0,
+        draws=points,
+        method="exact",
+        value_symmetrized=acc_sym / n,
+        se_symmetrized=0.0,
+    )
+
+
 def _mean_se(stats: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of ``stats``, centred on the first entry:
     equal entries give that entry back exactly, with an error of 0.0.
@@ -280,11 +392,25 @@ def rademacher_mc(
 
 
 def rademacher_estimate(matrix: LossMatrix, draws: int, seed: SeedSpec) -> RademacherEstimate:
-    """Exact enumeration up to ``EXACT_N_CAP`` states, ``draws`` Monte Carlo
-    sign vectors from ``seed`` above it; ``method`` says which one ran."""
+    """The one place that picks an estimator; ``method`` says which one ran.
+
+    Up to ``EXACT_N_CAP`` states, every sign vector is enumerated
+    (``rademacher_exact``). Above it, the equal columns are grouped, and the
+    grid of group sums is enumerated exactly (``rademacher_grouped``) when it
+    has at most 2^EXACT_N_CAP points; otherwise ``draws`` Monte Carlo sign
+    vectors are drawn from ``seed``."""
     if matrix.num_states <= EXACT_N_CAP:
         return rademacher_exact(matrix)
+    columns, counts = _column_groups(matrix.values)
+    if _grid_size(counts) <= 1 << EXACT_N_CAP:
+        return rademacher_grouped(columns, counts)
     return rademacher_mc(matrix, draws, seed)
+
+
+def shared_method(estimates) -> str:
+    """The ``method`` every estimate reports, or ``"mixed"`` when they differ."""
+    methods = {est.method for est in estimates}
+    return methods.pop() if len(methods) == 1 else "mixed"
 
 
 def rademacher_expected(
@@ -302,23 +428,23 @@ def rademacher_expected(
     Every chain starts stationary: it is burned in to within ``tol`` of the
     invariant law before its ``n`` recorded states. Each chain's value is
     exact or Monte Carlo as ``rademacher_estimate`` picks, and ``method``
-    reads ``expected_<that method>_stationary``.
+    reads ``expected_<that method>_stationary``, with ``mixed`` for the
+    method when the chains' estimators differ.
     """
     if not (isinstance(outer, int) and outer >= 2):
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
-    per_chain = np.empty(outer)
-    per_chain_sym = np.empty(outer)
     streams = [derive_stream(seed, i) for i in range(outer)]
-    for i, traj in enumerate(sample_stationary_chains(gen, n, tol, streams)):
-        est = rademacher_estimate(loss_matrix(cls, traj, env), mc_draws,
-                                  derive_stream(traj.seed, 1))
-        per_chain[i] = est.value
-        per_chain_sym[i] = est.value_symmetrized
+    chains = [
+        rademacher_estimate(loss_matrix(cls, traj, env), mc_draws, derive_stream(traj.seed, 1))
+        for traj in sample_stationary_chains(gen, n, tol, streams)
+    ]
+    per_chain = np.array([est.value for est in chains])
+    per_chain_sym = np.array([est.value_symmetrized for est in chains])
     return RademacherEstimate(
         value=float(per_chain.mean()),
         se=float(per_chain.std(ddof=1) / math.sqrt(outer)),
         draws=outer,
-        method=f"expected_{est.method}_stationary",
+        method=f"expected_{shared_method(chains)}_stationary",
         value_symmetrized=float(per_chain_sym.mean()),
         se_symmetrized=float(per_chain_sym.std(ddof=1) / math.sqrt(outer)),
     )

@@ -20,8 +20,9 @@ from chaincert.certificates import (
     validate_lemma2,
     validate_lemma3,
 )
-from chaincert.complexity import EXACT_N_CAP
+from chaincert.complexity import EXACT_N_CAP, loss_matrix
 from chaincert.errors import AssumptionViolationError, InvalidInputError
+from chaincert.generators import sample_chains
 from chaincert.hypotheses import (
     HypothesisClass,
     constant_grid,
@@ -30,9 +31,10 @@ from chaincert.hypotheses import (
     linear_hypothesis,
     make_abs_loss,
 )
-from chaincert.metric import SeedSpec
+from chaincert.metric import SeedSpec, derive_stream
+from chaincert.presets import load_preset
 
-from test_generators import make_halving, make_iid
+from test_generators import make_affine_worked_example, make_halving, make_iid
 
 
 def test_population_certificate_worked_values():
@@ -338,18 +340,44 @@ def test_coverage_window_modes_and_validation():
 
 @pytest.mark.parametrize("n", (EXACT_N_CAP, EXACT_N_CAP + 1))
 def test_inner_estimator_is_recorded(n):
-    gen = make_iid()
     cls = constant_grid([0.0, 1.0])
-    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    method = "exact" if n <= EXACT_N_CAP else "mc"
-    lemma3 = validate_lemma3(gen, cls, env, n=n, epsilon=0.3, trials=2, seed=SeedSpec(31),
-                             mc_draws=64)
-    coverage = coverage_experiment(gen, cls, env, n=n, epsilon=0.3, trials=2,
-                                   seed=SeedSpec(31), rad_outer=2, mc_draws=64)
-    lemma2 = validate_lemma2(gen, cls, env, n=n, trials=2, seed=SeedSpec(31), rad_outer=2,
-                             mc_draws=64)
-    assert dict(lemma3.details)["rhat_method"] == method
-    assert dict(coverage.details)["rhat_method"] == method
-    # the population complexity averages the same inner estimator over chains
-    assert dict(coverage.details)["rademacher_method"] == f"expected_{method}_stationary"
-    assert dict(lemma2.details)["rademacher_method"] == f"expected_{method}_stationary"
+    # two atoms repeat two columns, so their grid of group sums fits at any
+    # n here; a continuous chain repeats none, so past the cap it takes MC
+    cases = ((make_iid(), "exact"),
+             (make_affine_worked_example(), "exact" if n <= EXACT_N_CAP else "mc"))
+    for gen, method in cases:
+        env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+        lemma3 = validate_lemma3(gen, cls, env, n=n, epsilon=0.3, trials=2,
+                                 seed=SeedSpec(31), mc_draws=64)
+        coverage = coverage_experiment(gen, cls, env, n=n, epsilon=0.3, trials=2,
+                                       seed=SeedSpec(31), rad_outer=2, mc_draws=64)
+        lemma2 = validate_lemma2(gen, cls, env, n=n, trials=2, seed=SeedSpec(31),
+                                 rad_outer=2, mc_draws=64)
+        assert dict(lemma3.details)["rhat_method"] == method
+        assert dict(coverage.details)["rhat_method"] == method
+        assert dict(coverage.details)["rhat_exact_trials"] == (2 if method == "exact" else 0)
+        # the population complexity averages the same inner estimator over chains
+        assert dict(coverage.details)["rademacher_method"] == f"expected_{method}_stationary"
+        assert dict(lemma2.details)["rademacher_method"] == f"expected_{method}_stationary"
+
+
+def test_mixed_estimators_are_reported_as_mixed():
+    # iid_four at n = 40: eight distinct columns, whose grid of group sums
+    # fits under 2^EXACT_N_CAP points on lopsided windows only
+    bundle = load_preset("iid_four")
+    n, trials = 40, 6
+    report = coverage_experiment(bundle.gen, bundle.cls, bundle.env, n=n, epsilon=0.2,
+                                 trials=trials, seed=SeedSpec(0), rad_outer=4, mc_draws=64)
+    details = dict(report.details)
+    # count the windows whose grid fits, from np.unique and Python integers
+    batch = derive_stream(SeedSpec(0), 0)
+    streams = [derive_stream(batch, t) for t in range(trials)]
+    fits = 0
+    for traj in sample_chains(bundle.gen, 2 * n, streams):
+        values = loss_matrix(bundle.cls, traj, bundle.env, window=(n, 2 * n)).values
+        counts = np.unique(values, axis=1, return_counts=True)[1]
+        fits += math.prod(int(m) + 1 for m in counts) <= 2**EXACT_N_CAP
+    assert 0 < fits < trials
+    assert details["rhat_exact_trials"] == fits == 4
+    assert details["rhat_method"] == "mixed"
+    assert details["rademacher_method"] == "expected_mixed_stationary"

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from chaincert.complexity import (
     LossMatrix,
     _TILE,
     _bit_scores,
+    _column_groups,
     _pair_sums,
     _sign_tiles,
     growth_bound,
@@ -18,6 +21,7 @@ from chaincert.complexity import (
     rademacher_estimate,
     rademacher_exact,
     rademacher_expected,
+    rademacher_grouped,
     rademacher_mc,
 )
 from chaincert.errors import InvalidInputError, SizeCapError
@@ -26,7 +30,7 @@ from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss
 from chaincert.metric import SeedSpec, make_rng
 from chaincert.presets import load_preset
 
-from test_generators import make_halving, make_iid
+from test_generators import make_affine_worked_example, make_halving, make_iid
 
 
 def test_exact_hand_case_quarter():
@@ -96,12 +100,91 @@ def test_exact_memory_stays_flat(h, cap_mib):
 
 
 def test_exact_cap_directs_to_mc():
-    mat = LossMatrix(values=np.zeros((2, EXACT_N_CAP + 1)), ell_H=1.0)
+    n = EXACT_N_CAP + 1
+    # every column distinct: 2^n grid points of group sums, past the cap
+    distinct = LossMatrix(values=np.arange(2.0 * n).reshape(2, n) / (2 * n), ell_H=1.0)
     with pytest.raises(SizeCapError):
-        rademacher_exact(mat)
-    assert rademacher_estimate(mat, 64, SeedSpec(0)).method == "mc"
-    small = LossMatrix(values=np.zeros((2, 3)), ell_H=1.0)
-    assert rademacher_estimate(small, 64, SeedSpec(0)).method == "exact"
+        rademacher_exact(distinct)
+    with pytest.raises(SizeCapError):
+        rademacher_grouped(*_column_groups(distinct.values))
+    est = rademacher_estimate(distinct, 64, SeedSpec(0))
+    assert est.method == "mc" and est.draws == 64
+    assert est == rademacher_mc(distinct, 64, SeedSpec(0))
+    # one column repeated n times: n + 1 grid points, enumerated exactly
+    repeated = LossMatrix(values=np.zeros((2, n)), ell_H=1.0)
+    est = rademacher_estimate(repeated, 64, SeedSpec(0))
+    assert (est.method, est.draws, est.se, est.se_symmetrized) == ("exact", n + 1, 0.0, 0.0)
+    # at the cap the plain enumeration runs, with no grouping step
+    small = LossMatrix(values=np.zeros((2, EXACT_N_CAP)), ell_H=1.0)
+    est = rademacher_estimate(small, 64, SeedSpec(0))
+    assert (est.method, est.draws) == ("exact", 1 << EXACT_N_CAP)
+
+
+def _duplicated_columns(rng, h: int, n: int, distinct: int) -> np.ndarray:
+    """An (h, n) matrix whose n columns are drawn from ``distinct`` random ones."""
+    base = rng.random((h, distinct))
+    return base[:, rng.integers(0, distinct, n)]
+
+
+@pytest.mark.parametrize("h", (1, 3, 8))
+def test_grouped_matches_plain_enumeration(h):
+    rng = np.random.default_rng(40 + h)
+    for n in range(1, EXACT_N_CAP + 1):
+        for distinct in sorted({1, 2, max(1, n // 2), n}):
+            vals = _duplicated_columns(rng, h, n, distinct)
+            columns, counts = _column_groups(vals)
+            assert counts.sum() == n and columns.shape[1] <= distinct
+            grouped = rademacher_grouped(columns, counts)
+            exact = rademacher_exact(LossMatrix(values=vals, ell_H=1.0))
+            assert grouped.value == pytest.approx(exact.value, abs=1e-12)
+            assert grouped.value_symmetrized == pytest.approx(exact.value_symmetrized,
+                                                              abs=1e-12)
+            assert grouped.method == "exact" and grouped.se == grouped.se_symmetrized == 0.0
+            assert grouped.draws == math.prod(int(m) + 1 for m in counts)
+
+
+@pytest.mark.parametrize("n", (200, 20_000))
+def test_grouped_one_distinct_column_closed_form(n):
+    # score_h = L_h S with S the sum of n signs, so E max_h L_h S / n is
+    # (max L - min L) E|S| / (2n), and E|S| = n C(n-1, (n-1)//2) / 2^(n-1)
+    col = [0.1, 0.6, 0.3, 0.0]
+    mean_abs = Fraction(n * math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))
+    plain = float((Fraction(max(col)) - Fraction(min(col))) * mean_abs / (2 * n))
+    sym = float(Fraction(max(col)) * mean_abs / n)  # E max_h |L_h S| / n
+    mat = LossMatrix(values=np.repeat(np.array(col)[:, None], n, axis=1), ell_H=1.0)
+    est = rademacher_estimate(mat, 4096, SeedSpec(0))
+    assert (est.method, est.draws, est.se, est.se_symmetrized) == ("exact", n + 1, 0.0, 0.0)
+    assert est.value == pytest.approx(plain, rel=1e-12)
+    assert est.value_symmetrized == pytest.approx(sym, rel=1e-12)
+    json.dumps(est.draws)  # 2^n would not fit: json refuses ints past 4,300 digits
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 4), n=st.integers(21, 60),
+       distinct=st.integers(1, 4))
+def test_grouped_value_ignores_column_order(seed, h, n, distinct):
+    rng = np.random.default_rng(seed)
+    vals = _duplicated_columns(rng, h, n, distinct)
+    est = rademacher_estimate(LossMatrix(values=vals, ell_H=1.0), 64, SeedSpec(0))
+    shuffled = vals[:, rng.permutation(n)]
+    again = rademacher_estimate(LossMatrix(values=shuffled, ell_H=1.0), 64, SeedSpec(0))
+    assert est.method == "exact" and again == est
+
+
+def test_grouped_memory_stays_flat():
+    # 18 single columns and one column three times over: 2^18 * 4 = 2^20
+    # grid points at H = 64, which would hold 512 MB scored in one piece
+    rng = np.random.default_rng(64)
+    vals = rng.random((64, 19))[:, list(range(18)) + [18, 18, 18]]
+    columns, counts = _column_groups(vals)
+    tracemalloc.start()
+    try:
+        est = rademacher_grouped(columns, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.draws == 1 << EXACT_N_CAP
+    assert peak < 16.0 * 2**20
 
 
 def test_mc_is_consistent_with_exact():
@@ -301,11 +384,18 @@ def test_expected_rademacher_starts_stationary():
 
 
 def test_expected_rademacher_mc_inner_for_large_n():
-    gen = make_iid()
     cls = constant_grid([0.0, 1.0])
+    # a continuous chain: every column distinct, so the grid is past the cap
+    gen = make_affine_worked_example()
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
     est = rademacher_expected(cls, gen, env, n=24, outer=4, mc_draws=512, seed=SeedSpec(7))
     assert est.method == "expected_mc_stationary"
+    assert est.se >= 0.0
+    # two atoms: two distinct columns, so every chain is enumerated exactly
+    gen = make_iid()
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    est = rademacher_expected(cls, gen, env, n=24, outer=4, mc_draws=512, seed=SeedSpec(7))
+    assert est.method == "expected_exact_stationary"
     assert est.se >= 0.0
 
 

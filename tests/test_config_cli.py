@@ -399,12 +399,25 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
     s1 = read_summary(str(tmp_path / "run1" / "coverage_summary.json"))
     s2 = read_summary(str(tmp_path / "run2" / "coverage_summary.json"))
     assert s1["coverage"] == 1.0 and s1["verdicts"] == {"coverage": "PASS"}
-    assert s1["ingredients"]["rhat_method"] == "mc"  # n = 40 is above the exact cap
+    # n = 40 is above the plain enumeration cap, but the halving chain sits at
+    # its fixed point, so each window repeats one column: enumerated by groups
+    assert s1["ingredients"]["rhat_method"] == "exact"
+    assert s1["ingredients"]["rhat_exact_trials"] == 10
     # out_dir differs between the two effective configs
     for s in (s1, s2):
         s.pop("config_sha256")
     a, b = comparable_summary(s1), comparable_summary(s2)
     assert a == b
+
+    # a continuous chain repeats no column: past the cap, Monte Carlo
+    cfg = write_config(tmp_path, "cov_mc.json", {
+        "preset": "affine_triangle", "n": 40, "epsilon": 0.1, "trials": 2,
+        "rad_outer": 2, "draws": 64, "out_dir": str(tmp_path / "run3"),
+    })
+    assert main(["coverage", "--config", cfg]) == 0
+    s3 = read_summary(str(tmp_path / "run3" / "coverage_summary.json"))
+    assert s3["ingredients"]["rhat_method"] == "mc"
+    assert s3["ingredients"]["rhat_exact_trials"] == 0
 
 
 def test_cli_exit_codes(tmp_path):
@@ -582,6 +595,22 @@ def test_cli_wasserstein_and_rademacher(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # removed flag
         main(["rademacher", str(matrix), "--exact"])
     assert exc.value.code == 2
+
+
+def test_cli_rademacher_enumerates_repeated_columns(tmp_path, capsys):
+    # 4 x 20,000 with every column equal: 20,001 points of the one group's
+    # sum, not 2^20,000 sign vectors, whose count json could not even write
+    n = 20_000
+    matrix = tmp_path / "repeated.csv"
+    matrix.write_text("\n".join(",".join([v] * n) for v in ("0.1", "0.6", "0.3", "0.0")) + "\n")
+    assert main(["rademacher", str(matrix)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["method"], payload["se"], payload["draws"]) == ("exact", 0.0, n + 1)
+    mean_abs = n * math.comb(n - 1, (n - 1) // 2) / 2 ** (n - 1)  # E|sum of n signs|
+    assert payload["value"] == pytest.approx(0.6 * mean_abs / (2 * n), rel=1e-12)
+    assert main(["rademacher", str(matrix), "--draws", "64"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["method"], payload["draws"]) == ("mc", 64)
 
 
 AFFINE_1D = {"kind": "affine_ifs", "mats": [[[0.5]]], "vecs": [[0.25]],
