@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -60,9 +59,12 @@ from .generators import analytic_lip_factor, sample_chain
 from .hypotheses import verify_a2
 from .metric import MetricSpec, SeedSpec, derive_stream
 from .reporting import (
+    json_fragments,
+    json_object,
     read_atoms_csv,
     read_loss_matrix_csv,
     read_trajectory_csv,
+    write_encoded_summary,
     write_rows_csv,
     write_summary,
     write_trajectory_csv,
@@ -96,19 +98,18 @@ def _print_out(text: str) -> None:
         sys.stdout = devnull
 
 
-def _print_json(payload: dict) -> None:
-    _print_out(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _emit_json(args: argparse.Namespace, kind: str, payload: dict,
                config_sha256: Optional[str] = None) -> int:
     """Print the payload, and with ``--out`` also write it as the command's
-    summary JSON."""
-    _print_json(payload)
+    summary JSON. The payload holds plain JSON values, each encoded once for
+    both documents; a value strict JSON cannot hold is invalid input, found
+    before anything is printed or written."""
+    fragments = json_fragments(payload)
+    _print_out(json_object(fragments))
     if args.out:
         out = _ensure_dir(args.out)
-        write_summary(kind, payload, os.path.join(out, f"{args.command}_summary.json"),
-                      config_sha256)
+        write_encoded_summary(kind, fragments,
+                              os.path.join(out, f"{args.command}_summary.json"), config_sha256)
     return EXIT_OK
 
 
@@ -189,6 +190,7 @@ def _cmd_wasserstein(args: argparse.Namespace) -> int:
     payload = {
         "cost": cost,
         "plan": [[int(i), int(j), float(m)] for i, j, m in plan.entries],
+        "route": plan.route,
         "source_atoms": xs1.shape[0],
         "target_atoms": xs2.shape[0],
         "kappa": args.kappa,
@@ -289,30 +291,31 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _run_validator(name: str, cfg: ExperimentConfig):
+    """The validator's report, and the A2 report of the spot check of the
+    declared loss scale that runs before it."""
     bundle = build_bundle(cfg)
     gen, cls, env = bundle.gen, bundle.cls, bundle.env
-    # cheap spot check of the declared loss scale before the long run
-    verify_a2(env, cls, gen, num_pairs=64, chain_len=12,
-              seed=derive_stream(SeedSpec(cfg.seed), 97))
+    a2 = verify_a2(env, cls, gen, num_pairs=64, chain_len=12,
+                   seed=derive_stream(SeedSpec(cfg.seed), 97))
     n = _need(cfg, "n", name)
     trials = _need(cfg, "trials", name)
     seed = SeedSpec(cfg.seed)
     if name == "lemma2":
         return validate_lemma2(gen, cls, env, n, trials, seed=seed, w_bar=cfg.w_bar,
-                               tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws)
+                               tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws), a2
     epsilon = _resolve_epsilon(cfg, name, n, env.ell_H, analytic_lip_factor(gen))
     if name == "lemma1":
-        return validate_lemma1(gen, cls, env, n, epsilon, trials, seed=seed, tol=cfg.tol)
+        return validate_lemma1(gen, cls, env, n, epsilon, trials, seed=seed, tol=cfg.tol), a2
     if name == "lemma3":
         return validate_lemma3(gen, cls, env, n, epsilon, trials, seed=seed,
-                               tol=cfg.tol, mc_draws=cfg.draws)
+                               tol=cfg.tol, mc_draws=cfg.draws), a2
     return coverage_experiment(gen, cls, env, n, epsilon, trials,
                                window_mode=cfg.window_mode, seed=seed, w_bar=cfg.w_bar,
                                tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws,
-                               erm_tie_break=cfg.tie_break)
+                               erm_tie_break=cfg.tie_break), a2
 
 
-def _validator_summary(report, cfg: ExperimentConfig) -> dict:
+def _validator_summary(report, a2, cfg: ExperimentConfig) -> dict:
     details = dict(report.details)
     return {
         "name": report.name,
@@ -327,19 +330,21 @@ def _validator_summary(report, cfg: ExperimentConfig) -> dict:
         "coverage": details.get("coverage_population"),
         "trials": len(report.rows),
         "seed": cfg.seed,
+        "a2_max_ratio": a2.max_ratio,
+        "a2_pairs_checked": a2.pairs_checked,
         "ingredients": details,
     }
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
-    report = _run_validator(args.name, cfg)
+    report, a2 = _run_validator(args.name, cfg)
     # ``coverage`` is ``validate coverage`` under its own file prefix
     prefix = "coverage" if args.command == "coverage" else f"validate_{args.name}"
     out = _ensure_dir(cfg.out_dir)
     write_rows_csv(report.row_header, report.rows,
                    os.path.join(out, f"{prefix}_trials.csv"))
-    write_summary("validation", _validator_summary(report, cfg),
+    write_summary("validation", _validator_summary(report, a2, cfg),
                   os.path.join(out, f"{prefix}_summary.json"), config_digest(cfg))
     verdict = "PASS" if report.passed else "FAIL"
     _print_out(f"{report.name}: {verdict} (statistic={report.statistic:.6g}, "

@@ -43,7 +43,16 @@ from .errors import (
     GeneratorContractError,
     InvalidInputError,
 )
-from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng, row_dist
+from .metric import (
+    MetricSpec,
+    SeedSpec,
+    ZPoint,
+    derive_stream,
+    dist,
+    make_rng,
+    make_rngs,
+    row_dist,
+)
 
 VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 
@@ -120,7 +129,7 @@ class BallBound:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         direction = rng.normal(size=self.dim)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction @ direction)  # np.linalg.norm's own formula
         if norm == 0.0:
             direction = np.ones(self.dim)
             norm = math.sqrt(self.dim)
@@ -481,8 +490,8 @@ def _paths(gen: Generator, start: ZPoint, n: int, seeds: list):
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
         idx = np.empty((len(block), n - 1), dtype=int)
-        for i, seed in enumerate(block):
-            idx[i] = gen.theta.indices_from_uniform(make_rng(seed).random(n - 1))
+        for i, rng in enumerate(make_rngs(block)):
+            idx[i] = gen.theta.indices_from_uniform(rng.random(n - 1))
         xs, ys = _step_block(gen, start.x, start.y, idx)
         for i, seed in enumerate(block):
             yield Trajectory(xs=xs[i], ys=ys[i], seed=seed, metric=gen.metric)
@@ -549,19 +558,34 @@ def _sample_start(gen: Generator, rng: np.random.Generator) -> tuple[np.ndarray,
 def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
     """Run ``count`` independent chains for ``steps`` draws from sampled starts.
 
-    Chain i draws its start, then its draws, from ``derive_stream(seed, i)``;
-    the chains are stepped together. Returns the (count, steps) draw index
-    matrix and the final states as (count, dim_x) and (count, dim_y) rows;
-    the draw matrix is what lets callers replay suffixes of these same chains.
-    The uniforms of all chains are mapped to draw indices in one call.
+    Chain i draws its start, then its draws, from ``derive_stream(seed, i)``,
+    as ``_sample_start`` and ``random(steps)`` on ``make_rng`` of that stream;
+    the streams are positioned by ``make_rngs``. In the labelled variants
+    every chain first draws its start features and its uniforms, and the
+    label map and the y-bound test then run once over the block of starts. A
+    chain whose label leaves the y bound resamples y from its stream before
+    its uniforms, so it is replayed alone. The chains are stepped together.
+    Returns the (count, steps) draw index matrix and the final states as
+    (count, dim_x) and (count, dim_y) rows; the draw matrix is what lets
+    callers replay suffixes of these same chains.
     """
+    streams = [derive_stream(seed, i) for i in range(count)]
     x0 = np.empty((count, gen.metric.dim_x))
     y0 = np.empty((count, gen.metric.dim_y))
     uniforms = np.empty((count, steps))
-    for i in range(count):
-        rng = make_rng(derive_stream(seed, i))
-        x0[i], y0[i] = _sample_start(gen, rng)
+    labelled = gen.variant != "iid"
+    for i, rng in enumerate(make_rngs(streams)):
+        if labelled:
+            x0[i] = gen.x_bound.sample(rng)
+        else:
+            x0[i], y0[i] = _sample_start(gen, rng)
         uniforms[i] = rng.random(steps)
+    if labelled:
+        y0[:] = _call_rows(gen.label_map.apply, x0, gen.metric.dim_y, "label map")
+        for i in np.flatnonzero(~gen.y_bound.inside(y0)).tolist():
+            rng = make_rng(streams[i])
+            x0[i], y0[i] = _sample_start(gen, rng)
+            uniforms[i] = rng.random(steps)
     indices = gen.theta.indices_from_uniform(uniforms)
     x_end, y_end = _final_states(gen, x0, y0, indices)
     return indices, x_end, y_end

@@ -15,11 +15,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here keeps that cost in the
 # package import rather than inside the first command that seeds a stream
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, SeedSequence, default_rng
 
 from .errors import InvalidInputError
 
@@ -184,3 +185,125 @@ def make_rng(seed: SeedSpec) -> np.random.Generator:
     """PCG64 generator keyed by (master_seed, stream_index); bit-stable across runs."""
     ss = SeedSequence(entropy=seed.master_seed, spawn_key=(seed.stream_index,))
     return default_rng(ss)
+
+
+# -- many streams at once ------------------------------------------------------
+#
+# ``make_rng`` seeds PCG64 from numpy's SeedSequence, whose hash numpy documents
+# as stable. Its entropy words are the master seed's uint32 words padded with
+# zeros to the pool size 4, which is (lo, hi, 0, 0) for every master seed (hi
+# is 0 below 2^32), then the stream index: two words (lo, hi) from 2^32 on, one
+# word below that. The first four words are mixed into a pool that all streams
+# of one master seed share; each index word then touches every pool word with
+# fixed multipliers, so that last round and the output hash run over many
+# streams at once as uint32 arrays. PCG64 takes the output as a 128-bit seed s
+# and sequence inc and steps once: state = (inc + s) * mult + inc mod 2^128
+# (O'Neill, PCG, HMC-CS-2014-0905).
+
+_U32 = 2**32
+_M32 = _U32 - 1
+_M128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SHIFT = np.uint32(16)
+_MANY_STREAMS = 16  # see make_rngs
+
+
+def _hash_multipliers(init: int, mult: int, calls: int) -> list:
+    """The multiplier before and after each hash call: init * mult^c mod 2^32."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+# 4 + 12 calls mix the run entropy, then 4 per index word
+_ENTROPY_HASH = _hash_multipliers(0x43B0D7E5, 0x931E8875, 24)
+_INDEX_BEFORE = np.array(_ENTROPY_HASH[16:24], dtype=np.uint32).reshape(2, 4)
+_INDEX_AFTER = np.array(_ENTROPY_HASH[17:25], dtype=np.uint32).reshape(2, 4)
+_OUTPUT_HASH = np.array(_hash_multipliers(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32)
+_OUTPUT_WORDS = np.arange(8) % 4  # the output hash cycles through the pool
+
+
+def _hashmix(value: int, call: int) -> int:
+    value = (value ^ _ENTROPY_HASH[call]) * _ENTROPY_HASH[call + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _master_pool(master_seed: int) -> tuple:
+    """SeedSequence's pool after the run entropy of ``master_seed``, before
+    the stream index is mixed in."""
+    pool = [_hashmix(w, c) for c, w in enumerate((master_seed & _M32, master_seed >> 32, 0, 0))]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    return tuple(pool)
+
+
+def _pcg64_states(seeds: Sequence[SeedSpec]) -> list:
+    """(state, inc) of ``make_rng(s)``'s PCG64 for seeds with a stream index
+    of at least 2^32."""
+    masters = {}  # master seed -> its row in the table of pools
+    which = [masters.setdefault(s.master_seed, len(masters)) for s in seeds]
+    pool = np.array([_master_pool(m) for m in masters], dtype=np.uint32)[which]
+    index = np.array([s.stream_index for s in seeds], dtype=np.uint64)
+    for k, word in enumerate((index & np.uint64(_M32), index >> np.uint64(32))):
+        v = (word.astype(np.uint32)[:, None] ^ _INDEX_BEFORE[k]) * _INDEX_AFTER[k]
+        v ^= v >> _SHIFT
+        pool = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * v
+        pool ^= pool >> _SHIFT
+    out = (pool[:, _OUTPUT_WORDS] ^ _OUTPUT_HASH[:8]) * _OUTPUT_HASH[1:]
+    out ^= out >> _SHIFT
+    out = out.astype(np.uint64)
+    words = out[:, 0::2] | out[:, 1::2] << np.uint64(32)  # little-endian uint64 pairs
+    states = []
+    for v0, v1, v2, v3 in words.tolist():
+        s, inc = v0 << 64 | v1, (v2 << 65 | v3 << 1 | 1) & _M128
+        states.append((((inc + s) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def make_rngs(seeds: Sequence[SeedSpec]) -> Iterator[np.random.Generator]:
+    """``make_rng(s)`` for each seed in order, each at its stream's first draw.
+
+    When at least ``_MANY_STREAMS`` of the seeds have a stream index of 2^32
+    or more (as ``derive_stream`` gives but for a 2^-32 chance), those seeds
+    get one reused generator whose PCG64 state is set to each stream's in
+    turn, from states hashed for all of them at once (``_pcg64_states``); a
+    generator is valid only until the next one is taken. Every other seed,
+    and every seed of a smaller call, gets its own ``make_rng``. The draws
+    are those of ``make_rng``, bit for bit.
+
+    Timed on a shared 2-vCPU host, 12 uniforms per stream, best of five
+    runs, the reused generator against one ``make_rng`` per stream: 1 stream
+    0.062 ms vs 0.012 ms, 4 streams 0.061 vs 0.048, 8 streams 0.081 vs 0.096,
+    16 streams 0.098 vs 0.19, 64 streams 0.24 vs 0.77, 4,224 streams 15 vs
+    52 ms. The fixed cost is the hash set-up, about 0.05 ms; each stream then
+    costs about 3 us, mostly the state setter. The two break even between 4
+    and 8 streams, and an earlier run put 8 streams at a tie, so calls below
+    16 keep ``make_rng``.
+    """
+    seeds = list(seeds)
+    fast = [s for s in seeds if s.stream_index >= _U32]
+    if len(fast) < _MANY_STREAMS:
+        yield from map(make_rng, seeds)
+        return
+    states = iter(_pcg64_states(fast))
+    rng = np.random.Generator(PCG64(0))
+    bits = rng.bit_generator
+    for seed in seeds:
+        if seed.stream_index < _U32:
+            yield make_rng(seed)
+            continue
+        state, inc = next(states)
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng

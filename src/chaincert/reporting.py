@@ -80,18 +80,52 @@ def write_rows_csv(header, rows, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def json_fragments(values: dict) -> dict:
+    """Each value of ``values`` encoded once as it sits inside an indent-2,
+    sorted-key JSON object: ``json.dumps(value, indent=2, sort_keys=True)``
+    with its inner lines indented by two more spaces. A value that strict
+    JSON cannot hold (NaN or an infinity) is invalid input naming its key."""
+    fragments = {}
+    for key, value in values.items():
+        try:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise InvalidInputError(f"cannot write {key!r} as JSON: {exc}") from None
+        # every newline of the text is indentation: json escapes those in strings
+        fragments[str(key)] = text.replace("\n", "\n  ")
+    return fragments
+
+
+def json_object(fragments: dict) -> str:
+    """The JSON object of encoded values, byte for byte the text that
+    ``json.dumps(values, indent=2, sort_keys=True)`` gives."""
+    if not fragments:
+        return "{}"
+    lines = ",\n".join(f"  {json.dumps(key)}: {fragments[key]}" for key in sorted(fragments))
+    return "{\n" + lines + "\n}"
+
+
+def write_encoded_summary(kind: str, fragments: dict, path: str,
+                          config_sha256: Optional[str] = None) -> dict:
+    """Write the summary JSON of values that ``json_fragments`` encoded,
+    with the ``kind``, ``software_version``, ``created_at`` and (when given)
+    ``config_sha256`` fields added, in one write; returns those fields."""
+    fields = {"kind": kind, "software_version": __version__,
+              "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+    if config_sha256 is not None:
+        fields["config_sha256"] = config_sha256
+    text = json_object({**fragments, **json_fragments(fields)})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return fields
+
+
 def write_summary(kind: str, summary: dict, path: str,
                   config_sha256: Optional[str] = None) -> dict:
-    """Write the summary JSON; returns the payload that was written."""
+    """Write the summary JSON; returns the payload that was written. Values
+    may hold numpy scalars and arrays and ``SeedSpec``s."""
     payload = {str(k): _jsonable(v) for k, v in summary.items()}
-    payload["kind"] = kind
-    payload["software_version"] = __version__
-    payload["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if config_sha256 is not None:
-        payload["config_sha256"] = config_sha256
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    payload.update(write_encoded_summary(kind, json_fragments(payload), path, config_sha256))
     return payload
 
 

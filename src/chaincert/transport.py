@@ -126,10 +126,12 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Sparse coupling: (source index, target index, mass) triples plus cost."""
+    """Sparse coupling: (source index, target index, mass) triples plus cost,
+    and the solver that found it: ``"assignment"`` or ``"lp"``."""
 
     entries: tuple
     cost: float
+    route: str
 
     def masses(self, n1: int, n2: int) -> np.ndarray:
         mat = np.zeros((n1, n2))
@@ -138,7 +140,7 @@ class TransportPlan:
         return mat
 
     def transpose(self) -> "TransportPlan":
-        return TransportPlan(tuple((j, i, m) for i, j, m in self.entries), self.cost)
+        return TransportPlan(tuple((j, i, m) for i, j, m in self.entries), self.cost, self.route)
 
 
 def _cost_matrix(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> np.ndarray:
@@ -246,7 +248,7 @@ def _solve_assignment(cost: np.ndarray) -> TransportPlan:
     entries = tuple(
         (int(p // n2), int(p % n2), int(c) / k) for p, c in zip(pairs, counts)
     )
-    return TransportPlan(entries, total)
+    return TransportPlan(entries, total, "assignment")
 
 
 def _solve_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> TransportPlan:
@@ -282,7 +284,7 @@ def _solve_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> TransportPlan
         (int(i), int(j), float(flow[i, j]))
         for i, j in zip(*np.nonzero(flow > 1e-14))
     )
-    return TransportPlan(entries, max(float(res.fun), 0.0))
+    return TransportPlan(entries, max(float(res.fun), 0.0), "lp")
 
 
 def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> tuple[float, TransportPlan]:

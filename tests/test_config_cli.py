@@ -23,14 +23,18 @@ from chaincert.config import (
 )
 from chaincert.errors import AssumptionViolationError, InvalidInputError
 from chaincert.generators import analytic_lip_factor, sample_chain
-from chaincert.metric import SeedSpec
+from chaincert.hypotheses import verify_a2
+from chaincert.metric import SeedSpec, derive_stream
 from chaincert.presets import load_preset
 from chaincert.reporting import (
     comparable_summary,
+    json_fragments,
+    json_object,
     read_atoms_csv,
     read_loss_matrix_csv,
     read_summary,
     read_trajectory_csv,
+    write_encoded_summary,
     write_rows_csv,
     write_summary,
     write_trajectory_csv,
@@ -305,6 +309,36 @@ def test_summary_values_keep_their_json_types(tmp_path):
         assert p["seed"] == {"master_seed": 5, "stream_index": 0}
 
 
+@pytest.mark.parametrize("payload", [
+    {},
+    {"empty_list": [], "empty_dict": {}},
+    {"unicode": "caf\u00e9 \u2211 \U0001f600", "newline": "two\nlines\n", "quote": 'a"b\\'},
+    {"plan": [[0, 1, 0.5], [1, 0, 0.5]], "nested": {"b": {"d": [1, {"z": [], "a": {}}], "c": None},
+                                                    "a": [True, False, 1e-300, -0.0]}},
+])
+def test_json_fragments_match_one_encode(payload):
+    assert json_object(json_fragments(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_fragments_reject_nonfinite_values_by_key():
+    with pytest.raises(InvalidInputError, match="'deep'"):
+        json_fragments({"fine": [1.0], "deep": {"x": [float("nan")]}})
+    with pytest.raises(InvalidInputError, match="'radius'"):
+        json_fragments({"radius": float("inf")})
+
+
+def test_summary_files_are_one_indent_two_document(tmp_path):
+    payload = {"plan": [[0, 1, 0.5]], "kind": "overridden", "z": "last"}
+    path = tmp_path / "e.json"
+    fields = write_encoded_summary("k", json_fragments(payload), str(path), "ab" * 32)
+    back = read_summary(str(path))
+    assert back == {**payload, **fields} and back["kind"] == "k"
+    assert path.read_text() == json.dumps(back, indent=2, sort_keys=True) + "\n"
+    summary = {"ni": np.int64(4), "arr": np.array([1.5, 2.0])}
+    written = write_summary("k", summary, str(tmp_path / "s.json"))
+    assert (tmp_path / "s.json").read_text() == json.dumps(written, indent=2, sort_keys=True) + "\n"
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     cfg = parse_config(blocks_config())
     bundle = build_bundle(cfg)
@@ -399,6 +433,7 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
     s1 = read_summary(str(tmp_path / "run1" / "coverage_summary.json"))
     s2 = read_summary(str(tmp_path / "run2" / "coverage_summary.json"))
     assert s1["coverage"] == 1.0 and s1["verdicts"] == {"coverage": "PASS"}
+    assert s1["a2_pairs_checked"] > 0 and s1["a2_max_ratio"] >= 0.0
     # n = 40 is above the plain enumeration cap, but the halving chain sits at
     # its fixed point, so each window repeats one column: enumerated by groups
     assert s1["ingredients"]["rhat_method"] == "exact"
@@ -544,6 +579,15 @@ def test_cli_validate_lemma1_passes(tmp_path):
     rows = (tmp_path / "l1" / "validate_lemma1_trials.csv").read_text().splitlines()
     assert rows[0] == "trial,phi,exceeded"
     assert len(rows) == 25
+    # the spot check of the loss scale that ran first is reported
+    loaded = load_config(cfg)
+    bundle = build_bundle(loaded)
+    a2 = verify_a2(bundle.env, bundle.cls, bundle.gen, num_pairs=64, chain_len=12,
+                   seed=derive_stream(SeedSpec(loaded.seed), 97))
+    summary = read_summary(str(tmp_path / "l1" / "validate_lemma1_summary.json"))
+    assert (summary["a2_max_ratio"], summary["a2_pairs_checked"]) == (a2.max_ratio,
+                                                                      a2.pairs_checked)
+    assert summary["a2_pairs_checked"] > 0
 
 
 def test_cli_certify_worked_values(tmp_path, capsys):
@@ -564,6 +608,20 @@ def test_cli_certify_worked_values(tmp_path, capsys):
     assert main(["certify", "--form", "population", "--rademacher", "0.1",
                  "--ell-h", "1.0", "--ell-f", "1.0", "--n", "100",
                  "--epsilon", "0.1"]) == 3
+
+
+def test_cli_nonfinite_payload_is_invalid_input(tmp_path, capsys):
+    # the certificate's terms overflow to infinity, which strict JSON cannot hold
+    argv = ["certify", "--form", "population", "--rademacher", "1e308", "--ell-h", "1e308",
+            "--ell-f", "0.5", "--n", "10", "--epsilon", "0.1"]
+    out = tmp_path / "cert"
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "'radius'" in captured.err
+    assert not out.exists()
 
 
 def test_cli_certify_delta_route(tmp_path, capsys):

@@ -12,6 +12,9 @@ from chaincert.generators import (
     BallBound,
     BoxBound,
     CategoricalTheta,
+    _chain_bundle,
+    _final_states,
+    _sample_start,
     _step_block,
     affine_ifs_generator,
     analytic_lip_factor,
@@ -24,6 +27,7 @@ from chaincert.generators import (
     iid_generator,
     invariant_sampler,
     labeled_lipschitz_generator,
+    linear_label,
     sample_chain,
     sample_chains,
     sample_stationary_chain,
@@ -374,12 +378,68 @@ def _assert_matches_reference(gen, n, count, label_row):
 def test_lockstep_matches_per_row_reference_on_presets(name):
     gen = load_preset(name).gen
     _assert_matches_reference(gen, 60, 7, _row_label(gen))
+    _assert_matches_reference(gen, 12, 20, _row_label(gen))  # seeds from one reused generator
     # the stationary form is the burned-in tail of the same paths
     b = burn_in_steps(gen, 1e-3)
     seeds = [derive_stream(SeedSpec(5), c) for c in range(4)]
     reference = _reference_paths(gen, b + 20, seeds, _row_label(gen))
     for traj, (xs, ys) in zip(sample_stationary_chains(gen, 20, 1e-3, seeds), reference):
         assert _same_bits(traj.xs, xs[b:]) and _same_bits(traj.ys, ys[b:])
+
+
+# -- batched chain starts against one chain at a time ---------------------------
+
+
+def _reference_bundle(gen, steps, count, seed):
+    """``_chain_bundle`` one chain at a time: each chain's start, then its
+    uniforms, from ``make_rng`` of its stream."""
+    x0, y0, uniforms = [], [], []
+    for i in range(count):
+        rng = make_rng(derive_stream(seed, i))
+        x, y = _sample_start(gen, rng)
+        x0.append(x)
+        y0.append(y)
+        uniforms.append(rng.random(steps))
+    idx = gen.theta.indices_from_uniform(np.array(uniforms).reshape(count, steps))
+    return (idx, *_final_states(gen, np.array(x0), np.array(y0), idx))
+
+
+def _assert_bundle_matches_reference(gen, steps, count, seed):
+    got = _chain_bundle(gen, steps, count, seed)
+    for a, b in zip(got, _reference_bundle(gen, steps, count, seed), strict=True):
+        assert _same_bits(a, b)
+    return got
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_batched_starts_match_per_chain_starts_on_presets(name):
+    gen = load_preset(name).gen
+    for seed in (SeedSpec(0), SeedSpec(2**40 + 3, 9)):
+        for count in (1, 7, 40):
+            _assert_bundle_matches_reference(gen, 6, count, seed)
+
+
+def _overshooting_label_generator():
+    # starts fill x in [-1, 1], whose label 2x leaves the y bound [-1, 1] for
+    # |x| > 1/2; after one step |x| <= 0.35 and every label lies inside
+    return labeled_lipschitz_generator(
+        governing_map=lambda x, theta: 0.25 * x + theta, theta_atoms=(-0.1, 0.1),
+        weights=[0.5, 0.5], lip_x_per_theta=[0.25, 0.25],
+        label_map=linear_label([[2.0]], [0.0]), metric=MetricSpec(1, 1, 4.0),
+        x_bound=BoxBound([-1.0], [1.0]), y_bound=BoxBound([-1.0], [1.0]),
+        z0=ZPoint(0.0, 0.0),
+    )
+
+
+def test_batched_starts_replay_chains_whose_label_leaves_the_y_bound():
+    gen = _overshooting_label_generator()
+    # with no steps the final states are the starts
+    _, x0, y0 = _assert_bundle_matches_reference(gen, 0, 40, SeedSpec(3))
+    replayed = y0[:, 0] != 2.0 * x0[:, 0]
+    assert 0 < replayed.sum() < 40
+    assert np.all(np.abs(x0[replayed, 0]) > 0.5)
+    for count in (1, 7, 40):
+        _assert_bundle_matches_reference(gen, 5, count, SeedSpec(3))
 
 
 def _random_affine_block(rng, dim, label):

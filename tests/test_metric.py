@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 import chaincert
 from chaincert.errors import InvalidInputError
 from chaincert.metric import (
+    _MANY_STREAMS,
     MetricSpec,
     SeedSpec,
     ZPoint,
+    _pcg64_states,
     derive_stream,
     dist,
     _triangle_pairs,
     make_rng,
+    make_rngs,
     pairwise_dist,
     row_dist,
 )
@@ -125,6 +128,42 @@ def test_derived_streams_differ():
 def test_derivation_is_order_sensitive():
     root = SeedSpec(5)
     assert derive_stream(derive_stream(root, 1), 2) != derive_stream(derive_stream(root, 2), 1)
+
+
+def _draws(rng):
+    # an odd count of 32-bit integers leaves half a 64-bit word buffered; a
+    # power-of-two range rejects no draw, so a stale buffered half would show
+    return (rng.random(5), rng.normal(size=3), rng.integers(0, 2**20, size=5),
+            rng.integers(1, 12, size=3), rng.integers(0, 2**40, size=2))
+
+
+def test_make_rngs_draws_equal_make_rng():
+    rs = np.random.default_rng(2024)
+    masters = [0, 2**32 - 1, 2**32, 2**64 - 1] + rs.integers(0, 2**63, size=3).tolist()
+    indices = ([0, 1, 2**32 - 1, 2**32, 2**64 - 1] + rs.integers(2**32, 2**63, size=3).tolist()
+               + rs.integers(2**63, 2**64, size=2, dtype=np.uint64).tolist())
+    seeds = [SeedSpec(int(m), int(k)) for m in masters for k in indices]
+    assert len(seeds) >= _MANY_STREAMS
+    taken = []
+    for seed, rng in zip(seeds, make_rngs(seeds), strict=True):
+        taken.append(id(rng))
+        for a, b in zip(_draws(rng), _draws(make_rng(seed))):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the streams with an index of at least 2^32 share one reused generator
+    assert len(set(taken)) < len(seeds)
+    # and their PCG64 states are numpy's own
+    fast = [s for s in seeds if s.stream_index >= 2**32]
+    for seed, (state, inc) in zip(fast, _pcg64_states(fast), strict=True):
+        assert make_rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}
+
+
+@pytest.mark.parametrize("count", [1, _MANY_STREAMS - 1, _MANY_STREAMS, 40])
+def test_make_rngs_on_derived_streams(count):
+    seeds = [derive_stream(SeedSpec(77), i) for i in range(count)]
+    # and as many seeds that each take their own make_rng, in between
+    seeds = [s for pair in zip(seeds, map(SeedSpec, range(count))) for s in pair]
+    for seed, rng in zip(seeds, make_rngs(seeds), strict=True):
+        assert np.array_equal(rng.random(9), make_rng(seed).random(9))
 
 
 def test_uniform_draws_are_prefix_stable():

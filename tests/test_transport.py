@@ -26,6 +26,7 @@ from chaincert.generators import (
 )
 from chaincert.metric import MetricSpec, ZPoint, dist
 from chaincert.presets import load_preset
+from chaincert.reporting import write_rows_csv
 from chaincert.transport import (
     EmpiricalMeasure,
     _cost_matrix,
@@ -39,6 +40,7 @@ from chaincert.transport import (
     w1_exact,
 )
 
+from chaincert.cli import main
 from test_generators import make_halving, make_iid
 
 LINE = MetricSpec(1, 1, 1.0)
@@ -174,6 +176,27 @@ def test_routing_rule_sides_return_the_right_cost(monkeypatch, n1, n2, route):
     other = _uniform_lp(cost_mat) if route == "assignment" else _solve_assignment(cost_mat)
     assert abs(cost - other.cost) <= 1e-9
     _check_marginals(plan, n1, n2)
+
+
+@pytest.mark.parametrize("n1,n2,route", [(64, 64, "assignment"), (64, 128, "assignment"),
+                                          (31, 33, "lp")])
+def test_plan_and_cli_payload_name_the_route_that_ran(tmp_path, capsys, n1, n2, route):
+    rng = np.random.default_rng(n1 + n2)
+    metric = MetricSpec(1, 1, 2.0)
+    a = random_uniform_measure(rng, n1, metric)
+    b = random_uniform_measure(rng, n2, metric)
+    _, plan = w1_exact(a, b)
+    _, back = w1_exact(b, a)
+    assert plan.route == back.route == route
+    paths = []
+    for name, m in (("a", a), ("b", b)):
+        paths.append(str(tmp_path / f"{name}.csv"))
+        write_rows_csv(("x_0", "y_0"), np.hstack([m.xs, m.ys]).tolist(), paths[-1])
+    assert main(["wasserstein", *paths, "--kappa", "2.0", "--out", str(tmp_path / "w")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["route"] == route
+    summary = json.loads((tmp_path / "w" / "wasserstein_summary.json").read_text())
+    assert summary["route"] == route and summary["kind"] == "transport"
 
 
 @pytest.fixture
