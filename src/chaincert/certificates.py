@@ -27,8 +27,8 @@ import numpy as np
 from .complexity import (
     MC_DRAWS,
     LossMatrix,
-    loss_matrix,
-    rademacher_estimate,
+    loss_matrices,
+    rademacher_estimates,
     rademacher_expected,
     shared_method,
 )
@@ -36,6 +36,7 @@ from .erm import erm, true_risk_table
 from .errors import AssumptionViolationError, InvalidInputError
 from .generators import (
     Generator,
+    _batches,
     analytic_lip_factor,
     burn_in_allowance,
     sample_chains,
@@ -214,11 +215,12 @@ def _sup_deviation(matrix: LossMatrix, er_values: np.ndarray) -> float:
 def _delayed_deviations(gen, cls, env, n, trials, batch_seed, er_values) -> np.ndarray:
     """Worst-class deviation over the window (n, 2n) of one 2n chain per trial,
     trial t sampled from ``derive_stream(batch_seed, t)``."""
-    phis = np.empty(trials)
+    phis = []
     streams = [derive_stream(batch_seed, t) for t in range(trials)]
-    for t, traj in enumerate(sample_chains(gen, 2 * n, streams)):
-        phis[t] = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
-    return phis
+    for batch in _batches(sample_chains(gen, 2 * n, streams), 2 * n):
+        phis += [_sup_deviation(mat, er_values)
+                 for mat in loss_matrices(cls, batch, env, window=(n, 2 * n))]
+    return np.array(phis)
 
 
 def _binomial_se(p: float, trials: int) -> float:
@@ -291,6 +293,11 @@ def validate_lemma2(
     """Mean check: the expected worst-class deviation of the delayed window is
     at most twice the expected complexity plus the distance-decay term.
 
+    The deviation max_h |window mean - true risk| is two-sided, and
+    symmetrization bounds it by twice the symmetrized complexity, with the
+    absolute value inside the max; the plain form is exactly 0 for a
+    one-member class, so it bounds only the one-sided deviation.
+
     The margin combines the two Monte Carlo standard errors in quadrature and
     adds the systematic allowances: the burn-in bias of the stationary-start
     complexity estimate and the true-risk uncertainty.
@@ -310,8 +317,8 @@ def validate_lemma2(
     )
     rad_bias = burn_in_allowance(gen, tol, env.ell_H)
     wass_term = env.ell_H * ell_F**n * w_bar
-    bound = 2.0 * rad.value + wass_term
-    margin = 3.0 * math.hypot(phi_se, 2.0 * rad.se) + 2.0 * rad_bias + er_unc
+    bound = 2.0 * rad.value_symmetrized + wass_term
+    margin = 3.0 * math.hypot(phi_se, 2.0 * rad.se_symmetrized) + 2.0 * rad_bias + er_unc
     return ValidationReport(
         name="lemma2",
         passed=bool(phi_mean <= bound + margin),
@@ -360,11 +367,16 @@ def validate_lemma3(
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
     batch_seed = derive_stream(seed, 0)
     streams = [derive_stream(batch_seed, t) for t in range(trials)]
-    phis, estimates = np.empty(trials), []
-    for t, traj in enumerate(sample_stationary_chains(gen, 2 * n, tol, streams)):
-        estimates.append(rademacher_estimate(loss_matrix(cls, traj, env, window=(0, n)),
-                                             mc_draws, derive_stream(traj.seed, 1)))
-        phis[t] = _sup_deviation(loss_matrix(cls, traj, env, window=(n, 2 * n)), er_values)
+    phis, estimates = [], []
+    for batch in _batches(sample_stationary_chains(gen, 2 * n, tol, streams), 2 * n):
+        # both windows of every chain in one loss call, in trial order
+        halves = loss_matrices(
+            cls, [half for traj in batch for half in (traj.slice(0, n), traj.slice(n, 2 * n))], env
+        )
+        estimates += rademacher_estimates(halves[0::2], mc_draws,
+                                          [derive_stream(traj.seed, 1) for traj in batch])
+        phis += [_sup_deviation(mat, er_values) for mat in halves[1::2]]
+    phis = np.array(phis)
     rhats = np.array([e.value for e in estimates])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
     freq = float(success.mean())
@@ -444,12 +456,15 @@ def coverage_experiment(
     window = (n, 2 * n) if window_mode == "delayed" else (0, n)
     batch_seed = derive_stream(seed, 0)
     streams = [derive_stream(batch_seed, t) for t in range(trials)]
-    deviations, estimates = np.empty(trials), []
-    for t, traj in enumerate(sample_chains(gen, 2 * n, streams)):
-        mat = loss_matrix(cls, traj, env, window=window)
-        pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
-        deviations[t] = abs(float(er_values[pick]) - opt_value)
-        estimates.append(rademacher_estimate(mat, mc_draws, derive_stream(traj.seed, 1)))
+    deviations, estimates = [], []
+    for batch in _batches(sample_chains(gen, 2 * n, streams), 2 * n):
+        mats = loss_matrices(cls, batch, env, window=window)
+        for mat in mats:
+            pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
+            deviations.append(abs(float(er_values[pick]) - opt_value))
+        estimates += rademacher_estimates(mats, mc_draws,
+                                          [derive_stream(traj.seed, 1) for traj in batch])
+    deviations = np.array(deviations)
     radii_emp = np.array(
         [certify_empirical(e.value, env.ell_H, ell_F, n, epsilon).radius for e in estimates]
     )

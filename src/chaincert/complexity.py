@@ -5,7 +5,8 @@ vectors (n <= ``EXACT_N_CAP``; scored from two tables of partial scores, so
 no sign vector is built and memory stays flat), exact enumeration of the
 sums of signs over groups of equal columns (any n, while the grid of group
 sums has at most 2^EXACT_N_CAP points), and an unbiased Monte Carlo average
-with a standard error. ``rademacher_estimate`` picks: plain enumeration up
+with a standard error. ``rademacher_estimates`` picks for each matrix of a
+batch (``rademacher_estimate`` is its one-matrix call): plain enumeration up
 to ``EXACT_N_CAP`` states; above it, grouped enumeration when the grid fits
 and Monte Carlo when it does not. All three score a sign vector sigma once
 for the pair (sigma, -sigma), since score(-sigma) = -score(sigma), and one
@@ -17,8 +18,12 @@ with the draw count only by the pair statistics it keeps. Every estimate
 carries a plain form, max over the class of the signed mean, and a
 symmetrized form that takes the absolute value inside the max, both scored
 on the same sign vectors, each with its own standard error; the plain form
-is what the deviation bounds consume, the symmetrized one is a diagnostic
-for sign-asymmetric classes.
+is what the certificates and lemma 3 consume, and the symmetrized one
+bounds lemma 2's two-sided deviation.
+
+Loss matrices come a batch of trajectories at a time as well
+(``loss_matrices``, with ``loss_matrix`` its one-trajectory call): one loss
+call over the stacked window states, one matrix per trajectory.
 
 Closed-form ceilings for comparison: the finite-class growth bound
 L_H * sqrt(2 log r / n) and the dimension bound
@@ -28,12 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import Generator, Trajectory, sample_stationary_chains
+from .generators import Generator, Trajectory, _batches, sample_stationary_chains
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
@@ -89,12 +94,9 @@ class LossMatrix:
         return self.values.shape[1]
 
 
-def loss_matrix(
-    cls: HypothesisClass, traj: Trajectory, env: LossEnv, window: Optional[tuple] = None
-) -> LossMatrix:
-    """Loss rows of every hypothesis over ``traj[start:stop]`` (default: all of it).
-
-    This is the one place a window is checked against its trajectory."""
+def _window_span(traj: Trajectory, window: Optional[tuple]) -> tuple[int, int]:
+    """(start, stop) of ``window`` (default: all of ``traj``), checked against
+    the trajectory: the one place a window is checked."""
     if window is None:
         window = (0, len(traj))
     start, stop = window
@@ -102,8 +104,52 @@ def loss_matrix(
         raise InvalidInputError(
             f"window {window!r} out of range for a length-{len(traj)} trajectory"
         )
-    rows = window_loss_values(cls, traj.xs[start:stop], traj.ys[start:stop], env)
-    return LossMatrix._checked(rows, env.ell_H)
+    return start, stop
+
+
+def loss_matrices(
+    cls: HypothesisClass,
+    trajs: Sequence[Trajectory],
+    env: LossEnv,
+    window: Optional[tuple] = None,
+) -> list[LossMatrix]:
+    """Loss rows of every hypothesis over ``traj[start:stop]`` (default: all
+    of it), one C-contiguous matrix per trajectory, in order.
+
+    Every window is checked, then one ``window_loss_values`` call scores the
+    stacked window states; losses act row-wise on states, so each matrix
+    equals the one-trajectory call bit for bit. When the batch raises, the
+    trajectories are replayed one at a time, so the error is the one the
+    first failing trajectory raises on its own."""
+    trajs = list(trajs)
+    if not trajs:
+        return []
+    try:
+        spans = [_window_span(traj, window) for traj in trajs]
+        rows = window_loss_values(
+            cls,
+            np.concatenate([traj.xs[a:b] for traj, (a, b) in zip(trajs, spans)]),
+            np.concatenate([traj.ys[a:b] for traj, (a, b) in zip(trajs, spans)]),
+            env,
+        )
+    except Exception:
+        if len(trajs) > 1:
+            for traj in trajs:
+                loss_matrices(cls, [traj], env, window)
+        raise
+    cuts = np.cumsum([b - a for a, b in spans[:-1]])
+    return [
+        LossMatrix._checked(np.ascontiguousarray(part), env.ell_H)
+        for part in np.split(rows, cuts, axis=1)
+    ]
+
+
+def loss_matrix(
+    cls: HypothesisClass, traj: Trajectory, env: LossEnv, window: Optional[tuple] = None
+) -> LossMatrix:
+    """Loss rows of every hypothesis over ``traj[start:stop]`` (default: all
+    of it): the one-trajectory call of ``loss_matrices``."""
+    return loss_matrices(cls, [traj], env, window)[0]
 
 
 @dataclass(frozen=True)
@@ -186,11 +232,12 @@ def _pair_sums(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, reach
 
 
-def _score_table(block: np.ndarray, free: int) -> np.ndarray:
+def _score_table(block: np.ndarray, free: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(H, 2^free) partial scores sum_t sigma_t L_h(t) over the columns of
     ``block``: bit t of the table index set means sigma_t = -1 on column
-    t < free, and the columns from ``free`` on keep sigma = +1."""
-    table = np.empty((block.shape[0], 1 << free))
+    t < free, and the columns from ``free`` on keep sigma = +1. Written into
+    ``out`` when given."""
+    table = np.empty((block.shape[0], 1 << free)) if out is None else out
     table[:, 0] = block.sum(axis=1)
     for t in range(free):
         width = 1 << t
@@ -198,7 +245,17 @@ def _score_table(block: np.ndarray, free: int) -> np.ndarray:
     return table
 
 
-def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
+def _exact_scratch_size(matrix: LossMatrix) -> int:
+    """Floats ``rademacher_exact`` needs for its low score table and its
+    tile: H x 2^split each, with a low block of split <= 13 columns, so the
+    low table has at most ``_CHUNK`` entries."""
+    split = min(matrix.num_states - 1, _CHUNK.bit_length() - 1)
+    return 2 * matrix.num_hypotheses << split
+
+
+def rademacher_exact(
+    matrix: LossMatrix, scratch: Optional[np.ndarray] = None
+) -> RademacherEstimate:
     """Average over every sign vector; only feasible for small samples.
 
     No sign vector is built. The columns split into a low block of at most
@@ -206,7 +263,11 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
     (``_score_table``), so a sign vector scores as low[:, i] + high[:, j] and
     one broadcast add scores a tile of 8192. Since score(-sigma) =
     -score(sigma), only the vectors with sigma_{n-1} = +1 are scored, and
-    ``_pair_sums`` turns each into the sums of its pair (sigma, -sigma)."""
+    ``_pair_sums`` turns each into the sums of its pair (sigma, -sigma).
+
+    The low table and the tile live in ``scratch``, a float buffer of at
+    least ``_exact_scratch_size(matrix)`` entries, when one is given, so a
+    batch of enumerations maps their pages once."""
     values = matrix.values
     n = matrix.num_states
     if n > EXACT_N_CAP:
@@ -215,9 +276,12 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
             "use the Monte Carlo estimator instead"
         )
     split = min(n - 1, _CHUNK.bit_length() - 1)  # a low table of at most _CHUNK entries
-    low = _score_table(values[:, :split], split)
+    size = _exact_scratch_size(matrix)
+    if scratch is None or scratch.size < size:
+        scratch = np.empty(size)
+    low, tile = scratch[:size].reshape(2, matrix.num_hypotheses, 1 << split)
+    _score_table(values[:, :split], split, low)
     high = _score_table(values[:, split:], n - 1 - split)  # sigma_{n-1} stays +1
-    tile = np.empty_like(low)
     acc = acc_sym = 0.0
     for j in range(high.shape[1]):
         np.add(low, high[:, j : j + 1], out=tile)
@@ -235,16 +299,26 @@ def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
     )
 
 
-def _column_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct columns of ``values`` and how often each occurs, found by
-    a lexsort and a compare of adjacent sorted columns. The groups come out
-    in the sorted order of their columns, so reordering the columns of
-    ``values`` changes neither the groups nor their order."""
-    ordered = values[:, np.lexsort(values)]
-    fresh = np.ones(ordered.shape[1], dtype=bool)
+def _column_groups(stack: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per matrix of a stack of m (H, n) matrices (a sequence, or an (m, H, n)
+    array), its distinct columns and how often each occurs, found by one
+    lexsort of all m * n columns, with the matrix index as the primary key,
+    and one compare of adjacent sorted columns.
+
+    Within a matrix the sort is the stable lexsort of its own columns, so
+    its groups come out in the sorted order of their columns, with the same
+    representatives as a stack of that matrix alone, and reordering its
+    columns changes neither the groups nor their order."""
+    m, n = len(stack), stack[0].shape[1]
+    flat = np.concatenate(stack, axis=1)  # matrix j's columns at [j n, (j + 1) n)
+    ordered = flat[:, np.lexsort((*flat, np.repeat(np.arange(m), n)))]
+    fresh = np.ones(m * n, dtype=bool)
     np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=fresh[1:])
+    fresh[::n] = True  # each matrix's first sorted column starts a group
     starts = np.flatnonzero(fresh)
-    return ordered[:, starts], np.diff(starts, append=ordered.shape[1])
+    cuts = np.searchsorted(starts, np.arange(n, m * n, n))
+    return list(zip(np.split(ordered[:, starts], cuts, axis=1),
+                    np.split(np.diff(starts, append=m * n), cuts)))
 
 
 def _grid_size(counts: np.ndarray) -> int:
@@ -391,20 +465,54 @@ def rademacher_mc(
     )
 
 
-def rademacher_estimate(matrix: LossMatrix, draws: int, seed: SeedSpec) -> RademacherEstimate:
-    """The one place that picks an estimator; ``method`` says which one ran.
+def rademacher_estimates(
+    matrices: Sequence[LossMatrix], draws: int, seeds: Sequence[SeedSpec]
+) -> list[RademacherEstimate]:
+    """The one place that picks an estimator, for each matrix of a batch in
+    order; ``method`` says which one ran.
 
     Up to ``EXACT_N_CAP`` states, every sign vector is enumerated
-    (``rademacher_exact``). Above it, the equal columns are grouped, and the
-    grid of group sums is enumerated exactly (``rademacher_grouped``) when it
-    has at most 2^EXACT_N_CAP points; otherwise ``draws`` Monte Carlo sign
-    vectors are drawn from ``seed``."""
-    if matrix.num_states <= EXACT_N_CAP:
-        return rademacher_exact(matrix)
-    columns, counts = _column_groups(matrix.values)
-    if _grid_size(counts) <= 1 << EXACT_N_CAP:
-        return rademacher_grouped(columns, counts)
-    return rademacher_mc(matrix, draws, seed)
+    (``rademacher_exact``), all in one scratch buffer. Above it, the equal
+    columns are grouped (one ``_column_groups`` pass per matrix shape), and
+    the grid of group sums is enumerated exactly (``rademacher_grouped``)
+    when it has at most 2^EXACT_N_CAP points; otherwise ``draws`` Monte
+    Carlo sign vectors are drawn from the matrix's seed. A grouped estimate
+    depends only on its groups, so matrices with the same groups share one
+    enumeration; Monte Carlo estimates depend on their seeds and are never
+    shared. Each estimate equals the one-matrix call's bit for bit."""
+    matrices, seeds = list(matrices), list(seeds)
+    if len(seeds) != len(matrices):
+        raise InvalidInputError(
+            f"{len(matrices)} loss matrices need as many seeds, got {len(seeds)}"
+        )
+    estimates = [None] * len(matrices)
+    small, by_shape = [], {}
+    for i, mat in enumerate(matrices):
+        if mat.num_states <= EXACT_N_CAP:
+            small.append(i)
+        else:
+            by_shape.setdefault(mat.values.shape, []).append(i)
+    if small:
+        scratch = np.empty(max(_exact_scratch_size(matrices[i]) for i in small))
+        for i in small:
+            estimates[i] = rademacher_exact(matrices[i], scratch)
+    grouped = {}
+    for members in by_shape.values():
+        groups = _column_groups([matrices[i].values for i in members])
+        for i, (columns, counts) in zip(members, groups):
+            if _grid_size(counts) > 1 << EXACT_N_CAP:
+                estimates[i] = rademacher_mc(matrices[i], draws, seeds[i])
+                continue
+            key = (columns.shape, columns.tobytes(), counts.tobytes())
+            if key not in grouped:
+                grouped[key] = rademacher_grouped(columns, counts)
+            estimates[i] = grouped[key]
+    return estimates
+
+
+def rademacher_estimate(matrix: LossMatrix, draws: int, seed: SeedSpec) -> RademacherEstimate:
+    """The estimate ``rademacher_estimates`` picks for one matrix."""
+    return rademacher_estimates([matrix], draws, [seed])[0]
 
 
 def shared_method(estimates) -> str:
@@ -434,10 +542,10 @@ def rademacher_expected(
     if not (isinstance(outer, int) and outer >= 2):
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
     streams = [derive_stream(seed, i) for i in range(outer)]
-    chains = [
-        rademacher_estimate(loss_matrix(cls, traj, env), mc_draws, derive_stream(traj.seed, 1))
-        for traj in sample_stationary_chains(gen, n, tol, streams)
-    ]
+    chains = []
+    for batch in _batches(sample_stationary_chains(gen, n, tol, streams), n):
+        chains += rademacher_estimates(loss_matrices(cls, batch, env), mc_draws,
+                                       [derive_stream(traj.seed, 1) for traj in batch])
     per_chain = np.array([est.value for est in chains])
     per_chain_sym = np.array([est.value_symmetrized for est in chains])
     return RademacherEstimate(

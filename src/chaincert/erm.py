@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import LossMatrix
+from .complexity import LossMatrix, loss_matrices
 from .errors import InvalidInputError
 from .generators import (
     Generator,
+    _batches,
     burn_in_allowance,
     exact_fixed_point,
     sample_stationary_chains,
@@ -143,8 +144,8 @@ def _replica_means(
 ) -> np.ndarray:
     """Per-replica mean losses, shaped (class size, replicas); chains are shared
     across the class so comparisons see the same randomness."""
-    out = np.empty((len(cls), replicas))
+    means = []
     streams = [derive_stream(seed, r) for r in range(replicas)]
-    for r, traj in enumerate(sample_stationary_chains(gen, run_length, tol, streams)):
-        out[:, r] = window_loss_values(cls, traj.xs, traj.ys, env).mean(axis=1)
-    return out
+    for batch in _batches(sample_stationary_chains(gen, run_length, tol, streams), run_length):
+        means += [mat.values.mean(axis=1) for mat in loss_matrices(cls, batch, env)]
+    return np.stack(means, axis=1)

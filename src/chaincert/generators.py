@@ -32,6 +32,7 @@ row alone (one written for a single state), raises ``InvalidInputError``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -407,6 +408,17 @@ def _raise_first_failure(gen: Generator, xs: np.ndarray, ys: np.ndarray, idx: np
 def _block_size(states_per_chain: int) -> int:
     """Chains per stepped block, so that a block holds at most _BLOCK_STATES states."""
     return max(1, _BLOCK_STATES // states_per_chain)
+
+
+def _batches(chains: Iterator[Trajectory], states_per_chain: int) -> Iterator[list]:
+    """Consecutive lists of ``_block_size(states_per_chain)`` chains, the
+    chains of one stepped block: a batch of chains of ``states_per_chain``
+    states holds at most ``_BLOCK_STATES`` states, so work done a batch at a
+    time keeps memory flat in the number of chains."""
+    size = _block_size(states_per_chain)
+    chains = iter(chains)
+    while batch := list(itertools.islice(chains, size)):
+        yield batch
 
 
 def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray, at=-1):

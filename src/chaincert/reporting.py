@@ -68,14 +68,22 @@ def _jsonable(value: Any) -> Any:
 
 def write_rows_csv(header, rows, path: str) -> None:
     """Write a header line and one line per row; a row whose width differs
-    from the header's is invalid input, and nothing is written."""
+    from the header's is invalid input, and nothing is written.
+
+    A row of floats (np.float64 included) is joined in one pass of
+    ``float.__repr__``, which is what ``_cell`` writes for them; that pass
+    raises ``TypeError`` on any other cell (bool, int, str, numpy integers,
+    float32), and the row is then written cell by cell."""
     lines = [",".join(str(h) for h in header)]
     for row in rows:
         if len(row) != len(header):
             raise InvalidInputError(
                 f"row width {len(row)} does not match header width {len(header)}"
             )
-        lines.append(",".join(_cell(v) for v in row))
+        try:
+            lines.append(",".join(map(float.__repr__, row)))
+        except TypeError:
+            lines.append(",".join(_cell(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -171,7 +179,8 @@ def _read_numeric_csv(path: str, what: str, has_header: bool) -> tuple[list, np.
     if len({len(row) for row in rows}) != 1:
         raise InvalidInputError(f"{what} file {path!r} has ragged rows")
     try:
-        data = np.asarray([[float(v) for v in row] for row in rows], dtype=float)
+        # numpy parses each str cell as float() does, in one call
+        data = np.array(rows, dtype=float)
     except ValueError:
         raise InvalidInputError(f"{what} file {path!r} has a non-numeric cell") from None
     if not np.all(np.isfinite(data)):

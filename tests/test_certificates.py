@@ -232,18 +232,19 @@ def test_lemma2_degenerate_chain_both_sides_tiny():
     assert report.statistic < 1e-4
 
 
-def test_lemma2_singleton_documents_plain_reading_breakage():
+def test_lemma2_singleton_passes_on_the_symmetrized_bound():
     # With one hypothesis the plain signed-max complexity is exactly zero while
-    # the mean absolute deviation is not, so the literal bound must fail; the
-    # symmetrized diagnostic in the details shows what would fix it.
+    # the mean absolute deviation is not; the two-sided deviation is bounded by
+    # twice the symmetrized complexity, which the check compares against.
     gen = make_iid()
     cls = constant_grid([0.0])
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
     report = validate_lemma2(gen, cls, env, n=64, trials=64, seed=SeedSpec(7), rad_outer=16)
-    assert not report.passed
+    assert report.passed
     details = dict(report.details)
     assert abs(details["rademacher"]) < 0.01  # zero in expectation, MC noise only
-    assert report.statistic <= 2.0 * details["rademacher_symmetrized"] + report.margin
+    assert report.bound == 2.0 * details["rademacher_symmetrized"] + details["wasserstein_term"]
+    assert report.statistic > 0.0
 
 
 def test_lemma3_iid_two_hypotheses_passes():

@@ -106,7 +106,7 @@ def test_exact_cap_directs_to_mc():
     with pytest.raises(SizeCapError):
         rademacher_exact(distinct)
     with pytest.raises(SizeCapError):
-        rademacher_grouped(*_column_groups(distinct.values))
+        rademacher_grouped(*_column_groups(distinct.values[None])[0])
     est = rademacher_estimate(distinct, 64, SeedSpec(0))
     assert est.method == "mc" and est.draws == 64
     assert est == rademacher_mc(distinct, 64, SeedSpec(0))
@@ -132,7 +132,7 @@ def test_grouped_matches_plain_enumeration(h):
     for n in range(1, EXACT_N_CAP + 1):
         for distinct in sorted({1, 2, max(1, n // 2), n}):
             vals = _duplicated_columns(rng, h, n, distinct)
-            columns, counts = _column_groups(vals)
+            columns, counts = _column_groups(vals[None])[0]
             assert counts.sum() == n and columns.shape[1] <= distinct
             grouped = rademacher_grouped(columns, counts)
             exact = rademacher_exact(LossMatrix(values=vals, ell_H=1.0))
@@ -176,7 +176,7 @@ def test_grouped_memory_stays_flat():
     # grid points at H = 64, which would hold 512 MB scored in one piece
     rng = np.random.default_rng(64)
     vals = rng.random((64, 19))[:, list(range(18)) + [18, 18, 18]]
-    columns, counts = _column_groups(vals)
+    columns, counts = _column_groups(vals[None])[0]
     tracemalloc.start()
     try:
         est = rademacher_grouped(columns, counts)

@@ -27,6 +27,7 @@ from chaincert.hypotheses import verify_a2
 from chaincert.metric import SeedSpec, derive_stream
 from chaincert.presets import load_preset
 from chaincert.reporting import (
+    _cell,
     comparable_summary,
     json_fragments,
     json_object,
@@ -295,6 +296,56 @@ def test_rows_csv_bytes(tmp_path):
         assert not target.exists()
 
 
+class _Fraction(float):
+    """A float subclass: written as the float it holds."""
+
+
+@pytest.mark.parametrize("row", [
+    (0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 2.5),
+    (np.float64(0.1), 0.2, np.float64(-3.0), _Fraction(0.75), 1e22, 1e16),
+    (True, np.bool_(False), 7, np.int64(-7), np.float32(0.1), "ab"),
+    (0.1, 0.2, 0.3, 0.4, 0.5, 1),  # a float row whose last cell is not a float
+])
+def test_rows_csv_match_cell_by_cell_writes(tmp_path, row):
+    path = tmp_path / "rows.csv"
+    header = [f"c{i}" for i in range(len(row))]
+    write_rows_csv(header, (row, row[::-1]), str(path))
+    lines = [",".join(header)] + [",".join(_cell(v) for v in r) for r in (row, row[::-1])]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_rows_csv_reject_bad_cells_as_cell_by_cell_writes_do(tmp_path):
+    for bad, match in (("a,b", "separators"), (None, "unsupported"), ([0.5], "unsupported")):
+        target = tmp_path / "bad.csv"
+        with pytest.raises(InvalidInputError, match=match):
+            write_rows_csv(("x", "y"), ((0.5, 0.5), (0.5, bad)), str(target))
+        assert not target.exists()
+
+
+_CELL_TEXTS = ("0.5", "+1.5", "-2", "1_0", " 2 ", "\t3", "1e-310", ".5", "5.", "1E5", "-0",
+               "Infinity", "-inf", "nan", "-nan", "NaN", "1e400", "0x10", "", " ", "1__0",
+               "_1", "1.5.2", "nan(1)", "1d5", "True", "1j", "\u0661\u0662", "\u00a02")
+
+
+@pytest.mark.parametrize("text", _CELL_TEXTS)
+def test_numeric_csv_cells_parse_as_float_does(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(f"0.25,0.75\n0.5,{text}\n", encoding="utf-8")
+    try:
+        value = float(text)
+    except ValueError:
+        with pytest.raises(InvalidInputError, match="non-numeric cell"):
+            read_loss_matrix_csv(str(path))
+        return
+    if not math.isfinite(value):
+        with pytest.raises(InvalidInputError, match="non-finite cell"):
+            read_loss_matrix_csv(str(path))
+        return
+    data = read_loss_matrix_csv(str(path))
+    expected = np.array([[0.25, 0.75], [0.5, value]])
+    assert data.dtype == expected.dtype and data.tobytes() == expected.tobytes()
+
+
 def test_summary_values_keep_their_json_types(tmp_path):
     summary = {"b": True, "nb": np.bool_(False), "i": 3, "ni": np.int64(4), "f": 0.1,
                "nf": np.float64(0.25), "s": "x", "none": None, "plan": [[0, 1, 0.5]],
@@ -477,13 +528,36 @@ def test_cli_exit_codes(tmp_path):
     })
     assert main(["simulate", "--config", expanding]) == 3
 
+    # w_bar = 0 declares a stationary start, but the chain starts 0.5 from its
+    # fixed point and contracts by 0.9 a step, so lemma 2's bound is false
     failing = write_config(tmp_path, "fail.json", {
-        "preset": "iid_singleton", "n": 64, "trials": 64,
-        "rad_outer": 16, "draws": 2048, "out_dir": str(tmp_path / "fail_run"),
+        "generator": {"kind": "affine_ifs", "mats": [[[0.9]]], "vecs": [[0.0]],
+                      "attractor_radius": 0.5, "z0_x": [0.5]},
+        "class": {"kind": "finite_list",
+                  "members": [{"kind": "constant", "value": [0.0]}]},
+        "loss": {"kind": "abs_clipped", "clip": 1.0},
+        "n": 8, "trials": 4, "rad_outer": 4, "w_bar": 0.0,
+        "out_dir": str(tmp_path / "fail_run"),
     })
     assert main(["validate", "lemma2", "--config", failing]) == 4
     summary = read_summary(str(tmp_path / "fail_run" / "validate_lemma2_summary.json"))
     assert summary["verdicts"] == {"lemma2": "FAIL"}
+
+
+def test_cli_lemma2_bounds_a_one_member_class_by_the_symmetrized_form(tmp_path, capsys):
+    # the two-sided deviation of a one-member class is positive while its plain
+    # complexity is exactly 0; symmetrization bounds it by twice the symmetrized one
+    cfg = write_config(tmp_path, "l2.json", {
+        "preset": "iid_singleton", "n": 40, "epsilon": 0.1, "trials": 10, "rad_outer": 4,
+        "seed": 6, "out_dir": str(tmp_path / "run"),
+    })
+    assert main(["validate", "lemma2", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("lemma2: PASS (statistic=0.03125, ")
+    summary = read_summary(str(tmp_path / "run" / "validate_lemma2_summary.json"))
+    ingredients = summary["ingredients"]
+    assert ingredients["rademacher"] == 0.0 and ingredients["wasserstein_term"] == 0.0
+    assert summary["bound"] == 2.0 * ingredients["rademacher_symmetrized"]
+    assert summary["statistic"] > 0.0 and summary["verdicts"] == {"lemma2": "PASS"}
 
 
 @pytest.mark.parametrize("epsilon", [0, 1.5])
