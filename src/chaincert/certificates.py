@@ -489,6 +489,7 @@ def coverage_experiment(
         ("coverage_population_adjusted", cov_pop_adj),
         ("coverage_empirical_adjusted", cov_emp_adj),
         ("confidence", confidence),
+        ("vacuous", confidence == 0.0),  # coverage cannot fall short of 0
         ("margin_population", margin_pop),
         ("margin_empirical", margin_emp),
         ("radius_population", cert_pop.radius),

@@ -274,6 +274,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         "form": cert.form,
         "radius": cert.radius,
         "confidence": cert.confidence,
+        "vacuous": cert.confidence == 0.0,
         "ingredients": {
             "rademacher_term": cert.rademacher_term,
             "wasserstein_term": cert.wasserstein_term,

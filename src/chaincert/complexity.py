@@ -1,25 +1,27 @@
 """Rademacher complexity of a finite class on a recorded sample.
 
-Three estimators over the same loss matrix: exact enumeration of all sign
-vectors (n <= ``EXACT_N_CAP``; scored from two tables of partial scores, so
-no sign vector is built and memory stays flat), exact enumeration of the
-sums of signs over groups of equal columns (any n, while the grid of group
-sums has at most 2^EXACT_N_CAP points), and an unbiased Monte Carlo average
+Two estimators over the same loss matrix: exact enumeration of the sums of
+signs over groups of equal columns (``rademacher_grouped``, while the grid
+of group sums has at most 2^EXACT_N_CAP points; scored from a table of
+partial scores built once and one built a slice at a time, so no sign
+vector is built and memory stays flat), and an unbiased Monte Carlo average
 with a standard error. ``rademacher_estimates`` picks for each matrix of a
-batch (``rademacher_estimate`` is its one-matrix call): plain enumeration up
-to ``EXACT_N_CAP`` states; above it, grouped enumeration when the grid fits
-and Monte Carlo when it does not. All three score a sign vector sigma once
+batch (``rademacher_estimate`` is its one-matrix call): up to
+``EXACT_N_CAP`` states, every column is a group of its own
+(``rademacher_exact``), so all 2^n sign vectors are enumerated; above it,
+equal columns are grouped, and the grid is enumerated when it fits and
+Monte Carlo runs when it does not. Both score a sign vector sigma once
 for the pair (sigma, -sigma), since score(-sigma) = -score(sigma), and one
-reduction (``_pair_sums``) turns scores into pair sums: the exact paths add
-them up (the grouped one weighted by each grid point's probability), the
-Monte Carlo path averages them over draws/2 random pairs, drawn and scored
-in tiles of 512 sign vectors through one reused buffer, so its memory grows
-with the draw count only by the pair statistics it keeps. Every estimate
-carries a plain form, max over the class of the signed mean, and a
-symmetrized form that takes the absolute value inside the max, both scored
-on the same sign vectors, each with its own standard error; the plain form
-is what the certificates and lemma 3 consume, and the symmetrized one
-bounds lemma 2's two-sided deviation.
+reduction (``_pair_sums``) turns scores into pair sums: enumeration adds
+them up weighted by each grid point's probability, the Monte Carlo path
+averages them over draws/2 random pairs, drawn and scored in tiles of 512
+sign vectors through one reused buffer, so its memory grows with the draw
+count only by the pair statistics it keeps. Every estimate carries a plain
+form, max over the class of the signed mean, and a symmetrized form that
+takes the absolute value inside the max, both scored on the same sign
+vectors, each with its own standard error; the plain form is what the
+certificates and lemma 3 consume, and the symmetrized one bounds lemma 2's
+two-sided deviation.
 
 Loss matrices come a batch of trajectories at a time as well
 (``loss_matrices``, with ``loss_matrix`` its one-trajectory call): one loss
@@ -44,7 +46,7 @@ from .metric import SeedSpec, derive_stream, make_rng
 
 EXACT_N_CAP = 20
 MC_DRAWS = 4096  # default Monte Carlo sign vectors per estimate
-_CHUNK = 1 << 13  # exact enumeration's tile of sign vectors or of grid points
+_CHUNK = 1 << 13  # grid points per table and per tile of exact enumeration
 # Monte Carlo sign vectors scored per product. An (H, n) @ (n, 512) product
 # with n * H < 1,024 stays on one OpenBLAS thread, where one product of all
 # draws/2 columns split over two threads whose helper mostly spun. Timed on
@@ -158,10 +160,10 @@ class RademacherEstimate:
     its own, scored on the same sign vectors (or the same chains, for
     expectations). Both errors are 0.0 for exact enumeration.
 
-    ``draws`` counts what was scored: the 2^n sign vectors of plain
-    enumeration, the grid points of grouped enumeration (at most
-    2^EXACT_N_CAP), the Monte Carlo sign vectors, or the chains of an
-    expectation."""
+    ``draws`` counts what was enumerated or drawn: the grid points of
+    enumeration (at most 2^EXACT_N_CAP; 2^n sign vectors up to
+    ``EXACT_N_CAP`` states, where every column is a group of its own), the
+    Monte Carlo sign vectors, or the chains of an expectation."""
 
     value: float
     se: float
@@ -232,73 +234,6 @@ def _pair_sums(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, reach
 
 
-def _score_table(block: np.ndarray, free: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(H, 2^free) partial scores sum_t sigma_t L_h(t) over the columns of
-    ``block``: bit t of the table index set means sigma_t = -1 on column
-    t < free, and the columns from ``free`` on keep sigma = +1. Written into
-    ``out`` when given."""
-    table = np.empty((block.shape[0], 1 << free)) if out is None else out
-    table[:, 0] = block.sum(axis=1)
-    for t in range(free):
-        width = 1 << t
-        np.subtract(table[:, :width], 2.0 * block[:, t : t + 1], out=table[:, width : 2 * width])
-    return table
-
-
-def _exact_scratch_size(matrix: LossMatrix) -> int:
-    """Floats ``rademacher_exact`` needs for its low score table and its
-    tile: H x 2^split each, with a low block of split <= 13 columns, so the
-    low table has at most ``_CHUNK`` entries."""
-    split = min(matrix.num_states - 1, _CHUNK.bit_length() - 1)
-    return 2 * matrix.num_hypotheses << split
-
-
-def rademacher_exact(
-    matrix: LossMatrix, scratch: Optional[np.ndarray] = None
-) -> RademacherEstimate:
-    """Average over every sign vector; only feasible for small samples.
-
-    No sign vector is built. The columns split into a low block of at most
-    13 and a high block, each with a table of its partial scores
-    (``_score_table``), so a sign vector scores as low[:, i] + high[:, j] and
-    one broadcast add scores a tile of 8192. Since score(-sigma) =
-    -score(sigma), only the vectors with sigma_{n-1} = +1 are scored, and
-    ``_pair_sums`` turns each into the sums of its pair (sigma, -sigma).
-
-    The low table and the tile live in ``scratch``, a float buffer of at
-    least ``_exact_scratch_size(matrix)`` entries, when one is given, so a
-    batch of enumerations maps their pages once."""
-    values = matrix.values
-    n = matrix.num_states
-    if n > EXACT_N_CAP:
-        raise SizeCapError(
-            f"exact enumeration covers 2^{n} sign vectors; capped at n = {EXACT_N_CAP}, "
-            "use the Monte Carlo estimator instead"
-        )
-    split = min(n - 1, _CHUNK.bit_length() - 1)  # a low table of at most _CHUNK entries
-    size = _exact_scratch_size(matrix)
-    if scratch is None or scratch.size < size:
-        scratch = np.empty(size)
-    low, tile = scratch[:size].reshape(2, matrix.num_hypotheses, 1 << split)
-    _score_table(values[:, :split], split, low)
-    high = _score_table(values[:, split:], n - 1 - split)  # sigma_{n-1} stays +1
-    acc = acc_sym = 0.0
-    for j in range(high.shape[1]):
-        np.add(low, high[:, j : j + 1], out=tile)
-        spread, reach = _pair_sums(tile)
-        acc += float(spread.sum())
-        acc_sym += 2.0 * float(reach.sum())
-    total = 1 << n
-    return RademacherEstimate(
-        value=acc / (total * n),
-        se=0.0,
-        draws=total,
-        method="exact",
-        value_symmetrized=acc_sym / (total * n),
-        se_symmetrized=0.0,
-    )
-
-
 def _column_groups(stack: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per matrix of a stack of m (H, n) matrices (a sequence, or an (m, H, n)
     array), its distinct columns and how often each occurs, found by one
@@ -329,8 +264,8 @@ def _grid_size(counts: np.ndarray) -> int:
 
 
 def _sum_law(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values 2k - m and probabilities C(m, k) / 2^m, k = 0..m, of a sum of m
-    independent signs.
+    """Steps 2k and probabilities C(m, k) / 2^m, k = 0..m, of k minus signs
+    among m independent signs, whose sum is m - 2k.
 
     Each log C(m, k) / C(m, m // 2) is a running sum of log ratios taken
     outward from the middle, where the mass is, so no factor overflows or
@@ -342,24 +277,48 @@ def _sum_law(m: int) -> tuple[np.ndarray, np.ndarray]:
     half = np.exp(log_rel[::-1])
     probs = np.concatenate((half, half[: (m + 1) // 2][::-1]))
     probs /= probs.sum()
-    return 2.0 * np.arange(m + 1) - m, probs
+    return 2.0 * np.arange(m + 1), probs
 
 
-def _grid_scores(
-    columns: np.ndarray, laws: list, index: np.ndarray
+def _score_table(
+    columns: np.ndarray, base: np.ndarray, laws: list, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(H, len(index)) scores sum_c L_h(c) S_c and (len(index),) probabilities
-    at the points ``index`` of the grid of group sums S_c, with the sums
-    and probabilities of each group in ``laws`` and the first group's sum
-    varying fastest along the grid."""
-    scores, weights = np.zeros((columns.shape[0], index.size)), np.ones(index.size)
-    stride = 1
-    for col, (sums, probs) in zip(columns.T, laws):
-        digit = index // stride % sums.size
-        scores += col[:, None] * sums[digit]
-        weights *= probs[digit]
-        stride *= sums.size
-    return scores, weights
+    """(H, prod_c len(steps_c)) scores base - sum_c steps_c[k_c] L(c) and
+    their weights prod_c probs_c[k_c] over the grid of digits k_c, with one
+    law (steps_c, probs_c) in ``laws`` per column of ``columns`` and the first
+    digit varying fastest; the scores are written into ``out`` when given.
+    Each group takes one broadcast: the copies table - steps_c[k] L(c),
+    k >= 1, go beside the table, and the weights take an outer product; with
+    steps (0, 2) that doubles the table."""
+    size = math.prod(s.size for s, _ in laws)
+    table = np.empty((columns.shape[0], size)) if out is None else out
+    table[:, 0], weights, width = base, np.ones(1), 1
+    for col, (steps, probs) in zip(columns.T, laws):
+        stop = width * steps.size
+        np.subtract(table[:, None, :width], np.multiply.outer(col, steps[1:])[:, :, None],
+                    out=table[:, width:stop].reshape(col.size, steps.size - 1, width))
+        if steps[0]:  # a later run of a group's steps (``_score_slices``)
+            table[:, :width] -= steps[0] * col[:, None]
+        weights = np.multiply.outer(probs, weights).ravel()
+        width = stop
+    return table, weights
+
+
+def _score_slices(columns: np.ndarray, base: np.ndarray, laws: list):
+    """Yield the ``_score_table`` of ``laws`` a slice of at most ``_CHUNK``
+    grid points at a time, in grid order: the last digit runs over slices of
+    its steps while the other digits' table fits, and is otherwise fixed one
+    step at a time, its term moved into the base."""
+    *inner, (steps, probs) = laws
+    width = math.prod(s.size for s, _ in inner)
+    if width <= _CHUNK:
+        run = _CHUNK // width
+        for a in range(0, steps.size, run):
+            yield _score_table(columns, base, inner + [(steps[a : a + run], probs[a : a + run])])
+        return
+    for step, prob in zip(steps.tolist(), probs.tolist()):
+        for table, weights in _score_slices(columns[:, :-1], base - step * columns[:, -1], inner):
+            yield table, prob * weights
 
 
 def rademacher_grouped(columns: np.ndarray, counts: np.ndarray) -> RademacherEstimate:
@@ -367,41 +326,63 @@ def rademacher_grouped(columns: np.ndarray, counts: np.ndarray) -> RademacherEst
     columns ``columns`` occur ``counts`` times (``_column_groups``).
 
     A sign vector scores sum_c L_h(c) S_c, with S_c the sum of the m_c signs
-    on group c, which is 2k - m_c with probability C(m_c, k) / 2^m_c. So the
+    on group c, which is m_c - 2k with probability C(m_c, k) / 2^m_c. So the
     expectation is a weighted sum over the grid of prod_c (m_c + 1) values
-    of (S_c), capped at 2^EXACT_N_CAP points, whatever n is. The groups split
-    into a low block of at most ``_CHUNK`` grid points, scored once, and a
-    high block scored a slice at a time, so that one broadcast add of the
-    low scores and a slice of high scores fills a tile of at most ``_CHUNK``
-    points and memory stays flat. The weights are symmetric under S <-> -S,
-    so ``_pair_sums`` over the whole grid, halved, gives the plain form.
-    ``draws`` counts the grid points scored."""
+    of (S_c), capped at 2^EXACT_N_CAP points, whatever n is. Since
+    score(-S) = -score(S), only the half with the last group's S >= 0 is
+    scored, and ``_pair_sums`` turns each point into the sums of its pair
+    (S, -S): a point with S > 0 stands for its pair, so it weighs twice,
+    while the S = 0 slice holds both points of each of its pairs. The
+    groups before the last split into a low block of at most ``_CHUNK``
+    grid points, whose table (``_score_table``) is built once, and a high
+    block scored a slice at a time (``_score_slices``); one broadcast add
+    of the low table and some points of a slice fills a tile of at most
+    ``_CHUNK`` points, so memory stays flat. ``draws`` counts the whole
+    grid, 2^n when every count is 1."""
     points = _grid_size(counts)
     if points > 1 << EXACT_N_CAP:
         raise SizeCapError(
-            f"grouped enumeration covers {points} or more points of group sums; capped at "
+            f"exact enumeration covers {points} or more points of group sums; capped at "
             f"2^{EXACT_N_CAP}, use the Monte Carlo estimator instead"
         )
-    laws = [_sum_law(m) for m in counts.tolist()]
+    law_of = {m: _sum_law(m) for m in set(counts.tolist())}
+    laws = [law_of[m] for m in counts.tolist()]
+    m, (steps, probs) = int(counts[-1]), laws[-1]
+    half = m // 2 + 1  # the last group's S = m - 2k >= 0; each S > 0 weighs twice
+    laws[-1] = (steps[:half], np.where(steps[:half] < m, 2.0, 1.0) * probs[:half])
     split, low_points = 0, 1
-    while split < len(laws) and low_points * laws[split][0].size <= _CHUNK:
+    while split < len(laws) - 1 and low_points * laws[split][0].size <= _CHUNK:
         low_points *= laws[split][0].size
         split += 1
-    low, low_weights = _grid_scores(columns[:, :split], laws[:split], np.arange(low_points))
-    h, high_points = columns.shape[0], points // low_points
-    step = min(_CHUNK // low_points, high_points)  # high grid points per tile
-    buf = np.empty(h * low_points * step)
+    weighted, h = columns * counts, columns.shape[0]
+    step = min(_CHUNK // low_points, math.prod(s.size for s, _ in laws[split:]))
+    # the low table and the tile share one block: once one block that large
+    # is freed, the allocator keeps a call's pages for the next call, where
+    # two blocks cost 220 page faults per n = 20 enumeration of lemma 3
+    buf = np.empty((1 + step, h, low_points))
+    low, low_weights = _score_table(columns[:, :split], weighted[:, :split].sum(axis=1),
+                                    laws[:split], out=buf[0])
+    # with every count 1, every weight is 2^(1-n): tiles are added up and
+    # scaled once, which keeps the bits of scoring each sign vector alike
+    uniform = counts.max() == 1
     acc = acc_sym = 0.0
-    for start in range(0, high_points, step):
-        index = np.arange(start, min(start + step, high_points))
-        high, high_weights = _grid_scores(columns[:, split:], laws[split:], index)
-        tile = buf[: h * low_points * index.size].reshape(h, low_points, index.size)
-        np.add(low[:, :, None], high[:, None, :], out=tile)
-        spread, reach = _pair_sums(tile.reshape(h, -1))
-        weights = np.multiply.outer(low_weights, high_weights).ravel()
-        acc += float(weights @ spread)
-        acc_sym += float(weights @ reach)
+    for table, weights in _score_slices(columns[:, split:], weighted[:, split:].sum(axis=1),
+                                        laws[split:]):
+        for start in range(0, table.shape[1], step):
+            part = table[:, None, start : start + step]
+            tile = buf[1 : 1 + part.shape[2]].reshape(h, low_points, -1)
+            np.add(low[:, :, None], part, out=tile)
+            spread, reach = _pair_sums(tile.reshape(h, -1))
+            if uniform:
+                acc += float(spread.sum())
+                acc_sym += float(reach.sum())
+            else:
+                part_weights = weights[start : start + step]
+                acc += float(low_weights @ spread.reshape(low_points, -1) @ part_weights)
+                acc_sym += float(low_weights @ reach.reshape(low_points, -1) @ part_weights)
     n = int(counts.sum())
+    if uniform:
+        acc, acc_sym = acc * 2.0 ** (1 - n), acc_sym * 2.0 ** (1 - n)
     return RademacherEstimate(
         value=acc / (2 * n),
         se=0.0,
@@ -410,6 +391,15 @@ def rademacher_grouped(columns: np.ndarray, counts: np.ndarray) -> RademacherEst
         value_symmetrized=acc_sym / n,
         se_symmetrized=0.0,
     )
+
+
+def rademacher_exact(matrix: LossMatrix) -> RademacherEstimate:
+    """Average over every sign vector; only feasible for small samples: the
+    grouped enumeration (``rademacher_grouped``) of the matrix's own columns,
+    in their order, each a group of one, which scores the 2^(n-1) sign
+    vectors with sigma_{n-1} = +1 and counts 2^n ``draws``."""
+    values = np.ascontiguousarray(matrix.values)
+    return rademacher_grouped(values, np.ones(values.shape[1], dtype=np.int64))
 
 
 def _mean_se(stats: np.ndarray) -> tuple[float, float]:
@@ -471,12 +461,14 @@ def rademacher_estimates(
     """The one place that picks an estimator, for each matrix of a batch in
     order; ``method`` says which one ran.
 
-    Up to ``EXACT_N_CAP`` states, every sign vector is enumerated
-    (``rademacher_exact``), all in one scratch buffer. Above it, the equal
-    columns are grouped (one ``_column_groups`` pass per matrix shape), and
-    the grid of group sums is enumerated exactly (``rademacher_grouped``)
-    when it has at most 2^EXACT_N_CAP points; otherwise ``draws`` Monte
-    Carlo sign vectors are drawn from the matrix's seed. A grouped estimate
+    The grid of group sums is enumerated exactly (``rademacher_grouped``)
+    when it has at most 2^EXACT_N_CAP points, and ``draws`` Monte Carlo sign
+    vectors are drawn from the matrix's seed when it does not. Up to
+    ``EXACT_N_CAP`` states every column is its own group, so the grid fits
+    and no grouping pass runs (``rademacher_exact``); above it, the equal
+    columns are grouped (one ``_column_groups`` pass per matrix shape) and
+    enumerated by a direct call, so ``rademacher_exact`` sees only matrices
+    whose 2^n sign vectors it enumerates. A grouped estimate
     depends only on its groups, so matrices with the same groups share one
     enumeration; Monte Carlo estimates depend on their seeds and are never
     shared. Each estimate equals the one-matrix call's bit for bit."""
@@ -486,16 +478,12 @@ def rademacher_estimates(
             f"{len(matrices)} loss matrices need as many seeds, got {len(seeds)}"
         )
     estimates = [None] * len(matrices)
-    small, by_shape = [], {}
+    by_shape = {}
     for i, mat in enumerate(matrices):
         if mat.num_states <= EXACT_N_CAP:
-            small.append(i)
+            estimates[i] = rademacher_exact(mat)
         else:
             by_shape.setdefault(mat.values.shape, []).append(i)
-    if small:
-        scratch = np.empty(max(_exact_scratch_size(matrices[i]) for i in small))
-        for i in small:
-            estimates[i] = rademacher_exact(matrices[i], scratch)
     grouped = {}
     for members in by_shape.values():
         groups = _column_groups([matrices[i].values for i in members])

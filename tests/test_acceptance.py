@@ -292,6 +292,9 @@ def test_certificate_coverage_meets_confidence():
     dh = dict(rep_h.details)
     halving_ok = (dh["coverage_population"] == 1.0
                   and dh["coverage_empirical"] == 1.0 and rep_h.passed)
+    # halving_map at n = 200, eps = 0.1 certifies at confidence 0, so its
+    # coverage cannot fail, and says so
+    assert (d["vacuous"], dh["confidence"], dh["vacuous"]) == (False, 0.0, True)
     _finish(7, "certificate coverage", 180.0, t0, iid_ok and halving_ok,
             extra=(f" [pop {d['coverage_population']:.3f}, emp "
                    f"{d['coverage_empirical']:.3f}, conf {d['confidence']:.3f}]"))

@@ -23,7 +23,6 @@ from chaincert.complexity import (
     MC_DRAWS,
     LossMatrix,
     _column_groups,
-    _exact_scratch_size,
     loss_matrices,
     loss_matrix,
     rademacher_estimate,
@@ -136,8 +135,8 @@ def test_batched_estimates_equal_one_matrix_calls():
         rng.random((h, 21)),                   # 21 distinct columns: 2^21 grid points, MC
         _duplicated_columns(rng, h, 45, 4),    # grouped
         rng.random((h, 45)),                   # MC
-        rng.random((h, EXACT_N_CAP)),          # plain, the largest scratch
-        rng.random((h, 3)),                    # plain, after a larger one in the scratch
+        rng.random((h, EXACT_N_CAP)),          # plain, at the cap
+        rng.random((h, 3)),                    # plain
     ]
     values.append(values[1][:, ::-1].copy())   # the groups of matrix 1: one shared enumeration
     values.append(values[2].copy())            # the matrix of matrix 2 under another seed
@@ -162,13 +161,23 @@ def test_batched_estimates_equal_one_matrix_calls():
         rademacher_estimates(mats, 64, seeds[:-1])
 
 
-def test_exact_scratch_reuse_leaves_no_trace():
-    rng = np.random.default_rng(3)
-    mats = [LossMatrix(rng.random((3, n)), 1.0) for n in (EXACT_N_CAP, 14, 13, 5, 1)]
-    scratch = np.full(_exact_scratch_size(mats[0]), np.nan)
-    for mat in mats:
-        assert rademacher_exact(mat, scratch) == rademacher_exact(mat)
-    assert rademacher_exact(mats[0], np.empty(1)) == rademacher_exact(mats[0])  # too small
+def test_only_small_matrices_go_through_rademacher_exact(monkeypatch):
+    # the benchmark's tracer spans ``complexity.rademacher_exact`` and counts
+    # 2^n sign vectors per call, so only n <= EXACT_N_CAP may reach it
+    calls, real = [], complexity.rademacher_exact
+
+    def counting(matrix):
+        calls.append(matrix.num_states)
+        return real(matrix)
+
+    monkeypatch.setattr(complexity, "rademacher_exact", counting)
+    rng = np.random.default_rng(5)
+    values = [rng.random((3, 7)), rng.random((3, EXACT_N_CAP)),
+              _duplicated_columns(rng, 3, 21, 3), rng.random((3, 45))]
+    batch = rademacher_estimates([LossMatrix(v, 1.0) for v in values], 64,
+                                 [SeedSpec(5, i) for i in range(len(values))])
+    assert [e.method for e in batch] == ["exact", "exact", "exact", "mc"]
+    assert calls == [7, EXACT_N_CAP]
 
 
 # -- validators against one trial at a time ---------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincert import complexity
 from chaincert.complexity import (
     EXACT_N_CAP,
     LossMatrix,
@@ -126,21 +127,53 @@ def _duplicated_columns(rng, h: int, n: int, distinct: int) -> np.ndarray:
     return base[:, rng.integers(0, distinct, n)]
 
 
+def _by_doubling(vals: np.ndarray) -> tuple[float, float]:
+    """Plain and symmetrized complexity over all 2^n sign vectors: the score
+    table for the first k signs is doubled into the one for k + 1 (one copy
+    adds L[:, k], the other subtracts it)."""
+    scores = np.zeros((1, vals.shape[0]))
+    for col in vals.T:
+        scores = np.concatenate([scores + col, scores - col])
+    n = vals.shape[1]
+    return float(scores.max(axis=1).mean() / n), float(np.abs(scores).max(axis=1).mean() / n)
+
+
 @pytest.mark.parametrize("h", (1, 3, 8))
 def test_grouped_matches_plain_enumeration(h):
+    # groups with odd and even counts, last among them too: an even last
+    # count puts a slice of sign vectors at S = 0
     rng = np.random.default_rng(40 + h)
-    for n in range(1, EXACT_N_CAP + 1):
-        for distinct in sorted({1, 2, max(1, n // 2), n}):
-            vals = _duplicated_columns(rng, h, n, distinct)
-            columns, counts = _column_groups(vals[None])[0]
-            assert counts.sum() == n and columns.shape[1] <= distinct
+    last_parities = set()
+    for n in range(1, 17):
+        parts = rng.integers(1, 5, n)
+        parts = parts[: np.searchsorted(np.cumsum(parts), n) + 1]
+        parts[-1] -= parts.sum() - n
+        for counts in ([n], [1] * n, parts.tolist(), parts[::-1].tolist()):
+            counts = np.array(counts)
+            columns = rng.random((h, counts.size))
+            plain, sym = _by_doubling(np.repeat(columns, counts, axis=1))
             grouped = rademacher_grouped(columns, counts)
-            exact = rademacher_exact(LossMatrix(values=vals, ell_H=1.0))
-            assert grouped.value == pytest.approx(exact.value, abs=1e-12)
-            assert grouped.value_symmetrized == pytest.approx(exact.value_symmetrized,
-                                                              abs=1e-12)
+            assert grouped.value == pytest.approx(plain, abs=1e-12)
+            assert grouped.value_symmetrized == pytest.approx(sym, abs=1e-12)
             assert grouped.method == "exact" and grouped.se == grouped.se_symmetrized == 0.0
             assert grouped.draws == math.prod(int(m) + 1 for m in counts)
+            last_parities.add(int(counts[-1]) % 2)
+    assert last_parities == {0, 1}
+
+
+@pytest.mark.parametrize("h", (1, 3))
+def test_grouped_tiling_leaves_the_value(h, monkeypatch):
+    # tiles of 4 grid points: the low block stops early, and the high block
+    # is scored in runs of a group's sums, with the groups after it fixed
+    monkeypatch.setattr(complexity, "_CHUNK", 4)
+    rng = np.random.default_rng(70 + h)
+    for counts in ([1] * 10, [3, 5, 2, 4], [2, 7, 1, 6], [9, 3], [12]):
+        counts = np.array(counts)
+        columns = rng.random((h, counts.size))
+        plain, sym = _by_doubling(np.repeat(columns, counts, axis=1))
+        est = rademacher_grouped(columns, counts)
+        assert est.value == pytest.approx(plain, abs=1e-12)
+        assert est.value_symmetrized == pytest.approx(sym, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", (200, 20_000))
@@ -185,6 +218,21 @@ def test_grouped_memory_stays_flat():
         tracemalloc.stop()
     assert est.draws == 1 << EXACT_N_CAP
     assert peak < 16.0 * 2**20
+
+
+def test_grouped_memory_stays_flat_past_a_tile_wide_group():
+    # counts 9,000 and 100: 9,001 * 101 = 909,101 grid points at H = 64; the
+    # first group alone has more sums than a tile, so the high table would
+    # hold about 235 MB built whole
+    columns = np.random.default_rng(65).random((64, 2))
+    tracemalloc.start()
+    try:
+        est = rademacher_grouped(columns, np.array([9_000, 100]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.draws == 9_001 * 101
+    assert peak < 32.0 * 2**20
 
 
 def test_mc_is_consistent_with_exact():

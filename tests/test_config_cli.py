@@ -671,6 +671,13 @@ def test_cli_certify_worked_values(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["radius"] == pytest.approx(0.6, abs=1e-12)
     assert payload["confidence"] == pytest.approx(1 - 2 * math.exp(-10), abs=1e-15)
+    assert payload["vacuous"] is False
+    # 1 - 2 exp(-2 eps^2 n (1 - ell_F)^2 / ell_H^2) < 0 at n = 10: confidence 0
+    assert main(["certify", "--form", "population", "--rademacher", "0.05",
+                 "--ell-h", "1.0", "--ell-f", "0.5", "--n", "10",
+                 "--epsilon", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["confidence"], payload["vacuous"]) == (0.0, True)
 
     assert main(["certify", "--form", "empirical", "--rademacher", "0.25",
                  "--ell-h", "1.0", "--ell-f", "0.5", "--n", "2000",
