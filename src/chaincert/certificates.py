@@ -34,14 +34,7 @@ from .complexity import (
 )
 from .erm import erm, true_risk_table
 from .errors import AssumptionViolationError, InvalidInputError
-from .generators import (
-    Generator,
-    _batches,
-    analytic_lip_factor,
-    burn_in_allowance,
-    sample_chains,
-    sample_stationary_chains,
-)
+from .generators import Generator, analytic_lip_factor, burn_in_allowance, chain_batches
 from .hypotheses import HypothesisClass, LossEnv
 from .metric import SeedSpec, derive_stream
 
@@ -216,8 +209,7 @@ def _delayed_deviations(gen, cls, env, n, trials, batch_seed, er_values) -> np.n
     """Worst-class deviation over the window (n, 2n) of one 2n chain per trial,
     trial t sampled from ``derive_stream(batch_seed, t)``."""
     phis = []
-    streams = [derive_stream(batch_seed, t) for t in range(trials)]
-    for batch in _batches(sample_chains(gen, 2 * n, streams), 2 * n):
+    for batch in chain_batches(gen, 2 * n, batch_seed, trials):
         phis += [_sup_deviation(mat, er_values)
                  for mat in loss_matrices(cls, batch, env, window=(n, 2 * n))]
     return np.array(phis)
@@ -365,10 +357,8 @@ def validate_lemma3(
     ell_F = analytic_lip_factor(gen)
     c = deviation_constant(env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
-    batch_seed = derive_stream(seed, 0)
-    streams = [derive_stream(batch_seed, t) for t in range(trials)]
     phis, estimates = [], []
-    for batch in _batches(sample_stationary_chains(gen, 2 * n, tol, streams), 2 * n):
+    for batch in chain_batches(gen, 2 * n, derive_stream(seed, 0), trials, tol):
         # both windows of every chain in one loss call, in trial order
         halves = loss_matrices(
             cls, [half for traj in batch for half in (traj.slice(0, n), traj.slice(n, 2 * n))], env
@@ -454,10 +444,8 @@ def coverage_experiment(
     confidence = cert_pop.confidence
 
     window = (n, 2 * n) if window_mode == "delayed" else (0, n)
-    batch_seed = derive_stream(seed, 0)
-    streams = [derive_stream(batch_seed, t) for t in range(trials)]
     deviations, estimates = [], []
-    for batch in _batches(sample_chains(gen, 2 * n, streams), 2 * n):
+    for batch in chain_batches(gen, 2 * n, derive_stream(seed, 0), trials):
         mats = loss_matrices(cls, batch, env, window=window)
         for mat in mats:
             pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index

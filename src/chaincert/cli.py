@@ -356,21 +356,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser, trials=False, window=False,
-                      draws=False) -> None:
+_CONFIG_FLAGS = {
+    "seed": dict(type=int, help="master seed override"),
+    "n": dict(type=int, help="window length override"),
+    "epsilon": dict(type=float, help="slack override"),
+    "delta": dict(type=float, help="tail mass override (implies epsilon)"),
+    "out": dict(help="output directory override"),
+    "trials": dict(type=int, help="trial count override"),
+    "window": dict(choices=sorted(_WINDOW_FLAG), help="training window convention"),
+    "draws": dict(type=int, help="Monte Carlo sign draws override (even, >= 4)"),
+}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """``--config`` and the override flags ``names`` of ``_CONFIG_FLAGS``,
+    the config fields the command reads."""
     p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--n", type=int, help="window length override")
-    p.add_argument("--epsilon", type=float, help="slack override")
-    p.add_argument("--delta", type=float, help="tail mass override (implies epsilon)")
-    p.add_argument("--out", help="output directory override")
-    if trials:
-        p.add_argument("--trials", type=int, help="trial count override")
-    if window:
-        p.add_argument("--window", choices=sorted(_WINDOW_FLAG),
-                       help="training window convention")
-    if draws:
-        p.add_argument("--draws", type=int, help="Monte Carlo sign draws override (even, >= 4)")
+    for name in names:
+        p.add_argument(f"--{name}", **_CONFIG_FLAGS[name])
 
 
 @functools.cache
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="sample a chain trajectory to CSV")
-    _add_config_flags(p)
+    _add_config_flags(p, "seed", "n", "out")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("wasserstein", help="exact transport cost between two atom CSVs")
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("erm", help="run the approximate minimizer on a trajectory CSV")
     p.add_argument("trajectory", help="trajectory CSV (from the simulate subcommand)")
-    _add_config_flags(p, window=True)
+    _add_config_flags(p, "n", "epsilon", "delta", "out", "window")
     p.set_defaults(handler=_cmd_erm)
 
     p = sub.add_parser("certify", help="evaluate a certificate formula from flags")
@@ -423,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run one statistical validator")
     p.add_argument("name", choices=VALIDATOR_NAMES)
-    _add_config_flags(p, trials=True, window=True, draws=True)
+    _add_config_flags(p, *_CONFIG_FLAGS)
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("coverage", help="run the end-to-end coverage experiment")
-    _add_config_flags(p, trials=True, window=True, draws=True)
+    _add_config_flags(p, *_CONFIG_FLAGS)
     p.set_defaults(handler=_cmd_validate, name="coverage")
 
     return parser

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import Generator, Trajectory, _batches, sample_stationary_chains
+from .generators import Generator, Trajectory, chain_batches
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
@@ -529,9 +529,8 @@ def rademacher_expected(
     """
     if not (isinstance(outer, int) and outer >= 2):
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
-    streams = [derive_stream(seed, i) for i in range(outer)]
     chains = []
-    for batch in _batches(sample_stationary_chains(gen, n, tol, streams), n):
+    for batch in chain_batches(gen, n, seed, outer, tol):
         chains += rademacher_estimates(loss_matrices(cls, batch, env), mc_draws,
                                        [derive_stream(traj.seed, 1) for traj in batch])
     per_chain = np.array([est.value for est in chains])

@@ -240,8 +240,6 @@ def _iid_generator(ax: np.ndarray, ay: np.ndarray, weights: np.ndarray,
 
 
 def _read_label(d: Any) -> Callable[[], LabelMap]:
-    # no tabulated kind: a nearest-row lookup jumps at cell boundaries, so it
-    # has no Lipschitz constant to declare unless every label row is equal
     where = "generator.label"
     if not isinstance(d, dict):
         raise InvalidInputError(f"{where} must be an object")

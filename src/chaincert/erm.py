@@ -15,15 +15,9 @@ import numpy as np
 
 from .complexity import LossMatrix, loss_matrices
 from .errors import InvalidInputError
-from .generators import (
-    Generator,
-    _batches,
-    burn_in_allowance,
-    exact_fixed_point,
-    sample_stationary_chains,
-)
+from .generators import Generator, burn_in_allowance, chain_batches, exact_fixed_point
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
-from .metric import SeedSpec, derive_stream
+from .metric import SeedSpec
 
 TIE_RULES = ("lowest_index", "first_found")
 
@@ -145,7 +139,6 @@ def _replica_means(
     """Per-replica mean losses, shaped (class size, replicas); chains are shared
     across the class so comparisons see the same randomness."""
     means = []
-    streams = [derive_stream(seed, r) for r in range(replicas)]
-    for batch in _batches(sample_stationary_chains(gen, run_length, tol, streams), run_length):
+    for batch in chain_batches(gen, run_length, seed, replicas, tol):
         means += [mat.values.mean(axis=1) for mat in loss_matrices(cls, batch, env)]
     return np.stack(means, axis=1)

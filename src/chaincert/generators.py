@@ -410,17 +410,6 @@ def _block_size(states_per_chain: int) -> int:
     return max(1, _BLOCK_STATES // states_per_chain)
 
 
-def _batches(chains: Iterator[Trajectory], states_per_chain: int) -> Iterator[list]:
-    """Consecutive lists of ``_block_size(states_per_chain)`` chains, the
-    chains of one stepped block: a batch of chains of ``states_per_chain``
-    states holds at most ``_BLOCK_STATES`` states, so work done a batch at a
-    time keeps memory flat in the number of chains."""
-    size = _block_size(states_per_chain)
-    chains = iter(chains)
-    while batch := list(itertools.islice(chains, size)):
-        yield batch
-
-
 def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray, at=-1):
     """States of the chains started at the rows of (x0, y0), chain i under
     the draws idx[i], each taken after at[i] steps (the end by default);
@@ -489,15 +478,16 @@ def sample_chains(
     floating-point warnings there, before the ``GeneratorContractError``
     naming the first escaping state of the first failing chain is raised.
     """
+    return itertools.chain.from_iterable(_paths(gen, n, list(seeds), z0))
+
+
+def _paths(gen: Generator, n: int, seeds: list, z0: Optional[ZPoint] = None) -> Iterator[list]:
+    """The paths of ``sample_chains``, one list per stepped block."""
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInputError(f"trajectory length must be a positive integer, got {n!r}")
     start = gen.z0 if z0 is None else z0
     gen.metric.check_point(start)
     _check_paths(gen, start.x[None, None], start.y[None, None])
-    return _paths(gen, start, n, list(seeds))
-
-
-def _paths(gen: Generator, start: ZPoint, n: int, seeds: list):
     size = _block_size(n)
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
@@ -505,8 +495,8 @@ def _paths(gen: Generator, start: ZPoint, n: int, seeds: list):
         for i, rng in enumerate(make_rngs(block)):
             idx[i] = gen.theta.indices_from_uniform(rng.random(n - 1))
         xs, ys = _step_block(gen, start.x, start.y, idx)
-        for i, seed in enumerate(block):
-            yield Trajectory(xs=xs[i], ys=ys[i], seed=seed, metric=gen.metric)
+        yield [Trajectory(xs=xs[i], ys=ys[i], seed=seed, metric=gen.metric)
+               for i, seed in enumerate(block)]
 
 
 def sample_chain(
@@ -540,20 +530,32 @@ def burn_in_allowance(gen: Generator, tol: float, ell_H: float) -> float:
     return ell_H * analytic_lip_factor(gen) ** burn_in_steps(gen, tol)
 
 
-def sample_stationary_chains(
-    gen: Generator, n: int, tol: float, seeds: Sequence[SeedSpec]
-) -> Iterator[Trajectory]:
-    """Per seed, burn in to within ``tol`` of the invariant law, then record
-    n points; the paths are stepped together as in ``sample_chains``."""
-    b = burn_in_steps(gen, tol)
-    return (full.slice(b, b + n) for full in sample_chains(gen, b + n, seeds))
+def chain_batches(
+    gen: Generator, n: int, seed: SeedSpec, count: int, tol: Optional[float] = None
+) -> Iterator[list]:
+    """Run ``count`` independent chains of n recorded states from the
+    generator's start, chain i drawing from ``derive_stream(seed, i)``, and
+    yield them in chain order, one list per stepped block: a list holds at
+    most ``_BLOCK_STATES`` stepped states, so work done a list at a time
+    keeps memory flat in ``count``.
+
+    With ``tol`` every chain is first burned in for
+    B = ``burn_in_steps(gen, tol)`` steps, to within ``tol`` of the invariant
+    law, and keeps its last n states. Chain i equals
+    ``sample_chain(gen, None, B + n, derive_stream(seed, i)).slice(B, B + n)``
+    bit for bit, with B = 0 without ``tol``.
+    """
+    b = 0 if tol is None else burn_in_steps(gen, tol)
+    blocks = _paths(gen, b + n, [derive_stream(seed, i) for i in range(count)])
+    return ([traj.slice(b, b + n) for traj in block] for block in blocks)
 
 
 def sample_stationary_chain(
     gen: Generator, n: int, tol: float, seed: SeedSpec
 ) -> Trajectory:
     """Burn in to within ``tol`` of the invariant law, then record n points."""
-    return next(sample_stationary_chains(gen, n, tol, [seed]))
+    b = burn_in_steps(gen, tol)
+    return sample_chain(gen, None, b + n, seed).slice(b, b + n)
 
 
 def _sample_start(gen: Generator, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

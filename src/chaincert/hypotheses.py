@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AssumptionViolationError, InvalidInputError
-from .generators import Generator, _check_pair_budget, sample_chains
-from .metric import MetricSpec, SeedSpec, ZPoint, _triangle_pairs, derive_stream, row_dist
+from .generators import Generator, _check_pair_budget, chain_batches
+from .metric import MetricSpec, SeedSpec, ZPoint, _triangle_pairs, row_dist
 
 HYPOTHESIS_KINDS = ("constant", "linear", "tabulated")
 _A2_SLACK = 1e-9
@@ -63,6 +63,10 @@ class Hypothesis:
             tx, ty = self.table_x, self.table_y
             if tx.shape[0] != ty.shape[0] or tx.shape[0] == 0:
                 raise InvalidInputError("tabulated hypothesis needs matching non-empty tables")
+            if ty.shape[1] != 1:
+                raise InvalidInputError(
+                    f"tabulated hypothesis predicts one label column; table_y has {ty.shape[1]}"
+                )
             # row i against the rows after it, so the first violating pair is found first
             xcols, ycols = tx.T.copy(), ty.T.copy()
             for i in range(tx.shape[0] - 1):
@@ -85,9 +89,10 @@ class Hypothesis:
             return np.broadcast_to(self.value, (xs.shape[0], self.value.shape[0])).copy()
         if self.kind == "linear":
             return xs @ self.weight.T + self.bias
-        # nearest tabulated feature, lowest index on ties
-        d2 = ((xs[:, None, :] - self.table_x[None, :, :]) ** 2).sum(axis=2)
-        return self.table_y[np.argmin(d2, axis=1)]
+        # McShane extension min_i (y_i + L |x - x_i|), L-Lipschitz like the table
+        gaps = functools.reduce(np.hypot, (xs[:, k, None] - col
+                                           for k, col in enumerate(self.table_x.T)), 0.0)
+        return (self.table_y.T + self.declared_lip * gaps).min(axis=1, keepdims=True)
 
 
 def _gaps_after(cols: np.ndarray, i: int) -> np.ndarray:
@@ -115,7 +120,12 @@ def linear_hypothesis(hid: str, weight, bias, declared_lip: Optional[float] = No
 
 
 def tabulated_hypothesis(hid: str, table_x, table_y, declared_lip: float) -> Hypothesis:
-    """Nearest-neighbour lookup; a flat table holds one-dimensional rows."""
+    """The largest ``declared_lip``-Lipschitz function at or below every
+    table label (McShane, Bull. AMS 1934), predicting one label column; a
+    flat table holds one-dimensional rows. It meets every table point whose
+    label gaps to the other rows are at most ``declared_lip`` times their
+    feature gaps; the table check's 1e-9 relative slack can leave a point's
+    prediction up to 1e-9 * ``declared_lip`` * gap below its label."""
     table_x = np.asarray(table_x, dtype=float)
     table_y = np.asarray(table_y, dtype=float)
     return Hypothesis(
@@ -264,7 +274,7 @@ def verify_a2(
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("finalize the loss environment before verifying it")
     chains = max(2, (2 * num_pairs) // (chain_len - 1) + 1)
-    paths = list(sample_chains(gen, chain_len, [derive_stream(seed, c) for c in range(chains)]))
+    paths = [traj for batch in chain_batches(gen, chain_len, seed, chains) for traj in batch]
     xs = np.concatenate([traj.xs[1:] for traj in paths])
     ys = np.concatenate([traj.ys[1:] for traj in paths])
     rows = window_loss_values(cls, xs, ys, env)

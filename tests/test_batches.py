@@ -16,6 +16,7 @@ from chaincert.certificates import (
     certify_empirical,
     coverage_experiment,
     validate_lemma1,
+    validate_lemma2,
     validate_lemma3,
 )
 from chaincert.complexity import (
@@ -36,6 +37,7 @@ from chaincert.errors import AssumptionViolationError, InvalidInputError
 from chaincert.generators import (
     Trajectory,
     analytic_lip_factor,
+    burn_in_steps,
     sample_chain,
     sample_chains,
     sample_stationary_chain,
@@ -249,3 +251,37 @@ def test_batches_hold_at_most_one_block_of_states(monkeypatch):
     size = generators._BLOCK_STATES // (2 * n)  # chains per batch: 40
     assert max(seen) <= generators._BLOCK_STATES
     assert seen[-3:] == [size * n, size * n, (trials - 2 * size) * n]
+
+
+def test_burned_in_batches_follow_blocks_of_burn_in_plus_n_states(monkeypatch):
+    # a burned-in chain steps B + n states and keeps n: its batch is the
+    # chains of one block of B + n states per chain
+    bundle = load_preset("labeled_affine")
+    gen, cls, env = bundle.gen, bundle.cls, bundle.env
+    seed, b = SeedSpec(9), burn_in_steps(gen, 1e-3)
+    lemma2 = validate_lemma2(gen, cls, env, 25, 7, seed=seed)
+    risks = true_risk_table(cls, gen, env, seed=seed)
+    seen = []
+
+    def counted(cls, xs, ys, env):
+        seen.append(xs.shape[0])
+        return window_loss_values(cls, xs, ys, env)
+
+    monkeypatch.setattr(complexity, "window_loss_values", counted)
+    # three outer chains of the expected complexity per block, one replica
+    monkeypatch.setattr(generators, "_BLOCK_STATES", 3 * (b + 25) + 1)
+    assert validate_lemma2(gen, cls, env, 25, 7, seed=seed) == lemma2
+    # four of the 32 replica chains of 256 states per block
+    monkeypatch.setattr(generators, "_BLOCK_STATES", 5 * 256)
+    seen.clear()
+    assert true_risk_table(cls, gen, env, seed=seed) == risks
+    assert seen == [4 * 256] * 8
+
+    monkeypatch.undo()
+    monkeypatch.setattr(complexity, "window_loss_values", counted)
+    seen.clear()
+    n, trials = 128, 100
+    validate_lemma3(gen, cls, env, n, 0.3, trials, seed=seed)
+    size = generators._BLOCK_STATES // (b + 2 * n)  # trials per block: 62
+    assert max(seen) <= generators._BLOCK_STATES
+    assert seen == [32 * 256, size * 2 * n, (trials - size) * 2 * n]

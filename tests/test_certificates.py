@@ -292,6 +292,23 @@ def test_coverage_iid_finite_class():
     assert len({row[2] for row in report.rows}) == 1
 
 
+def test_chain_coverage_meets_a_confidence_that_says_something():
+    # a Markov chain preset at a size where the certificate's confidence is
+    # well above 0; the three-standard-error rule of acceptance check 7
+    bundle = load_preset("labeled_affine")
+    n, trials, eps = 1200, 100, 0.1
+    report = coverage_experiment(bundle.gen, bundle.cls, bundle.env, n=n, epsilon=eps,
+                                 trials=trials, seed=SeedSpec(11))
+    d = dict(report.details)
+    c = deviation_constant(d["ell_H"], d["ell_F"])
+    assert abs(d["confidence"] - (1.0 - 2.0 * math.exp(-2.0 * eps**2 * n / c**2))) <= 1e-12
+    assert d["confidence"] >= 0.9 and d["vacuous"] is False
+    se = math.sqrt(d["confidence"] * (1.0 - d["confidence"]) / trials)
+    assert d["coverage_population"] >= d["confidence"] - 3.0 * se
+    assert d["coverage_empirical"] >= d["confidence"] - 3.0 * se
+    assert report.passed
+
+
 def test_coverage_degenerate_chain_is_exact():
     gen = make_halving()
     cls = HypothesisClass(

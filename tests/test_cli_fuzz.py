@@ -286,10 +286,10 @@ def test_malformed_csv_is_rejected(workdir, target, data):
 
 # flag -> strategy of bad values (as command line text) for each command
 FLAG_FAULTS = {
-    "simulate": {"--n": st.integers(-1000, 0).map(str), "--seed": st.integers(-1000, -1).map(str),
-                 "--epsilon": st.sampled_from(("-0.1", "1.0", "nan", "inf")),
-                 "--delta": st.sampled_from(("0", "1", "-2", "nan"))},
-    "coverage": {"--trials": st.integers(-1000, 1).map(str),
+    "simulate": {"--n": st.integers(-1000, 0).map(str), "--seed": st.integers(-1000, -1).map(str)},
+    "coverage": {"--epsilon": st.sampled_from(("-0.1", "1.0", "nan", "inf")),
+                 "--delta": st.sampled_from(("0", "1", "-2", "nan")),
+                 "--trials": st.integers(-1000, 1).map(str),
                  "--draws": st.one_of(st.integers(-1000, 3), ODD_DRAWS).map(str),
                  "--window": WORDS.filter(lambda s: s not in ("delayed", "paper-literal"))},
     "wasserstein": {"--kappa": st.one_of(_below(0.0, False).map(repr),

@@ -842,6 +842,23 @@ def test_cli_flat_tabulated_table_is_a_column(tmp_path):
     assert main(["validate", "lemma1", "--config", cfg]) == 0
 
 
+def test_cli_rejects_a_tabulated_member_with_two_label_columns(tmp_path, capsys):
+    generator = dict(AFFINE_1D, label={"kind": "linear", "weight": [[0.5], [0.5]],
+                                       "bias": [0.0, 0.0]})
+    cfg = write_config(tmp_path, "wide.json", {
+        "generator": generator,
+        "class": {"kind": "finite_list", "members": [
+            {"kind": "tabulated", "table_x": [[0.0], [1.0]],
+             "table_y": [[0.0, 0.0], [0.5, 0.5]], "lip": 1.0}]},
+        "loss": {"kind": "abs_clipped", "clip": 1.0}, "n": 8,
+        "out_dir": str(tmp_path / "never"),
+    })
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: tabulated hypothesis predicts one label column; table_y has 2\n")
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_closed_stdout_still_writes_summary(tmp_path, capsys, monkeypatch):
     # ``chaincert ... | head -c 80``: the reader closes the pipe before the
     # payload is written

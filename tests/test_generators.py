@@ -20,6 +20,7 @@ from chaincert.generators import (
     analytic_lip_factor,
     burn_in_steps,
     callable_label,
+    chain_batches,
     deterministic_map_generator,
     empirical_contraction_probe,
     exact_fixed_point,
@@ -31,10 +32,8 @@ from chaincert.generators import (
     sample_chain,
     sample_chains,
     sample_stationary_chain,
-    sample_stationary_chains,
     step,
 )
-from chaincert.hypotheses import tabulated_hypothesis
 from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng
 from chaincert.presets import load_preset, preset_names
 
@@ -383,7 +382,10 @@ def test_lockstep_matches_per_row_reference_on_presets(name):
     b = burn_in_steps(gen, 1e-3)
     seeds = [derive_stream(SeedSpec(5), c) for c in range(4)]
     reference = _reference_paths(gen, b + 20, seeds, _row_label(gen))
-    for traj, (xs, ys) in zip(sample_stationary_chains(gen, 20, 1e-3, seeds), reference):
+    batches = list(chain_batches(gen, 20, SeedSpec(5), 4, 1e-3))
+    assert [len(batch) for batch in batches] == [4]  # one stepped block
+    for traj, seed, (xs, ys) in zip(batches[0], seeds, reference):
+        assert traj.seed == seed
         assert _same_bits(traj.xs, xs[b:]) and _same_bits(traj.ys, ys[b:])
 
 
@@ -460,14 +462,19 @@ def test_lockstep_matches_per_row_reference_on_random_affine_ifs():
     gen = build_generator(_random_affine_block(rng, 3, linear))
     _assert_matches_reference(gen, 80, 9, _row_label(gen))
 
-    # a nearest-row label, built directly: config has no tabulated label
+    # a nearest-row label, a block map that is not affine, built directly
     table_x = 0.5 * rng.normal(size=(9, 3))
     table_y = 0.2 * rng.normal(size=(9, 2))
+
+    def nearest_rows(xs):
+        d2 = ((xs[:, None, :] - table_x[None, :, :]) ** 2).sum(axis=2)
+        return table_y[np.argmin(d2, axis=1)]
+
     block = _random_affine_block(rng, 3, None)
     gen = affine_ifs_generator(
         mats=list(np.asarray(block["mats"])), vecs=list(np.asarray(block["vecs"])),
         weights=np.full(4, 0.25),
-        label_map=callable_label(tabulated_hypothesis("label", table_x, table_y, 1.0).predict, 1.0),
+        label_map=callable_label(nearest_rows, 1.0),
         attractor_radius=block["attractor_radius"], z0_x=np.asarray(block["z0_x"]),
     )
 

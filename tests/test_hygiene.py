@@ -1,5 +1,6 @@
 """Source hygiene of the library: every top-level import is used, every
-private module-level function and class is referenced, importing the command
+private module-level function and class is referenced, every public one
+has a caller outside the tests or is on a short list, importing the command
 line loads no scipy, an assignment solve loads no
 ``scipy.optimize``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
@@ -137,6 +138,50 @@ def test_scan_flags_a_dead_private_helper(tmp_path):
 
 def test_no_dead_private_helpers():
     assert _dead_private_helpers(sorted(PACKAGE.glob("*.py"))) == []
+
+
+# public names that only tests and README examples use: test oracles and
+# library entry points kept for readers of the API
+_UNCALLED_PUBLIC = {
+    "build_generator", "callable_label", "comparable_summary", "distance_probes",
+    "empirical_contraction_probe", "growth_bound", "kr_dual_lower_bound", "read_summary",
+    "sample_complexity", "w1_bruteforce",
+}
+
+
+def _uncalled_public(modules, others):
+    """Module-level public functions and classes of ``modules`` that no file
+    of ``modules`` or ``others`` names outside their own body."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in modules + others}
+    named = collections.Counter(ref for tree in trees.values() for ref in _references(tree))
+    return sorted(
+        node.name
+        for path in modules
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and named[node.name] == _references(node).count(node.name)
+    )
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    # ``__init__`` re-exports every public name, so it does not count
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    others = sorted((ROOT / "scripts").glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    assert set(_uncalled_public(modules, others)) == _UNCALLED_PUBLIC
+
+
+def test_scan_flags_an_uncalled_public_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n"
+        "def recursive():\n    return recursive()\n"
+        "def scripted():\n    return 2\n"
+        "class Shape:\n    pass\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from . import a\nx = used()\ny = a.Shape\n",
+                                   encoding="utf-8")
+    (tmp_path / "c.py").write_text("from a import scripted\nscripted()\n", encoding="utf-8")
+    modules = [tmp_path / "a.py", tmp_path / "b.py"]
+    assert _uncalled_public(modules, [tmp_path / "c.py"]) == ["recursive"]
 
 
 _IMPORT_GUARD = """

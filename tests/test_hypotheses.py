@@ -44,8 +44,41 @@ def test_predictions_by_kind():
     h_tab = tabulated_hypothesis(
         "t", table_x=[[0.0], [1.0]], table_y=[[0.1], [0.9]], declared_lip=0.8
     )
-    # 0.5 is equidistant: lowest table index wins
-    assert np.array_equal(h_tab.predict(xs), [[0.1], [0.1], [0.9]])
+    # min_i (y_i + 0.8 |x - x_i|): the table's rows, and the line between them
+    assert np.array_equal(h_tab.predict(xs), [[0.1], [0.5], [0.9]])
+    # no jump at the midpoint of (0, 0) and (1, 1) under lip 1
+    h_tab = tabulated_hypothesis("t", [[0.0], [1.0]], [[0.0], [1.0]], declared_lip=1.0)
+    assert np.array_equal(h_tab.predict(np.array([[0.4999], [0.5001]])), [[0.4999], [0.5001]])
+    with pytest.raises(InvalidInputError, match="one label column; table_y has 2"):
+        tabulated_hypothesis("t", [[0.0], [1.0]], [[0.0, 0.0], [0.5, 0.5]], declared_lip=1.0)
+
+
+_TABLE_COORD = st.integers(-16, 16).map(lambda k: k / 8)  # table rows 1/8 apart or more
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim_x=st.integers(1, 3), scale=st.floats(1.0, 4.0))
+def test_tabulated_prediction_ratio_never_exceeds_lip(data, dim_x, scale):
+    table_x = np.array(data.draw(st.lists(st.tuples(*[_TABLE_COORD] * dim_x),
+                                          min_size=1, max_size=6, unique=True)))
+    rows = len(table_x)
+    table_y = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=rows,
+                                          max_size=rows)))[:, None]
+    # lip is the table's largest ratio times scale: a tight table at scale 1
+    gaps = np.linalg.norm(table_x[:, None] - table_x[None], axis=2)
+    apart = gaps > 0
+    lip = scale * (np.abs(table_y - table_y.T)[apart] / gaps[apart]).max(initial=0.0)
+    h = tabulated_hypothesis("t", table_x, table_y, lip)
+    # pairs a short step apart, so that a jump between cells would show
+    point = st.lists(st.floats(-2.5, 2.5), min_size=dim_x, max_size=dim_x)
+    step = st.lists(st.floats(-0.1, 0.1), min_size=dim_x, max_size=dim_x)
+    a = np.array(data.draw(st.lists(point, min_size=1, max_size=16)))
+    b = a + np.array(data.draw(st.lists(step, min_size=len(a), max_size=len(a))))
+    gap = np.abs(h.predict(a) - h.predict(b))[:, 0]
+    # each prediction is a min of sums y_i + lip * |x - x_i|, with |x - x_i| < 12,
+    # exact to a few units in the last place of the largest sum
+    rounding = 4 * np.spacing(float(np.abs(table_y).max()) + lip * 12.0)
+    assert np.all(gap <= lip * np.linalg.norm(a - b, axis=1) * (1 + 1e-9) + rounding)
 
 
 def test_declared_lip_is_checked():
