@@ -189,7 +189,7 @@ def _cmd_wasserstein(args: argparse.Namespace) -> int:
     cost, plan = w1_exact(mu, nu)
     payload = {
         "cost": cost,
-        "plan": [[int(i), int(j), float(m)] for i, j, m in plan.entries],
+        "plan": list(map(list, plan.entries)),
         "route": plan.route,
         "source_atoms": xs1.shape[0],
         "target_atoms": xs2.shape[0],
@@ -338,6 +338,9 @@ def _validator_summary(report, a2, cfg: ExperimentConfig) -> dict:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    for flag in _CONFIG_FLAGS:
+        if getattr(args, flag) is not None and flag not in _VALIDATOR_FLAGS[args.name]:
+            raise InvalidInputError(f"validate {args.name} does not read --{flag}")
     cfg = _effective_config(args)
     report, a2 = _run_validator(args.name, cfg)
     # ``coverage`` is ``validate coverage`` under its own file prefix
@@ -365,6 +368,16 @@ _CONFIG_FLAGS = {
     "trials": dict(type=int, help="trial count override"),
     "window": dict(choices=sorted(_WINDOW_FLAG), help="training window convention"),
     "draws": dict(type=int, help="Monte Carlo sign draws override (even, >= 4)"),
+}
+
+
+# the override flags each validator reads; ``validate`` parses all of them
+# for every validator and rejects the rest
+_VALIDATOR_FLAGS = {
+    "lemma1": ("seed", "n", "epsilon", "delta", "out", "trials"),
+    "lemma2": ("seed", "n", "out", "trials", "draws"),
+    "lemma3": ("seed", "n", "epsilon", "delta", "out", "trials", "draws"),
+    "coverage": tuple(_CONFIG_FLAGS),
 }
 
 

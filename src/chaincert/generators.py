@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .metric import (
     SeedSpec,
     ZPoint,
     derive_stream,
+    derive_streams,
     dist,
     make_rng,
     make_rngs,
@@ -72,6 +73,13 @@ _ROW_CONTRACT = (
 # -- state bounds --------------------------------------------------------------
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array: one dot product per row, as
+    in metric.row_dist, which rounds like np.linalg.norm of that row alone."""
+    r = rows[:, None]
+    return np.sqrt((r @ r.mT)[:, 0, 0])
+
+
 @dataclass(frozen=True)
 class BoxBound:
     """Axis-aligned box; also the sampling domain for probe starting points."""
@@ -86,6 +94,10 @@ class BoxBound:
             raise InvalidInputError("box bound needs finite lo/hi of equal shape")
         if np.any(lo >= hi):
             raise InvalidInputError("box bound needs lo < hi in every coordinate")
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.all(np.isfinite(width)):
+            raise InvalidInputError("box bound needs a finite width hi - lo in every coordinate")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -101,8 +113,19 @@ class BoxBound:
     def contains(self, arr: np.ndarray) -> bool:
         return bool(self.inside(np.reshape(arr, (1, -1)))[0])
 
+    def draw_starts(self, rngs: Iterable[np.random.Generator], count: int, tail: int):
+        """For each of the ``count`` generators of ``rngs`` in turn, a start
+        in the box and then ``tail`` uniforms, as (count, dim) and
+        (count, tail) rows. Each stream fills one row of dim + tail uniforms;
+        its first ``dim`` uniforms u become the start lo + (hi - lo) u,
+        numpy's own ``uniform`` formula."""
+        u = np.empty((count, self.dim + tail))
+        for row, rng in zip(u, rngs, strict=True):
+            rng.random(out=row)
+        return self.lo + (self.hi - self.lo) * u[:, :self.dim], u[:, self.dim:]
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi)
+        return self.draw_starts((rng,), 1, 0)[0][0]
 
 
 @dataclass(frozen=True)
@@ -120,22 +143,33 @@ class BallBound:
 
     def inside(self, rows: np.ndarray) -> np.ndarray:
         """Which rows of a 2-d array lie in the ball."""
-        # one dot product per row, as in metric.row_dist, rounds like
-        # np.linalg.norm of that row alone
-        r = rows[:, None]
-        return np.sqrt((r @ r.mT)[:, 0, 0]) <= self.radius * (1.0 + _BOUND_SLACK)
+        return _row_norms(rows) <= self.radius * (1.0 + _BOUND_SLACK)
 
     def contains(self, arr: np.ndarray) -> bool:
         return bool(self.inside(np.reshape(arr, (1, -1)))[0])
 
+    def draw_starts(self, rngs: Iterable[np.random.Generator], count: int, tail: int):
+        """For each of the ``count`` generators of ``rngs`` in turn, a start
+        in the ball and then ``tail`` uniforms, as (count, dim) and
+        (count, tail) rows. Each stream gives one ``normal(size=dim)``, the
+        direction, then fills one row of 1 + tail uniforms, whose first
+        uniform u sets the start direction / |direction| * radius * u^(1/dim);
+        a zero direction is replaced by the ones vector."""
+        direction, u = np.empty((count, self.dim)), np.empty((count, 1 + tail))
+        for d_row, u_row, rng in zip(direction, u, rngs, strict=True):
+            d_row[:] = rng.normal(size=self.dim)
+            rng.random(out=u_row)
+        norm = _row_norms(direction)
+        flat = norm == 0.0
+        direction[flat], norm[flat] = 1.0, math.sqrt(self.dim)
+        # u^(1/dim) by the C library's pow, one start at a time: numpy's array
+        # power may take a SIMD path whose last bits differ from it
+        power = 1.0 / self.dim
+        radius = self.radius * np.array([r ** power for r in u[:, 0].tolist()])
+        return direction / norm[:, None] * radius[:, None], u[:, 1:]
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        direction = rng.normal(size=self.dim)
-        norm = math.sqrt(direction @ direction)  # np.linalg.norm's own formula
-        if norm == 0.0:
-            direction = np.ones(self.dim)
-            norm = math.sqrt(self.dim)
-        radius = self.radius * rng.random() ** (1.0 / self.dim)
-        return direction / norm * radius
+        return self.draw_starts((rng,), 1, 0)[0][0]
 
 
 # -- label maps ----------------------------------------------------------------
@@ -546,7 +580,7 @@ def chain_batches(
     bit for bit, with B = 0 without ``tol``.
     """
     b = 0 if tol is None else burn_in_steps(gen, tol)
-    blocks = _paths(gen, b + n, [derive_stream(seed, i) for i in range(count)])
+    blocks = _paths(gen, b + n, derive_streams(seed, count))
     return ([traj.slice(b, b + n) for traj in block] for block in blocks)
 
 
@@ -574,28 +608,29 @@ def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
 
     Chain i draws its start, then its draws, from ``derive_stream(seed, i)``,
     as ``_sample_start`` and ``random(steps)`` on ``make_rng`` of that stream;
-    the streams are positioned by ``make_rngs``. In the labelled variants
-    every chain first draws its start features and its uniforms, and the
-    label map and the y-bound test then run once over the block of starts. A
-    chain whose label leaves the y bound resamples y from its stream before
-    its uniforms, so it is replayed alone. The chains are stepped together.
+    the streams come from ``derive_streams`` and are positioned by
+    ``make_rngs``. In the labelled variants the x bound's ``draw_starts``
+    takes every chain's start features and uniforms, one stream after
+    another, and finishes the starts as arrays; the label map and the
+    y-bound test then run once over the block of starts. A chain whose label
+    leaves the y bound resamples y from its stream before its uniforms, so it
+    is replayed alone. The iid variant draws each start with
+    ``_sample_start``. The chains are stepped together.
     Returns the (count, steps) draw index matrix and the final states as
     (count, dim_x) and (count, dim_y) rows; the draw matrix is what lets
     callers replay suffixes of these same chains.
     """
-    streams = [derive_stream(seed, i) for i in range(count)]
-    x0 = np.empty((count, gen.metric.dim_x))
-    y0 = np.empty((count, gen.metric.dim_y))
-    uniforms = np.empty((count, steps))
-    labelled = gen.variant != "iid"
-    for i, rng in enumerate(make_rngs(streams)):
-        if labelled:
-            x0[i] = gen.x_bound.sample(rng)
-        else:
+    streams = derive_streams(seed, count)
+    if gen.variant == "iid":
+        x0 = np.empty((count, gen.metric.dim_x))
+        y0 = np.empty((count, gen.metric.dim_y))
+        uniforms = np.empty((count, steps))
+        for i, rng in enumerate(make_rngs(streams)):
             x0[i], y0[i] = _sample_start(gen, rng)
-        uniforms[i] = rng.random(steps)
-    if labelled:
-        y0[:] = _call_rows(gen.label_map.apply, x0, gen.metric.dim_y, "label map")
+            uniforms[i] = rng.random(steps)
+    else:
+        x0, uniforms = gen.x_bound.draw_starts(make_rngs(streams), count, steps)
+        y0 = _call_rows(gen.label_map.apply, x0, gen.metric.dim_y, "label map").copy()
         for i in np.flatnonzero(~gen.y_bound.inside(y0)).tolist():
             rng = make_rng(streams[i])
             x0[i], y0[i] = _sample_start(gen, rng)

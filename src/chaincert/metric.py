@@ -167,6 +167,16 @@ class SeedSpec:
             if not (isinstance(v, int) and 0 <= v < _U64):
                 raise InvalidInputError(f"{label} must be an integer in [0, 2^64), got {v!r}")
 
+    @classmethod
+    def _unchecked(cls, master_seed: int, stream_index: int) -> "SeedSpec":
+        """A seed of two integers already known to lie in [0, 2^64)."""
+        seed = object.__new__(cls)
+        seed.__dict__.update(master_seed=master_seed, stream_index=stream_index)
+        return seed
+
+
+_CHILD_KEY = struct.Struct("<QQ").pack
+
 
 def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:
     """Deterministic child stream.
@@ -177,8 +187,18 @@ def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:
     """
     if not (isinstance(child_index, int) and 0 <= child_index < _U64):
         raise InvalidInputError(f"child_index must be an integer in [0, 2^64), got {child_index!r}")
-    digest = hashlib.sha256(struct.pack("<QQ", seed.stream_index, child_index)).digest()
+    digest = hashlib.sha256(_CHILD_KEY(seed.stream_index, child_index)).digest()
     return SeedSpec(seed.master_seed, int.from_bytes(digest[:8], "little"))
+
+
+def derive_streams(seed: SeedSpec, count: int) -> list:
+    """``[derive_stream(seed, i) for i in range(count)]``, each child hashed
+    once. The children skip ``SeedSpec``'s range check: a child index is a
+    digest's first 8 bytes, so it always lies in [0, 2^64)."""
+    parent, sha256 = seed.stream_index, hashlib.sha256
+    indices = (int.from_bytes(sha256(_CHILD_KEY(parent, i)).digest()[:8], "little")
+               for i in range(count))
+    return [SeedSpec._unchecked(seed.master_seed, index) for index in indices]
 
 
 def make_rng(seed: SeedSpec) -> np.random.Generator:
@@ -275,9 +295,10 @@ def make_rngs(seeds: Sequence[SeedSpec]) -> Iterator[np.random.Generator]:
     """``make_rng(s)`` for each seed in order, each at its stream's first draw.
 
     When at least ``_MANY_STREAMS`` of the seeds have a stream index of 2^32
-    or more (as ``derive_stream`` gives but for a 2^-32 chance), those seeds
-    get one reused generator whose PCG64 state is set to each stream's in
-    turn, from states hashed for all of them at once (``_pcg64_states``); a
+    or more (as ``derive_stream`` and ``derive_streams`` give but for a
+    2^-32 chance), those seeds get one reused generator whose PCG64 state is
+    set to each stream's in turn, from states hashed for all of them at once
+    (``_pcg64_states``), through one state dict refilled per stream; a
     generator is valid only until the next one is taken. Every other seed,
     and every seed of a smaller call, gets its own ``make_rng``. The draws
     are those of ``make_rng``, bit for bit.
@@ -292,18 +313,19 @@ def make_rngs(seeds: Sequence[SeedSpec]) -> Iterator[np.random.Generator]:
     16 keep ``make_rng``.
     """
     seeds = list(seeds)
-    fast = [s for s in seeds if s.stream_index >= _U32]
-    if len(fast) < _MANY_STREAMS:
+    fast = [s.stream_index >= _U32 for s in seeds]
+    if sum(fast) < _MANY_STREAMS:
         yield from map(make_rng, seeds)
         return
-    states = iter(_pcg64_states(fast))
+    states = iter(_pcg64_states([s for s, f in zip(seeds, fast) if f]))
     rng = np.random.Generator(PCG64(0))
-    bits = rng.bit_generator
-    for seed in seeds:
-        if seed.stream_index < _U32:
+    # one state dict, refilled per stream: the setter copies what it reads
+    bits, pcg = rng.bit_generator, {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for seed, is_fast in zip(seeds, fast):
+        if is_fast:
+            pcg["state"], pcg["inc"] = next(states)
+            bits.state = state
+            yield rng
+        else:
             yield make_rng(seed)
-            continue
-        state, inc = next(states)
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng

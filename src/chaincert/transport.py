@@ -12,15 +12,13 @@ linear program. Only a transport solve touches scipy: the assignment loads
 scipy's compiled assignment extension on its own, once per process (see
 ``_linear_sum_assignment``), and falls back to the public ``scipy.optimize``
 import when that fails; the LP imports ``scipy.optimize`` and
-``scipy.sparse``. A permutation brute force is kept as an independent oracle
-for tiny instances, and a Kantorovich-Rubinstein dual evaluator gives
-certified lower bounds from 1-Lipschitz probe functions.
+``scipy.sparse``. A Kantorovich-Rubinstein dual evaluator gives certified
+lower bounds from 1-Lipschitz probe functions.
 """
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -135,8 +133,9 @@ class TransportPlan:
 
     def masses(self, n1: int, n2: int) -> np.ndarray:
         mat = np.zeros((n1, n2))
-        for i, j, m in self.entries:
-            mat[i, j] += m
+        if self.entries:
+            i, j, m = zip(*self.entries)
+            np.add.at(mat, (i, j), m)  # one += per entry, in entry order
         return mat
 
     def transpose(self) -> "TransportPlan":
@@ -245,9 +244,8 @@ def _solve_assignment(cost: np.ndarray) -> TransportPlan:
     i, j = src[rows], dst[cols]
     total = float(cost[i, j].sum()) / k
     pairs, counts = np.unique(i * n2 + j, return_counts=True)
-    entries = tuple(
-        (int(p // n2), int(p % n2), int(c) / k) for p, c in zip(pairs, counts)
-    )
+    # counts and k are exact in float64, so counts / k rounds as int(c) / k does
+    entries = tuple(zip((pairs // n2).tolist(), (pairs % n2).tolist(), (counts / k).tolist()))
     return TransportPlan(entries, total, "assignment")
 
 
@@ -280,10 +278,8 @@ def _solve_lp(cost: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> TransportPlan
     if res.status != 0:
         raise InvalidInputError(f"transport LP did not solve cleanly: {res.message}")
     flow = res.x.reshape(n1, n2)
-    entries = tuple(
-        (int(i), int(j), float(flow[i, j]))
-        for i, j in zip(*np.nonzero(flow > 1e-14))
-    )
+    i, j = np.nonzero(flow > 1e-14)
+    entries = tuple(zip(i.tolist(), j.tolist(), flow[i, j].tolist()))
     return TransportPlan(entries, max(float(res.fun), 0.0), "lp")
 
 
@@ -312,21 +308,6 @@ def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> tuple[float, Trans
         plan = _solve_lp(cost_mat, mu1.weights, mu2.weights)
     _validate_plan(plan, mu1, mu2, cost_mat)
     return plan.cost, plan.transpose() if swap else plan
-
-
-def w1_bruteforce(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
-    """Permutation-enumeration oracle for equal-size uniform measures (n <= 8)."""
-    n = len(mu1)
-    if len(mu2) != n:
-        raise InvalidInputError("brute force needs equal atom counts")
-    if n > 8:
-        raise SizeCapError("brute force enumerates n! matchings; n must be at most 8")
-    if not (mu1.is_uniform() and mu2.is_uniform()):
-        raise InvalidInputError("brute force needs uniform weights on both sides")
-    cost = _cost_matrix(mu1, mu2)
-    perms = np.array(list(itertools.permutations(range(n))))
-    totals = cost[np.arange(n)[None, :], perms].sum(axis=1)
-    return float(totals.min()) / n
 
 
 def kr_dual_lower_bound(

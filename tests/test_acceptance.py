@@ -51,9 +51,10 @@ from chaincert.transport import (
     contraction_curve,
     distance_probes,
     kr_dual_lower_bound,
-    w1_bruteforce,
     w1_exact,
 )
+
+from oracles import w1_bruteforce
 
 _TMP = tempfile.mkdtemp(prefix="acceptance_rows_")
 _STORE = {}

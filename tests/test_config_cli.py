@@ -28,6 +28,7 @@ from chaincert.metric import SeedSpec, derive_stream
 from chaincert.presets import load_preset
 from chaincert.reporting import (
     _cell,
+    _is_number_rows,
     comparable_summary,
     json_fragments,
     json_object,
@@ -369,6 +370,37 @@ def test_summary_values_keep_their_json_types(tmp_path):
 ])
 def test_json_fragments_match_one_encode(payload):
     assert json_object(json_fragments(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2**63, 2**64 + 1, -2**63 - 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_JSON_NUMBERS, min_size=1, max_size=5), min_size=1, max_size=8))
+def test_json_fragments_number_rows_match_the_indented_encoder(rows):
+    assert _is_number_rows(rows)
+    expected = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
+    assert json_fragments({"k": rows})["k"] == expected
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, True]], [[1, "a,b"]], [["],["]], [[]], [[1], []], [[0, 1.5], [None]],
+    [[1, [2]]], [(1, 2)], [[1, np.float64(0.5)]], [],
+])
+def test_json_fragments_rows_of_other_cells_take_the_general_path(rows):
+    assert not _is_number_rows(rows)
+    expected = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
+    assert json_fragments({"k": rows})["k"] == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_json_fragments_reject_nonfinite_number_rows_by_key(bad):
+    with pytest.raises(InvalidInputError, match="'plan'"):
+        json_fragments({"fine": [[1, 2.0]], "plan": [[0, 1, 0.5], [1, 0, bad]]})
 
 
 def test_json_fragments_reject_nonfinite_values_by_key():
@@ -736,6 +768,25 @@ def test_cli_wasserstein_and_rademacher(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("sizes", [(5, 10), (3, 7)])  # assignment and LP routes
+def test_cli_wasserstein_stdout_is_its_summary_without_the_added_fields(tmp_path, capsys,
+                                                                        sizes):
+    rng = np.random.default_rng(4)
+    files = []
+    for k, count in enumerate(sizes):
+        files.append(str(tmp_path / f"atoms_{k}.csv"))
+        write_rows_csv(["x_0", "x_1", "y_0"], rng.random((count, 3)).tolist(), files[-1])
+    assert main(["wasserstein", *files, "--kappa", "4.0", "--out", str(tmp_path / "w")]) == 0
+    stdout = capsys.readouterr().out
+    text = (tmp_path / "w" / "wasserstein_summary.json").read_text()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert len(summary["plan"]) > 1
+    for key in ("kind", "software_version", "created_at"):
+        summary.pop(key)
+    assert stdout == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_rademacher_enumerates_repeated_columns(tmp_path, capsys):
     # 4 x 20,000 with every column equal: 20,001 points of the one group's
     # sum, not 2^20,000 sign vectors, whose count json could not even write
@@ -877,3 +928,43 @@ def test_cli_closed_stdout_still_writes_summary(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
     summary = read_summary(str(tmp_path / "w" / "wasserstein_summary.json"))
     assert summary["cost"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, flag, value", [
+    ("lemma1", "--draws", "64"), ("lemma1", "--window", "delayed"),
+    ("lemma2", "--epsilon", "0.1"), ("lemma2", "--delta", "0.05"),
+    ("lemma2", "--window", "paper-literal"), ("lemma3", "--window", "delayed"),
+])
+def test_cli_validate_rejects_a_flag_its_validator_does_not_read(tmp_path, capsys,
+                                                                 name, flag, value):
+    cfg = write_config(tmp_path, "good.json", {
+        "preset": "halving_map", "n": 8, "epsilon": 0.1, "trials": 2,
+        "out_dir": str(tmp_path / "never")})
+    assert main(["validate", name, "--config", cfg, flag, value]) == 2
+    assert capsys.readouterr().err == f"error: validate {name} does not read {flag}\n"
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("lemma1", {"seed": 3, "n": 8, "trials": 2, "epsilon": 0.2}),
+    ("lemma1", {"n": 64, "delta": 0.5}),
+    ("lemma2", {"seed": 3, "n": 8, "trials": 2, "draws": 64}),
+    ("lemma3", {"seed": 3, "n": 64, "trials": 2, "delta": 0.5, "draws": 64}),
+    ("coverage", {"seed": 3, "trials": 2, "epsilon": 0.2, "draws": 64,
+                  "window": "paper-literal"}),
+])
+def test_cli_validate_folds_the_flags_it_reads_into_the_digest(tmp_path, name, flags):
+    # a flag the validator reads gives the digest of a config holding its value
+    base = {"preset": "halving_map", "n": 8, "epsilon": 0.1, "trials": 2, "rad_outer": 2,
+            "out_dir": str(tmp_path / "run")}
+    argv = ["validate", name, "--config", write_config(tmp_path, "base.json", base)]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    assert main(argv) in (0, 4)
+    fields = {{"window": "window_mode"}.get(k, k): v for k, v in flags.items()}
+    fields["window_mode"] = fields.get("window_mode", "delayed").replace("-", "_")
+    if "delta" in fields:
+        base.pop("epsilon")
+    folded = load_config(write_config(tmp_path, "folded.json", {**base, **fields}))
+    summary = read_summary(str(tmp_path / "run" / f"validate_{name}_summary.json"))
+    assert summary["config_sha256"] == config_digest(folded)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincert import generators
 from chaincert.config import build_generator
@@ -34,7 +38,15 @@ from chaincert.generators import (
     sample_stationary_chain,
     step,
 )
-from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist, make_rng
+from chaincert.metric import (
+    MetricSpec,
+    SeedSpec,
+    ZPoint,
+    derive_stream,
+    dist,
+    make_rng,
+    make_rngs,
+)
 from chaincert.presets import load_preset, preset_names
 
 UNIT_BOX = BoxBound([0.0], [1.0])
@@ -417,7 +429,7 @@ def _assert_bundle_matches_reference(gen, steps, count, seed):
 def test_batched_starts_match_per_chain_starts_on_presets(name):
     gen = load_preset(name).gen
     for seed in (SeedSpec(0), SeedSpec(2**40 + 3, 9)):
-        for count in (1, 7, 40):
+        for count in (1, 7, 40, 64, 200):
             _assert_bundle_matches_reference(gen, 6, count, seed)
 
 
@@ -442,6 +454,83 @@ def test_batched_starts_replay_chains_whose_label_leaves_the_y_bound():
     assert np.all(np.abs(x0[replayed, 0]) > 0.5)
     for count in (1, 7, 40):
         _assert_bundle_matches_reference(gen, 5, count, SeedSpec(3))
+
+
+def _scalar_start(bound, rng):
+    """One start by the scalar formulas: numpy's ``uniform`` in a box; in a
+    ball a normal direction, normalized, times radius * u^(1/dim)."""
+    if isinstance(bound, BoxBound):
+        return rng.uniform(bound.lo, bound.hi)
+    direction = rng.normal(size=bound.dim)
+    norm = math.sqrt(direction @ direction)
+    if norm == 0.0:
+        direction, norm = np.ones(bound.dim), math.sqrt(bound.dim)
+    return direction / norm * (bound.radius * rng.random() ** (1.0 / bound.dim))
+
+
+def _box_bounds(dim):
+    corners = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    widths = st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)
+    return st.builds(lambda lo, w: BoxBound(lo, np.add(lo, w)), corners, widths)
+
+
+STATE_BOUNDS = st.one_of(st.integers(1, 5).flatmap(_box_bounds),
+                         st.builds(BallBound, st.floats(1e-3, 1e3), st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound=STATE_BOUNDS, tail=st.integers(0, 12), count=st.integers(1, 40),
+       master=st.integers(0, 2**64 - 1))
+def test_bound_draws_match_one_stream_at_a_time(bound, tail, count, master):
+    # counts from 16 on draw from one reused generator (make_rngs)
+    seeds = [derive_stream(SeedSpec(master), i) for i in range(count)]
+    starts, uniforms = bound.draw_starts(make_rngs(seeds), count, tail)
+    assert starts.shape == (count, bound.dim) and uniforms.shape == (count, tail)
+    for i, seed in enumerate(seeds):
+        rng, scalar = make_rng(seed), make_rng(seed)
+        assert _same_bits(bound.sample(rng), starts[i])
+        assert _same_bits(rng.random(tail), uniforms[i])
+        assert _same_bits(_scalar_start(bound, scalar), starts[i])
+        assert _same_bits(scalar.random(tail), uniforms[i])
+
+
+class _ZeroNormals:
+    """A generator whose normal draws are all zero, with the uniforms of a
+    real stream."""
+
+    def __init__(self, seed):
+        self.rng = make_rng(seed)
+
+    def normal(self, size):
+        return np.zeros(size)
+
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
+
+
+def test_ball_draws_replace_a_zero_direction_by_ones():
+    ball = BallBound(2.0, 3)
+    seeds = [SeedSpec(8, i) for i in range(4)]
+    rngs = [make_rng(seeds[0]), _ZeroNormals(seeds[1]), make_rng(seeds[2]), _ZeroNormals(seeds[3])]
+    starts, uniforms = ball.draw_starts(rngs, 4, 2)
+    for i in (1, 3):
+        u = make_rng(seeds[i]).random(3)
+        expected = np.ones(3) / math.sqrt(3) * (2.0 * u[0] ** (1 / 3))
+        assert _same_bits(starts[i], expected) and _same_bits(uniforms[i], u[1:])
+        assert _same_bits(ball.sample(_ZeroNormals(seeds[i])), expected)
+        assert _same_bits(_scalar_start(ball, _ZeroNormals(seeds[i])), expected)
+    for i in (0, 2):
+        rng = make_rng(seeds[i])
+        assert _same_bits(_scalar_start(ball, rng), starts[i])
+        assert _same_bits(rng.random(2), uniforms[i])
+
+
+def test_box_bound_rejects_a_width_past_the_float_range():
+    # starts are lo + (hi - lo) u, which needs a finite width
+    with pytest.raises(InvalidInputError, match="finite width"):
+        BoxBound([0.0, -1e308], [1.0, 1e308])
+    box = BoxBound([-1e307], [1e307])
+    assert box.contains(box.sample(make_rng(SeedSpec(1))))
 
 
 def _random_affine_block(rng, dim, label):

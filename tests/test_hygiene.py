@@ -145,7 +145,7 @@ def test_no_dead_private_helpers():
 _UNCALLED_PUBLIC = {
     "build_generator", "callable_label", "comparable_summary", "distance_probes",
     "empirical_contraction_probe", "growth_bound", "kr_dual_lower_bound", "read_summary",
-    "sample_complexity", "w1_bruteforce",
+    "sample_complexity",
 }
 
 

@@ -17,6 +17,7 @@ from chaincert.metric import (
     ZPoint,
     _pcg64_states,
     derive_stream,
+    derive_streams,
     dist,
     _triangle_pairs,
     make_rng,
@@ -128,6 +129,15 @@ def test_derived_streams_differ():
 def test_derivation_is_order_sensitive():
     root = SeedSpec(5)
     assert derive_stream(derive_stream(root, 1), 2) != derive_stream(derive_stream(root, 2), 1)
+
+
+@pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(77, 5), SeedSpec(2**64 - 1, 2**64 - 1)])
+def test_derive_streams_equal_derive_stream(seed):
+    for count in (0, 1, 40):
+        streams = derive_streams(seed, count)
+        reference = [derive_stream(seed, i) for i in range(count)]
+        assert streams == reference
+        assert [(hash(s), repr(s)) for s in streams] == [(hash(s), repr(s)) for s in reference]
 
 
 def _draws(rng):
