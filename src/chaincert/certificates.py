@@ -42,6 +42,12 @@ CERTIFICATE_FORMS = ("population", "empirical")
 WINDOW_MODES = ("delayed", "paper_literal")
 
 
+def _training_window(window_mode: str, n: int) -> tuple[int, int]:
+    """The n states a learner trains on in a chain of 2n: the second half for
+    ``delayed``, the first for ``paper_literal``."""
+    return (n, 2 * n) if window_mode == "delayed" else (0, n)
+
+
 # -- certificate arithmetic ------------------------------------------------------
 
 
@@ -443,7 +449,7 @@ def coverage_experiment(
     cert_pop = certify_population(rad_input, env.ell_H, ell_F, n, epsilon, w_bar)
     confidence = cert_pop.confidence
 
-    window = (n, 2 * n) if window_mode == "delayed" else (0, n)
+    window = _training_window(window_mode, n)
     deviations, estimates = [], []
     for batch in chain_batches(gen, 2 * n, derive_stream(seed, 0), trials):
         mats = loss_matrices(cls, batch, env, window=window)

@@ -25,6 +25,8 @@ from typing import Callable, Optional
 
 from .certificates import (
     CERTIFICATE_FORMS,
+    WINDOW_MODES,
+    _training_window,
     certify_empirical,
     certify_population,
     check_certificate,
@@ -78,7 +80,7 @@ EXIT_FAIL = 4
 
 VALIDATOR_NAMES = ("lemma1", "lemma2", "lemma3", "coverage")
 
-_WINDOW_FLAG = {"delayed": "delayed", "paper-literal": "paper_literal"}
+_WINDOW_FLAG = {m.replace("_", "-"): m for m in WINDOW_MODES}
 
 
 def _print_out(text: str) -> None:
@@ -162,7 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     n = _need(cfg, "n", "simulate")
     bundle = build_bundle(cfg)
-    traj = sample_chain(bundle.gen, None, n, SeedSpec(cfg.seed))
+    traj = sample_chain(bundle.gen, n, SeedSpec(cfg.seed))
     out = _ensure_dir(cfg.out_dir)
     csv_path = os.path.join(out, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -234,12 +236,10 @@ def _cmd_erm(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             "trajectory dimensions do not match the configured generator"
         )
-    if cfg.window_mode == "delayed":
-        n = cfg.n if cfg.n is not None else len(traj) // 2
-        window = (n, 2 * n)
-    else:
-        n = cfg.n if cfg.n is not None else len(traj)
-        window = (0, n)
+    n = cfg.n
+    if n is None:
+        n = len(traj) // 2 if cfg.window_mode == "delayed" else len(traj)
+    window = _training_window(cfg.window_mode, n)
     matrix = loss_matrix(bundle.cls, traj, bundle.env, window=window)
     epsilon = 0.0
     if cfg.epsilon is not None or cfg.delta is not None:
@@ -261,12 +261,15 @@ def _cmd_erm(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.form == "empirical" and args.w_bar is not None:
+        raise InvalidInputError("certify --form empirical does not read --w-bar")
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = invert_epsilon(args.delta, args.n, args.ell_h, args.ell_f)
     if args.form == "population":
+        w_bar = 1.0 if args.w_bar is None else args.w_bar
         cert = certify_population(args.rademacher, args.ell_h, args.ell_f,
-                                  args.n, epsilon, args.w_bar)
+                                  args.n, epsilon, w_bar)
     else:
         cert = certify_empirical(args.rademacher, args.ell_h, args.ell_f, args.n, epsilon)
     check_certificate(cert)
@@ -432,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--epsilon", type=float, help="optimization slack")
     group.add_argument("--delta", type=float, help="tail mass; converted to epsilon")
-    p.add_argument("--w-bar", type=float, default=1.0,
-                   help="start-to-invariant distance cap (population form)")
+    p.add_argument("--w-bar", type=float,
+                   help="start-to-invariant distance cap (population form, default 1)")
     p.add_argument("--out", help="optional output directory")
     p.set_defaults(handler=_cmd_certify)
 

@@ -32,7 +32,6 @@ row alone (one written for a single state), raises ``InvalidInputError``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -48,6 +47,7 @@ from .metric import (
     MetricSpec,
     SeedSpec,
     ZPoint,
+    _row_norms,
     derive_stream,
     derive_streams,
     dist,
@@ -71,13 +71,6 @@ _ROW_CONTRACT = (
 
 
 # -- state bounds --------------------------------------------------------------
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-d array: one dot product per row, as
-    in metric.row_dist, which rounds like np.linalg.norm of that row alone."""
-    r = rows[:, None]
-    return np.sqrt((r @ r.mT)[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -493,55 +486,32 @@ class Trajectory:
         return Trajectory(self.xs[start:end], self.ys[start:end], self.seed, self.metric)
 
 
-def sample_chains(
-    gen: Generator,
-    n: int,
-    seeds: Sequence[SeedSpec],
-    z0: Optional[ZPoint] = None,
-) -> Iterator[Trajectory]:
-    """Sample one length-n path (n points, n-1 draws) from z0 per seed, and
-    yield them in seed order.
-
-    Path i draws from ``seeds[i]`` alone, so it equals the one-chain
-    ``sample_chain(gen, z0, n, seeds[i])`` bit for bit; the chains are
-    stepped together in blocks of at most ``_BLOCK_STATES`` states, so memory
-    does not grow with the number of seeds. A path is a view into its block.
+def _paths(gen: Generator, n: int, seeds: list) -> Iterator[list]:
+    """Length-n paths (n points, n-1 draws) from the generator's start, path
+    i drawing from ``seeds[i]`` alone, one list per stepped block of at most
+    ``_BLOCK_STATES`` states; a path is a view into its block.
 
     The bounds are checked once a block is filled (or a map has raised), so
     the maps may run on states past a first escaping one, and print numpy's
     floating-point warnings there, before the ``GeneratorContractError``
     naming the first escaping state of the first failing chain is raised.
     """
-    return itertools.chain.from_iterable(_paths(gen, n, list(seeds), z0))
-
-
-def _paths(gen: Generator, n: int, seeds: list, z0: Optional[ZPoint] = None) -> Iterator[list]:
-    """The paths of ``sample_chains``, one list per stepped block."""
     if not (isinstance(n, int) and n >= 1):
         raise InvalidInputError(f"trajectory length must be a positive integer, got {n!r}")
-    start = gen.z0 if z0 is None else z0
-    gen.metric.check_point(start)
-    _check_paths(gen, start.x[None, None], start.y[None, None])
     size = _block_size(n)
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
         idx = np.empty((len(block), n - 1), dtype=int)
         for i, rng in enumerate(make_rngs(block)):
             idx[i] = gen.theta.indices_from_uniform(rng.random(n - 1))
-        xs, ys = _step_block(gen, start.x, start.y, idx)
+        xs, ys = _step_block(gen, gen.z0.x, gen.z0.y, idx)
         yield [Trajectory(xs=xs[i], ys=ys[i], seed=seed, metric=gen.metric)
                for i, seed in enumerate(block)]
 
 
-def sample_chain(
-    gen: Generator,
-    z0: Optional[ZPoint] = None,
-    n: int = 1,
-    seed: SeedSpec = SeedSpec(0),
-) -> Trajectory:
-    """Sample a length-n path (n points, n-1 draws) starting at z0: the
-    one-chain call of ``sample_chains``."""
-    return next(sample_chains(gen, n, [seed], z0))
+def sample_chain(gen: Generator, n: int, seed: SeedSpec) -> Trajectory:
+    """Sample a length-n path (n points, n-1 draws) from the generator's start."""
+    return next(_paths(gen, n, [seed]))[0]
 
 
 def burn_in_steps(gen: Generator, tol: float) -> int:
@@ -576,7 +546,7 @@ def chain_batches(
     With ``tol`` every chain is first burned in for
     B = ``burn_in_steps(gen, tol)`` steps, to within ``tol`` of the invariant
     law, and keeps its last n states. Chain i equals
-    ``sample_chain(gen, None, B + n, derive_stream(seed, i)).slice(B, B + n)``
+    ``sample_chain(gen, B + n, derive_stream(seed, i)).slice(B, B + n)``
     bit for bit, with B = 0 without ``tol``.
     """
     b = 0 if tol is None else burn_in_steps(gen, tol)
@@ -589,7 +559,7 @@ def sample_stationary_chain(
 ) -> Trajectory:
     """Burn in to within ``tol`` of the invariant law, then record n points."""
     b = burn_in_steps(gen, tol)
-    return sample_chain(gen, None, b + n, seed).slice(b, b + n)
+    return sample_chain(gen, b + n, seed).slice(b, b + n)
 
 
 def _sample_start(gen: Generator, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

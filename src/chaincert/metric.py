@@ -110,14 +110,19 @@ def dist(z: ZPoint, zbar: ZPoint, spec: MetricSpec) -> float:
     return float(row_dist(z.x[None], z.y[None], zbar.x[None], zbar.y[None], spec)[0])
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array."""
+    # one dot product per row rounds like np.linalg.norm of that row alone;
+    # norm(d, axis=1) sums the squares otherwise from two coordinates on
+    r = rows[:, None]
+    return np.sqrt((r @ r.mT)[:, 0, 0])
+
+
 def row_dist(xs1: np.ndarray, ys1: np.ndarray, xs2: np.ndarray, ys2: np.ndarray,
              spec: MetricSpec) -> np.ndarray:
     """Distance of row i of one stacked state array to row i of another, same
     bound check; a one-row side is paired with every row of the other."""
-    # one dot product per row rounds like np.linalg.norm of that row alone;
-    # norm(d, axis=1) sums the squares otherwise from two coordinates on
-    dx, dy = (xs1 - xs2)[:, None], (ys1 - ys2)[:, None]
-    raw = np.sqrt((dx @ dx.mT)[:, 0, 0]) + np.sqrt((dy @ dy.mT)[:, 0, 0])
+    raw = _row_norms(xs1 - xs2) + _row_norms(ys1 - ys2)
     _check_raw_bound(raw, spec)
     return raw / spec.kappa
 

@@ -23,49 +23,17 @@ from .metric import MetricSpec, SeedSpec
 
 VOLATILE_SUMMARY_KEYS = ("created_at", "software_version")
 
-_PLAIN_JSON = frozenset((float, int, str, type(None)))
 _NUMBER = frozenset((float, int))
 
 
 def _cell(value: Any) -> str:
-    # exact types first; bool, numpy integers and other numpy floats take the chain
-    if type(value) is float or type(value) is np.float64:
+    # a float subclass (np.float64) writes the float it holds; an exact int
+    # check turns away bool, an int subclass
+    if isinstance(value, float):
         return float.__repr__(value)
     if type(value) is int:
         return str(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise InvalidInputError(f"CSV cell may not contain separators: {value!r}")
-        return value
     raise InvalidInputError(f"unsupported CSV cell type {type(value).__name__}")
-
-
-def _jsonable(value: Any) -> Any:
-    # exact plain types are already JSON values; bool takes its own branch
-    if type(value) in _PLAIN_JSON:
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (str, type(None))):
-        return value
-    if isinstance(value, SeedSpec):
-        return {"master_seed": int(value.master_seed), "stream_index": int(value.stream_index)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in np.asarray(value).tolist()] \
-            if isinstance(value, np.ndarray) else [_jsonable(v) for v in value]
-    raise InvalidInputError(f"cannot serialize {type(value).__name__} into a summary")
 
 
 def write_rows_csv(header, rows, path: str) -> None:
@@ -74,8 +42,9 @@ def write_rows_csv(header, rows, path: str) -> None:
 
     A row of floats (np.float64 included) is joined in one pass of
     ``float.__repr__``, which is what ``_cell`` writes for them; that pass
-    raises ``TypeError`` on any other cell (bool, int, str, numpy integers,
-    float32), and the row is then written cell by cell."""
+    raises ``TypeError`` on any other cell, and the row is then written cell
+    by cell, where a cell that is neither an ``int`` nor a float is invalid
+    input."""
     lines = [",".join(str(h) for h in header)]
     for row in rows:
         if len(row) != len(header):
@@ -101,7 +70,8 @@ def json_fragments(values: dict) -> dict:
     """Each value of ``values`` encoded once as it sits inside an indent-2,
     sorted-key JSON object: ``json.dumps(value, indent=2, sort_keys=True)``
     with its inner lines indented by two more spaces. A value that strict
-    JSON cannot hold (NaN or an infinity) is invalid input naming its key.
+    JSON cannot hold (NaN, an infinity, or a type json does not encode, such
+    as a numpy integer or an array) is invalid input naming its key.
 
     Rows of numbers (``_is_number_rows``), such as a transport plan, go
     through json's C encoder in compact form, which writes the same numbers
@@ -122,7 +92,7 @@ def json_fragments(values: dict) -> dict:
                 # every newline is indentation: json escapes those in strings
                 text = json.dumps(value, indent=2, sort_keys=True,
                                   allow_nan=False).replace("\n", "\n  ")
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"cannot write {key!r} as JSON: {exc}") from None
         fragments[str(key)] = text
     return fragments
@@ -154,11 +124,10 @@ def write_encoded_summary(kind: str, fragments: dict, path: str,
 
 def write_summary(kind: str, summary: dict, path: str,
                   config_sha256: Optional[str] = None) -> dict:
-    """Write the summary JSON; returns the payload that was written. Values
-    may hold numpy scalars and arrays and ``SeedSpec``s."""
-    payload = {str(k): _jsonable(v) for k, v in summary.items()}
-    payload.update(write_encoded_summary(kind, json_fragments(payload), path, config_sha256))
-    return payload
+    """Write the summary JSON of plain JSON values, as ``write_encoded_summary``
+    does for their ``json_fragments``; returns the payload that was written."""
+    return {**summary, **write_encoded_summary(kind, json_fragments(summary), path,
+                                               config_sha256)}
 
 
 def comparable_summary(payload: dict) -> dict:

@@ -1,8 +1,8 @@
 """Exact transport distance between finite state measures.
 
 An ``EmpiricalMeasure`` keeps its atoms as stacked coordinate rows, and the
-cost matrix, the canonical argument order, the curve's pushed clouds and the
-duality bound's probes are computed from those arrays.
+cost matrix, the canonical argument order and the curve's pushed clouds are
+computed from those arrays.
 
 The order-1 transport cost between two measures is solved exactly. Two
 uniform measures of n1 and n2 atoms are an assignment problem on k = lcm(n1,
@@ -12,8 +12,7 @@ linear program. Only a transport solve touches scipy: the assignment loads
 scipy's compiled assignment extension on its own, once per process (see
 ``_linear_sum_assignment``), and falls back to the public ``scipy.optimize``
 import when that fails; the LP imports ``scipy.optimize`` and
-``scipy.sparse``. A Kantorovich-Rubinstein dual evaluator gives certified
-lower bounds from 1-Lipschitz probe functions.
+``scipy.sparse``.
 """
 from __future__ import annotations
 
@@ -23,18 +22,16 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .metric import MetricSpec, SeedSpec, ZPoint, _triangle_pairs, pairwise_dist, row_dist
+from .metric import MetricSpec, SeedSpec, ZPoint, pairwise_dist
 
 ATOM_CAP = 2000
 _MAX_BLOWUP = 16
 _MARGINAL_TOL = 1e-9
-_LIP_TOL = 1e-9
-_PROBE_CONTRACT = "probes act row-wise: f(xs, ys) maps the rows of m states to m values"
 
 
 def _as_rows(values, width: int, label: str) -> np.ndarray:
@@ -308,62 +305,6 @@ def w1_exact(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> tuple[float, Trans
         plan = _solve_lp(cost_mat, mu1.weights, mu2.weights)
     _validate_plan(plan, mu1, mu2, cost_mat)
     return plan.cost, plan.transpose() if swap else plan
-
-
-def kr_dual_lower_bound(
-    mu1: EmpiricalMeasure,
-    mu2: EmpiricalMeasure,
-    probe_functions: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
-    max_check_pairs: int = 4096,
-) -> float:
-    """Duality lower bound max_f |mu1(f) - mu2(f)| over 1-Lipschitz probes.
-
-    A probe maps the stacked (m, dim_x) and (m, dim_y) rows of m states to
-    their m values. It runs once on the atoms of both measures and is checked
-    on a deterministic subsample of atom pairs under the measures' shared
-    metric; a violation beyond 1e-9 rejects it rather than returning a bogus
-    bound. By weak duality the result never exceeds the exact cost.
-    """
-    if not (isinstance(max_check_pairs, int) and max_check_pairs >= 1):
-        raise InvalidInputError(
-            f"max_check_pairs must be a positive integer, got {max_check_pairs!r}"
-        )
-    if mu1.metric != mu2.metric:
-        raise InvalidInputError("the duality bound needs both measures on the same declared metric")
-    spec = mu1.metric
-    xs, ys = np.concatenate([mu1.xs, mu2.xs]), np.concatenate([mu1.ys, mu2.ys])
-    m, total = len(xs), len(xs) * (len(xs) - 1) // 2
-    i, j = _triangle_pairs(m, 0, 1 if total <= max_check_pairs else total // max_check_pairs + 1)
-    allowed = row_dist(xs[i], ys[i], xs[j], ys[j], spec) * (1.0 + _LIP_TOL) + _LIP_TOL
-    best = 0.0
-    for k, fn in enumerate(probe_functions):
-        try:
-            vals = np.asarray(fn(xs, ys), dtype=float)
-        except (TypeError, ValueError, AttributeError, IndexError) as err:
-            raise InvalidInputError(f"probe {k} fails on stacked rows; {_PROBE_CONTRACT}") from err
-        if vals.shape != (m,) or not np.all(np.isfinite(vals)):
-            raise InvalidInputError(
-                f"probe {k} returned shape {vals.shape}, not {m} finite values; {_PROBE_CONTRACT}")
-        gaps = np.abs(vals[i] - vals[j])
-        bad = np.flatnonzero(gaps > allowed)
-        if bad.size:
-            raise InvalidInputError(
-                f"probe {k} is not 1-Lipschitz: |f(z)-f(zbar)| = {float(gaps[bad[0]])!r} "
-                f"exceeds the distance at atom pair ({i[bad[0]]}, {j[bad[0]]})"
-            )
-        best = max(best, abs(float(mu1.weights @ vals[:len(mu1)] - mu2.weights @ vals[len(mu1):])))
-    return best
-
-
-def distance_probes(anchors: Sequence[ZPoint], spec: MetricSpec) -> list:
-    """Distance-to-anchor probes f = d(., a), 1-Lipschitz by the triangle
-    inequality; each maps the stacked rows (xs, ys) of m states to m distances."""
-
-    def make(a: ZPoint):
-        spec.check_point(a)
-        return lambda xs, ys: row_dist(xs, ys, a.x[None], a.y[None], spec)
-
-    return [make(a) for a in anchors]
 
 
 def contraction_curve(

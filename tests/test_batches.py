@@ -38,8 +38,8 @@ from chaincert.generators import (
     Trajectory,
     analytic_lip_factor,
     burn_in_steps,
+    chain_batches,
     sample_chain,
-    sample_chains,
     sample_stationary_chain,
 )
 from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss, window_loss_values
@@ -65,7 +65,8 @@ def _groups_one(values: np.ndarray):
 @pytest.mark.parametrize("name", preset_names())
 def test_loss_matrices_equal_per_trajectory_rows(name):
     bundle = load_preset(name)
-    trajs = list(sample_chains(bundle.gen, 31, [SeedSpec(5, i) for i in range(7)]))
+    trajs = [traj for batch in chain_batches(bundle.gen, 31, SeedSpec(5), 7)
+             for traj in batch]
     ragged = [trajs[0].slice(0, 5), trajs[1], trajs[2].slice(4, 6)]
     for batch, window in ((trajs, None), (trajs, (3, 31)), (trajs, (0, 1)), (ragged, None)):
         mats = loss_matrices(bundle.cls, batch, bundle.env, window)
@@ -207,7 +208,7 @@ def test_validators_equal_one_trial_at_a_time(name, monkeypatch):
     er = _risks(bundle, derive_stream(seed, 3))
     batch_seed = derive_stream(seed, 0)
     for t, row in enumerate(cov.rows):
-        traj = sample_chain(gen, None, 2 * n, derive_stream(batch_seed, t))
+        traj = sample_chain(gen, 2 * n, derive_stream(batch_seed, t))
         mat = loss_matrix(cls, traj, env, window=(n, 2 * n))
         pick = erm(cls, mat, epsilon=eps).hypothesis_index
         est = rademacher_estimate(mat, MC_DRAWS, derive_stream(traj.seed, 1))
@@ -218,7 +219,7 @@ def test_validators_equal_one_trial_at_a_time(name, monkeypatch):
     er = _risks(bundle, derive_stream(seed, 2))
     batch_seed = derive_stream(seed, 1)
     for t, row in enumerate(lem1.rows):
-        traj = sample_chain(gen, None, 20, derive_stream(batch_seed, t))
+        traj = sample_chain(gen, 20, derive_stream(batch_seed, t))
         assert row[1] == _phi(bundle, traj, (10, 20), er)
 
     lemma3 = {}

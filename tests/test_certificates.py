@@ -22,7 +22,7 @@ from chaincert.certificates import (
 )
 from chaincert.complexity import EXACT_N_CAP, loss_matrix
 from chaincert.errors import AssumptionViolationError, InvalidInputError
-from chaincert.generators import sample_chains
+from chaincert.generators import chain_batches
 from chaincert.hypotheses import (
     HypothesisClass,
     constant_grid,
@@ -388,10 +388,9 @@ def test_mixed_estimators_are_reported_as_mixed():
                                  trials=trials, seed=SeedSpec(0), rad_outer=4, mc_draws=64)
     details = dict(report.details)
     # count the windows whose grid fits, from np.unique and Python integers
-    batch = derive_stream(SeedSpec(0), 0)
-    streams = [derive_stream(batch, t) for t in range(trials)]
     fits = 0
-    for traj in sample_chains(bundle.gen, 2 * n, streams):
+    batches = chain_batches(bundle.gen, 2 * n, derive_stream(SeedSpec(0), 0), trials)
+    for traj in [traj for batch in batches for traj in batch]:
         values = loss_matrix(bundle.cls, traj, bundle.env, window=(n, 2 * n)).values
         counts = np.unique(values, axis=1, return_counts=True)[1]
         fits += math.prod(int(m) + 1 for m in counts) <= 2**EXACT_N_CAP

@@ -343,7 +343,7 @@ def test_exact_is_frozen_on_lemma3_inputs():
     }
     bundle = load_preset("affine_triangle")
     for seed, (plain, sym) in frozen.items():
-        traj = sample_chain(bundle.gen, None, EXACT_N_CAP, SeedSpec(seed))
+        traj = sample_chain(bundle.gen, EXACT_N_CAP, SeedSpec(seed))
         est = rademacher_exact(loss_matrix(bundle.cls, traj, bundle.env))
         assert (est.value.hex(), est.value_symmetrized.hex()) == (plain, sym)
         assert est.se == est.se_symmetrized == 0.0
@@ -404,7 +404,7 @@ def test_loss_matrix_from_trajectory():
     gen = make_halving()
     cls = constant_grid([0.0, 0.5, 1.0])
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    traj = sample_chain(gen, None, 3, SeedSpec(0))
+    traj = sample_chain(gen, 3, SeedSpec(0))
     mat = loss_matrix(cls, traj, env)
     assert mat.num_hypotheses == 3 and mat.num_states == 3
     assert mat.ell_H == env.ell_H and mat.values.dtype == float

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincert.certificates import invert_epsilon
-from chaincert.cli import main
+from chaincert.cli import main, run_with_exit_codes
 from chaincert.config import (
     ExperimentConfig,
     build_bundle,
@@ -178,7 +178,7 @@ def test_build_bundle_from_blocks():
     assert bundle.name == "custom"
     assert len(bundle.cls) == 2
     assert bundle.env.ell_H == 2.0  # unit-Lipschitz class against kappa 2
-    traj = sample_chain(bundle.gen, None, 32, SeedSpec(1))
+    traj = sample_chain(bundle.gen, 32, SeedSpec(1))
     assert len(traj) == 32
 
 
@@ -284,11 +284,10 @@ def test_rows_csv_bytes(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows_csv(("trial", "value", "flag"), ((0, 0.1, 1), (1, 2.5e-3, 0)), str(path))
     assert path.read_bytes() == b"trial,value,flag\n0,0.1,1\n1,0.0025,0\n"
-    # plain and numpy scalars of each kind write the same cell
-    row = (True, np.bool_(False), 7, np.int64(-7), 0.1, np.float64(0.1), np.float32(0.5),
-           -0.0, "ab")
+    # an int writes its digits; a float and an np.float64 write the same cell
+    row = (7, -7, 2**70, 0.1, np.float64(0.1), -0.0)
     write_rows_csv([f"c{i}" for i in range(len(row))], (row,), str(path))
-    assert path.read_bytes().split(b"\n")[1] == b"1,0,7,-7,0.1,0.1,0.5,-0.0,ab"
+    assert path.read_bytes().split(b"\n")[1] == b"7,-7,1180591620717411303424,0.1,0.1,-0.0"
     # a row narrower or wider than the header is rejected before the file is written
     for bad in ((0, 0.1), (0, 0.1, 1, 2)):
         target = tmp_path / f"bad_{len(bad)}.csv"
@@ -304,7 +303,7 @@ class _Fraction(float):
 @pytest.mark.parametrize("row", [
     (0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 2.5),
     (np.float64(0.1), 0.2, np.float64(-3.0), _Fraction(0.75), 1e22, 1e16),
-    (True, np.bool_(False), 7, np.int64(-7), np.float32(0.1), "ab"),
+    (7, -7, 2**70, 0, np.float64(-0.5), _Fraction(0.25)),
     (0.1, 0.2, 0.3, 0.4, 0.5, 1),  # a float row whose last cell is not a float
 ])
 def test_rows_csv_match_cell_by_cell_writes(tmp_path, row):
@@ -316,10 +315,13 @@ def test_rows_csv_match_cell_by_cell_writes(tmp_path, row):
 
 
 def test_rows_csv_reject_bad_cells_as_cell_by_cell_writes_do(tmp_path):
-    for bad, match in (("a,b", "separators"), (None, "unsupported"), ([0.5], "unsupported")):
+    # a cell is an int or a float: bool, numpy integers, float32 and str are not
+    for bad in (True, np.bool_(False), np.int64(1), np.float32(0.5), "ab", "a,b", None, [0.5]):
         target = tmp_path / "bad.csv"
-        with pytest.raises(InvalidInputError, match=match):
-            write_rows_csv(("x", "y"), ((0.5, 0.5), (0.5, bad)), str(target))
+        with pytest.raises(InvalidInputError, match="unsupported CSV cell type"):
+            _cell(bad)
+        with pytest.raises(InvalidInputError, match="unsupported CSV cell type"):
+            write_rows_csv(("x", "y"), ((0.5, 0.5), (1, bad)), str(target))
         assert not target.exists()
 
 
@@ -348,17 +350,48 @@ def test_numeric_csv_cells_parse_as_float_does(tmp_path, text):
 
 
 def test_summary_values_keep_their_json_types(tmp_path):
-    summary = {"b": True, "nb": np.bool_(False), "i": 3, "ni": np.int64(4), "f": 0.1,
-               "nf": np.float64(0.25), "s": "x", "none": None, "plan": [[0, 1, 0.5]],
-               "arr": np.array([1.5, 2.0]), "seed": SeedSpec(5)}
+    summary = {"b": True, "i": 3, "f": 0.1, "nf": np.float64(0.25), "s": "x", "none": None,
+               "plan": [[0, 1, 0.5]], "nested": {"a": [1.5, 2.0]}}
     payload = write_summary("k", summary, str(tmp_path / "s.json"))
     back = read_summary(str(tmp_path / "s.json"))
     for p in (payload, back):
-        assert p["b"] is True and p["nb"] is False
-        assert [type(p[k]) for k in ("i", "ni", "f", "nf", "s")] == [int, int, float, float, str]
-        assert (p["i"], p["ni"], p["f"], p["nf"], p["s"], p["none"]) == (3, 4, 0.1, 0.25, "x", None)
-        assert p["plan"] == [[0, 1, 0.5]] and p["arr"] == [1.5, 2.0]
-        assert p["seed"] == {"master_seed": 5, "stream_index": 0}
+        assert p["b"] is True
+        assert [type(p[k]) for k in ("i", "f", "s")] == [int, float, str]
+        assert (p["i"], p["f"], p["nf"], p["s"], p["none"]) == (3, 0.1, 0.25, "x", None)
+        assert p["plan"] == [[0, 1, 0.5]] and p["nested"] == {"a": [1.5, 2.0]}
+
+
+@pytest.mark.parametrize("bad", [np.int64(4), np.bool_(False), SeedSpec(5), np.array([1.5]),
+                                 {"deep": [np.int64(1)]}],
+                         ids=["int64", "bool_", "SeedSpec", "ndarray", "nested"])
+def test_summaries_reject_values_json_does_not_encode(tmp_path, bad):
+    # only plain JSON values are written: a numpy scalar, an array or a
+    # SeedSpec is invalid input naming its key, and no file is written
+    with pytest.raises(InvalidInputError, match="cannot write 'bad' as JSON"):
+        json_fragments({"fine": 1.0, "bad": bad})
+    path = tmp_path / "s.json"
+    with pytest.raises(InvalidInputError, match="cannot write 'bad' as JSON"):
+        write_summary("k", {"fine": 1.0, "bad": bad}, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write", ["summary", "rows"])
+def test_unwritable_values_exit_2_with_one_line(tmp_path, capsys, write):
+    # an entry point that hands the writers a value they reject exits 2
+    # through the shared exit-code mapping, with one stderr line
+    path = tmp_path / "out"
+
+    def handler(args):
+        if write == "summary":
+            write_summary("k", {"n": np.int64(3)}, str(path))
+        else:
+            write_rows_csv(("ok",), ((True,),), str(path))
+        return 0
+
+    assert run_with_exit_codes(handler, None) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("payload", [
@@ -417,7 +450,7 @@ def test_summary_files_are_one_indent_two_document(tmp_path):
     back = read_summary(str(path))
     assert back == {**payload, **fields} and back["kind"] == "k"
     assert path.read_text() == json.dumps(back, indent=2, sort_keys=True) + "\n"
-    summary = {"ni": np.int64(4), "arr": np.array([1.5, 2.0])}
+    summary = {"i": 4, "arr": [1.5, 2.0], "nested": {"b": [True, None], "a": "x"}}
     written = write_summary("k", summary, str(tmp_path / "s.json"))
     assert (tmp_path / "s.json").read_text() == json.dumps(written, indent=2, sort_keys=True) + "\n"
 
@@ -425,7 +458,7 @@ def test_summary_files_are_one_indent_two_document(tmp_path):
 def test_trajectory_csv_round_trip(tmp_path):
     cfg = parse_config(blocks_config())
     bundle = build_bundle(cfg)
-    traj = sample_chain(bundle.gen, None, 10, SeedSpec(2))
+    traj = sample_chain(bundle.gen, 10, SeedSpec(2))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, str(path))
     header = path.read_text().splitlines()[0]
@@ -735,6 +768,26 @@ def test_cli_nonfinite_payload_is_invalid_input(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "'radius'" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("w_bar", ["7", "0.5", "-1"])
+def test_cli_certify_empirical_rejects_w_bar(tmp_path, capsys, w_bar):
+    # the empirical form has no start-dependence term, so --w-bar is refused
+    # as validate refuses a flag its validator does not read
+    out = tmp_path / "cert"
+    assert main(["certify", "--form", "empirical", "--rademacher", "0.25", "--ell-h", "1.0",
+                 "--ell-f", "0.5", "--n", "2000", "--epsilon", "0.05", "--w-bar", w_bar,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certify --form empirical does not read --w-bar\n"
+    assert not out.exists()
+    # the population form reads it, and takes 1 without it
+    argv = ["certify", "--form", "population", "--rademacher", "0.05", "--ell-h", "1.0",
+            "--ell-f", "0.5", "--n", "2000", "--epsilon", "0.1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ingredients"]["w_bar"] == 1.0
+    assert main(argv + ["--w-bar", w_bar]) == (0 if w_bar == "0.5" else 2)
 
 
 def test_cli_certify_delta_route(tmp_path, capsys):

@@ -42,7 +42,7 @@ def halving_setup():
 
 def test_empirical_risk_frozen_hand_values():
     gen, cls, env = halving_setup()
-    traj = sample_chain(gen, None, 3, SeedSpec(0))
+    traj = sample_chain(gen, 3, SeedSpec(0))
     # path is (1.0,1.0), (0.75,0.75), (0.625,0.625): labels equal features
     risks = loss_matrix(cls, traj, env).values.mean(axis=1)
     assert risks[0] == pytest.approx(0.0, abs=0)  # identity predicts its own label
@@ -56,7 +56,7 @@ def test_empirical_risk_frozen_hand_values():
 
 def test_window_restricts_the_mean():
     gen, cls, env = halving_setup()
-    traj = sample_chain(gen, None, 3, SeedSpec(0))
+    traj = sample_chain(gen, 3, SeedSpec(0))
     r_tail = loss_matrix(cls, traj, env, window=(1, 3)).values[2].mean()
     assert r_tail == pytest.approx((0.75 + 0.625) / 2, abs=1e-15)
     with pytest.raises(InvalidInputError):
@@ -67,7 +67,7 @@ def test_window_restricts_the_mean():
 
 def test_erm_exact_selection_and_report():
     gen, cls, env = halving_setup()
-    traj = sample_chain(gen, None, 6, SeedSpec(1))
+    traj = sample_chain(gen, 6, SeedSpec(1))
     report = erm(cls, loss_matrix(cls, traj, env))
     assert report.hypothesis_id == "ident"
     assert report.hypothesis_index == 0
@@ -78,7 +78,7 @@ def test_erm_exact_selection_and_report():
 
 def test_erm_epsilon_feasible_lowest_index():
     gen, cls, env = halving_setup()
-    traj = sample_chain(gen, None, 3, SeedSpec(0))
+    traj = sample_chain(gen, 3, SeedSpec(0))
     # risks in class order: 0, 0.29166..., 0.79166..., 0.14583...
     report = erm(cls, loss_matrix(cls, traj, env), epsilon=0.3, tie_break="lowest_index")
     assert report.hypothesis_id == "ident"  # index 0 is always feasible
@@ -97,7 +97,7 @@ def test_erm_epsilon_feasible_lowest_index():
 
 def test_erm_rejects_bad_knobs():
     gen, cls, env = halving_setup()
-    matrix = loss_matrix(cls, sample_chain(gen, None, 3, SeedSpec(0)), env)
+    matrix = loss_matrix(cls, sample_chain(gen, 3, SeedSpec(0)), env)
     with pytest.raises(InvalidInputError):
         erm(cls, matrix, epsilon=-0.1)
     with pytest.raises(InvalidInputError):
@@ -115,7 +115,7 @@ def test_erm_gap_never_exceeds_epsilon(risks, epsilon):
     gen = make_iid()
     cls = constant_grid(np.linspace(0.0, 1.0, len(risks)))
     env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
-    traj = sample_chain(gen, None, 12, SeedSpec(9))
+    traj = sample_chain(gen, 12, SeedSpec(9))
     report = erm(cls, loss_matrix(cls, traj, env), epsilon=epsilon)
     assert 0.0 <= report.achieved_gap <= epsilon
     table = dict(report.risk_table)

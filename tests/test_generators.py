@@ -34,7 +34,6 @@ from chaincert.generators import (
     labeled_lipschitz_generator,
     linear_label,
     sample_chain,
-    sample_chains,
     sample_stationary_chain,
     step,
 )
@@ -377,7 +376,7 @@ def _same_bits(a, b):
 
 def _assert_matches_reference(gen, n, count, label_row):
     seeds = [derive_stream(SeedSpec(31), c) for c in range(count)]
-    paths = list(sample_chains(gen, n, seeds))
+    paths = [traj for batch in chain_batches(gen, n, SeedSpec(31), count) for traj in batch]
     assert len(paths) == count
     for traj, seed, (xs, ys) in zip(paths, seeds, _reference_paths(gen, n, seeds, label_row)):
         assert traj.seed == seed
@@ -659,7 +658,7 @@ def test_single_row_map_is_rejected_with_the_row_block_contract():
     )
     for count in (1, 3):
         with pytest.raises(InvalidInputError, match="act row-wise") as err:
-            list(sample_chains(gen, 6, [SeedSpec(c) for c in range(count)]))
+            list(chain_batches(gen, 6, SeedSpec(0), count))
         assert "runs on each row alone" in str(err.value)
 
 
@@ -668,7 +667,7 @@ def test_wrong_block_shapes_are_rejected():
     # error a one-chain run raises
     flat = _unit_box_map_generator(lambda x, theta: 0.5 * x.ravel())
     with pytest.raises(InvalidInputError, match=r"returned shape \(1,\).*act row-wise"):
-        list(sample_chains(flat, 4, [SeedSpec(c) for c in range(3)]))
+        list(chain_batches(flat, 4, SeedSpec(0), 3))
 
     first_row_label = labeled_lipschitz_generator(
         governing_map=halving_map, theta_atoms=[None], weights=[1.0], lip_x_per_theta=[0.5],
@@ -676,4 +675,4 @@ def test_wrong_block_shapes_are_rejected():
         x_bound=UNIT_BOX, y_bound=UNIT_BOX, z0=ZPoint(1.0, 1.0),
     )
     with pytest.raises(InvalidInputError, match=r"label map returned shape \(1,\)"):
-        list(sample_chains(first_row_label, 4, [SeedSpec(c) for c in range(3)]))
+        list(chain_batches(first_row_label, 4, SeedSpec(0), 3))

@@ -143,9 +143,8 @@ def test_no_dead_private_helpers():
 # public names that only tests and README examples use: test oracles and
 # library entry points kept for readers of the API
 _UNCALLED_PUBLIC = {
-    "build_generator", "callable_label", "comparable_summary", "distance_probes",
-    "empirical_contraction_probe", "growth_bound", "kr_dual_lower_bound", "read_summary",
-    "sample_complexity",
+    "build_generator", "callable_label", "comparable_summary",
+    "empirical_contraction_probe", "growth_bound", "read_summary", "sample_complexity",
 }
 
 

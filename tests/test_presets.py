@@ -38,7 +38,7 @@ def test_bundles_are_well_formed(name):
     # declared loss scale really dominates the sampled loss geometry
     verify_a2(bundle.env, bundle.cls, bundle.gen, num_pairs=32, chain_len=8, seed=SeedSpec(3))
     # chains stay inside the declared bounds (step checks raise otherwise)
-    sample_chain(bundle.gen, None, 64, SeedSpec(4))
+    sample_chain(bundle.gen, 64, SeedSpec(4))
     # builders hand out fresh objects
     assert load_preset(name) is not bundle
 
@@ -108,7 +108,7 @@ def test_halving_stationary_risks():
 
 def test_labeled_affine_chain_geometry():
     bundle = load_preset("labeled_affine")
-    traj = sample_chain(bundle.gen, None, 200, SeedSpec(5))
+    traj = sample_chain(bundle.gen, 200, SeedSpec(5))
     xs = np.asarray(traj.xs).reshape(-1)
     ys = np.asarray(traj.ys).reshape(-1)
     assert xs.min() >= 0.0 and xs.max() <= 0.4

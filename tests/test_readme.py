@@ -1,11 +1,15 @@
 """The README's examples run against the library as it is.
 
-The quick-start ``python`` block runs in a fresh interpreter, and every
-``json`` block must parse as a config and build its bundle, so an example
-that names a removed function, parameter or config key fails here.
+The quick-start ``python`` block runs in a fresh interpreter, every
+``json`` block must parse as a config and build its bundle, and every call
+the prose names in backticks must exist, so an example that names a removed
+function, parameter or config key fails here.
 """
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import chaincert
 from chaincert.config import build_bundle, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +50,25 @@ def test_readme_python_block_runs(code):
 def test_readme_json_block_builds(text):
     bundle = build_bundle(parse_config(json.loads(text)))
     assert len(bundle.cls) >= 1
+
+
+def _library_names():
+    """The attribute names of every chaincert module and of every class the
+    package defines."""
+    names = set()
+    for info in pkgutil.iter_modules(chaincert.__path__):
+        module = importlib.import_module(f"chaincert.{info.name}")
+        names.update(vars(module))
+        for value in vars(module).values():
+            if inspect.isclass(value) and value.__module__.startswith("chaincert"):
+                names.update(dir(value))
+    return names
+
+
+def test_readme_prose_calls_name_library_attributes():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"^```.*?^```$", "", text, flags=re.MULTILINE | re.DOTALL)
+    calls = set(re.findall(r"`([A-Za-z_][\w.]*)\(", prose))
+    assert calls
+    names = _library_names()
+    assert sorted(c for c in calls if not set(c.split(".")) <= names) == []

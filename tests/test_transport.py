@@ -34,13 +34,11 @@ from chaincert.transport import (
     _solve_assignment,
     _solve_lp,
     contraction_curve,
-    distance_probes,
-    kr_dual_lower_bound,
     w1_exact,
 )
 
 from chaincert.cli import main
-from oracles import w1_bruteforce
+from oracles import distance_probes, kr_dual_lower_bound, w1_bruteforce
 from test_generators import make_halving, make_iid
 
 LINE = MetricSpec(1, 1, 1.0)
