@@ -13,9 +13,12 @@ import argparse
 import math
 import os
 
+# chaincert.cli caps BLAS at one thread unless the caller set a count; that
+# only takes effect before numpy loads, so this import comes first
+from chaincert.cli import run_with_exit_codes
+
 import numpy as np
 
-from chaincert.cli import run_with_exit_codes
 from chaincert.generators import analytic_lip_factor
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names

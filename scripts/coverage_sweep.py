@@ -11,8 +11,11 @@ on stderr, as in the ``chaincert`` command line.
 import argparse
 import os
 
-from chaincert.certificates import coverage_experiment
+# chaincert.cli caps BLAS at one thread unless the caller set a count; that
+# only takes effect before numpy loads, so this import comes first
 from chaincert.cli import run_with_exit_codes
+
+from chaincert.certificates import coverage_experiment
 from chaincert.complexity import check_draws
 from chaincert.errors import InvalidInputError
 from chaincert.metric import SeedSpec

@@ -5,148 +5,56 @@ hypothesis class plus loss environment turns states into loss rows, the
 learner picks a member within its slack, complexity and transport estimates
 feed the certificate formulas, and the validators replay the whole pipeline
 against the stated confidence.
+
+``import chaincert`` loads no submodule and no numpy: an exported name
+imports its home module when it is first read (PEP 562), which lets the
+command line pin BLAS threads before numpy loads.
 """
-from .certificates import (
-    Certificate,
-    ValidationReport,
-    certify_empirical,
-    certify_population,
-    check_certificate,
-    confidence_level,
-    coverage_experiment,
-    deviation_constant,
-    invert_epsilon,
-    sample_complexity,
-    validate_lemma1,
-    validate_lemma2,
-    validate_lemma3,
-)
-from .complexity import (
-    LossMatrix,
-    RademacherEstimate,
-    growth_bound,
-    loss_matrices,
-    loss_matrix,
-    rademacher_estimate,
-    rademacher_estimates,
-    rademacher_exact,
-    rademacher_expected,
-    rademacher_mc,
-)
-from .config import ExperimentConfig, build_bundle, load_config, parse_config
-from .erm import RiskReport, erm, true_risk_table
-from .errors import (
-    AssumptionViolationError,
-    ChainCertError,
-    GeneratorContractError,
-    InvalidInputError,
-    SizeCapError,
-)
-from .generators import (
-    Generator,
-    Trajectory,
-    affine_ifs_generator,
-    analytic_lip_factor,
-    burn_in_steps,
-    chain_batches,
-    deterministic_map_generator,
-    empirical_contraction_probe,
-    iid_generator,
-    labeled_lipschitz_generator,
-    sample_chain,
-    sample_stationary_chain,
-)
-from .hypotheses import (
-    HypothesisClass,
-    LossEnv,
-    constant_grid,
-    constant_hypothesis,
-    finalize_env,
-    linear_hypothesis,
-    make_abs_loss,
-    make_squared_loss,
-    tabulated_hypothesis,
-    verify_a2,
-)
-from .metric import MetricSpec, SeedSpec, ZPoint, derive_stream, dist
-from .presets import PresetBundle, load_preset, preset_names
-from .transport import (
-    EmpiricalMeasure,
-    TransportPlan,
-    contraction_curve,
-    w1_exact,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionViolationError",
-    "Certificate",
-    "ChainCertError",
-    "EmpiricalMeasure",
-    "ExperimentConfig",
-    "Generator",
-    "GeneratorContractError",
-    "HypothesisClass",
-    "InvalidInputError",
-    "LossEnv",
-    "LossMatrix",
-    "MetricSpec",
-    "PresetBundle",
-    "RademacherEstimate",
-    "RiskReport",
-    "SeedSpec",
-    "SizeCapError",
-    "Trajectory",
-    "TransportPlan",
-    "ValidationReport",
-    "ZPoint",
-    "affine_ifs_generator",
-    "analytic_lip_factor",
-    "build_bundle",
-    "burn_in_steps",
-    "certify_empirical",
-    "certify_population",
-    "chain_batches",
-    "check_certificate",
-    "confidence_level",
-    "constant_grid",
-    "constant_hypothesis",
-    "contraction_curve",
-    "coverage_experiment",
-    "deterministic_map_generator",
-    "deviation_constant",
-    "derive_stream",
-    "dist",
-    "empirical_contraction_probe",
-    "erm",
-    "finalize_env",
-    "growth_bound",
-    "iid_generator",
-    "invert_epsilon",
-    "labeled_lipschitz_generator",
-    "linear_hypothesis",
-    "load_config",
-    "load_preset",
-    "loss_matrices",
-    "loss_matrix",
-    "make_abs_loss",
-    "make_squared_loss",
-    "parse_config",
-    "preset_names",
-    "rademacher_estimate",
-    "rademacher_estimates",
-    "rademacher_exact",
-    "rademacher_expected",
-    "rademacher_mc",
-    "sample_chain",
-    "sample_complexity",
-    "sample_stationary_chain",
-    "tabulated_hypothesis",
-    "true_risk_table",
-    "validate_lemma1",
-    "validate_lemma2",
-    "validate_lemma3",
-    "verify_a2",
-    "w1_exact",
-]
+_EXPORTS = {
+    "certificates": "Certificate ValidationReport certify_empirical certify_population "
+                    "check_certificate confidence_level coverage_experiment deviation_constant "
+                    "invert_epsilon sample_complexity validate_lemma1 validate_lemma2 "
+                    "validate_lemma3",
+    "complexity": "LossMatrix RademacherEstimate growth_bound loss_matrices loss_matrix "
+                  "rademacher_estimate rademacher_estimates rademacher_exact "
+                  "rademacher_expected rademacher_mc",
+    "config": "ExperimentConfig build_bundle load_config parse_config",
+    "erm": "RiskReport erm true_risk_table",
+    "errors": "AssumptionViolationError ChainCertError GeneratorContractError "
+              "InvalidInputError SizeCapError",
+    "generators": "Generator Trajectory affine_ifs_generator analytic_lip_factor burn_in_steps "
+                  "chain_batches deterministic_map_generator iid_generator "
+                  "labeled_lipschitz_generator sample_chain sample_stationary_chain",
+    "hypotheses": "HypothesisClass LossEnv constant_grid constant_hypothesis finalize_env "
+                  "linear_hypothesis make_abs_loss make_squared_loss tabulated_hypothesis "
+                  "verify_a2",
+    "metric": "MetricSpec SeedSpec ZPoint derive_stream dist",
+    "presets": "PresetBundle load_preset preset_names",
+    "transport": "EmpiricalMeasure TransportPlan contraction_curve w1_exact",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds each submodule it loads here; keep ``erm`` the function
+        if not (name in _HOME and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

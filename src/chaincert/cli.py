@@ -23,6 +23,12 @@ import os
 import sys
 from typing import Callable, Optional
 
+# One BLAS thread unless the caller set a count: on these small products a
+# second OpenBLAS thread buys no wall time, spins from the moment numpy loads,
+# and makes Monte Carlo bits at n*H >= 1,024 depend on the core count. OpenBLAS
+# reads the variable when numpy loads, so it is set before any package import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .certificates import (
     CERTIFICATE_FORMS,
     WINDOW_MODES,

@@ -47,14 +47,13 @@ from .metric import SeedSpec, derive_stream, make_rng
 EXACT_N_CAP = 20
 MC_DRAWS = 4096  # default Monte Carlo sign vectors per estimate
 _CHUNK = 1 << 13  # grid points per table and per tile of exact enumeration
-# Monte Carlo sign vectors scored per product. An (H, n) @ (n, 512) product
-# with n * H < 1,024 stays on one OpenBLAS thread, where one product of all
-# draws/2 columns split over two threads whose helper mostly spun. Timed on
-# a 2-vCPU host, per estimate at H = 4, n = 200, 4,096 draws, wall / CPU:
-# 0.88 / 2.08 ms as one product, 0.75 / 0.75 ms in 512-row tiles. With
-# numpy's OpenBLAS, 512 columns also give products bit-identical to the
-# untiled one (128, 256, 320 and 640 move the last bits at n = 200), and a
-# multiple of 4 keeps the byte stream unchanged (``_sign_tiles``).
+# Monte Carlo sign vectors scored per product. Tiles keep memory flat in the
+# draw count, since one (512, n) buffer is reused. With numpy's OpenBLAS, 512
+# columns give products bit-identical to one untiled product (128, 256, 320
+# and 640 move the last bits at n = 200), and a multiple of 4 keeps the byte
+# stream unchanged (``_sign_tiles``). The bits hold at one BLAS thread, which
+# the command line sets; with two threads, products with n * H >= 1,024 may
+# differ in their last bits.
 _TILE = 512
 
 
@@ -422,9 +421,9 @@ def rademacher_mc(
     ``draws`` counts sign vectors, so it must be even, and at least 4 for two
     pairs. Only the draws/2 vectors sigma are drawn, as packed random bytes,
     one bit per sign, in tiles of ``_TILE`` = 512 vectors unpacked into one
-    reused float buffer (``_sign_tiles``). Each tile is scored with one
-    product against the loss matrix, small enough to stay on one BLAS
-    thread while n * H < 1,024, and reduced to its pair statistics. The
+    reused float buffer (``_sign_tiles``), so memory stays flat in
+    ``draws``. Each tile is scored with one product against the loss matrix
+    and reduced to its pair statistics; see ``_TILE`` for its bits. The
     pairs are independent: the value and standard error are the mean and
     error of the pair statistics, (top - bottom) / 2n for the plain form.
     The pairing cuts the plain form's variance but not the symmetrized

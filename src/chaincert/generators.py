@@ -48,20 +48,16 @@ from .metric import (
     SeedSpec,
     ZPoint,
     _row_norms,
-    derive_stream,
     derive_streams,
     dist,
     make_rng,
     make_rngs,
-    row_dist,
 )
 
 VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 
-_PAIR_FLOOR = 1e-12  # probe skips state pairs closer than this
-_PROBE_SLACK = 1e-9
 _BOUND_SLACK = 1e-9  # relative tolerance of the state-bound tests
-_FIXED_POINT_TOL = 1e-15  # step distance at which fixed-point iteration stops
+_FIXED_POINT_TOL = 1e-15  # most a fixed point may move in one step, iterated or declared
 _FIXED_POINT_MAX_ITER = 100000
 _BLOCK_STATES = 1 << 14  # chain states one stepped block holds at most
 _ROW_CONTRACT = (
@@ -267,16 +263,12 @@ class Generator:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        self.metric.check_point(self.z0)
-        if not (self.x_bound.contains(self.z0.x) and self.y_bound.contains(self.z0.y)):
-            raise GeneratorContractError("initial state lies outside the declared bounds")
+        self._check_state(self.z0, "initial state")
         if self.variant == "iid":
             for atom in self.theta.atoms:
                 if not isinstance(atom, ZPoint):
                     raise InvalidInputError("iid variant needs ZPoint atoms")
-                self.metric.check_point(atom)
-                if not (self.x_bound.contains(atom.x) and self.y_bound.contains(atom.y)):
-                    raise GeneratorContractError("iid atom lies outside the declared bounds")
+                self._check_state(atom, "iid atom")
             object.__setattr__(self, "_atom_xs", np.stack([a.x for a in self.theta.atoms]))
             object.__setattr__(self, "_atom_ys", np.stack([a.y for a in self.theta.atoms]))
             lips = np.zeros(len(self.theta))
@@ -300,6 +292,21 @@ class Generator:
                 f"mean contraction factor must be strictly below one, got {factor!r}"
             )
         object.__setattr__(self, "_analytic_factor", factor)
+        z = self.fixed_point
+        if z is not None:
+            if self.variant != "deterministic_map":
+                raise InvalidInputError("only the deterministic_map variant takes a fixed point")
+            self._check_state(z, "declared fixed point")
+            moved = dist(z, _map_once(self, z), self.metric)
+            if moved > _FIXED_POINT_TOL:
+                raise AssumptionViolationError(
+                    f"declared fixed point is not fixed: one step moves it by {moved!r}"
+                )
+
+    def _check_state(self, z: ZPoint, what: str) -> None:
+        self.metric.check_point(z)
+        if not (self.x_bound.contains(z.x) and self.y_bound.contains(z.y)):
+            raise GeneratorContractError(f"{what} lies outside the declared bounds")
 
 
 def analytic_lip_factor(gen: Generator) -> float:
@@ -437,27 +444,21 @@ def _block_size(states_per_chain: int) -> int:
     return max(1, _BLOCK_STATES // states_per_chain)
 
 
-def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray, at=-1):
-    """States of the chains started at the rows of (x0, y0), chain i under
-    the draws idx[i], each taken after at[i] steps (the end by default);
-    stepped in blocks, keeping only the taken rows."""
+def _final_states(gen: Generator, x0: np.ndarray, y0: np.ndarray, idx: np.ndarray):
+    """Final states of the chains started at the rows of (x0, y0), chain i
+    under the draws idx[i]; stepped in blocks, keeping only the last rows."""
     x_end, y_end = np.empty_like(x0), np.empty_like(y0)
-    at = np.broadcast_to(at, idx.shape[:1])
     size = _block_size(idx.shape[1] + 1)
     for lo in range(0, idx.shape[0], size):
         hi = lo + size
         xs, ys = _step_block(gen, x0[lo:hi], y0[lo:hi], idx[lo:hi])
-        rows = np.arange(xs.shape[0])
-        x_end[lo:hi], y_end[lo:hi] = xs[rows, at[lo:hi]], ys[rows, at[lo:hi]]
+        x_end[lo:hi], y_end[lo:hi] = xs[:, -1], ys[:, -1]
     return x_end, y_end
 
 
-def step(gen: Generator, z: ZPoint, theta_index: int) -> ZPoint:
-    """Apply the governing map once for the given draw index."""
-    gen.metric.check_point(z)
-    if not (0 <= theta_index < len(gen.theta)):
-        raise InvalidInputError(f"theta index {theta_index} out of range")
-    xs, ys = _step_block(gen, z.x, z.y, np.array([[theta_index]]))
+def _map_once(gen: Generator, z: ZPoint) -> ZPoint:
+    """The image of ``z`` under draw 0, as a one-row block's step."""
+    xs, ys = _step_block(gen, z.x, z.y, np.zeros((1, 1), dtype=int))
     return ZPoint(xs[0, 1], ys[0, 1])
 
 
@@ -633,56 +634,6 @@ def _check_pair_budget(num_pairs, chain_len) -> None:
             raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def empirical_contraction_probe(
-    gen: Generator,
-    num_pairs: int = 64,
-    chain_len: int = 16,
-    seed: SeedSpec = SeedSpec(0),
-) -> float:
-    """Largest draw-averaged two-point contraction ratio over sampled chain states.
-
-    Each pair takes one state from each of two independent chains (skipping
-    the start, so labelled states sit on the label graph), and averages
-    d(F(z, theta), F(zbar, theta)) / d(z, zbar) exactly over the draw law.
-    The maximum must stay within 1e-9 of the analytic factor. All the chains
-    are stepped together, and each kept pair is pushed under every draw.
-    """
-    _check_pair_budget(num_pairs, chain_len)
-    factor = analytic_lip_factor(gen)
-    starts, picks, uniforms = [], [], []
-    for j in range(num_pairs):
-        rng = make_rng(derive_stream(seed, j))  # pair j's starts and picks
-        for c in range(2):  # row 2 j + c is chain c of pair j
-            starts.append(_sample_start(gen, rng))
-            picks.append(rng.integers(1, chain_len))
-            chain_rng = make_rng(derive_stream(seed, (c + 1) * num_pairs + j))
-            uniforms.append(chain_rng.random(chain_len - 1))
-    x0, y0 = map(np.array, zip(*starts))
-    idx = gen.theta.indices_from_uniform(np.array(uniforms))
-    xs, ys = _final_states(gen, x0, y0, idx, np.array(picks))
-    base = row_dist(xs[0::2], ys[0::2], xs[1::2], ys[1::2], gen.metric)
-    kept = np.flatnonzero(base >= _PAIR_FLOOR)
-    if not len(kept):
-        return 0.0
-    # row p k + i carries kept pair p under draw i, on either side
-    k = len(gen.theta)
-    draws = np.tile(np.arange(k), len(kept))
-    num = row_dist(*_advance(gen, np.repeat(xs[2 * kept], k, axis=0), draws),
-                   *_advance(gen, np.repeat(xs[2 * kept + 1], k, axis=0), draws),
-                   gen.metric).reshape(len(kept), k)
-    ratios = np.zeros(len(kept))
-    for i, w in enumerate(gen.theta.weights):
-        ratios += float(w) * (num[:, i] / base[kept])
-    worst = float(ratios.max(initial=0.0))
-    if worst > factor + _PROBE_SLACK:
-        p = 2 * kept[np.argmax(ratios)]
-        raise GeneratorContractError(
-            f"probe ratio {worst!r} exceeds the analytic factor {factor!r} "
-            f"at pair {(ZPoint(xs[p], ys[p]), ZPoint(xs[p + 1], ys[p + 1]))!r}"
-        )
-    return worst
-
-
 # -- constructors ----------------------------------------------------------------
 
 
@@ -805,7 +756,7 @@ def exact_fixed_point(gen: Generator) -> ZPoint:
         return gen.fixed_point
     z = gen.z0
     for _ in range(_FIXED_POINT_MAX_ITER):
-        nxt = step(gen, z, 0)
+        nxt = _map_once(gen, z)
         if dist(z, nxt, gen.metric) <= _FIXED_POINT_TOL:
             return nxt
         z = nxt

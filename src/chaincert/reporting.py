@@ -135,11 +135,6 @@ def comparable_summary(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k not in VOLATILE_SUMMARY_KEYS}
 
 
-def read_summary(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # -- trajectory files ------------------------------------------------------------
 
 

@@ -4,11 +4,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from chaincert.errors import InvalidInputError, SizeCapError
-from chaincert.metric import MetricSpec, ZPoint, _triangle_pairs, row_dist
+from chaincert.errors import GeneratorContractError, InvalidInputError, SizeCapError
+from chaincert.generators import (
+    Generator,
+    _advance,
+    _check_pair_budget,
+    _sample_start,
+    _step_block,
+    analytic_lip_factor,
+)
+from chaincert.metric import (
+    MetricSpec,
+    SeedSpec,
+    ZPoint,
+    _triangle_pairs,
+    derive_stream,
+    make_rng,
+    row_dist,
+)
 from chaincert.transport import EmpiricalMeasure, _cost_matrix
 
 _LIP_TOL = 1e-9
+_PAIR_FLOOR = 1e-12  # probe skips state pairs closer than this
+_PROBE_SLACK = 1e-9
 _PROBE_CONTRACT = "probes act row-wise: f(xs, ys) maps the rows of m states to m values"
 
 
@@ -81,3 +99,53 @@ def distance_probes(anchors: Sequence[ZPoint], spec: MetricSpec) -> list:
         return lambda xs, ys: row_dist(xs, ys, a.x[None], a.y[None], spec)
 
     return [make(a) for a in anchors]
+
+
+def empirical_contraction_probe(
+    gen: Generator,
+    num_pairs: int = 64,
+    chain_len: int = 16,
+    seed: SeedSpec = SeedSpec(0),
+) -> float:
+    """Largest draw-averaged two-point contraction ratio over sampled chain states.
+
+    Each pair takes one state from each of two independent chains (skipping
+    the start, so labelled states sit on the label graph), and averages
+    d(F(z, theta), F(zbar, theta)) / d(z, zbar) exactly over the draw law.
+    The maximum must stay within 1e-9 of the analytic factor. All the chains
+    are stepped together, and each kept pair is pushed under every draw.
+    """
+    _check_pair_budget(num_pairs, chain_len)
+    factor = analytic_lip_factor(gen)
+    starts, picks, uniforms = [], [], []
+    for j in range(num_pairs):
+        rng = make_rng(derive_stream(seed, j))  # pair j's starts and picks
+        for c in range(2):  # row 2 j + c is chain c of pair j
+            starts.append(_sample_start(gen, rng))
+            picks.append(rng.integers(1, chain_len))
+            chain_rng = make_rng(derive_stream(seed, (c + 1) * num_pairs + j))
+            uniforms.append(chain_rng.random(chain_len - 1))
+    x0, y0 = map(np.array, zip(*starts))
+    paths = _step_block(gen, x0, y0, gen.theta.indices_from_uniform(np.array(uniforms)))
+    xs, ys = (path[np.arange(len(picks)), picks] for path in paths)
+    base = row_dist(xs[0::2], ys[0::2], xs[1::2], ys[1::2], gen.metric)
+    kept = np.flatnonzero(base >= _PAIR_FLOOR)
+    if not len(kept):
+        return 0.0
+    # row p k + i carries kept pair p under draw i, on either side
+    k = len(gen.theta)
+    draws = np.tile(np.arange(k), len(kept))
+    num = row_dist(*_advance(gen, np.repeat(xs[2 * kept], k, axis=0), draws),
+                   *_advance(gen, np.repeat(xs[2 * kept + 1], k, axis=0), draws),
+                   gen.metric).reshape(len(kept), k)
+    ratios = np.zeros(len(kept))
+    for i, w in enumerate(gen.theta.weights):
+        ratios += float(w) * (num[:, i] / base[kept])
+    worst = float(ratios.max(initial=0.0))
+    if worst > factor + _PROBE_SLACK:
+        p = 2 * kept[np.argmax(ratios)]
+        raise GeneratorContractError(
+            f"probe ratio {worst!r} exceeds the analytic factor {factor!r} "
+            f"at pair {(ZPoint(xs[p], ys[p]), ZPoint(xs[p + 1], ys[p + 1]))!r}"
+        )
+    return worst

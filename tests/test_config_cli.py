@@ -34,13 +34,17 @@ from chaincert.reporting import (
     json_object,
     read_atoms_csv,
     read_loss_matrix_csv,
-    read_summary,
     read_trajectory_csv,
     write_encoded_summary,
     write_rows_csv,
     write_summary,
     write_trajectory_csv,
 )
+
+
+def read_summary(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def blocks_config():

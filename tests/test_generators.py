@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from chaincert.generators import (
     callable_label,
     chain_batches,
     deterministic_map_generator,
-    empirical_contraction_probe,
     exact_fixed_point,
     identity_label,
     iid_generator,
@@ -35,7 +35,6 @@ from chaincert.generators import (
     linear_label,
     sample_chain,
     sample_stationary_chain,
-    step,
 )
 from chaincert.metric import (
     MetricSpec,
@@ -47,6 +46,7 @@ from chaincert.metric import (
     make_rngs,
 )
 from chaincert.presets import load_preset, preset_names
+from oracles import empirical_contraction_probe
 
 UNIT_BOX = BoxBound([0.0], [1.0])
 
@@ -98,6 +98,21 @@ def test_halving_fixed_point_and_factor():
     assert abs(fp.x[0] - 0.5) < 1e-12 and abs(fp.y[0] - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("point, error, match", [
+    (ZPoint(0.3, 0.3), AssumptionViolationError, "moves it by 0.1000"),  # one step: 0.4
+    (ZPoint(5.0, 5.0), GeneratorContractError, "outside the declared bounds"),
+    (ZPoint([0.5, 0.5], [0.5]), InvalidInputError, "dimensions"),  # 2-d on a 1-d chain
+])
+def test_declared_fixed_point_is_checked(point, error, match):
+    with pytest.raises(error, match=match):
+        dataclasses.replace(make_halving(), fixed_point=point)
+
+
+def test_only_a_deterministic_map_takes_a_fixed_point():
+    with pytest.raises(InvalidInputError, match="deterministic_map"):
+        dataclasses.replace(make_iid(), fixed_point=ZPoint(0.2, 0.2))
+
+
 def test_affine_worked_example_factor():
     gen = make_affine_worked_example()
     # mean norm 0.4, label constant 1, kappa 4: 0.4 * 2 / 4
@@ -107,7 +122,8 @@ def test_affine_worked_example_factor():
 
 def test_iid_step_replaces_state_with_atom():
     gen = make_iid()
-    out = step(gen, ZPoint(0.2, 0.2), 1)
+    xs, ys = _step_block(gen, [0.2], [0.2], np.array([[1]]))
+    out = ZPoint(xs[0, 1], ys[0, 1])
     assert out == ZPoint(0.7, 0.7)
     assert analytic_lip_factor(gen) == 0.0
 

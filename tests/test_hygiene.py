@@ -7,12 +7,11 @@ line loads no scipy, an assignment solve loads no
 
 The unused-import check is a stdlib AST scan, so it runs wherever the tests
 do. A module's top-level import counts as used when the bound name appears as
-a name anywhere in the module (code or unquoted annotation) or, for a
-package's ``__init__``, in its ``__all__``. The dead-helper check is the same
-kind of scan over the whole package: a module-level ``_name`` function or
-class is dead when no module names it (as a name or an attribute) outside its
-own body, and a module-level ``_NAME = ...`` constant is dead when no module
-reads it (loads it as a name or an attribute).
+a name anywhere in the module (code or unquoted annotation). The dead-helper
+check is the same kind of scan over the whole package: a module-level
+``_name`` function or class is dead when no module names it (as a name or an
+attribute) outside its own body, and a module-level ``_NAME = ...`` constant
+is dead when no module reads it (loads it as a name or an attribute).
 """
 import ast
 import collections
@@ -41,15 +40,7 @@ def _bound_names(node):
 
 
 def _used_names(tree):
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return used
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def _unused_imports(path):
@@ -140,11 +131,11 @@ def test_no_dead_private_helpers():
     assert _dead_private_helpers(sorted(PACKAGE.glob("*.py"))) == []
 
 
-# public names that only tests and README examples use: test oracles and
-# library entry points kept for readers of the API
+# public names that only tests and README examples use: library entry points
+# kept for readers of the API
 _UNCALLED_PUBLIC = {
-    "build_generator", "callable_label", "comparable_summary",
-    "empirical_contraction_probe", "growth_bound", "read_summary", "sample_complexity",
+    "build_generator", "callable_label", "comparable_summary", "growth_bound",
+    "sample_complexity",
 }
 
 

@@ -18,9 +18,7 @@ from chaincert.hypotheses import (
     window_loss_values,
 )
 from chaincert.metric import MetricSpec, SeedSpec, ZPoint
-
-from chaincert.generators import empirical_contraction_probe
-
+from oracles import empirical_contraction_probe
 from test_generators import make_halving, make_iid
 
 

@@ -6,14 +6,11 @@ import pytest
 from chaincert.certificates import validate_lemma2
 from chaincert.erm import true_risk_table
 from chaincert.errors import InvalidInputError
-from chaincert.generators import (
-    analytic_lip_factor,
-    empirical_contraction_probe,
-    sample_chain,
-)
+from chaincert.generators import analytic_lip_factor, sample_chain
 from chaincert.hypotheses import A2Report, verify_a2
 from chaincert.metric import SeedSpec
 from chaincert.presets import load_preset, preset_names
+from oracles import empirical_contraction_probe
 
 EXPECTED_NAMES = (
     "iid_singleton", "iid_two", "iid_four",
