@@ -23,11 +23,16 @@ import os
 import sys
 from typing import Callable, Optional
 
-# One BLAS thread unless the caller set a count: on these small products a
-# second OpenBLAS thread buys no wall time, spins from the moment numpy loads,
-# and makes Monte Carlo bits at n*H >= 1,024 depend on the core count. OpenBLAS
-# reads the variable when numpy loads, so it is set before any package import.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One BLAS thread unless the caller set a count: a second OpenBLAS thread spins
+# from the moment numpy loads, and makes Monte Carlo bits at n*H >= 1,024
+# depend on the core count. Below that size it buys no wall time; on wide loss
+# matrices it does (``rademacher`` on 2 cores: 2 % at 64 x 2,000, 5 % at
+# 256 x 2,000), and a caller who wants it back sets the variable. OpenBLAS
+# reads the variable when numpy loads, so it is set before any package import,
+# and only in a process that has not loaded numpy yet: elsewhere it would
+# change nothing but the thread count of the processes this one starts.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .certificates import (
     CERTIFICATE_FORMS,

@@ -51,6 +51,15 @@ print(json.dumps([wrong, missing, len(chaincert.__all__)]))
     assert out == [[], "module 'chaincert' has no attribute 'no_such_name'", 68]
 
 
+def test_a_submodule_is_a_package_attribute_in_any_import_order():
+    out = _python("""
+import json, chaincert
+print(json.dumps([repr(chaincert.metric.SeedSpec(0)), chaincert.metric.__name__,
+                  callable(chaincert.erm), sorted(set(chaincert.__all__) - set(dir(chaincert)))]))
+""")
+    assert out == ["SeedSpec(master_seed=0, stream_index=0)", "chaincert.metric", True, []]
+
+
 _THREADS = """
 import json, os, pathlib{imports}
 import numpy as np
@@ -94,3 +103,10 @@ def test_seeded_monte_carlo_does_not_depend_on_the_host_core_count(tmp_path):
               "--out", str(out)], blas_threads, cwd=tmp_path)
         trials.append((out / "validate_lemma3_trials.csv").read_bytes())
     assert trials[0] == trials[1]
+
+
+def test_cli_leaves_the_variable_unset_once_numpy_is_loaded():
+    # the variable could no longer change this process's BLAS, only its children's
+    out = _python("import json, os, numpy, chaincert.cli\n"
+                  "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))")
+    assert out is None
