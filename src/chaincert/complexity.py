@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import Generator, Trajectory, chain_batches
+from .generators import Generator, Trajectory, chain_batches, exact_invariant_atoms
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
@@ -162,7 +162,9 @@ class RademacherEstimate:
     ``draws`` counts what was enumerated or drawn: the grid points of
     enumeration (at most 2^EXACT_N_CAP; 2^n sign vectors up to
     ``EXACT_N_CAP`` states, where every column is a group of its own), the
-    Monte Carlo sign vectors, or the chains of an expectation."""
+    Monte Carlo sign vectors, the chains of an expectation, or, for the
+    expectation at a one-atom invariant law, the n + 1 points of the law of
+    the sum of n signs."""
 
     value: float
     se: float
@@ -518,16 +520,37 @@ def rademacher_expected(
     seed: SeedSpec = SeedSpec(0),
     mc_draws: int = MC_DRAWS,
 ) -> RademacherEstimate:
-    """Complexity averaged over fresh chains, one conditional value per chain.
+    """Complexity of ``n`` states under the invariant law.
 
-    Every chain starts stationary: it is burned in to within ``tol`` of the
-    invariant law before its ``n`` recorded states. Each chain's value is
-    exact or Monte Carlo as ``rademacher_estimate`` picks, and ``method``
-    reads ``expected_<that method>_stationary``, with ``mixed`` for the
-    method when the chains' estimators differ.
+    A one-atom law z* (``exact_invariant_atoms``) repeats z*'s loss column
+    l in every window, so a sign vector scores l_h S_n and the value is
+    exact: (max l - min l) E|S_n| / 2n, and max l E|S_n| / n symmetrized,
+    over the n + 1 points of S_n's law; ``method`` is ``exact_fixed_point``
+    and ``outer``, ``tol``, ``seed`` and ``mc_draws`` are not read.
+
+    Otherwise each of ``outer`` chains is burned in to within ``tol`` of the
+    invariant law before its ``n`` recorded states, and its value is exact
+    or Monte Carlo as ``rademacher_estimate`` picks; ``method`` reads
+    ``expected_<that method>_stationary``, with ``mixed`` when the chains'
+    estimators differ.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"n must be a positive integer, got {n!r}")
     if not (isinstance(outer, int) and outer >= 2):
         raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
+    law = exact_invariant_atoms(gen)
+    if law is not None and law[2].size == 1:
+        column = window_loss_values(cls, law[0], law[1], env)[:, 0]
+        steps, probs = _sum_law(n)
+        mean_abs_sum = float(probs @ np.abs(n - steps))
+        return RademacherEstimate(
+            value=float(column.max() - column.min()) * mean_abs_sum / (2 * n),
+            se=0.0,
+            draws=n + 1,
+            method="exact_fixed_point",
+            value_symmetrized=float(column.max()) * mean_abs_sum / n,
+            se_symmetrized=0.0,
+        )
     chains = []
     for batch in chain_batches(gen, n, seed, outer, tol):
         chains += rademacher_estimates(loss_matrices(cls, batch, env), mc_draws,

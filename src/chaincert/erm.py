@@ -15,7 +15,7 @@ import numpy as np
 
 from .complexity import LossMatrix, loss_matrices
 from .errors import InvalidInputError
-from .generators import Generator, burn_in_allowance, chain_batches, exact_fixed_point
+from .generators import Generator, burn_in_allowance, chain_batches, exact_invariant_atoms
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec
 
@@ -105,18 +105,12 @@ def true_risk_table(
     replica chains across the class, so differences between members are not
     polluted by sampling noise.
     """
-    if gen.variant == "iid":
-        xs = np.stack([a.x for a in gen.theta.atoms])
-        ys = np.stack([a.y for a in gen.theta.atoms])
+    law = exact_invariant_atoms(gen)
+    if law is not None:
+        xs, ys, weights = law
+        method = "fixed_point" if gen.variant == "deterministic_map" else "atom_expectation"
         rows = window_loss_values(cls, xs, ys, env)
-        return tuple(
-            RiskEstimate(value=float(r @ gen.theta.weights), se=0.0, method="atom_expectation")
-            for r in rows
-        )
-    if gen.variant == "deterministic_map":
-        z_star = exact_fixed_point(gen)
-        rows = window_loss_values(cls, z_star.x[None], z_star.y[None], env)
-        return tuple(RiskEstimate(value=float(r[0]), se=0.0, method="fixed_point") for r in rows)
+        return tuple(RiskEstimate(value=float(r @ weights), se=0.0, method=method) for r in rows)
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("ergodic risk needs a finalized loss environment")
     means = _replica_means(cls, gen, env, _REPLICAS, _RUN_LENGTH, tol, seed)

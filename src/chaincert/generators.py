@@ -761,3 +761,15 @@ def exact_fixed_point(gen: Generator) -> ZPoint:
             return nxt
         z = nxt
     raise AssumptionViolationError("fixed-point iteration did not converge; factor too close to one")
+
+
+def exact_invariant_atoms(gen: Generator) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The invariant law as state rows (xs, ys) with their weights, where it
+    is known exactly: an ``iid`` generator's atoms, or the point mass at a
+    ``deterministic_map``'s fixed point; None for every other variant."""
+    if gen.variant == "iid":
+        return gen._atom_xs, gen._atom_ys, gen.theta.weights
+    if gen.variant == "deterministic_map":
+        z_star = exact_fixed_point(gen)
+        return z_star.x[None], z_star.y[None], np.ones(1)
+    return None

@@ -26,12 +26,12 @@ from chaincert.complexity import (
     rademacher_mc,
 )
 from chaincert.errors import InvalidInputError, SizeCapError
-from chaincert.generators import sample_chain
-from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss
-from chaincert.metric import SeedSpec, make_rng
+from chaincert.generators import exact_fixed_point, iid_generator, sample_chain
+from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss, window_loss_values
+from chaincert.metric import MetricSpec, SeedSpec, ZPoint, make_rng
 from chaincert.presets import load_preset
 
-from test_generators import make_affine_worked_example, make_halving, make_iid
+from test_generators import UNIT_BOX, make_affine_worked_example, make_halving, make_iid
 
 
 def test_exact_hand_case_quarter():
@@ -445,6 +445,95 @@ def test_expected_rademacher_mc_inner_for_large_n():
     est = rademacher_expected(cls, gen, env, n=24, outer=4, mc_draws=512, seed=SeedSpec(7))
     assert est.method == "expected_exact_stationary"
     assert est.se >= 0.0
+
+
+def _central_binomial(m):
+    """C(m, m/2) for even m, as the product of its prime powers (Legendre's
+    formula), multiplied pairwise so the big factors stay balanced: equal to
+    ``math.comb(m, m // 2)``, which takes seconds at m = 2^20."""
+    k = m // 2
+    sieve = np.ones(m + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    factors = [1]
+    for p in np.flatnonzero(sieve).tolist():
+        e, q = 0, p
+        while q <= m:
+            e += m // q - 2 * (k // q)
+            q *= p
+        factors.append(p**e)
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
+
+
+def _mean_abs_sign_sum(n):
+    """E|S_n| for a sum of n independent signs, from the central binomial
+    coefficient: n C(n, n/2) / 2^n for even n, n C(n-1, (n-1)/2) / 2^(n-1)
+    for odd n, as one correctly rounded big-integer division."""
+    m = n - n % 2
+    return n * _central_binomial(m) / 2**m
+
+
+@pytest.mark.parametrize("n", (1, 2, 19, 20, 200, 201, 2**20 + 1))
+def test_expected_rademacher_at_a_fixed_point_is_the_closed_form(n):
+    bundle = load_preset("halving_map")
+    gen, cls, env = bundle.gen, bundle.cls, bundle.env
+    z_star = exact_fixed_point(gen)
+    column = window_loss_values(cls, z_star.x[None], z_star.y[None], env)[:, 0]
+    assert column.max() > column.min()  # the plain form is not trivially 0
+    est = rademacher_expected(cls, gen, env, n, seed=SeedSpec(4))
+    assert est.method == "exact_fixed_point"
+    assert est.draws == n + 1
+    assert est.se == 0.0 and est.se_symmetrized == 0.0
+    mean_abs = _mean_abs_sign_sum(n)
+    plain = float(column.max() - column.min()) * mean_abs / (2 * n)
+    sym = float(column.max()) * mean_abs / n
+    assert est.value == pytest.approx(plain, rel=1e-14, abs=0)
+    assert est.value_symmetrized == pytest.approx(sym, rel=1e-14, abs=0)
+    if n <= 201:
+        m = n - n % 2
+        assert _central_binomial(m) == math.comb(m, m // 2)
+    if n <= 200:
+        grouped = rademacher_grouped(column[:, None], np.array([n]))
+        assert est.value == pytest.approx(grouped.value, rel=1e-15, abs=0)
+        assert est.value_symmetrized == pytest.approx(grouped.value_symmetrized,
+                                                      rel=1e-15, abs=0)
+
+
+def test_expected_rademacher_of_a_one_atom_iid_law_is_the_closed_form():
+    atom = ZPoint(0.7, 0.7)
+    gen = iid_generator((atom,), [1.0], MetricSpec(1, 1, 2.0), UNIT_BOX, UNIT_BOX)
+    cls = constant_grid([0.0, 0.5, 1.0])
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    est = rademacher_expected(cls, gen, env, 30)
+    # losses 0.7, 0.2 and 0.3 at the atom
+    assert est.method == "exact_fixed_point" and est.se == 0.0
+    assert est.value == pytest.approx(0.5 * _mean_abs_sign_sum(30) / 60, rel=1e-14, abs=0)
+    assert est.value_symmetrized == pytest.approx(0.7 * _mean_abs_sign_sum(30) / 30,
+                                                  rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("name", ("affine_triangle", "labeled_affine", "iid_two"))
+def test_expected_rademacher_averages_chains_off_one_atom_laws(name):
+    bundle = load_preset(name)
+    est = rademacher_expected(bundle.cls, bundle.gen, bundle.env, 8, outer=3,
+                              seed=SeedSpec(1))
+    assert est.method == "expected_exact_stationary"
+    assert est.draws == 3
+
+
+@pytest.mark.parametrize("name", ("halving_map", "affine_triangle"))
+def test_expected_rademacher_rejects_bad_sizes_on_both_paths(name):
+    bundle = load_preset(name)
+    for bad_n in (True, False, 0, -3, 2.0, "4", None):
+        with pytest.raises(InvalidInputError, match="^n must be a positive integer"):
+            rademacher_expected(bundle.cls, bundle.gen, bundle.env, bad_n)
+    for bad_outer in (1, True, 2.0):
+        with pytest.raises(InvalidInputError, match="outer chains"):
+            rademacher_expected(bundle.cls, bundle.gen, bundle.env, 8, outer=bad_outer)
 
 
 def test_growth_bound_frozen_value():

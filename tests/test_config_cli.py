@@ -575,6 +575,29 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
     assert s3["ingredients"]["rhat_exact_trials"] == 0
 
 
+def test_cli_halving_map_takes_the_fixed_point_complexity(tmp_path):
+    # the invariant law is the point mass at z*, so the population complexity
+    # is exact, and the coverage radius re-derives from it with no se term
+    tol, n, epsilon, w_bar = 1e-3, 200, 0.1, 1.0
+    base = {"preset": "halving_map", "n": n, "epsilon": epsilon, "trials": 10,
+            "tol": tol, "w_bar": w_bar, "seed": 5}
+    cov = write_config(tmp_path, "cov.json", {**base, "out_dir": str(tmp_path / "cov")})
+    lemma2 = write_config(tmp_path, "l2.json", {**base, "out_dir": str(tmp_path / "l2")})
+    assert main(["coverage", "--config", cov]) == 0
+    assert main(["validate", "lemma2", "--config", lemma2]) == 0
+    for path in (tmp_path / "cov" / "coverage_summary.json",
+                 tmp_path / "l2" / "validate_lemma2_summary.json"):
+        ingredients = read_summary(str(path))["ingredients"]
+        assert ingredients["rademacher_method"] == "exact_fixed_point"
+        assert ingredients["rademacher_se"] == 0.0
+    ing = read_summary(str(tmp_path / "cov" / "coverage_summary.json"))["ingredients"]
+    ell_H, ell_F = ing["ell_H"], ing["ell_F"]
+    burn_in = max(1, math.ceil(math.log(tol) / math.log(ell_F)))
+    radius = (4.0 * (ing["rademacher"] + ell_H * ell_F**burn_in)
+              + 2.0 * ell_H * ell_F**n * w_bar + 4.0 * epsilon)
+    assert ing["radius_population"] == radius
+
+
 def test_cli_exit_codes(tmp_path):
     bad_preset = write_config(tmp_path, "bad1.json", {"preset": "mystery", "n": 10})
     assert main(["simulate", "--config", bad_preset]) == 2
