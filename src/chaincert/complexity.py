@@ -283,43 +283,52 @@ def _sum_law(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _score_table(
     columns: np.ndarray, base: np.ndarray, laws: list, out: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(H, prod_c len(steps_c)) scores base - sum_c steps_c[k_c] L(c) and
-    their weights prod_c probs_c[k_c] over the grid of digits k_c, with one
-    law (steps_c, probs_c) in ``laws`` per column of ``columns`` and the first
-    digit varying fastest; the scores are written into ``out`` when given.
-    Each group takes one broadcast: the copies table - steps_c[k] L(c),
-    k >= 1, go beside the table, and the weights take an outer product; with
-    steps (0, 2) that doubles the table."""
+) -> np.ndarray:
+    """(H, prod_c len(steps_c)) scores base - sum_c steps_c[k_c] L(c) over
+    the grid of digits k_c, with one law (steps_c, probs_c) in ``laws`` per
+    column of ``columns`` and the first digit varying fastest; the scores are
+    written into ``out`` when given. Each group takes one broadcast: the
+    copies table - steps_c[k] L(c), k >= 1, go beside the table; with steps
+    (0, 2) that doubles the table."""
     size = math.prod(s.size for s, _ in laws)
     table = np.empty((columns.shape[0], size)) if out is None else out
-    table[:, 0], weights, width = base, np.ones(1), 1
-    for col, (steps, probs) in zip(columns.T, laws):
+    table[:, 0], width = base, 1
+    for col, (steps, _) in zip(columns.T, laws):
         stop = width * steps.size
         np.subtract(table[:, None, :width], np.multiply.outer(col, steps[1:])[:, :, None],
                     out=table[:, width:stop].reshape(col.size, steps.size - 1, width))
         if steps[0]:  # a later run of a group's steps (``_score_slices``)
             table[:, :width] -= steps[0] * col[:, None]
-        weights = np.multiply.outer(probs, weights).ravel()
         width = stop
-    return table, weights
+    return table
+
+
+def _grid_weights(laws: list) -> np.ndarray:
+    """The weights prod_c probs_c[k_c] of the grid of ``_score_table``: one
+    outer product per group."""
+    weights = np.ones(1)
+    for _, probs in laws:
+        weights = np.multiply.outer(probs, weights).ravel()
+    return weights
 
 
 def _score_slices(columns: np.ndarray, base: np.ndarray, laws: list):
     """Yield the ``_score_table`` of ``laws`` a slice of at most ``_CHUNK``
-    grid points at a time, in grid order: the last digit runs over slices of
-    its steps while the other digits' table fits, and is otherwise fixed one
-    step at a time, its term moved into the base."""
+    grid points at a time, in grid order, with the laws whose
+    ``_grid_weights`` weigh it: the last digit runs over slices of its steps
+    while the other digits' table fits, and is otherwise fixed one step at a
+    time, its term moved into the base and its law cut to that step."""
     *inner, (steps, probs) = laws
     width = math.prod(s.size for s, _ in inner)
     if width <= _CHUNK:
         run = _CHUNK // width
         for a in range(0, steps.size, run):
-            yield _score_table(columns, base, inner + [(steps[a : a + run], probs[a : a + run])])
+            part = inner + [(steps[a : a + run], probs[a : a + run])]
+            yield _score_table(columns, base, part), part
         return
-    for step, prob in zip(steps.tolist(), probs.tolist()):
-        for table, weights in _score_slices(columns[:, :-1], base - step * columns[:, -1], inner):
-            yield table, prob * weights
+    for a in range(steps.size):
+        for table, part in _score_slices(columns[:, :-1], base - steps[a] * columns[:, -1], inner):
+            yield table, part + [(steps[a : a + 1], probs[a : a + 1])]
 
 
 def rademacher_grouped(columns: np.ndarray, counts: np.ndarray) -> RademacherEstimate:
@@ -361,14 +370,19 @@ def rademacher_grouped(columns: np.ndarray, counts: np.ndarray) -> RademacherEst
     # is freed, the allocator keeps a call's pages for the next call, where
     # two blocks cost 220 page faults per n = 20 enumeration of lemma 3
     buf = np.empty((1 + step, h, low_points))
-    low, low_weights = _score_table(columns[:, :split], weighted[:, :split].sum(axis=1),
-                                    laws[:split], out=buf[0])
-    # with every count 1, every weight is 2^(1-n): tiles are added up and
-    # scaled once, which keeps the bits of scoring each sign vector alike
+    low = _score_table(columns[:, :split], weighted[:, :split].sum(axis=1), laws[:split],
+                       out=buf[0])
+    # with every count 1, every weight is 2^(1-n): no weights are built, and
+    # tiles are added up and scaled once, which keeps the bits of scoring
+    # each sign vector alike
     uniform = counts.max() == 1
+    if not uniform:
+        low_weights = _grid_weights(laws[:split])
     acc = acc_sym = 0.0
-    for table, weights in _score_slices(columns[:, split:], weighted[:, split:].sum(axis=1),
-                                        laws[split:]):
+    for table, slice_laws in _score_slices(columns[:, split:], weighted[:, split:].sum(axis=1),
+                                           laws[split:]):
+        if not uniform:
+            weights = _grid_weights(slice_laws)
         for start in range(0, table.shape[1], step):
             part = table[:, None, start : start + step]
             tile = buf[1 : 1 + part.shape[2]].reshape(h, low_points, -1)

@@ -487,19 +487,36 @@ class Trajectory:
         return Trajectory(self.xs[start:end], self.ys[start:end], self.seed, self.metric)
 
 
+def _check_count(name: str, value) -> None:
+    """Raise unless ``value`` is an int of at least 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _paths(gen: Generator, n: int, seeds: list) -> Iterator[list]:
     """Length-n paths (n points, n-1 draws) from the generator's start, path
     i drawing from ``seeds[i]`` alone, one list per stepped block of at most
     ``_BLOCK_STATES`` states; a path is a view into its block.
+
+    A one-atom law draws index 0 at every step, so every path is the same
+    orbit: it is stepped once, every trajectory of the same lists shares it
+    read-only, and nothing is drawn from the streams.
 
     The bounds are checked once a block is filled (or a map has raised), so
     the maps may run on states past a first escaping one, and print numpy's
     floating-point warnings there, before the ``GeneratorContractError``
     naming the first escaping state of the first failing chain is raised.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"trajectory length must be a positive integer, got {n!r}")
+    _check_count("n", n)
     size = _block_size(n)
+    if len(gen.theta) == 1:
+        xs, ys = _step_block(gen, gen.z0.x, gen.z0.y, np.zeros((1, n - 1), dtype=int))
+        xs, ys = xs[0], ys[0]
+        xs.flags.writeable = ys.flags.writeable = False
+        for lo in range(0, len(seeds), size):
+            yield [Trajectory(xs=xs, ys=ys, seed=seed, metric=gen.metric)
+                   for seed in seeds[lo:lo + size]]
+        return
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
         idx = np.empty((len(block), n - 1), dtype=int)
@@ -548,8 +565,11 @@ def chain_batches(
     B = ``burn_in_steps(gen, tol)`` steps, to within ``tol`` of the invariant
     law, and keeps its last n states. Chain i equals
     ``sample_chain(gen, B + n, derive_stream(seed, i)).slice(B, B + n)``
-    bit for bit, with B = 0 without ``tol``.
+    bit for bit, with B = 0 without ``tol``. A one-atom law runs one path,
+    which every chain shares read-only, and draws nothing from the streams.
     """
+    _check_count("n", n)
+    _check_count("count", count)
     b = 0 if tol is None else burn_in_steps(gen, tol)
     blocks = _paths(gen, b + n, derive_streams(seed, count))
     return ([traj.slice(b, b + n) for traj in block] for block in blocks)
@@ -559,6 +579,7 @@ def sample_stationary_chain(
     gen: Generator, n: int, tol: float, seed: SeedSpec
 ) -> Trajectory:
     """Burn in to within ``tol`` of the invariant law, then record n points."""
+    _check_count("n", n)
     b = burn_in_steps(gen, tol)
     return sample_chain(gen, b + n, seed).slice(b, b + n)
 
@@ -620,8 +641,7 @@ def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
     """
     from .transport import EmpiricalMeasure
 
-    if not (isinstance(count, int) and count >= 1):
-        raise InvalidInputError(f"atom count must be a positive integer, got {count!r}")
+    _check_count("count", count)
     b = burn_in_steps(gen, tol)
     _, x_end, y_end = _chain_bundle(gen, b, count, seed)
     return EmpiricalMeasure(x_end, y_end, gen.metric)

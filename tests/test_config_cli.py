@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaincert import presets
 from chaincert.certificates import invert_epsilon
 from chaincert.cli import main, run_with_exit_codes
 from chaincert.config import (
@@ -22,9 +23,15 @@ from chaincert.config import (
     parse_config,
 )
 from chaincert.errors import AssumptionViolationError, InvalidInputError
-from chaincert.generators import analytic_lip_factor, sample_chain
+from chaincert.generators import (
+    BoxBound,
+    analytic_lip_factor,
+    deterministic_map_generator,
+    identity_label,
+    sample_chain,
+)
 from chaincert.hypotheses import verify_a2
-from chaincert.metric import SeedSpec, derive_stream
+from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream
 from chaincert.presets import load_preset
 from chaincert.reporting import (
     _cell,
@@ -573,6 +580,43 @@ def test_cli_coverage_smoke_and_determinism(tmp_path):
     s3 = read_summary(str(tmp_path / "run3" / "coverage_summary.json"))
     assert s3["ingredients"]["rhat_method"] == "mc"
     assert s3["ingredients"]["rhat_exact_trials"] == 0
+
+
+def test_cli_coverage_on_a_one_atom_law_repeats_one_trial(tmp_path):
+    # every halving chain follows the same orbit, so every trial scores the
+    # same windows the same way: up to 20 states the empirical complexity
+    # enumerates every sign vector and draws no Monte Carlo signs, so the
+    # rows agree but for their trial number
+    cfg = write_config(tmp_path, "cov.json", {
+        "preset": "halving_map", "n": 16, "epsilon": 0.1, "trials": 20, "seed": 11,
+        "out_dir": str(tmp_path / "run"),
+    })
+    assert main(["coverage", "--config", cfg]) == 0
+    header, *rows = (tmp_path / "run" / "coverage_trials.csv").read_text().splitlines()
+    assert header.startswith("trial,") and len(rows) == 20
+    assert [row.split(",", 1)[0] for row in rows] == [str(t) for t in range(20)]
+    assert len({row.split(",", 1)[1] for row in rows}) == 1
+
+
+def test_cli_one_atom_chain_leaving_its_bounds_exits_3(tmp_path, capsys, monkeypatch):
+    # x' = 0.375 - x / 2 contracts to 0.25, but its first step from 1 is -0.125
+    def reflecting_map():
+        gen = deterministic_map_generator(
+            governing_map=lambda x, theta: 0.375 - 0.5 * x, lip_x=0.5,
+            label_map=identity_label(), metric=MetricSpec(1, 1, 2.0),
+            x_bound=BoxBound([0.0], [1.0]), y_bound=BoxBound([0.0], [1.0]),
+            z0=ZPoint(1.0, 1.0), fixed_point=ZPoint(0.25, 0.25), name="reflecting_map",
+        )
+        return presets._finish("reflecting_map", gen, load_preset("halving_map").cls)
+
+    monkeypatch.setitem(presets._REGISTRY, "reflecting_map", reflecting_map)
+    cfg = write_config(tmp_path, "l1.json", {
+        "preset": "reflecting_map", "n": 10, "epsilon": 0.2, "trials": 6,
+        "out_dir": str(tmp_path / "l1"),
+    })
+    assert main(["validate", "lemma1", "--config", cfg]) == 3
+    assert "escaped the declared bounds at state (x=[-0.125], y=[-0.125])" in \
+        capsys.readouterr().err
 
 
 def test_cli_halving_map_takes_the_fixed_point_complexity(tmp_path):

@@ -692,3 +692,109 @@ def test_wrong_block_shapes_are_rejected():
     )
     with pytest.raises(InvalidInputError, match=r"label map returned shape \(1,\)"):
         list(chain_batches(first_row_label, 4, SeedSpec(0), 3))
+
+
+# -- one-atom laws: one path for every chain -------------------------------------
+
+
+def _one_atom_iid():
+    return iid_generator([ZPoint(0.3, 0.6)], [1.0], MetricSpec(1, 1, 2.0), UNIT_BOX, UNIT_BOX)
+
+
+_ONE_ATOM = {"halving_map": lambda: load_preset("halving_map").gen, "one_atom_iid": _one_atom_iid}
+
+
+@pytest.mark.parametrize("make", [*_ONE_ATOM.values(), lambda: load_preset("iid_singleton").gen],
+                         ids=[*_ONE_ATOM, "iid_singleton"])
+@pytest.mark.parametrize("tol", [None, 1e-3])
+def test_chain_batches_match_one_chain_per_stream(make, tol):
+    gen = make()
+    n, count, seed = 30, 5, SeedSpec(19)
+    b = 0 if tol is None else burn_in_steps(gen, tol)
+    streams = [derive_stream(seed, i) for i in range(count)]
+    reference = _reference_paths(gen, b + n, streams, _row_label(gen))
+    paths = [traj for batch in chain_batches(gen, n, seed, count, tol) for traj in batch]
+    assert len(paths) == count
+    for traj, stream, (xs, ys) in zip(paths, streams, reference):
+        assert traj.seed == stream
+        one = sample_chain(gen, b + n, stream).slice(b, b + n)
+        for got in (traj, one):
+            assert _same_bits(got.xs, xs[b:]) and _same_bits(got.ys, ys[b:])
+
+
+@pytest.mark.parametrize("name", _ONE_ATOM)
+def test_one_atom_batches_keep_the_block_lengths(name):
+    gen = _ONE_ATOM[name]()
+    n, count = 400, 90
+    size = generators._BLOCK_STATES // n  # 40 chains of 400 states per block
+    batches = list(chain_batches(gen, n, SeedSpec(3), count))
+    assert [len(batch) for batch in batches] == [size, size, count - 2 * size]
+    assert [traj.seed for batch in batches for traj in batch] == \
+        [derive_stream(SeedSpec(3), i) for i in range(count)]
+
+
+@pytest.mark.parametrize("name", _ONE_ATOM)
+def test_one_atom_paths_are_one_read_only_path(name):
+    gen = _ONE_ATOM[name]()
+    (batch,) = chain_batches(gen, 8, SeedSpec(4), 3, 1e-3)
+    for traj in [*batch, sample_chain(gen, 8, SeedSpec(4))]:
+        assert not traj.xs.flags.writeable and not traj.ys.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            traj.xs[0] = 0.0
+    assert batch[0].xs.base is batch[2].xs.base
+
+
+@pytest.mark.parametrize("name", _ONE_ATOM)
+def test_one_atom_chains_draw_nothing(name, monkeypatch):
+    gen = _ONE_ATOM[name]()
+    expected = [traj.xs.copy() for batch in chain_batches(gen, 12, SeedSpec(8), 30)
+                for traj in batch]
+
+    def no_draws(*args):
+        raise AssertionError("a one-atom chain drew from its stream")
+
+    monkeypatch.setattr(generators, "make_rngs", no_draws)
+    monkeypatch.setattr(CategoricalTheta, "indices_from_uniform", no_draws)
+    got = [traj.xs for batch in chain_batches(gen, 12, SeedSpec(8), 30) for traj in batch]
+    assert len(got) == 30 and all(_same_bits(a, b) for a, b in zip(got, expected))
+    assert sample_chain(gen, 5, SeedSpec(1)).xs.shape == (5, 1)
+
+
+def test_one_atom_escape_names_the_lockstep_state():
+    # 0.25, 0.75, then 1.25 leaves the unit box at step 2
+    gen = _unit_box_map_generator(lambda x, theta: x + 0.5)
+    with pytest.raises(GeneratorContractError) as lockstep:
+        _step_block(gen, gen.z0.x, gen.z0.y, np.zeros((3, 5), dtype=int))
+    assert "x=[1.25], y=[1.25]" in str(lockstep.value)
+    for count in (1, 3, 50):
+        with pytest.raises(GeneratorContractError) as err:
+            list(chain_batches(gen, 6, SeedSpec(0), count))
+        assert str(err.value) == str(lockstep.value)
+    with pytest.raises(GeneratorContractError) as err:
+        sample_chain(gen, 6, SeedSpec(0))
+    assert str(err.value) == str(lockstep.value)
+
+
+def test_many_atom_chains_still_differ():
+    gen = load_preset("affine_triangle").gen
+    (batch,) = chain_batches(gen, 20, SeedSpec(6), 4)
+    for i in range(4):
+        assert batch[i].xs.flags.writeable
+        for j in range(i):
+            assert not np.array_equal(batch[i].xs, batch[j].xs)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -1, 2.0, "3", None])
+def test_chain_sizes_must_be_positive_ints(bad):
+    gen = make_halving()
+    for name, call in (
+        # chain_batches checks on the call, before its first list is drawn
+        ("n", lambda: chain_batches(gen, bad, SeedSpec(0), 3)),
+        ("n", lambda: chain_batches(gen, bad, SeedSpec(0), 3, 1e-3)),
+        ("count", lambda: chain_batches(gen, 10, SeedSpec(0), bad)),
+        ("n", lambda: sample_chain(gen, bad, SeedSpec(0))),
+        ("n", lambda: sample_stationary_chain(gen, bad, 1e-3, SeedSpec(0))),
+        ("count", lambda: invariant_sampler(gen, 1e-3, bad, SeedSpec(0))),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a positive integer"):
+            call()
