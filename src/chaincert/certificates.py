@@ -34,7 +34,13 @@ from .complexity import (
 )
 from .erm import erm, true_risk_table
 from .errors import AssumptionViolationError, InvalidInputError
-from .generators import Generator, analytic_lip_factor, burn_in_allowance, chain_batches
+from .generators import (
+    Generator,
+    _check_count,
+    analytic_lip_factor,
+    burn_in_allowance,
+    chain_batches,
+)
 from .hypotheses import HypothesisClass, LossEnv
 from .metric import SeedSpec, derive_stream
 
@@ -87,8 +93,7 @@ def confidence_level(epsilon: float, n: int, ell_H: float, ell_F: float) -> floa
 
 
 def _check_certificate_inputs(n: int, epsilon: float) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
+    _check_count("sample size", n)
     if not (0 < epsilon < 1):
         raise InvalidInputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
 
@@ -156,8 +161,7 @@ def invert_epsilon(delta: float, n: int, ell_H: float, ell_F: float) -> float:
     """Smallest slack for which the two-sided tail stays below delta."""
     if not (0 < delta < 1):
         raise InvalidInputError(f"delta must lie in (0, 1), got {delta!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
+    _check_count("sample size", n)
     c = deviation_constant(ell_H, ell_F)
     return c * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
@@ -193,10 +197,10 @@ class ValidationReport:
 def _check_validator_inputs(env: LossEnv, n: int, trials: int) -> None:
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("finalize the loss environment (ell_H) before validating")
+    # a bool fails this too: True < 2
     if not (isinstance(trials, int) and trials >= 2):
         raise InvalidInputError(f"need at least two trials, got {trials!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
+    _check_count("sample size", n)
 
 
 def _risk_values(cls, gen, env, tol, seed) -> tuple[np.ndarray, float]:
@@ -211,13 +215,22 @@ def _sup_deviation(matrix: LossMatrix, er_values: np.ndarray) -> float:
     return float(np.abs(matrix.values.mean(axis=1) - er_values).max())
 
 
+def _per_object(fn, items) -> list:
+    """``fn`` of each item, in order, called once per distinct object: the
+    trials of a shared window (``loss_matrices``) share its matrix, and so
+    one result, and estimates shared by ``rademacher_estimates`` one
+    radius."""
+    done = {}
+    return [done[id(x)] if id(x) in done else done.setdefault(id(x), fn(x)) for x in items]
+
+
 def _delayed_deviations(gen, cls, env, n, trials, batch_seed, er_values) -> np.ndarray:
     """Worst-class deviation over the window (n, 2n) of one 2n chain per trial,
     trial t sampled from ``derive_stream(batch_seed, t)``."""
     phis = []
     for batch in chain_batches(gen, 2 * n, batch_seed, trials):
-        phis += [_sup_deviation(mat, er_values)
-                 for mat in loss_matrices(cls, batch, env, window=(n, 2 * n))]
+        phis += _per_object(lambda mat: _sup_deviation(mat, er_values),
+                            loss_matrices(cls, batch, env, window=(n, 2 * n)))
     return np.array(phis)
 
 
@@ -371,7 +384,7 @@ def validate_lemma3(
         )
         estimates += rademacher_estimates(halves[0::2], mc_draws,
                                           [derive_stream(traj.seed, 1) for traj in batch])
-        phis += [_sup_deviation(mat, er_values) for mat in halves[1::2]]
+        phis += _per_object(lambda mat: _sup_deviation(mat, er_values), halves[1::2])
     phis = np.array(phis)
     rhats = np.array([e.value for e in estimates])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
@@ -449,19 +462,21 @@ def coverage_experiment(
     cert_pop = certify_population(rad_input, env.ell_H, ell_F, n, epsilon, w_bar)
     confidence = cert_pop.confidence
 
+    def deviation(mat: LossMatrix) -> float:
+        pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
+        return abs(float(er_values[pick]) - opt_value)
+
     window = _training_window(window_mode, n)
     deviations, estimates = [], []
     for batch in chain_batches(gen, 2 * n, derive_stream(seed, 0), trials):
         mats = loss_matrices(cls, batch, env, window=window)
-        for mat in mats:
-            pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
-            deviations.append(abs(float(er_values[pick]) - opt_value))
+        deviations += _per_object(deviation, mats)
         estimates += rademacher_estimates(mats, mc_draws,
                                           [derive_stream(traj.seed, 1) for traj in batch])
     deviations = np.array(deviations)
-    radii_emp = np.array(
-        [certify_empirical(e.value, env.ell_H, ell_F, n, epsilon).radius for e in estimates]
-    )
+    radii_emp = np.array(_per_object(
+        lambda e: certify_empirical(e.value, env.ell_H, ell_F, n, epsilon).radius, estimates
+    ))
     covered_pop = deviations < cert_pop.radius
     covered_emp = deviations < radii_emp
     adj = np.maximum(deviations - 2.0 * er_unc, 0.0)

@@ -25,7 +25,9 @@ two-sided deviation.
 
 Loss matrices come a batch of trajectories at a time as well
 (``loss_matrices``, with ``loss_matrix`` its one-trajectory call): one loss
-call over the stacked window states, one matrix per trajectory.
+call over the stacked states of the distinct windows, one matrix per
+trajectory, where trajectories that share a window share its matrix
+object, and ``rademacher_estimates`` scores each such object once.
 
 Closed-form ceilings for comparison: the finite-class growth bound
 L_H * sqrt(2 log r / n) and the dimension bound
@@ -40,7 +42,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import Generator, Trajectory, chain_batches, exact_invariant_atoms
+from .generators import (
+    Generator,
+    Trajectory,
+    _check_count,
+    chain_batches,
+    exact_invariant_atoms,
+)
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
 from .metric import SeedSpec, derive_stream, make_rng
 
@@ -108,6 +116,12 @@ def _window_span(traj: Trajectory, window: Optional[tuple]) -> tuple[int, int]:
     return start, stop
 
 
+def _memory(view: np.ndarray) -> tuple:
+    """Where a view's elements sit: its data pointer, shape, strides and
+    dtype. Two views with equal keys read the same elements."""
+    return view.__array_interface__["data"][0], view.shape, view.strides, view.dtype.str
+
+
 def loss_matrices(
     cls: HypothesisClass,
     trajs: Sequence[Trajectory],
@@ -115,34 +129,42 @@ def loss_matrices(
     window: Optional[tuple] = None,
 ) -> list[LossMatrix]:
     """Loss rows of every hypothesis over ``traj[start:stop]`` (default: all
-    of it), one C-contiguous matrix per trajectory, in order.
+    of it), one C-contiguous, read-only matrix per trajectory, in order.
 
     Every window is checked, then one ``window_loss_values`` call scores the
-    stacked window states; losses act row-wise on states, so each matrix
-    equals the one-trajectory call bit for bit. When the batch raises, the
-    trajectories are replayed one at a time, so the error is the one the
-    first failing trajectory raises on its own."""
+    stacked states of the distinct windows; losses act row-wise on states,
+    so each matrix equals the one-trajectory call bit for bit. Windows whose
+    ``xs`` and ``ys`` views cover the same memory (``_memory``), such as
+    those of the chains of a one-atom law, which share one path, are scored
+    once and share one matrix object; the contents are never compared. When
+    the batch raises, the trajectories are replayed one at a time, so the
+    error is the one the first failing trajectory raises on its own."""
     trajs = list(trajs)
     if not trajs:
         return []
     try:
         spans = [_window_span(traj, window) for traj in trajs]
+        first, slots = {}, []  # window memory -> (slot, xs, ys); each window's slot
+        for traj, (a, b) in zip(trajs, spans):
+            xs, ys = traj.xs[a:b], traj.ys[a:b]
+            slots.append(first.setdefault((_memory(xs), _memory(ys)), (len(first), xs, ys))[0])
+        windows = list(first.values())
         rows = window_loss_values(
-            cls,
-            np.concatenate([traj.xs[a:b] for traj, (a, b) in zip(trajs, spans)]),
-            np.concatenate([traj.ys[a:b] for traj, (a, b) in zip(trajs, spans)]),
-            env,
+            cls, np.concatenate([xs for _, xs, _ in windows]),
+            np.concatenate([ys for _, _, ys in windows]), env,
         )
     except Exception:
         if len(trajs) > 1:
             for traj in trajs:
                 loss_matrices(cls, [traj], env, window)
         raise
-    cuts = np.cumsum([b - a for a, b in spans[:-1]])
-    return [
-        LossMatrix._checked(np.ascontiguousarray(part), env.ell_H)
-        for part in np.split(rows, cuts, axis=1)
-    ]
+    cuts = np.cumsum([len(xs) for _, xs, _ in windows[:-1]])
+    matrices = []
+    for part in np.split(rows, cuts, axis=1):
+        values = np.ascontiguousarray(part)
+        values.flags.writeable = False
+        matrices.append(LossMatrix._checked(values, env.ell_H))
+    return [matrices[slot] for slot in slots]
 
 
 def loss_matrix(
@@ -481,36 +503,37 @@ def rademacher_estimates(
     vectors are drawn from the matrix's seed when it does not. Up to
     ``EXACT_N_CAP`` states every column is its own group, so the grid fits
     and no grouping pass runs (``rademacher_exact``); above it, the equal
-    columns are grouped (one ``_column_groups`` pass per matrix shape) and
-    enumerated by a direct call, so ``rademacher_exact`` sees only matrices
-    whose 2^n sign vectors it enumerates. A grouped estimate
-    depends only on its groups, so matrices with the same groups share one
-    enumeration; Monte Carlo estimates depend on their seeds and are never
-    shared. Each estimate equals the one-matrix call's bit for bit."""
+    columns are grouped (one ``_column_groups`` pass over the distinct
+    matrices of each shape) and enumerated by a direct call, so
+    ``rademacher_exact`` sees only matrices whose 2^n sign vectors it
+    enumerates. Each step runs once per distinct
+    matrix object (``loss_matrices`` returns one object per shared window),
+    and a grouped estimate depends only on its groups, so matrices with the
+    same groups share one enumeration; Monte Carlo estimates depend on
+    their seeds and are never shared, so a matrix that appears twice draws
+    from each of its seeds. Each estimate equals the one-matrix call's bit
+    for bit."""
     matrices, seeds = list(matrices), list(seeds)
     if len(seeds) != len(matrices):
         raise InvalidInputError(
             f"{len(matrices)} loss matrices need as many seeds, got {len(seeds)}"
         )
-    estimates = [None] * len(matrices)
-    by_shape = {}
-    for i, mat in enumerate(matrices):
+    shared, by_shape = {}, {}  # id(matrix) -> its estimate unless it takes MC
+    for mat in {id(mat): mat for mat in matrices}.values():
         if mat.num_states <= EXACT_N_CAP:
-            estimates[i] = rademacher_exact(mat)
+            shared[id(mat)] = rademacher_exact(mat)
         else:
-            by_shape.setdefault(mat.values.shape, []).append(i)
+            by_shape.setdefault(mat.values.shape, []).append(mat)
     grouped = {}
     for members in by_shape.values():
-        groups = _column_groups([matrices[i].values for i in members])
-        for i, (columns, counts) in zip(members, groups):
-            if _grid_size(counts) > 1 << EXACT_N_CAP:
-                estimates[i] = rademacher_mc(matrices[i], draws, seeds[i])
-                continue
-            key = (columns.shape, columns.tobytes(), counts.tobytes())
-            if key not in grouped:
-                grouped[key] = rademacher_grouped(columns, counts)
-            estimates[i] = grouped[key]
-    return estimates
+        for mat, (columns, counts) in zip(members, _column_groups([m.values for m in members])):
+            if _grid_size(counts) <= 1 << EXACT_N_CAP:
+                key = (columns.shape, columns.tobytes(), counts.tobytes())
+                if key not in grouped:
+                    grouped[key] = rademacher_grouped(columns, counts)
+                shared[id(mat)] = grouped[key]
+    return [shared[id(mat)] if id(mat) in shared else rademacher_mc(mat, draws, seed)
+            for mat, seed in zip(matrices, seeds)]
 
 
 def rademacher_estimate(matrix: LossMatrix, draws: int, seed: SeedSpec) -> RademacherEstimate:
@@ -548,10 +571,8 @@ def rademacher_expected(
     ``expected_<that method>_stationary``, with ``mixed`` when the chains'
     estimators differ.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidInputError(f"n must be a positive integer, got {n!r}")
-    if not (isinstance(outer, int) and outer >= 2):
-        raise InvalidInputError(f"need at least two outer chains, got {outer!r}")
+    _check_count("n", n)
+    _check_count("outer chains", outer, 2)
     law = exact_invariant_atoms(gen)
     if law is not None and law[2].size == 1:
         column = window_loss_values(cls, law[0], law[1], env)[:, 0]
@@ -583,10 +604,8 @@ def rademacher_expected(
 
 def growth_bound(n: int, class_size: int, L_H: float) -> float:
     """Finite-class ceiling L_H * sqrt(2 log r / n); vacuous at r = 1."""
-    if not (isinstance(n, int) and n >= 1):
-        raise InvalidInputError(f"sample size must be a positive integer, got {n!r}")
-    if not (isinstance(class_size, int) and class_size >= 1):
-        raise InvalidInputError(f"class size must be a positive integer, got {class_size!r}")
+    _check_count("sample size", n)
+    _check_count("class size", class_size)
     if not (np.isfinite(L_H) and L_H >= 0):
         raise InvalidInputError(f"L_H must be finite and non-negative, got {L_H!r}")
     return L_H * math.sqrt(2.0 * math.log(class_size) / n)

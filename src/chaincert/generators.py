@@ -487,10 +487,12 @@ class Trajectory:
         return Trajectory(self.xs[start:end], self.ys[start:end], self.seed, self.metric)
 
 
-def _check_count(name: str, value) -> None:
-    """Raise unless ``value`` is an int of at least 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise unless ``value`` is an int of at least ``least``; a bool is not
+    one. The package's one rule for sizes and counts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
 
 
 def _paths(gen: Generator, n: int, seeds: list) -> Iterator[list]:
@@ -649,9 +651,8 @@ def invariant_sampler(gen: Generator, tol: float, count: int, seed: SeedSpec):
 
 def _check_pair_budget(num_pairs, chain_len) -> None:
     """The sampled checks take an integer num_pairs >= 1 and chain_len >= 2."""
-    for name, value, least in (("num_pairs", num_pairs, 1), ("chain_len", chain_len, 2)):
-        if not (isinstance(value, int) and value >= least):
-            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_count("num_pairs", num_pairs)
+    _check_count("chain_len", chain_len, 2)
 
 
 # -- constructors ----------------------------------------------------------------

@@ -40,29 +40,43 @@ def write_rows_csv(header, rows, path: str) -> None:
     """Write a header line and one line per row; a row whose width differs
     from the header's is invalid input, and nothing is written.
 
-    A row of floats (np.float64 included) is joined in one pass of
-    ``float.__repr__``, which is what ``_cell`` writes for them; that pass
-    raises ``TypeError`` on any other cell, and the row is then written cell
-    by cell, where a cell that is neither an ``int`` nor a float is invalid
-    input."""
+    Rows of numbers (``_is_number_rows``) as wide as the header, such as a
+    validator's trial table, go through json's C encoder in one call, which
+    writes each cell as ``_cell`` does (``int.__repr__``,
+    ``float.__repr__``); as a number holds no comma or bracket, the compact
+    text becomes lines by one replacement. A table holding NaN or an
+    infinity, which strict JSON refuses, and every other table is written a
+    row at a time: a row of floats (np.float64 included) is joined in one
+    pass of ``float.__repr__``, which raises ``TypeError`` on any other
+    cell, and the row is then written cell by cell, where a cell that is
+    neither an ``int`` nor a float is invalid input."""
     lines = [",".join(str(h) for h in header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise InvalidInputError(
-                f"row width {len(row)} does not match header width {len(header)}"
-            )
+    encoded = _is_number_rows(rows) and set(map(len, rows)) == {len(header)}
+    if encoded:
         try:
-            lines.append(",".join(map(float.__repr__, row)))
-        except TypeError:
-            lines.append(",".join(_cell(v) for v in row))
+            lines.append(json.dumps(rows, allow_nan=False, separators=(",", ":"))[2:-2]
+                         .replace("],[", "\n"))
+        except ValueError:  # NaN or an infinity
+            encoded = False
+    if not encoded:
+        for row in rows:
+            if len(row) != len(header):
+                raise InvalidInputError(
+                    f"row width {len(row)} does not match header width {len(header)}"
+                )
+            try:
+                lines.append(",".join(map(float.__repr__, row)))
+            except TypeError:
+                lines.append(",".join(_cell(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _is_number_rows(value: Any) -> bool:
-    """Whether ``value`` is a non-empty list of non-empty lists of exact
-    ``int`` and ``float`` cells."""
-    return (type(value) is list and bool(value) and set(map(type, value)) == {list}
+    """Whether ``value`` is a non-empty list of non-empty lists, or a tuple
+    of tuples, of exact ``int`` and ``float`` cells."""
+    kind = type(value)
+    return (kind in (list, tuple) and bool(value) and set(map(type, value)) == {kind}
             and all(value) and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBER)
 
 

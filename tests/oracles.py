@@ -1,9 +1,12 @@
 """Independent oracles that the tests check the library against."""
 import itertools
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from chaincert.certificates import certify_empirical
+from chaincert.complexity import MC_DRAWS, loss_matrix, rademacher_estimate
+from chaincert.erm import erm
 from chaincert.errors import GeneratorContractError, InvalidInputError, SizeCapError
 from chaincert.generators import (
     Generator,
@@ -12,7 +15,10 @@ from chaincert.generators import (
     _sample_start,
     _step_block,
     analytic_lip_factor,
+    sample_chain,
+    sample_stationary_chain,
 )
+from chaincert.hypotheses import HypothesisClass, LossEnv
 from chaincert.metric import (
     MetricSpec,
     SeedSpec,
@@ -149,3 +155,51 @@ def empirical_contraction_probe(
             f"at pair {(ZPoint(xs[p], ys[p]), ZPoint(xs[p + 1], ys[p + 1]))!r}"
         )
     return worst
+
+
+class TrialReference(NamedTuple):
+    """Per-trial figures of ``per_trial_reference``, in trial order."""
+
+    phis: list        # worst-class deviation over the delayed window (n, 2n)
+    deviations: list  # |true risk of the ERM pick on the training window - best true risk|
+    rhats: list       # the estimate's value on the training window
+    radii: list       # the empirical radius of that estimate
+
+
+def per_trial_reference(
+    gen: Generator,
+    cls: HypothesisClass,
+    env: LossEnv,
+    n: int,
+    epsilon: float,
+    trials: int,
+    batch_seed: SeedSpec,
+    er_values: np.ndarray,
+    train: tuple,
+    tol: Optional[float] = None,
+    mc_draws: int = MC_DRAWS,
+    tie_break: str = "lowest_index",
+) -> TrialReference:
+    """The validators' trials one at a time, with nothing batched or shared.
+
+    Trial t replays its chain of 2n states alone from
+    ``derive_stream(batch_seed, t)`` (burned in to ``tol`` when given), and
+    builds one loss matrix per window it reads: the delayed window (n, 2n)
+    for the deviation phi, and ``train`` for one ERM pick, one complexity
+    estimate from ``derive_stream(chain seed, 1)`` and one empirical radius.
+    """
+    ell_F = analytic_lip_factor(gen)
+    ref = TrialReference([], [], [], [])
+    for t in range(trials):
+        chain_seed = derive_stream(batch_seed, t)
+        traj = (sample_chain(gen, 2 * n, chain_seed) if tol is None
+                else sample_stationary_chain(gen, 2 * n, tol, chain_seed))
+        delayed = loss_matrix(cls, traj, env, window=(n, 2 * n))
+        ref.phis.append(float(np.abs(delayed.values.mean(axis=1) - er_values).max()))
+        mat = loss_matrix(cls, traj, env, window=train)
+        pick = erm(cls, mat, epsilon=epsilon, tie_break=tie_break).hypothesis_index
+        ref.deviations.append(abs(float(er_values[pick]) - float(er_values.min())))
+        est = rademacher_estimate(mat, mc_draws, derive_stream(traj.seed, 1))
+        ref.rhats.append(est.value)
+        ref.radii.append(certify_empirical(est.value, env.ell_H, ell_F, n, epsilon).radius)
+    return ref

@@ -46,6 +46,7 @@ from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss, win
 from chaincert.metric import MetricSpec, SeedSpec, derive_stream
 from chaincert.presets import load_preset, preset_names
 
+from oracles import per_trial_reference
 from test_complexity import _duplicated_columns
 
 
@@ -238,6 +239,81 @@ def test_validators_equal_one_trial_at_a_time(name, monkeypatch):
     assert validate_lemma3(gen, cls, env, 25, eps, trials, seed=seed) == lemma3[25]
 
 
+@pytest.mark.parametrize("name", ["halving_map", "affine_triangle"])
+@pytest.mark.parametrize("n", [10, 25])  # plain enumeration, then grouped or Monte Carlo
+def test_validators_equal_the_per_trial_oracle(name, n):
+    # halving_map's trials share one window, scored once; affine_triangle's differ
+    bundle = load_preset(name)
+    gen, cls, env = bundle.gen, bundle.cls, bundle.env
+    seed, trials, eps = SeedSpec(13), 12, 0.3
+
+    def oracle(stream, er, **kw):
+        return per_trial_reference(gen, cls, env, n, eps, trials, derive_stream(seed, stream),
+                                   er, **kw)
+
+    er = _risks(bundle, derive_stream(seed, 3))
+    for mode, train in (("delayed", (n, 2 * n)), ("paper_literal", (0, n))):
+        cov = coverage_experiment(gen, cls, env, n, eps, trials, window_mode=mode, seed=seed,
+                                  rad_outer=3)
+        ref = oracle(0, er, train=train)
+        assert [row[1] for row in cov.rows] == ref.deviations
+        assert [row[3] for row in cov.rows] == ref.radii
+
+    er = _risks(bundle, derive_stream(seed, 2))
+    lem1 = validate_lemma1(gen, cls, env, n, eps, trials, seed=seed)
+    assert [row[1] for row in lem1.rows] == oracle(1, er, train=(n, 2 * n)).phis
+    assert dict(lem1.details)["center_mean"] \
+        == float(np.mean(oracle(0, er, train=(n, 2 * n)).phis))
+    lem2 = validate_lemma2(gen, cls, env, n, trials, seed=seed, rad_outer=3)
+    assert [row[1] for row in lem2.rows] == oracle(0, er, train=(n, 2 * n)).phis
+    lem3 = validate_lemma3(gen, cls, env, n, eps, trials, seed=seed)
+    ref = oracle(0, er, train=(0, n), tol=1e-3)
+    assert [row[1] for row in lem3.rows] == ref.phis
+    assert [row[2] for row in lem3.rows] == ref.rhats
+
+
+def test_shared_windows_share_one_matrix():
+    # a one-atom law: every chain is one read-only path, so each window is
+    # one matrix object, scored once; chains that differ keep their own
+    halving, triangle = load_preset("halving_map"), load_preset("affine_triangle")
+    for bundle, shared in ((halving, True), (triangle, False)):
+        batch = next(chain_batches(bundle.gen, 30, SeedSpec(2), 5))
+        for window in ((0, 10), (10, 30)):
+            mats = loss_matrices(bundle.cls, batch, bundle.env, window)
+            assert len({id(mat) for mat in mats}) == (1 if shared else len(batch))
+            assert not any(mat.values.flags.writeable for mat in mats)
+    # the same states in other memory, or another span of the same path,
+    # are other windows: contents are never compared
+    path = next(chain_batches(halving.gen, 30, SeedSpec(2), 1))[0]
+    copy = Trajectory(path.xs.copy(), path.ys.copy(), path.seed, path.metric)
+    trajs = [path, copy, path.slice(0, 29), path.slice(1, 30), path.slice(0, 10)]
+    mats = loss_matrices(halving.cls, trajs, halving.env)
+    assert [mats[0] is mat for mat in mats] == [True, False, False, False, False]
+    assert len({id(mat) for mat in mats}) == 5
+    # under the window (0, 28) the path and its (0, 29) slice cover the same memory
+    mats = loss_matrices(halving.cls, trajs[:4], halving.env, (0, 28))
+    assert [mats[0] is mat for mat in mats] == [True, False, True, False]
+    assert mats[0].values.tobytes() == mats[1].values.tobytes()
+
+
+def test_a_shared_matrix_draws_from_each_of_its_seeds(monkeypatch):
+    values = np.random.default_rng(3).random((3, 40))  # 40 distinct columns: Monte Carlo
+    mat = LossMatrix(values, 1.0)
+    seeds = [SeedSpec(1), SeedSpec(2)]
+    first, second = rademacher_estimates([mat, mat], 64, seeds)
+    assert first.method == second.method == "mc"
+    assert first == rademacher_estimate(mat, 64, seeds[0])
+    assert second == rademacher_estimate(mat, 64, seeds[1])
+    assert first != second
+    # an exact matrix passed twice is enumerated once, and shared
+    calls, real = [], complexity.rademacher_exact
+    monkeypatch.setattr(complexity, "rademacher_exact",
+                        lambda m: calls.append(m) or real(m))
+    small = LossMatrix(values[:, :12], 1.0)
+    a, b = rademacher_estimates([small, small], 64, seeds)
+    assert a is b and calls == [small] and a == real(small)
+
+
 def test_batches_hold_at_most_one_block_of_states(monkeypatch):
     seen = []
 
@@ -246,12 +322,20 @@ def test_batches_hold_at_most_one_block_of_states(monkeypatch):
         return window_loss_values(cls, xs, ys, env)
 
     monkeypatch.setattr(complexity, "window_loss_values", counted)
-    bundle = load_preset("halving_map")
+    # chains that differ: every window of a block is scored
+    bundle = load_preset("labeled_affine")
     n, trials = 200, 100
     coverage_experiment(bundle.gen, bundle.cls, bundle.env, n, 0.1, trials, rad_outer=4)
     size = generators._BLOCK_STATES // (2 * n)  # chains per batch: 40
     assert max(seen) <= generators._BLOCK_STATES
     assert seen[-3:] == [size * n, size * n, (trials - 2 * size) * n]
+
+    # a one-atom law: the chains of a block share one path, so each block
+    # scores its shared window once, after the fixed point's one state
+    seen.clear()
+    bundle = load_preset("halving_map")
+    coverage_experiment(bundle.gen, bundle.cls, bundle.env, n, 0.1, trials, rad_outer=4)
+    assert seen == [1, n, n, n]
 
 
 def test_burned_in_batches_follow_blocks_of_burn_in_plus_n_states(monkeypatch):

@@ -398,3 +398,25 @@ def test_mixed_estimators_are_reported_as_mixed():
     assert details["rhat_exact_trials"] == fits == 4
     assert details["rhat_method"] == "mixed"
     assert details["rademacher_method"] == "expected_mixed_stationary"
+
+
+def _bool_size_calls():
+    bundle = load_preset("halving_map")
+    gen, cls, env = bundle.gen, bundle.cls, bundle.env
+    return {
+        "certify_population": lambda: certify_population(0.05, 1.0, 0.5, True, 0.1),
+        "certify_empirical": lambda: certify_empirical(0.05, 1.0, 0.5, True, 0.1),
+        "invert_epsilon": lambda: invert_epsilon(0.05, True, 1.0, 0.5),
+        "validate_lemma1": lambda: validate_lemma1(gen, cls, env, n=True, epsilon=0.2, trials=4),
+        "validate_lemma2": lambda: validate_lemma2(gen, cls, env, n=True, trials=4, rad_outer=2),
+        "validate_lemma3": lambda: validate_lemma3(gen, cls, env, n=True, epsilon=0.2, trials=4),
+        "coverage_experiment": lambda: coverage_experiment(gen, cls, env, n=True, epsilon=0.2,
+                                                           trials=4, rad_outer=2),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_bool_size_calls()))
+def test_sample_size_rejects_a_bool(entry):
+    # True is an int of value 1, a valid size, so only the bool rule turns it away
+    with pytest.raises(InvalidInputError, match="^sample size must be a positive integer, got True"):
+        _bool_size_calls()[entry]()

@@ -576,3 +576,9 @@ def test_exact_scales_linearly():
     a = rademacher_exact(LossMatrix(values=vals, ell_H=1.0)).value
     b = rademacher_exact(LossMatrix(values=3.0 * vals, ell_H=3.0)).value
     assert b == pytest.approx(3.0 * a, rel=1e-12)
+
+
+def test_growth_bound_rejects_a_bool_size():
+    for n, class_size, field in ((True, 4, "sample size"), (10, True, "class size")):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a positive integer"):
+            growth_bound(n, class_size, 1.0)

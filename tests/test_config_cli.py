@@ -1092,3 +1092,41 @@ def test_cli_validate_folds_the_flags_it_reads_into_the_digest(tmp_path, name, f
     folded = load_config(write_config(tmp_path, "folded.json", {**base, **fields}))
     summary = read_summary(str(tmp_path / "run" / f"validate_{name}_summary.json"))
     assert summary["config_sha256"] == config_digest(folded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_JSON_NUMBERS, _JSON_NUMBERS, _JSON_NUMBERS), min_size=1,
+                     max_size=8).map(tuple))
+def test_rows_csv_number_tables_match_cell_by_cell_writes(tmp_path_factory, rows):
+    # a tuple of tuples of ints and floats, as a validator's trial table, is
+    # written by json's encoder in one call, with the text of ``_cell``
+    assert _is_number_rows(rows) and not _is_number_rows(list(rows))
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    write_rows_csv(("a", "b", "c"), rows, str(path))
+    lines = ["a,b,c"] + [",".join(_cell(v) for v in r) for r in rows]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    ((0, float("nan")), (1, 0.5)),
+    ((0, float("inf")), (1, -float("inf"))),
+    ((0, np.float64(0.5)), (1, 0.25)),
+])
+def test_rows_csv_tables_json_refuses_keep_the_row_path(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    write_rows_csv(("a", "b"), rows, str(path))
+    lines = ["a,b"] + [",".join(_cell(v) for v in r) for r in rows]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_rows_csv_number_table_takes_one_encode(tmp_path, monkeypatch):
+    from chaincert import reporting
+
+    monkeypatch.setattr(reporting, "_cell", None)  # the row path would call it on an int
+    write_rows_csv(("trial", "phi"), ((0, 0.5), (1, 2.5e-3)), str(tmp_path / "rows.csv"))
+    assert (tmp_path / "rows.csv").read_text() == "trial,phi\n0,0.5\n1,0.0025\n"
+    # a row of the wrong width still fails before the file is written
+    monkeypatch.undo()
+    with pytest.raises(InvalidInputError, match="row width"):
+        write_rows_csv(("trial", "phi"), ((0, 0.5), (1,)), str(tmp_path / "bad.csv"))
+    assert not (tmp_path / "bad.csv").exists()

@@ -241,3 +241,12 @@ def _probe_on_halving(num_pairs, chain_len):
 def test_sampled_checks_reject_bad_pair_budgets(check, num_pairs, chain_len, field):
     with pytest.raises(InvalidInputError, match=field):
         check(num_pairs, chain_len)
+
+
+@pytest.mark.parametrize("check", [_a2_on_halving, _probe_on_halving])
+@pytest.mark.parametrize("num_pairs, chain_len, field",
+                         [(True, 8, "num_pairs"), (8, True, "chain_len")])
+def test_sampled_checks_reject_a_bool_budget(check, num_pairs, chain_len, field):
+    # True is an int, and 1 pair would be a valid budget
+    with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+        check(num_pairs, chain_len)
