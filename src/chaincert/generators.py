@@ -47,6 +47,7 @@ from .metric import (
     MetricSpec,
     SeedSpec,
     ZPoint,
+    _check_count,
     _row_norms,
     derive_streams,
     dist,
@@ -127,8 +128,7 @@ class BallBound:
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise InvalidInputError("ball bound needs a finite positive radius")
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise InvalidInputError("ball bound needs a positive integer dimension")
+        _check_count("ball bound dimension", self.dim)
 
     def inside(self, rows: np.ndarray) -> np.ndarray:
         """Which rows of a 2-d array lie in the ball."""
@@ -487,22 +487,15 @@ class Trajectory:
         return Trajectory(self.xs[start:end], self.ys[start:end], self.seed, self.metric)
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise unless ``value`` is an int of at least ``least``; a bool is not
-    one. The package's one rule for sizes and counts."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
-
-
-def _paths(gen: Generator, n: int, seeds: list) -> Iterator[list]:
+def _paths(gen: Generator, n: int, seeds: list, skip: int = 0) -> Iterator[list]:
     """Length-n paths (n points, n-1 draws) from the generator's start, path
-    i drawing from ``seeds[i]`` alone, one list per stepped block of at most
-    ``_BLOCK_STATES`` states; a path is a view into its block.
+    i drawing from ``seeds[i]`` alone, each keeping its states from index
+    ``skip`` on, one list per stepped block of at most ``_BLOCK_STATES``
+    states; a path is a view into its block.
 
     A one-atom law draws index 0 at every step, so every path is the same
-    orbit: it is stepped once, every trajectory of the same lists shares it
-    read-only, and nothing is drawn from the streams.
+    orbit: it is stepped once, one list holds every trajectory, all sharing
+    one read-only view of that path, and nothing is drawn from the streams.
 
     The bounds are checked once a block is filled (or a map has raised), so
     the maps may run on states past a first escaping one, and print numpy's
@@ -510,22 +503,20 @@ def _paths(gen: Generator, n: int, seeds: list) -> Iterator[list]:
     naming the first escaping state of the first failing chain is raised.
     """
     _check_count("n", n)
-    size = _block_size(n)
     if len(gen.theta) == 1:
         xs, ys = _step_block(gen, gen.z0.x, gen.z0.y, np.zeros((1, n - 1), dtype=int))
-        xs, ys = xs[0], ys[0]
         xs.flags.writeable = ys.flags.writeable = False
-        for lo in range(0, len(seeds), size):
-            yield [Trajectory(xs=xs, ys=ys, seed=seed, metric=gen.metric)
-                   for seed in seeds[lo:lo + size]]
+        xs, ys = xs[0, skip:], ys[0, skip:]
+        yield [Trajectory(xs=xs, ys=ys, seed=seed, metric=gen.metric) for seed in seeds]
         return
+    size = _block_size(n)
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
         idx = np.empty((len(block), n - 1), dtype=int)
         for i, rng in enumerate(make_rngs(block)):
             idx[i] = gen.theta.indices_from_uniform(rng.random(n - 1))
         xs, ys = _step_block(gen, gen.z0.x, gen.z0.y, idx)
-        yield [Trajectory(xs=xs[i], ys=ys[i], seed=seed, metric=gen.metric)
+        yield [Trajectory(xs=xs[i, skip:], ys=ys[i, skip:], seed=seed, metric=gen.metric)
                for i, seed in enumerate(block)]
 
 
@@ -568,13 +559,13 @@ def chain_batches(
     law, and keeps its last n states. Chain i equals
     ``sample_chain(gen, B + n, derive_stream(seed, i)).slice(B, B + n)``
     bit for bit, with B = 0 without ``tol``. A one-atom law runs one path,
-    which every chain shares read-only, and draws nothing from the streams.
+    which every chain shares read-only in one list, and draws nothing from
+    the streams.
     """
     _check_count("n", n)
     _check_count("count", count)
     b = 0 if tol is None else burn_in_steps(gen, tol)
-    blocks = _paths(gen, b + n, derive_streams(seed, count))
-    return ([traj.slice(b, b + n) for traj in block] for block in blocks)
+    return _paths(gen, b + n, derive_streams(seed, count), b)
 
 
 def sample_stationary_chain(

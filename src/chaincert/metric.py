@@ -15,16 +15,17 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here keeps that cost in the
 # package import rather than inside the first command that seeds a stream
-from numpy.random import PCG64, SeedSequence, default_rng
+from numpy.random import PCG64
 
 from .errors import InvalidInputError
 
 _REL_SLACK = 1e-12
+_U64 = 2**64
 
 
 def _as_coords(values, label: str) -> np.ndarray:
@@ -38,6 +39,20 @@ def _as_coords(values, label: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise unless ``value`` is an int of at least ``least``; a bool is not
+    one. The package's one rule for sizes and counts."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_index(name: str, value) -> None:
+    """Raise unless ``value`` is an int in [0, 2^64); a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < _U64):
+        raise InvalidInputError(f"{name} must be an integer in [0, 2^64), got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +94,8 @@ class MetricSpec:
     kappa: float
 
     def __post_init__(self):
-        if not (isinstance(self.dim_x, int) and self.dim_x >= 1):
-            raise InvalidInputError(f"dim_x must be a positive integer, got {self.dim_x}")
-        if not (isinstance(self.dim_y, int) and self.dim_y >= 1):
-            raise InvalidInputError(f"dim_y must be a positive integer, got {self.dim_y}")
+        _check_count("dim_x", self.dim_x)
+        _check_count("dim_y", self.dim_y)
         if not (np.isfinite(self.kappa) and self.kappa > 0):
             raise InvalidInputError(f"kappa must be finite and positive, got {self.kappa}")
 
@@ -157,8 +170,6 @@ def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # -- deterministic seed streams ------------------------------------------------
 
-_U64 = 2**64
-
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -168,9 +179,8 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        for label, v in (("master_seed", self.master_seed), ("stream_index", self.stream_index)):
-            if not (isinstance(v, int) and 0 <= v < _U64):
-                raise InvalidInputError(f"{label} must be an integer in [0, 2^64), got {v!r}")
+        _check_index("master_seed", self.master_seed)
+        _check_index("stream_index", self.stream_index)
 
     @classmethod
     def _unchecked(cls, master_seed: int, stream_index: int) -> "SeedSpec":
@@ -190,8 +200,7 @@ def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:
     bits), so distinct (parent, child) pairs map to distinct streams up to a
     negligible collision probability, and derivation can be nested.
     """
-    if not (isinstance(child_index, int) and 0 <= child_index < _U64):
-        raise InvalidInputError(f"child_index must be an integer in [0, 2^64), got {child_index!r}")
+    _check_index("child_index", child_index)
     digest = hashlib.sha256(_CHILD_KEY(seed.stream_index, child_index)).digest()
     return SeedSpec(seed.master_seed, int.from_bytes(digest[:8], "little"))
 
@@ -206,131 +215,32 @@ def derive_streams(seed: SeedSpec, count: int) -> list:
     return [SeedSpec._unchecked(seed.master_seed, index) for index in indices]
 
 
-def make_rng(seed: SeedSpec) -> np.random.Generator:
-    """PCG64 generator keyed by (master_seed, stream_index); bit-stable across runs."""
-    ss = SeedSequence(entropy=seed.master_seed, spawn_key=(seed.stream_index,))
-    return default_rng(ss)
+_STREAM_KEY = struct.Struct("<8sQQ").pack
+_STREAM_TAG = b"make_rng"  # keeps these digests apart from derive_stream's
 
 
-# -- many streams at once ------------------------------------------------------
-#
-# ``make_rng`` seeds PCG64 from numpy's SeedSequence, whose hash numpy documents
-# as stable. Its entropy words are the master seed's uint32 words padded with
-# zeros to the pool size 4, which is (lo, hi, 0, 0) for every master seed (hi
-# is 0 below 2^32), then the stream index: two words (lo, hi) from 2^32 on, one
-# word below that. The first four words are mixed into a pool that all streams
-# of one master seed share; each index word then touches every pool word with
-# fixed multipliers, so that last round and the output hash run over many
-# streams at once as uint32 arrays. PCG64 takes the output as a 128-bit seed s
-# and sequence inc and steps once: state = (inc + s) * mult + inc mod 2^128
-# (O'Neill, PCG, HMC-CS-2014-0905).
+def make_rngs(seeds: Iterable[SeedSpec]) -> Iterator[np.random.Generator]:
+    """A PCG64 generator at the first draw of each seed's stream, in order.
 
-_U32 = 2**32
-_M32 = _U32 - 1
-_M128 = 2**128 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_SHIFT = np.uint32(16)
-_MANY_STREAMS = 16  # see make_rngs
-
-
-def _hash_multipliers(init: int, mult: int, calls: int) -> list:
-    """The multiplier before and after each hash call: init * mult^c mod 2^32."""
-    out = [init]
-    for _ in range(calls):
-        out.append(out[-1] * mult & _M32)
-    return out
-
-
-# 4 + 12 calls mix the run entropy, then 4 per index word
-_ENTROPY_HASH = _hash_multipliers(0x43B0D7E5, 0x931E8875, 24)
-_INDEX_BEFORE = np.array(_ENTROPY_HASH[16:24], dtype=np.uint32).reshape(2, 4)
-_INDEX_AFTER = np.array(_ENTROPY_HASH[17:25], dtype=np.uint32).reshape(2, 4)
-_OUTPUT_HASH = np.array(_hash_multipliers(0x8B51F9DD, 0x58F38DED, 8), dtype=np.uint32)
-_OUTPUT_WORDS = np.arange(8) % 4  # the output hash cycles through the pool
-
-
-def _hashmix(value: int, call: int) -> int:
-    value = (value ^ _ENTROPY_HASH[call]) * _ENTROPY_HASH[call + 1] & _M32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _master_pool(master_seed: int) -> tuple:
-    """SeedSequence's pool after the run entropy of ``master_seed``, before
-    the stream index is mixed in."""
-    pool = [_hashmix(w, c) for c, w in enumerate((master_seed & _M32, master_seed >> 32, 0, 0))]
-    call = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
-                call += 1
-    return tuple(pool)
-
-
-def _pcg64_states(seeds: Sequence[SeedSpec]) -> list:
-    """(state, inc) of ``make_rng(s)``'s PCG64 for seeds with a stream index
-    of at least 2^32."""
-    masters = {}  # master seed -> its row in the table of pools
-    which = [masters.setdefault(s.master_seed, len(masters)) for s in seeds]
-    pool = np.array([_master_pool(m) for m in masters], dtype=np.uint32)[which]
-    index = np.array([s.stream_index for s in seeds], dtype=np.uint64)
-    for k, word in enumerate((index & np.uint64(_M32), index >> np.uint64(32))):
-        v = (word.astype(np.uint32)[:, None] ^ _INDEX_BEFORE[k]) * _INDEX_AFTER[k]
-        v ^= v >> _SHIFT
-        pool = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * v
-        pool ^= pool >> _SHIFT
-    out = (pool[:, _OUTPUT_WORDS] ^ _OUTPUT_HASH[:8]) * _OUTPUT_HASH[1:]
-    out ^= out >> _SHIFT
-    out = out.astype(np.uint64)
-    words = out[:, 0::2] | out[:, 1::2] << np.uint64(32)  # little-endian uint64 pairs
-    states = []
-    for v0, v1, v2, v3 in words.tolist():
-        s, inc = v0 << 64 | v1, (v2 << 65 | v3 << 1 | 1) & _M128
-        states.append((((inc + s) * _PCG_MULT + inc) & _M128, inc))
-    return states
-
-
-def make_rngs(seeds: Sequence[SeedSpec]) -> Iterator[np.random.Generator]:
-    """``make_rng(s)`` for each seed in order, each at its stream's first draw.
-
-    When at least ``_MANY_STREAMS`` of the seeds have a stream index of 2^32
-    or more (as ``derive_stream`` and ``derive_streams`` give but for a
-    2^-32 chance), those seeds get one reused generator whose PCG64 state is
-    set to each stream's in turn, from states hashed for all of them at once
-    (``_pcg64_states``), through one state dict refilled per stream; a
-    generator is valid only until the next one is taken. Every other seed,
-    and every seed of a smaller call, gets its own ``make_rng``. The draws
-    are those of ``make_rng``, bit for bit.
-
-    Timed on a shared 2-vCPU host, 12 uniforms per stream, best of five
-    runs, the reused generator against one ``make_rng`` per stream: 1 stream
-    0.062 ms vs 0.012 ms, 4 streams 0.061 vs 0.048, 8 streams 0.081 vs 0.096,
-    16 streams 0.098 vs 0.19, 64 streams 0.24 vs 0.77, 4,224 streams 15 vs
-    52 ms. The fixed cost is the hash set-up, about 0.05 ms; each stream then
-    costs about 3 us, mostly the state setter. The two break even between 4
-    and 8 streams, and an earlier run put 8 streams at a tie, so calls below
-    16 keep ``make_rng``.
+    Stream (master_seed, stream_index) is keyed by the SHA-256 digest of the
+    tagged pair: its first 16 bytes (little-endian) are the PCG64 state, its
+    last 16 bytes with the low bit set the increment. One generator is reused
+    and set to each stream in turn, so a yielded generator is valid only
+    until the next one is taken.
     """
-    seeds = list(seeds)
-    fast = [s.stream_index >= _U32 for s in seeds]
-    if sum(fast) < _MANY_STREAMS:
-        yield from map(make_rng, seeds)
-        return
-    states = iter(_pcg64_states([s for s, f in zip(seeds, fast) if f]))
     rng = np.random.Generator(PCG64(0))
     # one state dict, refilled per stream: the setter copies what it reads
     bits, pcg = rng.bit_generator, {}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for seed, is_fast in zip(seeds, fast):
-        if is_fast:
-            pcg["state"], pcg["inc"] = next(states)
-            bits.state = state
-            yield rng
-        else:
-            yield make_rng(seed)
+    sha256 = hashlib.sha256
+    for seed in seeds:
+        digest = sha256(_STREAM_KEY(_STREAM_TAG, seed.master_seed, seed.stream_index)).digest()
+        pcg["state"] = int.from_bytes(digest[:16], "little")
+        pcg["inc"] = int.from_bytes(digest[16:], "little") | 1
+        bits.state = state
+        yield rng
+
+
+def make_rng(seed: SeedSpec) -> np.random.Generator:
+    """PCG64 generator keyed by (master_seed, stream_index); bit-stable across runs."""
+    return next(make_rngs((seed,)))

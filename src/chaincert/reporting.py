@@ -23,7 +23,7 @@ from .metric import MetricSpec, SeedSpec
 
 VOLATILE_SUMMARY_KEYS = ("created_at", "software_version")
 
-_NUMBER = frozenset((float, int))
+_ROWS = frozenset((list, tuple))
 
 
 def _cell(value: Any) -> str:
@@ -41,15 +41,13 @@ def write_rows_csv(header, rows, path: str) -> None:
     from the header's is invalid input, and nothing is written.
 
     Rows of numbers (``_is_number_rows``) as wide as the header, such as a
-    validator's trial table, go through json's C encoder in one call, which
-    writes each cell as ``_cell`` does (``int.__repr__``,
-    ``float.__repr__``); as a number holds no comma or bracket, the compact
-    text becomes lines by one replacement. A table holding NaN or an
-    infinity, which strict JSON refuses, and every other table is written a
-    row at a time: a row of floats (np.float64 included) is joined in one
-    pass of ``float.__repr__``, which raises ``TypeError`` on any other
-    cell, and the row is then written cell by cell, where a cell that is
-    neither an ``int`` nor a float is invalid input."""
+    validator's trial table or an atom list of np.float64 rows, go through
+    json's C encoder in one call, which writes each cell as ``_cell`` does
+    (``int.__repr__``, ``float.__repr__``, a float subclass included); as a
+    number holds no comma or bracket, the compact text becomes lines by one
+    replacement. A table holding NaN or an infinity, which strict JSON
+    refuses, and every other table is written cell by cell, where a cell
+    that is neither an ``int`` nor a float is invalid input."""
     lines = [",".join(str(h) for h in header)]
     encoded = _is_number_rows(rows) and set(map(len, rows)) == {len(header)}
     if encoded:
@@ -64,20 +62,19 @@ def write_rows_csv(header, rows, path: str) -> None:
                 raise InvalidInputError(
                     f"row width {len(row)} does not match header width {len(header)}"
                 )
-            try:
-                lines.append(",".join(map(float.__repr__, row)))
-            except TypeError:
-                lines.append(",".join(_cell(v) for v in row))
+            lines.append(",".join(_cell(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _is_number_rows(value: Any) -> bool:
-    """Whether ``value`` is a non-empty list of non-empty lists, or a tuple
-    of tuples, of exact ``int`` and ``float`` cells."""
-    kind = type(value)
-    return (kind in (list, tuple) and bool(value) and set(map(type, value)) == {kind}
-            and all(value) and set(map(type, itertools.chain.from_iterable(value))) <= _NUMBER)
+    """Whether ``value`` is a non-empty list or tuple of non-empty lists or
+    tuples of ``int`` cells (exactly: not bool) and float cells (np.float64
+    included); numpy integers and ``np.bool_`` are neither."""
+    return (type(value) in _ROWS and bool(value) and set(map(type, value)) <= _ROWS
+            and all(value)
+            and all(t is int or issubclass(t, float)
+                    for t in set(map(type, itertools.chain.from_iterable(value)))))
 
 
 def json_fragments(values: dict) -> dict:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .metric import MetricSpec, SeedSpec, ZPoint, pairwise_dist
+from .metric import MetricSpec, SeedSpec, ZPoint, _check_count, pairwise_dist
 
 ATOM_CAP = 2000
 _MAX_BLOWUP = 16
@@ -328,10 +328,8 @@ def contraction_curve(
     """
     from .generators import _chain_bundle, _final_states, burn_in_steps
 
-    if not (isinstance(n_max, int) and n_max >= 0):
-        raise InvalidInputError(f"n_max must be a non-negative integer, got {n_max!r}")
-    if not (isinstance(atoms_per_step, int) and atoms_per_step >= 1):
-        raise InvalidInputError(f"atoms_per_step must be a positive integer, got {atoms_per_step!r}")
+    _check_count("n_max", n_max, 0)
+    _check_count("atoms_per_step", atoms_per_step)
     mu0 = EmpiricalMeasure.uniform(mu0_atoms, gen.metric)
     horizon = max(burn_in_steps(gen, pi_tol), n_max)
     draw_idx, x_end, y_end = _chain_bundle(gen, horizon, atoms_per_step, seed)

@@ -330,12 +330,12 @@ def test_batches_hold_at_most_one_block_of_states(monkeypatch):
     assert max(seen) <= generators._BLOCK_STATES
     assert seen[-3:] == [size * n, size * n, (trials - 2 * size) * n]
 
-    # a one-atom law: the chains of a block share one path, so each block
-    # scores its shared window once, after the fixed point's one state
+    # a one-atom law: all chains share one path in one list, so its window
+    # is scored once, after the fixed point's one state
     seen.clear()
     bundle = load_preset("halving_map")
     coverage_experiment(bundle.gen, bundle.cls, bundle.env, n, 0.1, trials, rad_outer=4)
-    assert seen == [1, n, n, n]
+    assert seen == [1, n]
 
 
 def test_burned_in_batches_follow_blocks_of_burn_in_plus_n_states(monkeypatch):

@@ -433,12 +433,49 @@ def test_json_fragments_number_rows_match_the_indented_encoder(rows):
 
 @pytest.mark.parametrize("rows", [
     [[0, True]], [[1, "a,b"]], [["],["]], [[]], [[1], []], [[0, 1.5], [None]],
-    [[1, [2]]], [(1, 2)], [[1, np.float64(0.5)]], [],
+    [[1, [2]]], [(1, 2), "ab"], [[1, np.float64(0.5)], None], [],
 ])
 def test_json_fragments_rows_of_other_cells_take_the_general_path(rows):
     assert not _is_number_rows(rows)
     expected = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
     assert json_fragments({"k": rows})["k"] == expected
+
+
+_FLOAT64_ROWS = st.lists(st.tuples(st.integers(-2**40, 2**40), _JSON_NUMBERS.filter(
+    lambda v: isinstance(v, float)).map(np.float64)), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_FLOAT64_ROWS, outer=st.sampled_from([list, tuple]),
+       inner=st.sampled_from([list, tuple]))
+def test_number_rows_take_lists_tuples_and_float64_cells(tmp_path_factory, rows, outer, inner):
+    # both writers give the text they gave through the indented encoder and
+    # the cell-by-cell path: float.__repr__ of each np.float64
+    rows = outer(inner(row) for row in rows)
+    assert _is_number_rows(rows)
+    expected = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
+    assert json_fragments({"k": rows})["k"] == expected
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    write_rows_csv(("a", "b"), rows, str(path))
+    lines = ["a,b"] + [",".join(_cell(v) for v in r) for r in rows]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_float64_rows_take_one_encode(tmp_path, monkeypatch):
+    # a trajectory's rows: an int step, then np.float64 states
+    from chaincert import reporting
+
+    monkeypatch.setattr(reporting, "_cell", None)  # the cell path would call it
+    states = np.array([[0.1, -0.0], [5e-324, 1.7976931348623157e308]])
+    rows = [(t, *r) for t, r in enumerate(states)]
+    write_rows_csv(("step", "x_0", "y_0"), rows, str(tmp_path / "traj.csv"))
+    assert (tmp_path / "traj.csv").read_text() == \
+        "step,x_0,y_0\n0,0.1,-0.0\n1,5e-324,1.7976931348623157e+308\n"
+
+
+@pytest.mark.parametrize("cell", [np.int64(2), np.bool_(True), True, np.float32(0.5)])
+def test_number_rows_refuse_bool_and_numpy_integer_cells(cell):
+    assert not _is_number_rows([(0.5, cell)])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -1100,7 +1137,7 @@ def test_cli_validate_folds_the_flags_it_reads_into_the_digest(tmp_path, name, f
 def test_rows_csv_number_tables_match_cell_by_cell_writes(tmp_path_factory, rows):
     # a tuple of tuples of ints and floats, as a validator's trial table, is
     # written by json's encoder in one call, with the text of ``_cell``
-    assert _is_number_rows(rows) and not _is_number_rows(list(rows))
+    assert _is_number_rows(rows) and _is_number_rows(list(rows))
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     write_rows_csv(("a", "b", "c"), rows, str(path))
     lines = ["a,b,c"] + [",".join(_cell(v) for v in r) for r in rows]
@@ -1110,7 +1147,7 @@ def test_rows_csv_number_tables_match_cell_by_cell_writes(tmp_path_factory, rows
 @pytest.mark.parametrize("rows", [
     ((0, float("nan")), (1, 0.5)),
     ((0, float("inf")), (1, -float("inf"))),
-    ((0, np.float64(0.5)), (1, 0.25)),
+    [(0, np.float64("nan")), (1, np.float64(0.25))],
 ])
 def test_rows_csv_tables_json_refuses_keep_the_row_path(tmp_path, rows):
     path = tmp_path / "rows.csv"

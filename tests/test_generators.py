@@ -497,7 +497,7 @@ STATE_BOUNDS = st.one_of(st.integers(1, 5).flatmap(_box_bounds),
 @given(bound=STATE_BOUNDS, tail=st.integers(0, 12), count=st.integers(1, 40),
        master=st.integers(0, 2**64 - 1))
 def test_bound_draws_match_one_stream_at_a_time(bound, tail, count, master):
-    # counts from 16 on draw from one reused generator (make_rngs)
+    # the bounds draw from make_rngs' one reused generator
     seeds = [derive_stream(SeedSpec(master), i) for i in range(count)]
     starts, uniforms = bound.draw_starts(make_rngs(seeds), count, tail)
     assert starts.shape == (count, bound.dim) and uniforms.shape == (count, tail)
@@ -538,6 +538,11 @@ def test_ball_draws_replace_a_zero_direction_by_ones():
         rng = make_rng(seeds[i])
         assert _same_bits(_scalar_start(ball, rng), starts[i])
         assert _same_bits(rng.random(2), uniforms[i])
+
+
+def test_ball_bound_rejects_a_bool_dimension():
+    with pytest.raises(InvalidInputError, match="dimension must be a positive integer"):
+        BallBound(1.0, True)
 
 
 def test_box_bound_rejects_a_width_past_the_float_range():
@@ -724,13 +729,15 @@ def test_chain_batches_match_one_chain_per_stream(make, tol):
 
 @pytest.mark.parametrize("name", _ONE_ATOM)
 def test_one_atom_batches_keep_the_block_lengths(name):
+    # one list of all the chains, past the 40 chains of 400 states that a
+    # stepped block holds: they share one read-only path of 400 states
     gen = _ONE_ATOM[name]()
     n, count = 400, 90
-    size = generators._BLOCK_STATES // n  # 40 chains of 400 states per block
-    batches = list(chain_batches(gen, n, SeedSpec(3), count))
-    assert [len(batch) for batch in batches] == [size, size, count - 2 * size]
-    assert [traj.seed for batch in batches for traj in batch] == \
-        [derive_stream(SeedSpec(3), i) for i in range(count)]
+    assert count > generators._BLOCK_STATES // n
+    (batch,) = chain_batches(gen, n, SeedSpec(3), count)
+    assert len(batch) == count
+    assert all(traj.xs.base is batch[0].xs.base for traj in batch)
+    assert [traj.seed for traj in batch] == [derive_stream(SeedSpec(3), i) for i in range(count)]
 
 
 @pytest.mark.parametrize("name", _ONE_ATOM)

@@ -1,6 +1,7 @@
 """Source hygiene of the library: every top-level import is used, every
 private module-level function and class is referenced, every public one
-has a caller outside the tests or is on a short list, importing the command
+has a caller outside the tests or is on a short list, no module but
+``metric`` names numpy's stream seeders, importing the command
 line loads no scipy, an assignment solve loads no
 ``scipy.optimize``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
@@ -172,6 +173,41 @@ def test_scan_flags_an_uncalled_public_function(tmp_path):
     (tmp_path / "c.py").write_text("from a import scripted\nscripted()\n", encoding="utf-8")
     modules = [tmp_path / "a.py", tmp_path / "b.py"]
     assert _uncalled_public(modules, [tmp_path / "c.py"]) == ["recursive"]
+
+
+_STREAM_KEYERS = {"PCG64", "SeedSequence", "default_rng", "RandomState"}
+
+
+def _stream_keyers(paths):
+    """``file:name`` for each name of ``_STREAM_KEYERS`` that a file of
+    ``paths`` imports, reads or takes as an attribute."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.rpartition(".")[2] for a in node.names]
+            else:
+                names = _references(node) if isinstance(node, (ast.Name, ast.Attribute)) else []
+            found.update(f"{path.name}:{name}" for name in names if name in _STREAM_KEYERS)
+    return sorted(found)
+
+
+def test_scan_flags_a_second_stream_keyer(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\nfrom numpy.random import PCG64 as bits\n"
+        "rng = np.random.default_rng(0)\n"
+        "# a comment on SeedSequence, and RandomState in a string, name nothing\n"
+        "text = 'RandomState'\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("import numpy.random.RandomState\n", encoding="utf-8")
+    assert _stream_keyers(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:PCG64", "a.py:default_rng", "b.py:RandomState"]
+
+
+def test_only_metric_keys_random_streams():
+    # every random stream is keyed by metric.make_rngs; scripts seed through it
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "metric.py"]
+    assert _stream_keyers(paths + sorted((ROOT / "scripts").glob("*.py"))) == []
+    assert _stream_keyers([PACKAGE / "metric.py"]) == ["metric.py:PCG64"]
 
 
 _IMPORT_GUARD = """

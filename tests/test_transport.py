@@ -460,27 +460,34 @@ def test_decay_script_writes_null_rate_for_a_flat_curve(tmp_path):
     assert (out / "contraction_curve.csv").read_text().splitlines()[0] == "n,w1"
 
 
-@pytest.mark.parametrize("atoms", [0, -1, 2.5])
+@pytest.mark.parametrize("atoms", [0, -1, 2.5, True])
 def test_contraction_curve_rejects_bad_atom_count(atoms):
     with pytest.raises(InvalidInputError, match="atoms_per_step"):
         contraction_curve(make_halving(), [ZPoint(1.0, 1.0)], n_max=3, atoms_per_step=atoms)
 
 
+@pytest.mark.parametrize("n_max", [-1, 2.0, True])
+def test_contraction_curve_rejects_bad_n_max(n_max):
+    # a bool is not a count: n_max=True once ran as n_max=1
+    gen = make_halving()
+    with pytest.raises(InvalidInputError, match="n_max must be an integer >= 0"):
+        contraction_curve(gen, [gen.z0], n_max=n_max)
+
 
 # float.hex of seeded transport outputs, recorded before the measures held
 # stacked arrays; a change that moves any of them is a change of results
 AFFINE_CURVE = (
-    "0x1.a37e06cec354cp-2", "0x1.4c5c841dd443cp-4", "0x1.21041fedb6759p-6",
-    "0x1.b5ab8c54e8d20p-9", "0x1.73a3953e784ecp-11", "0x1.236079627592ep-13",
-    "0x1.c9adaef84222cp-16", "0x1.634d6b695a997p-18", "0x1.213243d21edb9p-20",
+    "0x1.b237714bd1978p-2", "0x1.5f50fa891e578p-4", "0x1.15247619127dcp-6",
+    "0x1.af192046bcaaep-9", "0x1.6a01a32835022p-11", "0x1.247aec313f012p-13",
+    "0x1.b0e8ed4db7d3cp-16", "0x1.6a08e5d3613ecp-18", "0x1.1bc590ee7f82cp-20",
 )
 HALVING_CURVE = (
-    "0x1.ffffffffffed2p-2", "0x1.ffffffffffda3p-3", "0x1.ffffffffffb46p-4",
-    "0x1.ffffffffff68cp-5", "0x1.fffffffffed18p-6", "0x1.fffffffffda30p-7",
-    "0x1.fffffffffb460p-8", "0x1.fffffffff68c0p-9", "0x1.ffffffffed180p-10",
-    "0x1.ffffffffda300p-11", "0x1.ffffffffb4600p-12",
+    "0x1.000000000003ep-1", "0x1.000000000007cp-2", "0x1.00000000000f7p-3",
+    "0x1.00000000001eep-4", "0x1.00000000003dcp-5", "0x1.00000000007b8p-6",
+    "0x1.0000000000f70p-7", "0x1.0000000001ee0p-8", "0x1.0000000003dc0p-9",
+    "0x1.0000000007b80p-10", "0x1.000000000f700p-11",
 )
-CLOUD_W1 = "0x1.1c6478ddc4376p-4"
+CLOUD_W1 = "0x1.a5803791d7b9ep-4"
 
 
 @pytest.mark.parametrize(
