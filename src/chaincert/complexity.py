@@ -50,7 +50,7 @@ from .generators import (
     exact_invariant_atoms,
 )
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
-from .metric import SeedSpec, derive_stream, make_rng
+from .metric import SeedSpec, derive_stream, stream_keys, stream_words
 
 EXACT_N_CAP = 20
 MC_DRAWS = 4096  # default Monte Carlo sign vectors per estimate
@@ -58,8 +58,8 @@ _CHUNK = 1 << 13  # grid points per table and per tile of exact enumeration
 # Monte Carlo sign vectors scored per product. Tiles keep memory flat in the
 # draw count, since one (512, n) buffer is reused. With numpy's OpenBLAS, 512
 # columns give products bit-identical to one untiled product (128, 256, 320
-# and 640 move the last bits at n = 200), and a multiple of 4 keeps the byte
-# stream unchanged (``_sign_tiles``). The bits hold at one BLAS thread, which
+# and 640 move the last bits at n = 200), and a multiple of 8 starts every
+# tile on a stream word (``_sign_tiles``). The bits hold at one BLAS thread, which
 # the command line sets; with two threads, products with n * H >= 1,024 may
 # differ in their last bits.
 _TILE = 512
@@ -208,21 +208,25 @@ def check_draws(draws, where: str = "draws") -> int:
     return draws
 
 
-def _sign_tiles(rng: np.random.Generator, pairs: int, n: int):
+def _sign_tiles(key: np.ndarray, pairs: int, n: int):
     """Yield (start, bits) for ``pairs`` sign vectors of length n in tiles of
     at most ``_TILE`` rows: bits[i] is vector start + i as 0.0/1.0 bits, bit
-    1 meaning sigma = -1, unpacked from ceil(n / 8) random bytes per vector.
+    1 meaning sigma = -1.
+
+    The vectors cut the stream of the one-entry ``key`` array into ceil(n / 8)
+    bytes each, its words in order as 8 little-endian bytes; bit t of a
+    vector is bit t % 8, most significant first, of its byte t // 8. A full
+    tile takes whole words, so each tile draws only its own words.
 
     Every tile is a view of one float buffer, overwritten by the next tile.
     The bits are floats so the product that scores them runs in BLAS; a
-    uint8 by float64 product does not. A full tile draws a multiple of 4
-    bytes, so the tiles read the stream exactly as one draw of all the
-    bytes would."""
+    uint8 by float64 product does not."""
     row_bytes = (n + 7) // 8
     buf = np.empty((min(_TILE, pairs), n))
     for start in range(0, pairs, _TILE):
         take = min(_TILE, pairs - start)
-        packed = np.frombuffer(rng.bytes(take * row_bytes), dtype=np.uint8)
+        words = stream_words(key, start * row_bytes // 8, -(-take * row_bytes // 8))[0]
+        packed = words.astype("<u8", copy=False).view(np.uint8)[:take * row_bytes]
         bits = buf[:take]
         bits[...] = np.unpackbits(packed.reshape(take, row_bytes), axis=1, count=n)
         yield start, bits
@@ -469,12 +473,11 @@ def rademacher_mc(
     statistic max(top, -bottom) / n is one draw counted twice; it reports
     its own ``se_symmetrized``."""
     check_draws(draws)
-    rng = make_rng(seed)
     n = matrix.num_states
     pairs = draws // 2
     spread = np.empty(pairs)
     reach = np.empty(pairs)
-    for start, bits in _sign_tiles(rng, pairs, n):
+    for start, bits in _sign_tiles(stream_keys((seed,)), pairs, n):
         stop = start + bits.shape[0]
         spread[start:stop], reach[start:stop] = _pair_sums(_bit_scores(matrix.values, bits))
     del bits  # the last view of the tile buffer; free it before the reductions

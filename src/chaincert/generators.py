@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,8 @@ from .metric import (
     _row_norms,
     derive_streams,
     dist,
-    make_rng,
-    make_rngs,
+    stream_keys,
+    stream_uniforms,
 )
 
 VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
@@ -103,19 +103,26 @@ class BoxBound:
     def contains(self, arr: np.ndarray) -> bool:
         return bool(self.inside(np.reshape(arr, (1, -1)))[0])
 
-    def draw_starts(self, rngs: Iterable[np.random.Generator], count: int, tail: int):
-        """For each of the ``count`` generators of ``rngs`` in turn, a start
-        in the box and then ``tail`` uniforms, as (count, dim) and
-        (count, tail) rows. Each stream fills one row of dim + tail uniforms;
-        its first ``dim`` uniforms u become the start lo + (hi - lo) u,
-        numpy's own ``uniform`` formula."""
-        u = np.empty((count, self.dim + tail))
-        for row, rng in zip(u, rngs, strict=True):
-            rng.random(out=row)
-        return self.lo + (self.hi - self.lo) * u[:, :self.dim], u[:, self.dim:]
+    @property
+    def start_words(self) -> int:
+        return self.dim
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.draw_starts((rng,), 1, 0)[0][0]
+    def draw_starts(self, keys: np.ndarray, first: int = 0) -> np.ndarray:
+        """One start in the box per stream key, as (len(keys), dim) rows: the
+        uniforms u at draws first, ..., first + dim - 1 give lo + (hi - lo) u."""
+        return self.lo + (self.hi - self.lo) * stream_uniforms(keys, first, self.dim)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Box-Muller normals sqrt(-2 log(1 - u1)) times cos and sin of 2 pi u2
+    from the uniform pairs (u1, u2) in columns (0, 1), (2, 3), ... of ``u``."""
+    # by the C library, one value at a time: numpy's array log, cos, sin (and
+    # power) may take SIMD paths whose last bits differ between hosts
+    out = []
+    for u1, u2 in zip(u[:, 0::2].ravel().tolist(), u[:, 1::2].ravel().tolist()):
+        r, angle = math.sqrt(-2.0 * math.log(1.0 - u1)), math.tau * u2
+        out += (r * math.cos(angle), r * math.sin(angle))
+    return np.array(out).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -137,28 +144,23 @@ class BallBound:
     def contains(self, arr: np.ndarray) -> bool:
         return bool(self.inside(np.reshape(arr, (1, -1)))[0])
 
-    def draw_starts(self, rngs: Iterable[np.random.Generator], count: int, tail: int):
-        """For each of the ``count`` generators of ``rngs`` in turn, a start
-        in the ball and then ``tail`` uniforms, as (count, dim) and
-        (count, tail) rows. Each stream gives one ``normal(size=dim)``, the
-        direction, then fills one row of 1 + tail uniforms, whose first
-        uniform u sets the start direction / |direction| * radius * u^(1/dim);
-        a zero direction is replaced by the ones vector."""
-        direction, u = np.empty((count, self.dim)), np.empty((count, 1 + tail))
-        for d_row, u_row, rng in zip(direction, u, rngs, strict=True):
-            d_row[:] = rng.normal(size=self.dim)
-            rng.random(out=u_row)
+    @property
+    def start_words(self) -> int:
+        return 2 * ((self.dim + 1) // 2) + 1
+
+    def draw_starts(self, keys: np.ndarray, first: int = 0) -> np.ndarray:
+        """One start in the ball per stream key, as (len(keys), dim) rows:
+        the direction's normals from the draws from ``first`` on, in pairs
+        (``_box_muller``; an odd dim drops the last), then one uniform u for
+        direction / |direction| * radius * u^(1/dim), u^(1/dim) by the C
+        library's pow. A zero direction is replaced by the ones vector."""
+        u = stream_uniforms(keys, first, self.start_words)
+        direction = _box_muller(u[:, :-1])[:, :self.dim]
         norm = _row_norms(direction)
         flat = norm == 0.0
         direction[flat], norm[flat] = 1.0, math.sqrt(self.dim)
-        # u^(1/dim) by the C library's pow, one start at a time: numpy's array
-        # power may take a SIMD path whose last bits differ from it
-        power = 1.0 / self.dim
-        radius = self.radius * np.array([r ** power for r in u[:, 0].tolist()])
-        return direction / norm[:, None] * radius[:, None], u[:, 1:]
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.draw_starts((rng,), 1, 0)[0][0]
+        radius = self.radius * np.array([r ** (1.0 / self.dim) for r in u[:, -1].tolist()])
+        return direction / norm[:, None] * radius[:, None]
 
 
 # -- label maps ----------------------------------------------------------------
@@ -489,9 +491,9 @@ class Trajectory:
 
 def _paths(gen: Generator, n: int, seeds: list, skip: int = 0) -> Iterator[list]:
     """Length-n paths (n points, n-1 draws) from the generator's start, path
-    i drawing from ``seeds[i]`` alone, each keeping its states from index
-    ``skip`` on, one list per stepped block of at most ``_BLOCK_STATES``
-    states; a path is a view into its block.
+    i taking uniform t of the stream of ``seeds[i]`` for its draw t, each
+    keeping its states from index ``skip`` on, one list per stepped block of
+    at most ``_BLOCK_STATES`` states; a path is a view into its block.
 
     A one-atom law draws index 0 at every step, so every path is the same
     orbit: it is stepped once, one list holds every trajectory, all sharing
@@ -512,9 +514,7 @@ def _paths(gen: Generator, n: int, seeds: list, skip: int = 0) -> Iterator[list]
     size = _block_size(n)
     for lo in range(0, len(seeds), size):
         block = seeds[lo:lo + size]
-        idx = np.empty((len(block), n - 1), dtype=int)
-        for i, rng in enumerate(make_rngs(block)):
-            idx[i] = gen.theta.indices_from_uniform(rng.random(n - 1))
+        idx = gen.theta.indices_from_uniform(stream_uniforms(stream_keys(block), 0, n - 1))
         xs, ys = _step_block(gen, gen.z0.x, gen.z0.y, idx)
         yield [Trajectory(xs=xs[i, skip:], ys=ys[i, skip:], seed=seed, metric=gen.metric)
                for i, seed in enumerate(block)]
@@ -577,50 +577,31 @@ def sample_stationary_chain(
     return sample_chain(gen, b + n, seed).slice(b, b + n)
 
 
-def _sample_start(gen: Generator, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    x = gen.x_bound.sample(rng)
-    if gen.variant == "iid":
-        y = gen.y_bound.sample(rng)
-    else:
-        y = _call_rows(gen.label_map.apply, x[None], gen.metric.dim_y, "label map")[0]
-        if not gen.y_bound.contains(y):
-            y = gen.y_bound.sample(rng)
-    return x, y
-
-
 def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
     """Run ``count`` independent chains for ``steps`` draws from sampled starts.
 
-    Chain i draws its start, then its draws, from ``derive_stream(seed, i)``,
-    as ``_sample_start`` and ``random(steps)`` on ``make_rng`` of that stream;
-    the streams come from ``derive_streams`` and are positioned by
-    ``make_rngs``. In the labelled variants the x bound's ``draw_starts``
-    takes every chain's start features and uniforms, one stream after
-    another, and finishes the starts as arrays; the label map and the
-    y-bound test then run once over the block of starts. A chain whose label
-    leaves the y bound resamples y from its stream before its uniforms, so it
-    is replayed alone. The iid variant draws each start with
-    ``_sample_start``. The chains are stepped together.
+    Chain i reads the stream ``derive_stream(seed, i)`` in a fixed layout:
+    the x bound's start words, the y bound's start words, then one uniform
+    per step. The iid variant takes the y start; a labelled variant labels
+    its x start and takes the y start only where that label leaves the y
+    bound. Each part is one array op over every chain, and the chains are
+    stepped together, so chain i is the same in a bundle of any size.
     Returns the (count, steps) draw index matrix and the final states as
     (count, dim_x) and (count, dim_y) rows; the draw matrix is what lets
     callers replay suffixes of these same chains.
     """
-    streams = derive_streams(seed, count)
+    keys = stream_keys(derive_streams(seed, count))
+    x0, first = gen.x_bound.draw_starts(keys), gen.x_bound.start_words
     if gen.variant == "iid":
-        x0 = np.empty((count, gen.metric.dim_x))
-        y0 = np.empty((count, gen.metric.dim_y))
-        uniforms = np.empty((count, steps))
-        for i, rng in enumerate(make_rngs(streams)):
-            x0[i], y0[i] = _sample_start(gen, rng)
-            uniforms[i] = rng.random(steps)
+        y0 = gen.y_bound.draw_starts(keys, first)
     else:
-        x0, uniforms = gen.x_bound.draw_starts(make_rngs(streams), count, steps)
-        y0 = _call_rows(gen.label_map.apply, x0, gen.metric.dim_y, "label map").copy()
-        for i in np.flatnonzero(~gen.y_bound.inside(y0)).tolist():
-            rng = make_rng(streams[i])
-            x0[i], y0[i] = _sample_start(gen, rng)
-            uniforms[i] = rng.random(steps)
-    indices = gen.theta.indices_from_uniform(uniforms)
+        y0 = _call_rows(gen.label_map.apply, x0, gen.metric.dim_y, "label map")
+        out = np.flatnonzero(~gen.y_bound.inside(y0))
+        if len(out):
+            y0 = y0.copy()
+            y0[out] = gen.y_bound.draw_starts(keys[out], first)
+    first += gen.y_bound.start_words
+    indices = gen.theta.indices_from_uniform(stream_uniforms(keys, first, steps))
     x_end, y_end = _final_states(gen, x0, y0, indices)
     return indices, x_end, y_end
 

@@ -1,4 +1,4 @@
-"""Bounded product metric on labelled states and deterministic seed streams.
+"""Bounded product metric on labelled states and deterministic random streams.
 
 States are pairs z = (x, y) of finite coordinate vectors. The distance is the
 normalized coordinate sum
@@ -9,18 +9,18 @@ where kappa is a declared normalizer chosen so that d never exceeds the
 diameter bound 1 that the certificates assume. The normalizer is part of the
 metric declaration, not inferred from data; the bound is checked on every
 evaluation.
+
+Random streams are counter-based SplitMix64 (``mix``): a block of draws of
+many streams is one uint64 array op, with no generator state.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
-# numpy loads numpy.random lazily; importing it here keeps that cost in the
-# package import rather than inside the first command that seeds a stream
-from numpy.random import PCG64
 
 from .errors import InvalidInputError
 
@@ -209,6 +209,7 @@ def derive_streams(seed: SeedSpec, count: int) -> list:
     """``[derive_stream(seed, i) for i in range(count)]``, each child hashed
     once. The children skip ``SeedSpec``'s range check: a child index is a
     digest's first 8 bytes, so it always lies in [0, 2^64)."""
+    _check_count("count", count, 0)
     parent, sha256 = seed.stream_index, hashlib.sha256
     indices = (int.from_bytes(sha256(_CHILD_KEY(parent, i)).digest()[:8], "little")
                for i in range(count))
@@ -217,30 +218,44 @@ def derive_streams(seed: SeedSpec, count: int) -> list:
 
 _STREAM_KEY = struct.Struct("<8sQQ").pack
 _STREAM_TAG = b"make_rng"  # keeps these digests apart from derive_stream's
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's odd increment, 2^64 over the golden ratio
 
 
-def make_rngs(seeds: Iterable[SeedSpec]) -> Iterator[np.random.Generator]:
-    """A PCG64 generator at the first draw of each seed's stream, in order.
-
-    Stream (master_seed, stream_index) is keyed by the SHA-256 digest of the
-    tagged pair: its first 16 bytes (little-endian) are the PCG64 state, its
-    last 16 bytes with the low bit set the increment. One generator is reused
-    and set to each stream in turn, so a yielded generator is valid only
-    until the next one is taken.
-    """
-    rng = np.random.Generator(PCG64(0))
-    # one state dict, refilled per stream: the setter copies what it reads
-    bits, pcg = rng.bit_generator, {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+def stream_keys(seeds: Iterable[SeedSpec]) -> np.ndarray:
+    """The uint64 key of each seed's stream, in order: the first 8 bytes
+    (little-endian) of the SHA-256 digest of the tagged pair
+    (master_seed, stream_index)."""
     sha256 = hashlib.sha256
-    for seed in seeds:
-        digest = sha256(_STREAM_KEY(_STREAM_TAG, seed.master_seed, seed.stream_index)).digest()
-        pcg["state"] = int.from_bytes(digest[:16], "little")
-        pcg["inc"] = int.from_bytes(digest[16:], "little") | 1
-        bits.state = state
-        yield rng
+    return np.frombuffer(b"".join([sha256(_STREAM_KEY(_STREAM_TAG, s.master_seed, s.stream_index))
+                                   .digest()[:8] for s in seeds]), dtype="<u8")
 
 
-def make_rng(seed: SeedSpec) -> np.random.Generator:
-    """PCG64 generator keyed by (master_seed, stream_index); bit-stable across runs."""
-    return next(make_rngs((seed,)))
+def mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014) on
+    a uint64 array, in place. Draw t of the stream keyed k is
+    mix(k + (t + 1) gamma): SplitMix64 from state k, used counter-based
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011),
+    in integer operations only, so the same on every host. Streams overlap
+    only if two keys differ by a small multiple of gamma (mod 2^64), below
+    the draws taken: for m streams of T draws, a chance of about m^2 T / 2^64.
+    """
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def stream_words(keys: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Draws first, ..., first + count - 1 of the stream of each key in the
+    uint64 array ``keys``, as (len(keys), count) uint64 words; row i does
+    not depend on the other keys."""
+    steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GAMMA
+    return mix(keys[:, None] + steps)
+
+
+def stream_uniforms(keys: np.ndarray, first: int, count: int) -> np.ndarray:
+    """``stream_words`` as uniforms in [0, 1): each word's top 53 bits times
+    2^-53."""
+    return (stream_words(keys, first, count) >> 11) * 2.0**-53

@@ -1,4 +1,5 @@
 """Independent oracles that the tests check the library against."""
+import hashlib
 import itertools
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -11,8 +12,8 @@ from chaincert.errors import GeneratorContractError, InvalidInputError, SizeCapE
 from chaincert.generators import (
     Generator,
     _advance,
+    _chain_bundle,
     _check_pair_budget,
-    _sample_start,
     _step_block,
     analytic_lip_factor,
     sample_chain,
@@ -25,8 +26,10 @@ from chaincert.metric import (
     ZPoint,
     _triangle_pairs,
     derive_stream,
-    make_rng,
+    derive_streams,
     row_dist,
+    stream_keys,
+    stream_uniforms,
 )
 from chaincert.transport import EmpiricalMeasure, _cost_matrix
 
@@ -34,6 +37,37 @@ _LIP_TOL = 1e-9
 _PAIR_FLOOR = 1e-12  # probe skips state pairs closer than this
 _PROBE_SLACK = 1e-9
 _PROBE_CONTRACT = "probes act row-wise: f(xs, ys) maps the rows of m states to m values"
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(state: int, count: int) -> list:
+    """The next ``count`` outputs of SplitMix64 from ``state``, one Python
+    int at a time, as published (Steele, Lea and Flood, OOPSLA 2014)."""
+    out = []
+    for _ in range(count):
+        state = (state + _GOLDEN_GAMMA) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def stream_key(seed: SeedSpec) -> int:
+    """A stream's key by hand: the first 8 bytes (little-endian) of SHA-256
+    over the tag b"make_rng" and the two indices as 8 little-endian bytes."""
+    data = (b"make_rng" + seed.master_seed.to_bytes(8, "little")
+            + seed.stream_index.to_bytes(8, "little"))
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
+
+
+def stream_draws(seed: SeedSpec, first: int, count: int) -> list:
+    """Draws first, ..., first + count - 1 of a stream: SplitMix64 from its
+    key, past the ``first`` outputs that advance its state by first gamma."""
+    return splitmix64((stream_key(seed) + first * _GOLDEN_GAMMA) & _MASK64, count)
 
 
 def w1_bruteforce(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
@@ -120,19 +154,17 @@ def empirical_contraction_probe(
     d(F(z, theta), F(zbar, theta)) / d(z, zbar) exactly over the draw law.
     The maximum must stay within 1e-9 of the analytic factor. All the chains
     are stepped together, and each kept pair is pushed under every draw.
+    Row 2 j + c is chain c of pair j, on ``derive_stream(seed, 2 j + c)``:
+    its start words, then chain_len - 1 step uniforms, then one uniform that
+    picks its state 1 to chain_len - 1.
     """
     _check_pair_budget(num_pairs, chain_len)
     factor = analytic_lip_factor(gen)
-    starts, picks, uniforms = [], [], []
-    for j in range(num_pairs):
-        rng = make_rng(derive_stream(seed, j))  # pair j's starts and picks
-        for c in range(2):  # row 2 j + c is chain c of pair j
-            starts.append(_sample_start(gen, rng))
-            picks.append(rng.integers(1, chain_len))
-            chain_rng = make_rng(derive_stream(seed, (c + 1) * num_pairs + j))
-            uniforms.append(chain_rng.random(chain_len - 1))
-    x0, y0 = map(np.array, zip(*starts))
-    paths = _step_block(gen, x0, y0, gen.theta.indices_from_uniform(np.array(uniforms)))
+    _, x0, y0 = _chain_bundle(gen, 0, 2 * num_pairs, seed)  # the starts alone
+    keys = stream_keys(derive_streams(seed, 2 * num_pairs))
+    u = stream_uniforms(keys, gen.x_bound.start_words + gen.y_bound.start_words, chain_len)
+    picks = 1 + (u[:, -1] * (chain_len - 1)).astype(int)
+    paths = _step_block(gen, x0, y0, gen.theta.indices_from_uniform(u[:, :-1]))
     xs, ys = (path[np.arange(len(picks)), picks] for path in paths)
     base = row_dist(xs[0::2], ys[0::2], xs[1::2], ys[1::2], gen.metric)
     kept = np.flatnonzero(base >= _PAIR_FLOOR)

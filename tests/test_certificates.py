@@ -387,17 +387,27 @@ def test_mixed_estimators_are_reported_as_mixed():
     report = coverage_experiment(bundle.gen, bundle.cls, bundle.env, n=n, epsilon=0.2,
                                  trials=trials, seed=SeedSpec(0), rad_outer=4, mc_draws=64)
     details = dict(report.details)
-    # count the windows whose grid fits, from np.unique and Python integers
-    fits = 0
-    batches = chain_batches(bundle.gen, 2 * n, derive_stream(SeedSpec(0), 0), trials)
-    for traj in [traj for batch in batches for traj in batch]:
-        values = loss_matrix(bundle.cls, traj, bundle.env, window=(n, 2 * n)).values
-        counts = np.unique(values, axis=1, return_counts=True)[1]
-        fits += math.prod(int(m) + 1 for m in counts) <= 2**EXACT_N_CAP
-    assert 0 < fits < trials
-    assert details["rhat_exact_trials"] == fits == 4
+
+    def fits(batches, window):
+        # the windows whose grid fits, from np.unique and Python integers
+        count = 0
+        for traj in [traj for batch in batches for traj in batch]:
+            values = loss_matrix(bundle.cls, traj, bundle.env, window=window).values
+            counts = np.unique(values, axis=1, return_counts=True)[1]
+            count += math.prod(int(m) + 1 for m in counts) <= 2**EXACT_N_CAP
+        return count
+
+    trial_fits = fits(chain_batches(bundle.gen, 2 * n, derive_stream(SeedSpec(0), 0), trials),
+                      (n, 2 * n))
+    assert 0 < trial_fits < trials
+    assert details["rhat_exact_trials"] == trial_fits == 2
     assert details["rhat_method"] == "mixed"
-    assert details["rademacher_method"] == "expected_mixed_stationary"
+    # the population estimate's 4 outer chains (burned in to the default
+    # 1e-3) all fit at this seed, so that side reports one method
+    outer_fits = fits(chain_batches(bundle.gen, n, derive_stream(SeedSpec(0), 1), 4, 1e-3),
+                      (0, n))
+    assert outer_fits == 4
+    assert details["rademacher_method"] == "expected_exact_stationary"
 
 
 def _bool_size_calls():

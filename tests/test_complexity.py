@@ -28,10 +28,11 @@ from chaincert.complexity import (
 from chaincert.errors import InvalidInputError, SizeCapError
 from chaincert.generators import exact_fixed_point, iid_generator, sample_chain
 from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss, window_loss_values
-from chaincert.metric import MetricSpec, SeedSpec, ZPoint, make_rng
+from chaincert.metric import MetricSpec, SeedSpec, ZPoint, stream_keys
 from chaincert.presets import load_preset
 
 from test_generators import UNIT_BOX, make_affine_worked_example, make_halving, make_iid
+from oracles import stream_draws
 
 
 def test_exact_hand_case_quarter():
@@ -246,11 +247,14 @@ def test_mc_is_consistent_with_exact():
 
 
 def _raw_bits(seed: int, pairs: int, n: int) -> np.ndarray:
-    """The bits of ``pairs`` sign vectors unpacked from one draw of all their
-    bytes: bit t of a vector is bit t (most significant first) of its
-    ceil(n/8) bytes, and the padding bits of the last byte are dropped."""
+    """The bits of ``pairs`` sign vectors cut from one byte string, the
+    oracle's stream words in order, 8 little-endian bytes each: bit t of a
+    vector is bit t (most significant first) of its ceil(n/8) bytes, and the
+    padding bits of the last byte are dropped."""
     row_bytes = (n + 7) // 8
-    raw = np.frombuffer(make_rng(SeedSpec(seed)).bytes(pairs * row_bytes), dtype=np.uint8)
+    words = stream_draws(SeedSpec(seed), 0, -(-pairs * row_bytes // 8))
+    raw = np.frombuffer(b"".join(w.to_bytes(8, "little") for w in words),
+                        dtype=np.uint8)[:pairs * row_bytes]
     t = np.arange(n)
     return (raw.reshape(pairs, row_bytes)[:, t // 8] >> (7 - t % 8)) & 1
 
@@ -263,7 +267,7 @@ def test_packed_bit_scores_match_direct_signs(n):
     for draws in (300, 2 * _TILE, 2 * (2 * _TILE + 7)):
         pairs = draws // 2  # one drawn vector sigma per pair (sigma, -sigma)
         tiles, spread, reach = [], [], []
-        for start, bits in _sign_tiles(make_rng(SeedSpec(n)), pairs, n):
+        for start, bits in _sign_tiles(stream_keys([SeedSpec(n)]), pairs, n):
             # every tile is a view of one reused buffer, in stream order
             assert bits.dtype == float and 1 <= len(bits) <= _TILE
             assert start == sum(map(len, tiles))
@@ -337,9 +341,9 @@ def test_exact_is_frozen_on_lemma3_inputs():
     # affine_triangle loss matrices at n = EXACT_N_CAP, as lemma 3 scores them;
     # lemma 3's outputs stay byte-identical, so the values are frozen to the bit
     frozen = {
-        0: ("0x1.f401d60935c30p-6", "0x1.ef865b7cf376ep-5"),
-        1: ("0x1.f30bf02a57b58p-6", "0x1.ee660cf87f778p-5"),
-        2: ("0x1.0291db77518fep-5", "0x1.009024ab42f69p-4"),
+        0: ("0x1.e85ea13220ef3p-6", "0x1.e4667696a267bp-5"),
+        1: ("0x1.ffc4a766bc3bap-6", "0x1.fab090e23f3c6p-5"),
+        2: ("0x1.f2c9a86212463p-6", "0x1.eefdf15771740p-5"),
     }
     bundle = load_preset("affine_triangle")
     for seed, (plain, sym) in frozen.items():

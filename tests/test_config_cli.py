@@ -725,7 +725,7 @@ def test_cli_lemma2_bounds_a_one_member_class_by_the_symmetrized_form(tmp_path, 
         "seed": 6, "out_dir": str(tmp_path / "run"),
     })
     assert main(["validate", "lemma2", "--config", cfg]) == 0
-    assert capsys.readouterr().out.startswith("lemma2: PASS (statistic=0.03125, ")
+    assert capsys.readouterr().out.startswith("lemma2: PASS (statistic=0.025, ")
     summary = read_summary(str(tmp_path / "run" / "validate_lemma2_summary.json"))
     ingredients = summary["ingredients"]
     assert ingredients["rademacher"] == 0.0 and ingredients["wasserstein_term"] == 0.0

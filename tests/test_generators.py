@@ -17,9 +17,9 @@ from chaincert.generators import (
     BallBound,
     BoxBound,
     CategoricalTheta,
+    _box_muller,
     _chain_bundle,
     _final_states,
-    _sample_start,
     _step_block,
     affine_ifs_generator,
     analytic_lip_factor,
@@ -41,12 +41,13 @@ from chaincert.metric import (
     SeedSpec,
     ZPoint,
     derive_stream,
+    derive_streams,
     dist,
-    make_rng,
-    make_rngs,
+    stream_keys,
+    stream_uniforms,
 )
 from chaincert.presets import load_preset, preset_names
-from oracles import empirical_contraction_probe
+from oracles import empirical_contraction_probe, stream_draws
 
 UNIT_BOX = BoxBound([0.0], [1.0])
 
@@ -146,10 +147,16 @@ def test_chain_is_deterministic_given_seed():
     assert not np.array_equal(a.xs, c.xs)
 
 
+def _oracle_uniforms(seed, first, count):
+    """Uniforms first, ..., first + count - 1 of a stream, from the scalar
+    SplitMix64 oracle: each word's top 53 bits times 2^-53."""
+    return np.array([(w >> 11) * 2.0**-53 for w in stream_draws(seed, first, count)])
+
+
 def _replay(gen, traj, k, offset=0):
     """The tail of ``traj`` from its state k, stepped again from that state
     alone under the draws its stream gave from position ``offset + k`` on."""
-    u = make_rng(traj.seed).random(offset + len(traj) - 1)[offset + k:]
+    u = _oracle_uniforms(traj.seed, offset + k, len(traj) - 1 - k)
     xs, ys = _step_block(gen, traj.xs[k], traj.ys[k], gen.theta.indices_from_uniform(u)[None])
     return xs[0], ys[0]
 
@@ -361,7 +368,7 @@ def _reference_paths(gen, n, seeds, label_row):
     the other maps, and ``label_row`` for the label."""
     paths = []
     for seed in seeds:
-        idx = gen.theta.indices_from_uniform(make_rng(seed).random(n - 1))
+        idx = gen.theta.indices_from_uniform(_oracle_uniforms(seed, 0, n - 1))
         xs, ys = [gen.z0.x], [gen.z0.y]
         for i in idx:
             atom = gen.theta.atoms[i]
@@ -404,7 +411,7 @@ def _assert_matches_reference(gen, n, count, label_row):
 def test_lockstep_matches_per_row_reference_on_presets(name):
     gen = load_preset(name).gen
     _assert_matches_reference(gen, 60, 7, _row_label(gen))
-    _assert_matches_reference(gen, 12, 20, _row_label(gen))  # seeds from one reused generator
+    _assert_matches_reference(gen, 12, 20, _row_label(gen))
     # the stationary form is the burned-in tail of the same paths
     b = burn_in_steps(gen, 1e-3)
     seeds = [derive_stream(SeedSpec(5), c) for c in range(4)]
@@ -420,15 +427,21 @@ def test_lockstep_matches_per_row_reference_on_presets(name):
 
 
 def _reference_bundle(gen, steps, count, seed):
-    """``_chain_bundle`` one chain at a time: each chain's start, then its
-    uniforms, from ``make_rng`` of its stream."""
+    """``_chain_bundle`` one chain at a time: each chain's x start, then its
+    y start (kept by the iid variant, or where the label of x leaves the y
+    bound), from its stream alone, then the oracle's uniforms past them."""
     x0, y0, uniforms = [], [], []
+    first = gen.x_bound.start_words + gen.y_bound.start_words
     for i in range(count):
-        rng = make_rng(derive_stream(seed, i))
-        x, y = _sample_start(gen, rng)
+        stream = derive_stream(seed, i)
+        key = stream_keys([stream])
+        x = gen.x_bound.draw_starts(key)[0]
+        y = gen.y_bound.draw_starts(key, gen.x_bound.start_words)[0]
+        if gen.variant != "iid" and gen.y_bound.contains(_row_label(gen)(x)):
+            y = _row_label(gen)(x)
         x0.append(x)
         y0.append(y)
-        uniforms.append(rng.random(steps))
+        uniforms.append(_oracle_uniforms(stream, first, steps))
     idx = gen.theta.indices_from_uniform(np.array(uniforms).reshape(count, steps))
     return (idx, *_final_states(gen, np.array(x0), np.array(y0), idx))
 
@@ -464,23 +477,32 @@ def test_batched_starts_replay_chains_whose_label_leaves_the_y_bound():
     gen = _overshooting_label_generator()
     # with no steps the final states are the starts
     _, x0, y0 = _assert_bundle_matches_reference(gen, 0, 40, SeedSpec(3))
-    replayed = y0[:, 0] != 2.0 * x0[:, 0]
-    assert 0 < replayed.sum() < 40
-    assert np.all(np.abs(x0[replayed, 0]) > 0.5)
+    resampled = y0[:, 0] != 2.0 * x0[:, 0]
+    assert 0 < resampled.sum() < 40
+    assert np.all(np.abs(x0[resampled, 0]) > 0.5)
+    # a resampled y is the y bound's start from the words after the x start
+    y_starts = gen.y_bound.draw_starts(stream_keys(derive_streams(SeedSpec(3), 40)), 1)
+    assert _same_bits(y0[resampled], y_starts[resampled])
     for count in (1, 7, 40):
         _assert_bundle_matches_reference(gen, 5, count, SeedSpec(3))
 
 
-def _scalar_start(bound, rng):
-    """One start by the scalar formulas: numpy's ``uniform`` in a box; in a
-    ball a normal direction, normalized, times radius * u^(1/dim)."""
+def _scalar_start(bound, seed, first=0):
+    """One start by the scalar formulas on the oracle's uniforms: in a box
+    lo + (hi - lo) u; in a ball Box-Muller normals by the math module,
+    normalized, times radius * u^(1/dim)."""
+    u = _oracle_uniforms(seed, first, bound.start_words).tolist()
     if isinstance(bound, BoxBound):
-        return rng.uniform(bound.lo, bound.hi)
-    direction = rng.normal(size=bound.dim)
+        return bound.lo + (bound.hi - bound.lo) * np.array(u)
+    normals = []
+    for k in range(0, len(u) - 1, 2):
+        r = math.sqrt(-2.0 * math.log(1.0 - u[k]))
+        normals += [r * math.cos(2.0 * math.pi * u[k + 1]), r * math.sin(2.0 * math.pi * u[k + 1])]
+    direction = np.array(normals[:bound.dim])
     norm = math.sqrt(direction @ direction)
     if norm == 0.0:
         direction, norm = np.ones(bound.dim), math.sqrt(bound.dim)
-    return direction / norm * (bound.radius * rng.random() ** (1.0 / bound.dim))
+    return direction / norm * (bound.radius * u[-1] ** (1.0 / bound.dim))
 
 
 def _box_bounds(dim):
@@ -494,50 +516,54 @@ STATE_BOUNDS = st.one_of(st.integers(1, 5).flatmap(_box_bounds),
 
 
 @settings(max_examples=60, deadline=None)
-@given(bound=STATE_BOUNDS, tail=st.integers(0, 12), count=st.integers(1, 40),
+@given(bound=STATE_BOUNDS, first=st.integers(0, 12), count=st.integers(1, 40),
        master=st.integers(0, 2**64 - 1))
-def test_bound_draws_match_one_stream_at_a_time(bound, tail, count, master):
-    # the bounds draw from make_rngs' one reused generator
+def test_bound_draws_match_one_stream_at_a_time(bound, first, count, master):
     seeds = [derive_stream(SeedSpec(master), i) for i in range(count)]
-    starts, uniforms = bound.draw_starts(make_rngs(seeds), count, tail)
-    assert starts.shape == (count, bound.dim) and uniforms.shape == (count, tail)
+    starts = bound.draw_starts(stream_keys(seeds), first)
+    assert starts.shape == (count, bound.dim)
     for i, seed in enumerate(seeds):
-        rng, scalar = make_rng(seed), make_rng(seed)
-        assert _same_bits(bound.sample(rng), starts[i])
-        assert _same_bits(rng.random(tail), uniforms[i])
-        assert _same_bits(_scalar_start(bound, scalar), starts[i])
-        assert _same_bits(scalar.random(tail), uniforms[i])
+        assert _same_bits(bound.draw_starts(stream_keys([seed]), first)[0], starts[i])
+        assert _same_bits(_scalar_start(bound, seed, first), starts[i])
 
 
-class _ZeroNormals:
-    """A generator whose normal draws are all zero, with the uniforms of a
-    real stream."""
-
-    def __init__(self, seed):
-        self.rng = make_rng(seed)
-
-    def normal(self, size):
-        return np.zeros(size)
-
-    def random(self, size=None, out=None):
-        return self.rng.random(size, out=out)
-
-
-def test_ball_draws_replace_a_zero_direction_by_ones():
+def test_ball_draws_replace_a_zero_direction_by_ones(monkeypatch):
+    # u1 = 0 gives a Box-Muller radius of 0, so rows 1 and 3 draw a zero direction
     ball = BallBound(2.0, 3)
-    seeds = [SeedSpec(8, i) for i in range(4)]
-    rngs = [make_rng(seeds[0]), _ZeroNormals(seeds[1]), make_rng(seeds[2]), _ZeroNormals(seeds[3])]
-    starts, uniforms = ball.draw_starts(rngs, 4, 2)
+    keys = stream_keys([SeedSpec(8, i) for i in range(4)])
+    real = generators.stream_uniforms
+
+    def zero_radii(keys, first, count):
+        u = real(keys, first, count)
+        u[1::2, :-1:2] = 0.0
+        return u
+
+    monkeypatch.setattr(generators, "stream_uniforms", zero_radii)
+    starts = ball.draw_starts(keys)
+    u = real(keys, 0, ball.start_words)
     for i in (1, 3):
-        u = make_rng(seeds[i]).random(3)
-        expected = np.ones(3) / math.sqrt(3) * (2.0 * u[0] ** (1 / 3))
-        assert _same_bits(starts[i], expected) and _same_bits(uniforms[i], u[1:])
-        assert _same_bits(ball.sample(_ZeroNormals(seeds[i])), expected)
-        assert _same_bits(_scalar_start(ball, _ZeroNormals(seeds[i])), expected)
+        assert _same_bits(starts[i], np.ones(3) / math.sqrt(3) * (2.0 * u[i, -1] ** (1 / 3)))
     for i in (0, 2):
-        rng = make_rng(seeds[i])
-        assert _same_bits(_scalar_start(ball, rng), starts[i])
-        assert _same_bits(rng.random(2), uniforms[i])
+        assert _same_bits(starts[i], _scalar_start(ball, SeedSpec(8, i)))
+
+
+def test_box_muller_normals_at_fixed_seeds():
+    # 64 streams of 4,096 uniforms give 131,072 normals; each bound is five
+    # standard deviations of its statistic under independent normals
+    u = stream_uniforms(stream_keys(derive_streams(SeedSpec(2024), 64)), 0, 4096)
+    z = _box_muller(u)
+    assert z.shape == u.shape
+    for part in (z, z[:, 0::2], z[:, 1::2]):  # all, the cos and the sin halves
+        assert abs(part.mean()) < 5 / math.sqrt(part.size)
+        assert abs(part.var() - 1.0) < 5 * math.sqrt(2 / part.size)
+    assert abs(np.corrcoef(z[:, 0::2].ravel(), z[:, 1::2].ravel())[0, 1]) < 5 / math.sqrt(z.size / 2)
+    # the scalar formula on the oracle's uniforms, bit for bit
+    seed = derive_stream(SeedSpec(2024), 63)
+    scalar = []
+    for u1, u2 in zip(*[iter(_oracle_uniforms(seed, 0, 8).tolist())] * 2):
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        scalar += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    assert z[63, :8].tolist() == scalar
 
 
 def test_ball_bound_rejects_a_bool_dimension():
@@ -550,7 +576,7 @@ def test_box_bound_rejects_a_width_past_the_float_range():
     with pytest.raises(InvalidInputError, match="finite width"):
         BoxBound([0.0, -1e308], [1.0, 1e308])
     box = BoxBound([-1e307], [1e307])
-    assert box.contains(box.sample(make_rng(SeedSpec(1))))
+    assert box.contains(box.draw_starts(stream_keys([SeedSpec(1)]))[0])
 
 
 def _random_affine_block(rng, dim, label):
@@ -727,6 +753,24 @@ def test_chain_batches_match_one_chain_per_stream(make, tol):
             assert _same_bits(got.xs, xs[b:]) and _same_bits(got.ys, ys[b:])
 
 
+@pytest.mark.parametrize("name", ["affine_triangle", "iid_four", "labeled_affine"])
+def test_many_atom_batches_match_one_chain_per_stream(name):
+    # 300 states a chain: a stepped block holds 54 chains, so chain 60 is in
+    # the second block, and its draws are the same as alone
+    gen = load_preset(name).gen
+    b = burn_in_steps(gen, 1e-3)
+    n, seed = 300 - b, SeedSpec(2**64 - 1, 5)
+    batches = list(chain_batches(gen, n, seed, 61, 1e-3))
+    assert [len(batch) for batch in batches] == [54, 7]
+    for i in (0, 53, 54, 60):
+        traj = batches[i // 54][i % 54]
+        one = sample_chain(gen, b + n, derive_stream(seed, i)).slice(b, b + n)
+        assert _same_bits(traj.xs, one.xs) and _same_bits(traj.ys, one.ys)
+    # the first chain of the second block against the scalar oracle's draws
+    ((xs, ys),) = _reference_paths(gen, b + n, [derive_stream(seed, 54)], _row_label(gen))
+    assert _same_bits(batches[1][0].xs, xs[b:]) and _same_bits(batches[1][0].ys, ys[b:])
+
+
 @pytest.mark.parametrize("name", _ONE_ATOM)
 def test_one_atom_batches_keep_the_block_lengths(name):
     # one list of all the chains, past the 40 chains of 400 states that a
@@ -760,7 +804,7 @@ def test_one_atom_chains_draw_nothing(name, monkeypatch):
     def no_draws(*args):
         raise AssertionError("a one-atom chain drew from its stream")
 
-    monkeypatch.setattr(generators, "make_rngs", no_draws)
+    monkeypatch.setattr(generators, "stream_uniforms", no_draws)
     monkeypatch.setattr(CategoricalTheta, "indices_from_uniform", no_draws)
     got = [traj.xs for batch in chain_batches(gen, 12, SeedSpec(8), 30) for traj in batch]
     assert len(got) == 30 and all(_same_bits(a, b) for a, b in zip(got, expected))

@@ -1,9 +1,9 @@
 """Source hygiene of the library: every top-level import is used, every
 private module-level function and class is referenced, every public one
-has a caller outside the tests or is on a short list, no module but
-``metric`` names numpy's stream seeders, importing the command
-line loads no scipy, an assignment solve loads no
-``scipy.optimize``, and the hooks the benchmark
+has a caller outside the tests or is on a short list, no module of the
+package or the scripts uses ``numpy.random``, importing the command line
+loads no scipy, an assignment solve loads no ``scipy.optimize``, the
+commands never load ``numpy.random``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
 
 The unused-import check is a stdlib AST scan, so it runs wherever the tests
@@ -19,6 +19,7 @@ import collections
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import subprocess
@@ -178,9 +179,23 @@ def test_scan_flags_an_uncalled_public_function(tmp_path):
 _STREAM_KEYERS = {"PCG64", "SeedSequence", "default_rng", "RandomState"}
 
 
+def _numpy_random(node) -> bool:
+    """Whether ``node`` imports ``numpy.random`` (or ``random`` from numpy)
+    or takes ``random`` as an attribute of ``np`` or ``numpy``."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[:2] == ["numpy", "random"] or (
+            module == ["numpy"] and any(a.name == "random" for a in node.names))
+    return (isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
 def _stream_keyers(paths):
     """``file:name`` for each name of ``_STREAM_KEYERS`` that a file of
-    ``paths`` imports, reads or takes as an attribute."""
+    ``paths`` imports, reads or takes as an attribute, and ``file:numpy.random``
+    for a file that imports ``numpy.random`` or reads ``np.random``."""
     found = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -189,6 +204,8 @@ def _stream_keyers(paths):
             else:
                 names = _references(node) if isinstance(node, (ast.Name, ast.Attribute)) else []
             found.update(f"{path.name}:{name}" for name in names if name in _STREAM_KEYERS)
+            if _numpy_random(node):
+                found.add(f"{path.name}:numpy.random")
     return sorted(found)
 
 
@@ -199,15 +216,21 @@ def test_scan_flags_a_second_stream_keyer(tmp_path):
         "# a comment on SeedSequence, and RandomState in a string, name nothing\n"
         "text = 'RandomState'\n", encoding="utf-8")
     (tmp_path / "b.py").write_text("import numpy.random.RandomState\n", encoding="utf-8")
+    (tmp_path / "c.py").write_text("from numpy import random\n", encoding="utf-8")
+    (tmp_path / "d.py").write_text("import numpy\nbits = numpy.random.bytes(8)\n",
+                                   encoding="utf-8")
+    (tmp_path / "e.py").write_text("import random\nimport numpy as np\nx = np.zeros(3)\n"
+                                   "y = random.random()\n", encoding="utf-8")
     assert _stream_keyers(sorted(tmp_path.glob("*.py"))) == [
-        "a.py:PCG64", "a.py:default_rng", "b.py:RandomState"]
+        "a.py:PCG64", "a.py:default_rng", "a.py:numpy.random", "b.py:RandomState",
+        "b.py:numpy.random", "c.py:numpy.random", "d.py:numpy.random"]
 
 
 def test_only_metric_keys_random_streams():
-    # every random stream is keyed by metric.make_rngs; scripts seed through it
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "metric.py"]
-    assert _stream_keyers(paths + sorted((ROOT / "scripts").glob("*.py"))) == []
-    assert _stream_keyers([PACKAGE / "metric.py"]) == ["metric.py:PCG64"]
+    # every random stream is metric's counter-based SplitMix64; no module of
+    # the package or the scripts uses numpy.random (the tests may, for data)
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert _stream_keyers(paths) == []
 
 
 _IMPORT_GUARD = """
@@ -230,15 +253,15 @@ print("numpy.random" in sys.modules)
 
 
 def test_cli_and_bundles_load_no_scipy():
-    # scipy is imported by the transport solvers alone; numpy.random is loaded
-    # with the package so no command pays for it on its first seed stream
+    # scipy is imported by the transport solvers alone, and numpy.random by
+    # nothing: the streams are metric's own
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD], capture_output=True, text=True, check=True,
         env=env,
     ).stdout.split("\n")
     assert out[0] == "[]"
-    assert out[1] == "True"
+    assert out[1] == "False"
 
 
 _WASSERSTEIN_GUARD = """
@@ -272,6 +295,62 @@ def test_wasserstein_assignments_load_no_scipy_optimize(tmp_path):
     loaded = ast.literal_eval(out[1])
     assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
     assert "scipy.optimize._lsap" in loaded
+
+
+_COMMAND_GUARD = """
+import contextlib, importlib.util, io, json, sys
+from chaincert import cli
+work, mu, nu, script = sys.argv[1:]
+
+def config(name, body):
+    path = f"{work}/{name}.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(body, out_dir=f"{work}/{name}"), fh)
+    return path
+
+def decay(argv):
+    spec = importlib.util.spec_from_file_location("contraction_decay", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main(argv)
+
+runs = {
+    "coverage": lambda: cli.main(["coverage", "--config", config("cov", {
+        "preset": "halving_map", "n": 40, "epsilon": 0.1, "trials": 10, "rad_outer": 4})]),
+    "coverage_mc": lambda: cli.main(["coverage", "--config", config("mc", {
+        "preset": "affine_triangle", "n": 40, "epsilon": 0.1, "trials": 2, "rad_outer": 2,
+        "draws": 64})]),
+    "lemma3": lambda: cli.main(["validate", "lemma3", "--config", config("l3", {
+        "preset": "affine_triangle", "n": 12, "epsilon": 0.3, "trials": 4})]),
+    "wasserstein": lambda: cli.main(["wasserstein", mu, nu, "--kappa", "2.0"]),
+    "contraction_decay": lambda: decay(["--preset", "affine_triangle", "--n-max", "3",
+                                        "--atoms", "16", "--out", f"{work}/decay"]),
+}
+seen = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, run in runs.items():
+        seen[name] = [run(), "numpy.random" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_never_load_numpy_random(tmp_path):
+    rng = np.random.default_rng(9)
+    files = []
+    for name in ("mu", "nu"):
+        path = tmp_path / f"{name}.csv"
+        rows = rng.uniform(0.0, 0.4, (16, 2)).tolist()
+        path.write_text("x_0,y_0\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows),
+                        encoding="utf-8")
+        files.append(str(path))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _COMMAND_GUARD, str(tmp_path), *files,
+         str(ROOT / "scripts" / "contraction_decay.py")],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert json.loads(out) == {name: [0, False] for name in (
+        "coverage", "coverage_mc", "lemma3", "wasserstein", "contraction_decay")}
 
 
 # -- the benchmark's hooks -------------------------------------------------------

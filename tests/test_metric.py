@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -18,11 +19,13 @@ from chaincert.metric import (
     derive_streams,
     dist,
     _triangle_pairs,
-    make_rng,
-    make_rngs,
     pairwise_dist,
     row_dist,
+    stream_keys,
+    stream_uniforms,
+    stream_words,
 )
+from oracles import splitmix64, stream_draws, stream_key
 
 
 def test_dist_hand_values():
@@ -111,16 +114,16 @@ def test_triangle_pairs_match_the_row_major_loop():
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
 def test_streams_are_reproducible(master, idx):
-    a = make_rng(SeedSpec(master, idx)).integers(0, 2**63, size=8)
-    b = make_rng(SeedSpec(master, idx)).integers(0, 2**63, size=8)
-    assert np.array_equal(a, b)
+    a = stream_words(stream_keys([SeedSpec(master, idx)]), 0, 8)
+    b = stream_words(stream_keys([SeedSpec(master, idx)]), 0, 8)
+    assert a.dtype == np.uint64 and np.array_equal(a, b)
 
 
 def test_derived_streams_differ():
     root = SeedSpec(123)
     children = [derive_stream(root, i) for i in range(64)]
     assert len({c.stream_index for c in children}) == 64
-    draws = {make_rng(c).integers(0, 2**63) for c in children}
+    draws = set(stream_words(stream_keys(children), 0, 1)[:, 0].tolist())
     assert len(draws) == 64
 
 
@@ -138,55 +141,106 @@ def test_derive_streams_equal_derive_stream(seed):
         assert [(hash(s), repr(s)) for s in streams] == [(hash(s), repr(s)) for s in reference]
 
 
-def _draws(rng):
-    # an odd count of 32-bit integers leaves half a 64-bit word buffered; a
-    # power-of-two range rejects no draw, so a stale buffered half would show
-    return (rng.random(5), rng.normal(size=3), rng.integers(0, 2**20, size=5),
-            rng.integers(1, 12, size=3), rng.integers(0, 2**40, size=2))
+@pytest.mark.parametrize("count", [-1, True, 2.0])
+def test_derive_streams_rejects_a_bad_count(count):
+    with pytest.raises(InvalidInputError, match="count must be an integer >= 0"):
+        derive_streams(SeedSpec(3), count)
 
 
-def test_make_rngs_draws_equal_make_rng():
-    rs = np.random.default_rng(2024)
-    masters = [0, 2**32 - 1, 2**32, 2**64 - 1] + rs.integers(0, 2**63, size=3).tolist()
-    indices = ([0, 1, 2**32 - 1, 2**32, 2**64 - 1] + rs.integers(2**32, 2**63, size=3).tolist()
-               + rs.integers(2**63, 2**64, size=2, dtype=np.uint64).tolist())
-    seeds = [SeedSpec(int(m), int(k)) for m in masters for k in indices]
-    taken = []
-    for seed, rng in zip(seeds, make_rngs(seeds), strict=True):
-        taken.append(id(rng))
-        for a, b in zip(_draws(rng), _draws(make_rng(seed))):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-    # every stream is set on one reused generator
-    assert len(set(taken)) == 1
+def test_splitmix64_known_answers():
+    # SplitMix64's published outputs from states 0 and 1234567
+    assert splitmix64(0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert splitmix64(1234567, 2) == [6457827717110365317, 3203168211198807973]
+    # a key is the state the stream's counter starts from
+    keys = np.array([0, 1234567], dtype=np.uint64)
+    assert stream_words(keys, 0, 2).tolist() == [splitmix64(0, 2), splitmix64(1234567, 2)]
+    assert stream_words(keys, 1, 1).tolist() == [[0x6E789E6AA1B965F4], [3203168211198807973]]
+
+
+_EDGE_SEEDS = [SeedSpec(0), SeedSpec(0, 2**64 - 1), SeedSpec(2**64 - 1),
+               SeedSpec(2**64 - 1, 2**64 - 1), SeedSpec(2**32, 7)]
+
+
+def test_block_words_equal_one_stream_words():
+    # every row of a block is its stream's own call, and the scalar oracle's
+    # words, from the first draw and from counters near 2^64 (no overflow)
+    seeds = _EDGE_SEEDS + derive_streams(SeedSpec(2**64 - 1), 11)
+    keys = stream_keys(seeds)
+    assert keys.tolist() == [stream_key(seed) for seed in seeds]
+    for first, count in ((0, 9), (2**40 + 3, 5), (2**64 - 5, 4)):
+        block = stream_words(keys, first, count)
+        assert block.shape == (len(seeds), count) and block.dtype == np.uint64
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(block[i], stream_words(stream_keys([seed]), first, count)[0])
+            assert block[i].tolist() == stream_draws(seed, first, count)
 
 
 @pytest.mark.parametrize("count", [1, 15, 16, 64])
-def test_make_rngs_on_derived_streams(count):
-    # derived streams (indices from 2^32 on but for a 2^-32 chance) in pairs
-    # between pairs of small indices, master seeds 0 and 2^64 - 1 in turn
+def test_block_words_on_derived_streams(count):
+    # derived streams in pairs between pairs of small indices, master seeds
+    # 0 and 2^64 - 1 in turn; a row's uniforms are its words' top 53 bits
     masters = (0, 2**64 - 1)
     derived = [derive_streams(SeedSpec(m), count) for m in masters]
     seeds = [derived[i % 2][i] if i % 4 < 2 else SeedSpec(masters[i % 2], i)
              for i in range(count)]
-    for seed, rng in zip(seeds, make_rngs(seeds), strict=True):
-        for a, b in zip(_draws(rng), _draws(make_rng(seed))):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    u = stream_uniforms(stream_keys(seeds), 3, 6)
+    for i, seed in enumerate(seeds):
+        assert u[i].tolist() == [(w >> 11) * 2.0**-53 for w in stream_draws(seed, 3, 6)]
+    assert np.all((u >= 0.0) & (u < 1.0))
 
 
 def test_stream_draws_are_pinned():
     # a change that moves these draws changes every seeded result
-    assert make_rng(SeedSpec(0, 0)).integers(0, 2**63, size=3).tolist() == [
-        5879850648868882174, 4863246735688647928, 8593662936031458890]
+    assert stream_words(stream_keys([SeedSpec(0, 0)]), 0, 3).tolist() == [[
+        2700287987874323094, 12421776552462850939, 1882008033261520683]]
     child = derive_stream(SeedSpec(7), 3)
     assert child == SeedSpec(7, 1203591567212739478)
-    assert make_rng(child).integers(0, 2**63, size=3).tolist() == [
-        4241821208553452325, 1337895168536506838, 6804185034146666800]
+    assert stream_words(stream_keys([child]), 0, 3).tolist() == [[
+        8890225978161962452, 11206739075917038907, 330273337079831211]]
 
 
 @pytest.mark.parametrize("a,b", [(0, 1), (5, 2**40), (2**64 - 1, 0)])
 def test_swapped_seed_fields_draw_different_streams(a, b):
-    assert not np.array_equal(make_rng(SeedSpec(a, b)).random(4),
-                              make_rng(SeedSpec(b, a)).random(4))
+    keys = stream_keys([SeedSpec(a, b), SeedSpec(b, a)])
+    u = stream_uniforms(keys, 0, 4)
+    assert not np.array_equal(u[0], u[1])
+
+
+# -- statistical sanity at fixed seeds ------------------------------------------
+# Each bound is five standard deviations of its statistic under independent
+# uniform words.
+
+
+def _sanity_words():
+    """64 derived streams of 4,096 words, and 64 streams on the consecutive
+    keys 2^63 - 32, ..., 2^63 + 31."""
+    derived = stream_words(stream_keys(derive_streams(SeedSpec(2024), 64)), 0, 4096)
+    adjacent = np.arange(2**63 - 32, 2**63 + 32, dtype=np.uint64)
+    return derived, stream_words(adjacent, 0, 4096)
+
+
+def _corr(a, b):
+    return float(np.corrcoef(a.ravel(), b.ravel())[0, 1])
+
+
+def test_uniform_mean_variance_and_byte_bins():
+    for words in _sanity_words():
+        u = (words >> 11) * 2.0**-53
+        size = u.size
+        assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / size)
+        assert abs(u.var() - 1 / 12) < 5 * math.sqrt((1 / 80 - 1 / 144) / size)
+        counts = np.bincount(words.astype("<u8").view(np.uint8).ravel(), minlength=256)
+        expected = counts.sum() / 256
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert abs(chi2 - 255) < 5 * math.sqrt(2 * 255)
+
+
+def test_adjacent_keys_and_counters_are_uncorrelated():
+    for words in _sanity_words():
+        u = (words >> 11) * 2.0**-53
+        bound = 5 / math.sqrt(u[:-1].size)
+        assert abs(_corr(u[:-1], u[1:])) < bound  # stream i against stream i + 1
+        assert abs(_corr(u[:, :-1], u[:, 1:])) < bound  # draw t against draw t + 1
 
 
 _BOOL_CALLS = {
@@ -205,22 +259,23 @@ def test_a_bool_is_not_a_seed_or_a_dimension(call):
 
 
 def test_uniform_draws_are_prefix_stable():
-    # Chain sampling relies on rng.random(k + m)[k:] matching the suffix of a
-    # longer fill from the same stream.
-    full = make_rng(SeedSpec(99, 3)).random(50)
-    head = make_rng(SeedSpec(99, 3)).random(20)
-    assert np.array_equal(full[:20], head)
+    # a stream's draw t does not depend on how many draws are taken with it,
+    # nor on where the block starts
+    keys = stream_keys([SeedSpec(99, 3), SeedSpec(5)])
+    full = stream_uniforms(keys, 0, 50)
+    assert np.array_equal(full[:, :20], stream_uniforms(keys, 0, 20))
+    assert np.array_equal(full[:, 17:31], stream_uniforms(keys, 17, 14))
 
 
 def test_streams_bit_identical_across_processes():
     code = (
-        "from chaincert.metric import SeedSpec, make_rng;"
-        "print(make_rng(SeedSpec(2024, 17)).integers(0, 2**63, size=5).tolist())"
+        "from chaincert.metric import SeedSpec, stream_keys, stream_words;"
+        "print(stream_words(stream_keys([SeedSpec(2024, 17)]), 0, 5).tolist())"
     )
     # the child imports the same chaincert as this process
     env = dict(os.environ, PYTHONPATH=str(Path(chaincert.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout.strip()
-    here = make_rng(SeedSpec(2024, 17)).integers(0, 2**63, size=5).tolist()
+    here = stream_words(stream_keys([SeedSpec(2024, 17)]), 0, 5).tolist()
     assert out == str(here)
