@@ -10,9 +10,10 @@ Subcommands:
     validate      run one statistical validator (lemma1|lemma2|lemma3|coverage)
     coverage      run the end-to-end coverage experiment (validate coverage)
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 assumption
-violation (expected contraction at or above one, loss scale breached), 4 a
-validator finished and reported FAIL.
+Exit codes: 0 success, 2 invalid configuration or input (a size whose arrays
+cannot be allocated included), 3 assumption violation (expected contraction
+at or above one, loss scale breached), 4 a validator finished and reported
+FAIL.
 """
 from __future__ import annotations
 
@@ -470,7 +471,7 @@ def run_with_exit_codes(handler: Callable[[argparse.Namespace], int],
     share this mapping."""
     try:
         return handler(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (AssumptionViolationError, GeneratorContractError) as exc:

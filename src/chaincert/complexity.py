@@ -6,22 +6,21 @@ of group sums has at most 2^EXACT_N_CAP points; scored from a table of
 partial scores built once and one built a slice at a time, so no sign
 vector is built and memory stays flat), and an unbiased Monte Carlo average
 with a standard error. ``rademacher_estimates`` picks for each matrix of a
-batch (``rademacher_estimate`` is its one-matrix call): up to
-``EXACT_N_CAP`` states, every column is a group of its own
-(``rademacher_exact``), so all 2^n sign vectors are enumerated; above it,
-equal columns are grouped, and the grid is enumerated when it fits and
-Monte Carlo runs when it does not. Both score a sign vector sigma once
-for the pair (sigma, -sigma), since score(-sigma) = -score(sigma), and one
-reduction (``_pair_sums``) turns scores into pair sums: enumeration adds
-them up weighted by each grid point's probability, the Monte Carlo path
-averages them over draws/2 random pairs, drawn and scored in tiles of 512
-sign vectors through one reused buffer, so its memory grows with the draw
-count only by the pair statistics it keeps. Every estimate carries a plain
-form, max over the class of the signed mean, and a symmetrized form that
-takes the absolute value inside the max, both scored on the same sign
-vectors, each with its own standard error; the plain form is what the
-certificates and lemma 3 consume, and the symmetrized one bounds lemma 2's
-two-sided deviation.
+batch (``rademacher_estimate`` is its one-matrix call): equal columns are
+grouped at every n, and the grid is enumerated when it fits and Monte Carlo
+runs when it does not; a matrix where no column repeats is enumerated in
+its own column order (``rademacher_exact``), all 2^n sign vectors. Both
+score a sign vector sigma once for the pair (sigma, -sigma), since
+score(-sigma) = -score(sigma), and one reduction (``_pair_sums``) turns
+scores into pair sums: enumeration adds them up weighted by each grid
+point's probability, the Monte Carlo path averages them over draws/2 random
+pairs, drawn and scored in tiles of 512 sign vectors through one reused
+buffer, so its memory grows with the draw count only by the pair statistics
+it keeps. Every estimate carries a plain form, max over the class of the
+signed mean, and a symmetrized form that takes the absolute value inside
+the max, both scored on the same sign vectors, each with its own standard
+error; the plain form is what the certificates and lemma 3 consume, and the
+symmetrized one bounds lemma 2's two-sided deviation.
 
 Loss matrices come a batch of trajectories at a time as well
 (``loss_matrices``, with ``loss_matrix`` its one-trajectory call): one loss
@@ -182,11 +181,11 @@ class RademacherEstimate:
     expectations). Both errors are 0.0 for exact enumeration.
 
     ``draws`` counts what was enumerated or drawn: the grid points of
-    enumeration (at most 2^EXACT_N_CAP; 2^n sign vectors up to
-    ``EXACT_N_CAP`` states, where every column is a group of its own), the
-    Monte Carlo sign vectors, the chains of an expectation, or, for the
-    expectation at a one-atom invariant law, the n + 1 points of the law of
-    the sum of n signs."""
+    enumeration, prod_c (m_c + 1) over groups of m_c equal columns (at most
+    2^EXACT_N_CAP; 2^n sign vectors when no column repeats), the Monte Carlo
+    sign vectors, the chains of an expectation, or, for the expectation at
+    a one-atom invariant law, the n + 1 points of the law of the sum of n
+    signs."""
 
     value: float
     se: float
@@ -501,15 +500,13 @@ def rademacher_estimates(
     """The one place that picks an estimator, for each matrix of a batch in
     order; ``method`` says which one ran.
 
-    The grid of group sums is enumerated exactly (``rademacher_grouped``)
-    when it has at most 2^EXACT_N_CAP points, and ``draws`` Monte Carlo sign
-    vectors are drawn from the matrix's seed when it does not. Up to
-    ``EXACT_N_CAP`` states every column is its own group, so the grid fits
-    and no grouping pass runs (``rademacher_exact``); above it, the equal
-    columns are grouped (one ``_column_groups`` pass over the distinct
-    matrices of each shape) and enumerated by a direct call, so
-    ``rademacher_exact`` sees only matrices whose 2^n sign vectors it
-    enumerates. Each step runs once per distinct
+    Equal columns are grouped first, by one ``_column_groups`` pass over the
+    distinct matrices of each shape. The grid of group sums is enumerated
+    exactly when it has at most 2^EXACT_N_CAP points, and ``draws`` Monte
+    Carlo sign vectors are drawn from the matrix's seed when it does not. A
+    matrix where no column repeats is enumerated in its own column order
+    (``rademacher_exact``, which counts its 2^n sign vectors), any other by
+    a direct ``rademacher_grouped`` call. Each step runs once per distinct
     matrix object (``loss_matrices`` returns one object per shared window),
     and a grouped estimate depends only on its groups, so matrices with the
     same groups share one enumeration; Monte Carlo estimates depend on
@@ -523,14 +520,14 @@ def rademacher_estimates(
         )
     shared, by_shape = {}, {}  # id(matrix) -> its estimate unless it takes MC
     for mat in {id(mat): mat for mat in matrices}.values():
-        if mat.num_states <= EXACT_N_CAP:
-            shared[id(mat)] = rademacher_exact(mat)
-        else:
-            by_shape.setdefault(mat.values.shape, []).append(mat)
+        by_shape.setdefault(mat.values.shape, []).append(mat)
     grouped = {}
     for members in by_shape.values():
         for mat, (columns, counts) in zip(members, _column_groups([m.values for m in members])):
-            if _grid_size(counts) <= 1 << EXACT_N_CAP:
+            fits = _grid_size(counts) <= 1 << EXACT_N_CAP
+            if fits and counts.size == mat.num_states:  # no column repeats
+                shared[id(mat)] = rademacher_exact(mat)
+            elif fits:
                 key = (columns.shape, columns.tobytes(), counts.tobytes())
                 if key not in grouped:
                     grouped[key] = rademacher_grouped(columns, counts)

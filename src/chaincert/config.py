@@ -25,11 +25,10 @@ Top-level keys (all optional unless a command needs them):
     tie_break     "lowest_index" | "first_found"        (default "lowest_index")
     out_dir       output directory                      (default "results")
 
-Complexity estimates enumerate the sums of signs over groups of equal loss
-columns when that grid has at most 2^EXACT_N_CAP points, and draw ``draws``
-Monte Carlo sign vectors when it does not; up to ``complexity.EXACT_N_CAP``
-states every column is a group of its own, so every sign vector is
-enumerated. No key overrides that choice.
+At every window length, complexity estimates enumerate the sums of signs
+over groups of equal loss columns when that grid has at most
+2^complexity.EXACT_N_CAP points, and draw ``draws`` Monte Carlo sign vectors
+when it does not. No key overrides that choice.
 
 Each block has one reader: it checks the block's structure and returns the
 call that builds its object. ``parse_config`` runs the readers for their

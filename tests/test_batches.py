@@ -145,14 +145,17 @@ def test_batched_estimates_equal_one_matrix_calls():
     values.append(values[1][:, ::-1].copy())   # the groups of matrix 1: one shared enumeration
     values.append(values[2].copy())            # the matrix of matrix 2 under another seed
     values.append(values[1] * 0.5)             # the counts of matrix 1, other columns
+    values.append(_duplicated_columns(rng, h, 12, 3))  # grouped below the cap
     mats = [LossMatrix(v, 1.0) for v in values]
     seeds = [SeedSpec(11, i) for i in range(len(mats))]
     batch = rademacher_estimates(mats, 64, seeds)
     assert [e.method for e in batch] == ["exact", "exact", "mc", "exact", "mc", "exact", "exact",
-                                         "exact", "mc", "exact"]
+                                         "exact", "mc", "exact", "exact"]
+    assert batch[10].draws < 1 << 12
     for mat, seed, est in zip(mats, seeds, batch):
         assert est == rademacher_estimate(mat, 64, seed)
-        if mat.num_states <= EXACT_N_CAP:
+        no_repeats = _groups_one(mat.values)[1].size == mat.num_states
+        if no_repeats and mat.num_states <= EXACT_N_CAP:
             assert est == rademacher_exact(mat)
         elif est.method == "mc":
             assert est == rademacher_mc(mat, 64, seed)
@@ -165,9 +168,10 @@ def test_batched_estimates_equal_one_matrix_calls():
         rademacher_estimates(mats, 64, seeds[:-1])
 
 
-def test_only_small_matrices_go_through_rademacher_exact(monkeypatch):
+def test_only_matrices_with_no_repeated_column_reach_rademacher_exact(monkeypatch):
     # the benchmark's tracer spans ``complexity.rademacher_exact`` and counts
-    # 2^n sign vectors per call, so only n <= EXACT_N_CAP may reach it
+    # 2^n sign vectors per call, so only a matrix whose 2^n sign vectors are
+    # enumerated may reach it: no column repeats, and n <= EXACT_N_CAP
     calls, real = [], complexity.rademacher_exact
 
     def counting(matrix):
@@ -177,10 +181,12 @@ def test_only_small_matrices_go_through_rademacher_exact(monkeypatch):
     monkeypatch.setattr(complexity, "rademacher_exact", counting)
     rng = np.random.default_rng(5)
     values = [rng.random((3, 7)), rng.random((3, EXACT_N_CAP)),
-              _duplicated_columns(rng, 3, 21, 3), rng.random((3, 45))]
+              _duplicated_columns(rng, 3, 21, 3), rng.random((3, 45)),
+              _duplicated_columns(rng, 3, 12, 4)]
     batch = rademacher_estimates([LossMatrix(v, 1.0) for v in values], 64,
                                  [SeedSpec(5, i) for i in range(len(values))])
-    assert [e.method for e in batch] == ["exact", "exact", "exact", "mc"]
+    assert [e.method for e in batch] == ["exact", "exact", "exact", "mc", "exact"]
+    assert batch[4].draws < 1 << 12  # the grid of its groups, not 2^12 sign vectors
     assert calls == [7, EXACT_N_CAP]
 
 

@@ -137,6 +137,15 @@ def _config_argv(workdir, cfg, command):
 COMMANDS = st.sampled_from(("simulate", "lemma1", "lemma3", "coverage", "erm"))
 
 
+@pytest.mark.parametrize("preset", ("halving_map", "iid_two"))
+def test_size_that_cannot_be_allocated_is_rejected(workdir, preset):
+    # 10^15 states need petabytes: the first allocation fails at once
+    argv = _config_argv(workdir, {"preset": preset}, "simulate") + ["--n", str(10**15)]
+    code, err = _run(argv)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unmutated_inputs_run(workdir):
     # the fuzz below breaks these inputs one fault at a time
     for base in BASES:

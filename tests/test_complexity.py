@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -26,9 +28,9 @@ from chaincert.complexity import (
     rademacher_mc,
 )
 from chaincert.errors import InvalidInputError, SizeCapError
-from chaincert.generators import exact_fixed_point, iid_generator, sample_chain
+from chaincert.generators import chain_batches, exact_fixed_point, iid_generator, sample_chain
 from chaincert.hypotheses import constant_grid, finalize_env, make_abs_loss, window_loss_values
-from chaincert.metric import MetricSpec, SeedSpec, ZPoint, stream_keys
+from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream, stream_keys
 from chaincert.presets import load_preset
 
 from test_generators import UNIT_BOX, make_affine_worked_example, make_halving, make_iid
@@ -116,10 +118,60 @@ def test_exact_cap_directs_to_mc():
     repeated = LossMatrix(values=np.zeros((2, n)), ell_H=1.0)
     est = rademacher_estimate(repeated, 64, SeedSpec(0))
     assert (est.method, est.draws, est.se, est.se_symmetrized) == ("exact", n + 1, 0.0, 0.0)
-    # at the cap the plain enumeration runs, with no grouping step
-    small = LossMatrix(values=np.zeros((2, EXACT_N_CAP)), ell_H=1.0)
+    # at the cap, distinct columns give the whole grid of 2^n sign vectors
+    small = LossMatrix(values=distinct.values[:, :EXACT_N_CAP], ell_H=1.0)
     est = rademacher_estimate(small, 64, SeedSpec(0))
     assert (est.method, est.draws) == ("exact", 1 << EXACT_N_CAP)
+    assert est == rademacher_exact(small)
+    # and one column repeated gives the grid of its one group's sum
+    zeros = LossMatrix(values=np.zeros((2, EXACT_N_CAP)), ell_H=1.0)
+    est = rademacher_estimate(zeros, 64, SeedSpec(0))
+    assert (est.method, est.draws) == ("exact", EXACT_N_CAP + 1)
+
+
+def _grid_points(values: np.ndarray) -> int:
+    """prod_c (m_c + 1) over the counts m_c of the distinct columns, from
+    np.unique and Python integers."""
+    return math.prod(m + 1 for m in np.unique(values, axis=1, return_counts=True)[1].tolist())
+
+
+def _grid_oracle(values: np.ndarray) -> tuple[float, float]:
+    """The plain and symmetrized complexity in exact arithmetic, over the
+    counts m_c of the distinct columns from np.unique: grid point (k_c)
+    weighs prod_c C(m_c, k_c) / 2^n and scores sum_c L(c) (m_c - 2 k_c),
+    with each float L(c) an integer over 2^1074."""
+    columns, counts = np.unique(values, axis=1, return_counts=True)
+    counts, n = counts.tolist(), values.shape[1]
+    rows = [[int(Fraction(v) * 2**1074) for v in row] for row in columns.tolist()]
+    plain = sym = 0
+    for ks in itertools.product(*(range(m + 1) for m in counts)):
+        weight = math.prod(math.comb(m, k) for m, k in zip(counts, ks))
+        sums = [m - 2 * k for m, k in zip(counts, ks)]
+        scores = [sum(map(operator.mul, row, sums)) for row in rows]
+        plain += weight * max(scores)
+        sym += weight * max(map(abs, scores))
+    scale = 2**n * n * 2**1074
+    return plain / scale, sym / scale
+
+
+@pytest.mark.parametrize("name", ("iid_singleton", "iid_two", "iid_four"))
+@pytest.mark.parametrize("n", (1, 2, EXACT_N_CAP - 1, EXACT_N_CAP))
+def test_repeated_columns_at_short_windows_are_grouped(name, n):
+    # the iid presets repeat states, so their short windows repeat columns,
+    # and the grid of group sums stands for the 2^n sign vectors
+    bundle = load_preset(name)
+    for seed in range(4):
+        mat = loss_matrix(bundle.cls, sample_chain(bundle.gen, n, SeedSpec(seed)), bundle.env)
+        est, plain = rademacher_estimate(mat, 64, SeedSpec(0)), rademacher_exact(mat)
+        points, (value, value_sym) = _grid_points(mat.values), _grid_oracle(mat.values)
+        assert est.method == "exact" and est.draws == points
+        assert points < 1 << n or n <= 2  # at most 8 atoms: longer windows repeat
+        # the grouped sum is within 1e-15 of the exact value; the 2^(n-1)
+        # terms of the plain one add their own rounding, up to 1.4e-15 apart
+        assert est.value == pytest.approx(value, rel=1e-15, abs=0)
+        assert est.value_symmetrized == pytest.approx(value_sym, rel=1e-15, abs=0)
+        assert est.value == pytest.approx(plain.value, rel=2e-15, abs=0)
+        assert est.value_symmetrized == pytest.approx(plain.value_symmetrized, rel=2e-15, abs=0)
 
 
 def _duplicated_columns(rng, h: int, n: int, distinct: int) -> np.ndarray:
@@ -527,6 +579,29 @@ def test_expected_rademacher_averages_chains_off_one_atom_laws(name):
                               seed=SeedSpec(1))
     assert est.method == "expected_exact_stationary"
     assert est.draws == 3
+
+
+def test_expected_rademacher_reports_mixed_inner_estimators():
+    # iid_four at n = 40: eight distinct columns, whose grid of group sums
+    # fits under 2^EXACT_N_CAP points on lopsided windows only
+    bundle = load_preset("iid_four")
+    n, outer, seed = 40, 8, SeedSpec(1)
+    est = rademacher_expected(bundle.cls, bundle.gen, bundle.env, n, outer=outer, seed=seed,
+                              mc_draws=64)
+    # the outer chains rademacher_expected scores, one at a time, each with
+    # the estimator its own grid size picks
+    fits, values = 0, []
+    for traj in [traj for batch in chain_batches(bundle.gen, n, seed, outer, 1e-3)
+                 for traj in batch]:
+        mat = loss_matrix(bundle.cls, traj, bundle.env)
+        fit = _grid_points(mat.values) <= 2**EXACT_N_CAP
+        inner = rademacher_estimate(mat, 64, derive_stream(traj.seed, 1))
+        assert inner.method == ("exact" if fit else "mc")
+        fits += fit
+        values.append(inner.value)
+    assert 0 < fits < outer
+    assert est.method == "expected_mixed_stationary" and est.draws == outer
+    assert est.value == float(np.mean(values))
 
 
 @pytest.mark.parametrize("name", ("halving_map", "affine_triangle"))

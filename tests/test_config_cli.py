@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chaincert import presets
 from chaincert.certificates import invert_epsilon
 from chaincert.cli import main, run_with_exit_codes
+from chaincert.complexity import LossMatrix, rademacher_exact
 from chaincert.config import (
     ExperimentConfig,
     build_bundle,
@@ -962,6 +963,22 @@ def test_cli_rademacher_enumerates_repeated_columns(tmp_path, capsys):
     assert main(["rademacher", str(matrix), "--draws", "64"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["method"], payload["draws"]) == ("mc", 64)
+
+
+def test_cli_rademacher_groups_repeated_columns_at_short_windows(tmp_path, capsys):
+    # 2 x 20 with three distinct columns: the grid of their group sums, not
+    # the 2^20 sign vectors, and the same value
+    rng = np.random.default_rng(20)
+    values = rng.random((2, 3))[:, rng.integers(0, 3, 20)]
+    matrix = tmp_path / "short.csv"
+    matrix.write_text("\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n")
+    assert main(["rademacher", str(matrix)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    counts = np.unique(values, axis=1, return_counts=True)[1]
+    assert counts.size == 3
+    assert (payload["method"], payload["draws"]) == ("exact", math.prod(int(m) + 1 for m in counts))
+    plain = rademacher_exact(LossMatrix(values, payload["ell_H"]))
+    assert payload["value"] == pytest.approx(plain.value, rel=2e-15, abs=0)
 
 
 AFFINE_1D = {"kind": "affine_ifs", "mats": [[[0.5]]], "vecs": [[0.25]],
