@@ -11,7 +11,7 @@ Subcommands:
     coverage      run the end-to-end coverage experiment (validate coverage)
 
 Exit codes: 0 success, 2 invalid configuration or input (a size whose arrays
-cannot be allocated included), 3 assumption violation (expected contraction
+cannot be allocated, or sized, included), 3 assumption violation (expected contraction
 at or above one, loss scale breached), 4 a validator finished and reported
 FAIL.
 """

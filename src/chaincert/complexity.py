@@ -108,9 +108,10 @@ def _window_span(traj: Trajectory, window: Optional[tuple]) -> tuple[int, int]:
     if window is None:
         window = (0, len(traj))
     start, stop = window
-    if not (isinstance(start, int) and isinstance(stop, int) and 0 <= start < stop <= len(traj)):
+    ints = not any(isinstance(v, bool) or not isinstance(v, int) for v in (start, stop))
+    if not (ints and 0 <= start < stop <= len(traj)):
         raise InvalidInputError(
-            f"window {window!r} out of range for a length-{len(traj)} trajectory"
+            f"window {window!r} is no integer pair in range for a length-{len(traj)} trajectory"
         )
     return start, stop
 
@@ -559,11 +560,12 @@ def rademacher_expected(
 ) -> RademacherEstimate:
     """Complexity of ``n`` states under the invariant law.
 
-    A one-atom law z* (``exact_invariant_atoms``) repeats z*'s loss column
-    l in every window, so a sign vector scores l_h S_n and the value is
-    exact: (max l - min l) E|S_n| / 2n, and max l E|S_n| / n symmetrized,
-    over the n + 1 points of S_n's law; ``method`` is ``exact_fixed_point``
-    and ``outer``, ``tol``, ``seed`` and ``mc_draws`` are not read.
+    A one-atom invariant law z* (``exact_invariant_atoms``: a deterministic
+    map's fixed point or one iid atom) repeats z*'s loss column l in every
+    window, so a sign vector scores l_h S_n and the value is exact:
+    (max l - min l) E|S_n| / 2n, and max l E|S_n| / n symmetrized, over the
+    n + 1 points of S_n's law; ``method`` is ``exact_fixed_point`` and
+    ``outer``, ``tol``, ``seed`` and ``mc_draws`` are not read.
 
     Otherwise each of ``outer`` chains is burned in to within ``tol`` of the
     invariant law before its ``n`` recorded states, and its value is exact

@@ -98,17 +98,17 @@ def true_risk_table(
 ) -> tuple[RiskEstimate, ...]:
     """Invariant-law risk of every class member, in class order.
 
-    The generator's variant picks the method: ``iid`` takes the expectation
-    over its atoms and ``deterministic_map`` evaluates its fixed point, both
-    exactly; every other variant is estimated from replica chains that start
-    stationary (burned in to within ``tol``). Ergodic estimates share the same
-    replica chains across the class, so differences between members are not
-    polluted by sampling noise.
+    The generator's parts pick the method (``exact_invariant_atoms``): iid
+    draws take their atoms' expectation and a deterministic map (one atom)
+    its fixed point, both exactly; any other chain is estimated from replica
+    chains that start stationary (burned in to within ``tol``). Ergodic
+    estimates share the same replica chains across the class, so differences
+    between members are not polluted by sampling noise.
     """
     law = exact_invariant_atoms(gen)
     if law is not None:
         xs, ys, weights = law
-        method = "fixed_point" if gen.variant == "deterministic_map" else "atom_expectation"
+        method = "atom_expectation" if gen.governing_map is None else "fixed_point"
         rows = window_loss_values(cls, xs, ys, env)
         return tuple(RiskEstimate(value=float(r @ weights), se=0.0, method=method) for r in rows)
     if not np.isfinite(env.ell_H):

@@ -6,16 +6,17 @@ randomness. Each step applies
     Z_t = F(Z_{t-1}, theta_t),        theta_t iid,
 
 and the construction records a per-draw Lipschitz factor whose mean (the
-analytic contraction factor) must be strictly below one. Four variants:
+analytic contraction factor) must be strictly below one. The generator's
+parts say what chain it is. With no governing map the draws are iid,
+F(z, theta) = theta over atoms in the state space, factor 0
+(``iid_generator``). Otherwise features follow x' = F(x, theta) and labels
+are a Lipschitz map of x' (``affine_ifs_generator`` for affine maps with
+contractive matrix parts, ``labeled_lipschitz_generator`` for a supplied map
+and factor table); with one atom the map is deterministic, whichever
+constructor built it, and the invariant law is the point mass at its fixed
+point (``deterministic_map_generator`` builds one directly).
 
-* ``iid``: F(z, theta) = theta with atoms in the state space; factor 0.
-* ``affine_ifs``: features follow x' = A x + b over a finite set of affine
-  maps with contractive matrix parts, labels are a Lipschitz map of x'.
-* ``labeled_lipschitz``: like affine_ifs but with a user-supplied feature map
-  and a declared per-draw factor table.
-* ``deterministic_map``: a single deterministic contractive feature map.
-
-For the labelled variants the per-draw factor on the full state space is the
+For a governing map the per-draw factor on the full state space is the
 declared feature factor scaled by (1 + Lip(label)) / kappa. Chain states sit
 on the label map's graph after the first step, and the shipped presets pick
 kappa = 1 + Lip(label) scaling so this analytic factor also bounds the
@@ -48,14 +49,13 @@ from .metric import (
     SeedSpec,
     ZPoint,
     _check_count,
+    _check_probabilities,
     _row_norms,
     derive_streams,
     dist,
     stream_keys,
     stream_uniforms,
 )
-
-VARIANTS = ("iid", "affine_ifs", "labeled_lipschitz", "deterministic_map")
 
 _BOUND_SLACK = 1e-9  # relative tolerance of the state-bound tests
 _FIXED_POINT_TOL = 1e-15  # most a fixed point may move in one step, iterated or declared
@@ -221,14 +221,7 @@ class CategoricalTheta:
     def __post_init__(self):
         atoms = tuple(self.atoms)
         weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(atoms) == 0 or weights.shape[0] != len(atoms):
-            raise InvalidInputError("theta law needs one weight per atom, at least one atom")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-            raise InvalidInputError("theta weights must be finite and strictly positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError(
-                f"theta weights must sum to 1 within 1e-12, got {float(weights.sum())!r}"
-            )
+        _check_probabilities("theta", weights, len(atoms))
         weights = weights.copy()
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -248,9 +241,11 @@ class CategoricalTheta:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """One iterated-random-map chain with declared contraction bookkeeping."""
+    """One iterated-random-map chain with declared contraction bookkeeping:
+    iid draws of ``ZPoint`` atoms without a ``governing_map``, and a
+    deterministic map, the one chain that takes a ``fixed_point``, with a
+    governing map over one atom."""
 
-    variant: str
     metric: MetricSpec
     theta: CategoricalTheta
     x_bound: object
@@ -263,29 +258,23 @@ class Generator:
     fixed_point: Optional[ZPoint] = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise InvalidInputError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         self._check_state(self.z0, "initial state")
-        if self.variant == "iid":
+        if self.governing_map is None:
             for atom in self.theta.atoms:
                 if not isinstance(atom, ZPoint):
-                    raise InvalidInputError("iid variant needs ZPoint atoms")
+                    raise InvalidInputError("iid draws need ZPoint atoms")
                 self._check_state(atom, "iid atom")
             object.__setattr__(self, "_atom_xs", np.stack([a.x for a in self.theta.atoms]))
             object.__setattr__(self, "_atom_ys", np.stack([a.y for a in self.theta.atoms]))
             lips = np.zeros(len(self.theta))
         else:
-            if self.label_map is None or self.governing_map is None:
-                raise InvalidInputError(f"variant {self.variant!r} needs a label map and a governing map")
-            if self.lip_x_per_theta is None:
-                raise InvalidInputError(f"variant {self.variant!r} needs a per-draw feature factor table")
+            if self.label_map is None or self.lip_x_per_theta is None:
+                raise InvalidInputError("a governing map needs a label map and per-draw factors")
             table = np.asarray(self.lip_x_per_theta, dtype=float).reshape(-1)
             if table.shape[0] != len(self.theta):
                 raise InvalidInputError("feature factor table must align with the theta atoms")
             if not np.all(np.isfinite(table)) or np.any(table < 0):
                 raise InvalidInputError("feature factors must be finite and non-negative")
-            if self.variant == "deterministic_map" and len(self.theta) != 1:
-                raise InvalidInputError("deterministic_map uses a single dummy theta atom")
             object.__setattr__(self, "lip_x_per_theta", table)
             lips = table * (1.0 + self.label_map.lip) / self.metric.kappa
         factor = float(self.theta.weights @ lips)
@@ -296,8 +285,7 @@ class Generator:
         object.__setattr__(self, "_analytic_factor", factor)
         z = self.fixed_point
         if z is not None:
-            if self.variant != "deterministic_map":
-                raise InvalidInputError("only the deterministic_map variant takes a fixed point")
+            _check_deterministic(self)
             self._check_state(z, "declared fixed point")
             moved = dist(z, _map_once(self, z), self.metric)
             if moved > _FIXED_POINT_TOL:
@@ -309,6 +297,11 @@ class Generator:
         self.metric.check_point(z)
         if not (self.x_bound.contains(z.x) and self.y_bound.contains(z.y)):
             raise GeneratorContractError(f"{what} lies outside the declared bounds")
+
+
+def _check_deterministic(gen: Generator) -> None:
+    if gen.governing_map is None or len(gen.theta) != 1:
+        raise InvalidInputError("a fixed point needs a deterministic map: a map over one atom")
 
 
 def analytic_lip_factor(gen: Generator) -> float:
@@ -356,7 +349,7 @@ def _call_rows(fn, block: np.ndarray, width: Optional[int], what: str, *args) ->
 def _advance(gen: Generator, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step of every row of the (m, d_x) block ``x``, row i under draw idx[i].
     The iid map ignores the state, so there ``idx`` may hold any number of steps."""
-    if gen.variant == "iid":
+    if gen.governing_map is None:
         return gen._atom_xs[idx], gen._atom_ys[idx]
     atoms, dim_x = gen.theta.atoms, gen.metric.dim_x
     if len(atoms) == 1 or len(idx) == 1:
@@ -391,7 +384,7 @@ def _step_block(gen: Generator, x0, y0, idx: np.ndarray) -> tuple[np.ndarray, np
     xs[:, 0], ys[:, 0] = x0, y0
     x, t = xs[:, 0], steps + 1
     try:
-        if gen.variant == "iid":  # F(z, theta) = theta: all steps in one gather
+        if gen.governing_map is None:  # F(z, theta) = theta: all steps in one gather
             xs[:, 1:], ys[:, 1:] = _advance(gen, x, idx)
         else:
             for t in range(1, steps + 1):
@@ -439,6 +432,14 @@ def _raise_first_failure(gen: Generator, xs: np.ndarray, ys: np.ndarray, idx: np
         for c in range(idx.shape[0]):
             _step_block(gen, xs[c, 0], ys[c, 0], idx[c:c + 1])
     _check_paths(gen, xs[:, 1:], ys[:, 1:])
+
+
+def _check_chain_size(gen: Generator, states: int) -> None:
+    """Raise unless numpy can size one chain's state rows, 8 bytes a
+    coordinate, and so its fewer draw words, 8 bytes a step."""
+    need = 8 * states * max(gen.metric.dim_x, gen.metric.dim_y)
+    if need > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"{states} chain states need {need} bytes, past numpy's limit")
 
 
 def _block_size(states_per_chain: int) -> int:
@@ -505,6 +506,7 @@ def _paths(gen: Generator, n: int, seeds: list, skip: int = 0) -> Iterator[list]
     naming the first escaping state of the first failing chain is raised.
     """
     _check_count("n", n)
+    _check_chain_size(gen, n)
     if len(gen.theta) == 1:
         xs, ys = _step_block(gen, gen.z0.x, gen.z0.y, np.zeros((1, n - 1), dtype=int))
         xs.flags.writeable = ys.flags.writeable = False
@@ -578,31 +580,24 @@ def sample_stationary_chain(
 
 
 def _chain_bundle(gen: Generator, steps: int, count: int, seed: SeedSpec):
-    """Run ``count`` independent chains for ``steps`` draws from sampled starts.
+    """Run ``count`` independent chains for ``steps`` >= 1 draws from sampled starts.
 
     Chain i reads the stream ``derive_stream(seed, i)`` in a fixed layout:
     the x bound's start words, the y bound's start words, then one uniform
-    per step. The iid variant takes the y start; a labelled variant labels
-    its x start and takes the y start only where that label leaves the y
-    bound. Each part is one array op over every chain, and the chains are
-    stepped together, so chain i is the same in a bundle of any size.
-    Returns the (count, steps) draw index matrix and the final states as
-    (count, dim_x) and (count, dim_y) rows; the draw matrix is what lets
-    callers replay suffixes of these same chains.
+    per step. No step reads y, nor x under iid draws, so only a governing
+    map draws its x starts, and the other start rows are ``z0``'s; the y
+    words stay reserved so that the step uniforms, and every seeded output,
+    keep their place. Chain i is the same in a bundle of any size. Returns
+    the (count, steps) draw index matrix, which lets callers replay suffixes
+    of these chains, and the final states as (count, d_x), (count, d_y) rows.
     """
+    _check_chain_size(gen, steps + 1)
     keys = stream_keys(derive_streams(seed, count))
-    x0, first = gen.x_bound.draw_starts(keys), gen.x_bound.start_words
-    if gen.variant == "iid":
-        y0 = gen.y_bound.draw_starts(keys, first)
-    else:
-        y0 = _call_rows(gen.label_map.apply, x0, gen.metric.dim_y, "label map")
-        out = np.flatnonzero(~gen.y_bound.inside(y0))
-        if len(out):
-            y0 = y0.copy()
-            y0[out] = gen.y_bound.draw_starts(keys[out], first)
-    first += gen.y_bound.start_words
+    iid = gen.governing_map is None
+    x0 = np.tile(gen.z0.x, (count, 1)) if iid else gen.x_bound.draw_starts(keys)
+    first = gen.x_bound.start_words + gen.y_bound.start_words
     indices = gen.theta.indices_from_uniform(stream_uniforms(keys, first, steps))
-    x_end, y_end = _final_states(gen, x0, y0, indices)
+    x_end, y_end = _final_states(gen, x0, np.tile(gen.z0.y, (count, 1)), indices)
     return indices, x_end, y_end
 
 
@@ -633,10 +628,8 @@ def _check_pair_budget(num_pairs, chain_len) -> None:
 def iid_generator(atoms: Sequence[ZPoint], weights, metric: MetricSpec, x_bound, y_bound,
                   name: str = "iid") -> Generator:
     theta = CategoricalTheta(tuple(atoms), np.asarray(weights, dtype=float))
-    return Generator(
-        variant="iid", metric=metric, theta=theta, x_bound=x_bound, y_bound=y_bound,
-        z0=theta.atoms[0], name=name,
-    )
+    return Generator(metric=metric, theta=theta, x_bound=x_bound, y_bound=y_bound,
+                     z0=theta.atoms[0], name=name)
 
 
 def _affine_map(x: np.ndarray, theta) -> np.ndarray:
@@ -692,10 +685,8 @@ def affine_ifs_generator(
     z0 = ZPoint(x0, y0)
     theta = CategoricalTheta(tuple(zip(mats, vecs)), np.asarray(weights, dtype=float))
     return Generator(
-        variant="affine_ifs", metric=metric, theta=theta,
-        x_bound=BallBound(ball, dim), y_bound=BallBound(ball, dim_y),
-        z0=z0, label_map=label_map, governing_map=_affine_map,
-        lip_x_per_theta=norms, name=name,
+        metric=metric, theta=theta, x_bound=BallBound(ball, dim), y_bound=BallBound(ball, dim_y),
+        z0=z0, label_map=label_map, governing_map=_affine_map, lip_x_per_theta=norms, name=name,
     )
 
 
@@ -713,10 +704,9 @@ def labeled_lipschitz_generator(
     """
     theta = CategoricalTheta(tuple(theta_atoms), np.asarray(weights, dtype=float))
     return Generator(
-        variant="labeled_lipschitz", metric=metric, theta=theta,
-        x_bound=x_bound, y_bound=y_bound, z0=z0, label_map=label_map,
-        governing_map=governing_map,
-        lip_x_per_theta=np.asarray(lip_x_per_theta, dtype=float), name=name,
+        metric=metric, theta=theta, x_bound=x_bound, y_bound=y_bound, z0=z0, label_map=label_map,
+        governing_map=governing_map, lip_x_per_theta=np.asarray(lip_x_per_theta, dtype=float),
+        name=name,
     )
 
 
@@ -734,17 +724,15 @@ def deterministic_map_generator(
     """
     theta = CategoricalTheta((None,), np.array([1.0]))
     return Generator(
-        variant="deterministic_map", metric=metric, theta=theta,
-        x_bound=x_bound, y_bound=y_bound, z0=z0, label_map=label_map,
+        metric=metric, theta=theta, x_bound=x_bound, y_bound=y_bound, z0=z0, label_map=label_map,
         governing_map=governing_map, lip_x_per_theta=np.array([float(lip_x)]),
         fixed_point=fixed_point, name=name,
     )
 
 
 def exact_fixed_point(gen: Generator) -> ZPoint:
-    """Fixed point of a deterministic_map generator, iterated to convergence."""
-    if gen.variant != "deterministic_map":
-        raise InvalidInputError("fixed points are defined for the deterministic_map variant")
+    """Fixed point of a deterministic map, declared or iterated to convergence."""
+    _check_deterministic(gen)
     if gen.fixed_point is not None:
         return gen.fixed_point
     z = gen.z0
@@ -758,11 +746,11 @@ def exact_fixed_point(gen: Generator) -> ZPoint:
 
 def exact_invariant_atoms(gen: Generator) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The invariant law as state rows (xs, ys) with their weights, where it
-    is known exactly: an ``iid`` generator's atoms, or the point mass at a
-    ``deterministic_map``'s fixed point; None for every other variant."""
-    if gen.variant == "iid":
+    is known exactly: the atoms of iid draws, or the point mass at a
+    deterministic map's fixed point; None for a map over several atoms."""
+    if gen.governing_map is None:
         return gen._atom_xs, gen._atom_ys, gen.theta.weights
-    if gen.variant == "deterministic_map":
+    if len(gen.theta) == 1:
         z_star = exact_fixed_point(gen)
         return z_star.x[None], z_star.y[None], np.ones(1)
     return None

@@ -49,6 +49,20 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
 
 
+def _check_probabilities(what: str, weights: np.ndarray, count: int) -> None:
+    """Raise unless the flat float array ``weights`` is a probability vector
+    over ``count`` >= 1 atoms: one weight per atom, each finite and positive,
+    summing to 1 within 1e-12. ``what`` starts each message."""
+    if count == 0 or weights.shape[0] != count:
+        raise InvalidInputError(f"{what} needs one weight per atom, at least one atom")
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise InvalidInputError(f"{what} weights must be finite and strictly positive")
+    if abs(float(weights.sum()) - 1.0) > 1e-12:
+        raise InvalidInputError(
+            f"{what} weights must sum to 1 within 1e-12, got {float(weights.sum())!r}"
+        )
+
+
 def _check_index(name: str, value) -> None:
     """Raise unless ``value`` is an int in [0, 2^64); a bool is not one."""
     if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < _U64):

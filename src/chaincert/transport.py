@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .metric import MetricSpec, SeedSpec, ZPoint, _check_count, pairwise_dist
+from .metric import MetricSpec, SeedSpec, ZPoint, _check_count, _check_probabilities, pairwise_dist
 
 ATOM_CAP = 2000
 _MAX_BLOWUP = 16
@@ -82,14 +82,7 @@ class EmpiricalMeasure:
                 w = np.array(self.weights, dtype=float).reshape(-1)
             except (TypeError, ValueError):
                 raise InvalidInputError("empirical measure weights must be numeric") from None
-        if w.shape[0] != m:
-            raise InvalidInputError("empirical measure needs one weight per atom")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise InvalidInputError("empirical measure weights must be finite and positive")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError(
-                f"empirical measure weights must sum to 1 within 1e-12, got {float(w.sum())!r}"
-            )
+        _check_probabilities("empirical measure", w, m)
         w.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)

@@ -12,7 +12,6 @@ from chaincert.errors import GeneratorContractError, InvalidInputError, SizeCapE
 from chaincert.generators import (
     Generator,
     _advance,
-    _chain_bundle,
     _check_pair_budget,
     _step_block,
     analytic_lip_factor,
@@ -160,11 +159,11 @@ def empirical_contraction_probe(
     """
     _check_pair_budget(num_pairs, chain_len)
     factor = analytic_lip_factor(gen)
-    _, x0, y0 = _chain_bundle(gen, 0, 2 * num_pairs, seed)  # the starts alone
     keys = stream_keys(derive_streams(seed, 2 * num_pairs))
+    x0 = gen.x_bound.draw_starts(keys)  # no step reads y, so every chain starts at z0's
     u = stream_uniforms(keys, gen.x_bound.start_words + gen.y_bound.start_words, chain_len)
     picks = 1 + (u[:, -1] * (chain_len - 1)).astype(int)
-    paths = _step_block(gen, x0, y0, gen.theta.indices_from_uniform(u[:, :-1]))
+    paths = _step_block(gen, x0, gen.z0.y, gen.theta.indices_from_uniform(u[:, :-1]))
     xs, ys = (path[np.arange(len(picks)), picks] for path in paths)
     base = row_dist(xs[0::2], ys[0::2], xs[1::2], ys[1::2], gen.metric)
     kept = np.flatnonzero(base >= _PAIR_FLOOR)

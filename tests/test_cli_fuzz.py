@@ -146,6 +146,22 @@ def test_size_that_cannot_be_allocated_is_rejected(workdir, preset):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("preset, command, n", [
+    ("iid_two", "simulate", 2**60),
+    ("affine_triangle", "simulate", 2**60),
+    ("halving_map", "simulate", 2**62),
+    ("affine_triangle", "lemma1", 2**60),
+])
+def test_size_that_numpy_cannot_describe_is_rejected(workdir, preset, command, n):
+    # one chain's states or draw words would pass 2^63 - 1 bytes, so numpy
+    # cannot even size the array: refused before any array is asked for
+    argv = _config_argv(workdir, dict(RUN_KEYS, preset=preset), command) + ["--n", str(n)]
+    code, err = _run(argv)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "past numpy's limit" in err
+
+
 def test_unmutated_inputs_run(workdir):
     # the fuzz below breaks these inputs one fault at a time
     for base in BASES:

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincert.complexity import loss_matrix
+from chaincert.complexity import loss_matrix, rademacher_expected
+from chaincert.config import build_generator
 from chaincert.erm import _replica_means, erm, true_risk_table
 from chaincert.errors import InvalidInputError
 from chaincert.generators import (
     affine_ifs_generator,
     analytic_lip_factor,
+    burn_in_allowance,
     burn_in_steps,
+    exact_invariant_atoms,
     identity_label,
     sample_chain,
 )
@@ -63,6 +66,10 @@ def test_window_restricts_the_mean():
         loss_matrix(cls, traj, env, window=(0, 9))
     with pytest.raises(InvalidInputError):
         loss_matrix(cls, traj, env, window=(2, 2))
+    # a bool is no window bound, though True == 1 and False == 0
+    for window in ((True, 3), (False, True)):
+        with pytest.raises(InvalidInputError, match="no integer pair"):
+            loss_matrix(cls, traj, env, window=window)
 
 
 def test_erm_exact_selection_and_report():
@@ -177,6 +184,33 @@ def test_true_risk_table_is_ergodic_without_closed_form():
     for est, m in zip(table, means):
         assert est.method == "ergodic_mc"
         assert est.value == float(m.mean()) and est.se > 0.0 and est.bias_bound > 0.0
+
+
+def test_one_map_affine_config_takes_the_fixed_point():
+    # one affine map is a deterministic map, though no deterministic_map
+    # constructor built it: its invariant law is the point mass at
+    # x* = (I - A)^{-1} b, labelled by the identity
+    mat, vec = [[0.5, 0.1], [0.0, 0.4]], [0.2, -0.1]
+    gen = build_generator({"kind": "affine_ifs", "mats": [mat], "vecs": [vec], "weights": [1.0],
+                           "attractor_radius": 0.5, "z0_x": [0.3, 0.3],
+                           "label": {"kind": "identity"}})
+    x_star = np.linalg.solve(np.eye(2) - np.array(mat), np.array(vec))
+    xs, ys, weights = exact_invariant_atoms(gen)
+    assert np.abs(xs - x_star).max() <= 1e-12 and np.abs(ys - x_star).max() <= 1e-12
+    assert weights.tolist() == [1.0]
+    cls = HypothesisClass((linear_hypothesis("ident", np.eye(2), [0.0, 0.0]),
+                           constant_hypothesis("zero", [0.0, 0.0]),
+                           linear_hypothesis("half", 0.5 * np.eye(2), [0.1, 0.0])))
+    env = finalize_env(make_abs_loss(clip=1.0), cls, gen.metric)
+    table = true_risk_table(cls, gen, env)
+    assert all(est.method == "fixed_point" and est.se == 0.0 for est in table)
+    assert rademacher_expected(cls, gen, env, 8).method == "exact_fixed_point"
+    # the replica chains all run the one orbit, within its burn-in bias
+    means = _replica_means(cls, gen, env, 16, 128, 1e-3, SeedSpec(6))
+    se = means.std(axis=1, ddof=1) / np.sqrt(16)
+    bias = burn_in_allowance(gen, 1e-3, env.ell_H)
+    for est, m, e in zip(table, means, se):
+        assert abs(m.mean() - est.value) <= 3.0 * e + bias
 
 
 def test_true_risk_table_matches_singletons():

@@ -110,8 +110,24 @@ def test_declared_fixed_point_is_checked(point, error, match):
 
 
 def test_only_a_deterministic_map_takes_a_fixed_point():
-    with pytest.raises(InvalidInputError, match="deterministic_map"):
+    with pytest.raises(InvalidInputError, match="needs a deterministic map"):
         dataclasses.replace(make_iid(), fixed_point=ZPoint(0.2, 0.2))
+
+
+def test_a_one_atom_governing_map_takes_a_fixed_point():
+    # whichever constructor built it, a governing map over one atom is a
+    # deterministic map; over two atoms it is not, even at a common fixed point
+    def one_map(atoms):
+        k = len(atoms)
+        return labeled_lipschitz_generator(
+            governing_map=halving_map, theta_atoms=atoms, weights=np.full(k, 1 / k),
+            lip_x_per_theta=[0.5] * k, label_map=identity_label(), metric=MetricSpec(1, 1, 2.0),
+            x_bound=UNIT_BOX, y_bound=UNIT_BOX, z0=ZPoint(1.0, 1.0),
+        )
+    gen = dataclasses.replace(one_map(("a",)), fixed_point=ZPoint(0.5, 0.5))
+    assert exact_fixed_point(gen) == ZPoint(0.5, 0.5)
+    with pytest.raises(InvalidInputError, match="needs a deterministic map"):
+        dataclasses.replace(one_map(("a", "b")), fixed_point=ZPoint(0.5, 0.5))
 
 
 def test_affine_worked_example_factor():
@@ -372,10 +388,10 @@ def _reference_paths(gen, n, seeds, label_row):
         xs, ys = [gen.z0.x], [gen.z0.y]
         for i in idx:
             atom = gen.theta.atoms[i]
-            if gen.variant == "iid":
+            if gen.governing_map is None:
                 x, y = atom.x, atom.y
             else:
-                if gen.variant == "affine_ifs":
+                if gen.governing_map is generators._affine_map:
                     x = atom[0] @ xs[-1] + atom[1]
                 else:
                     x = np.asarray(gen.governing_map(xs[-1], atom), dtype=float).reshape(-1)
@@ -427,20 +443,17 @@ def test_lockstep_matches_per_row_reference_on_presets(name):
 
 
 def _reference_bundle(gen, steps, count, seed):
-    """``_chain_bundle`` one chain at a time: each chain's x start, then its
-    y start (kept by the iid variant, or where the label of x leaves the y
-    bound), from its stream alone, then the oracle's uniforms past them."""
+    """``_chain_bundle`` one chain at a time: each chain's x start from its
+    stream alone (``z0``'s x under iid draws, which never read x) and
+    ``z0``'s y, which no step reads, then the oracle's uniforms past the x
+    and y start words."""
     x0, y0, uniforms = [], [], []
     first = gen.x_bound.start_words + gen.y_bound.start_words
+    iid = gen.governing_map is None
     for i in range(count):
         stream = derive_stream(seed, i)
-        key = stream_keys([stream])
-        x = gen.x_bound.draw_starts(key)[0]
-        y = gen.y_bound.draw_starts(key, gen.x_bound.start_words)[0]
-        if gen.variant != "iid" and gen.y_bound.contains(_row_label(gen)(x)):
-            y = _row_label(gen)(x)
-        x0.append(x)
-        y0.append(y)
+        x0.append(gen.z0.x if iid else gen.x_bound.draw_starts(stream_keys([stream]))[0])
+        y0.append(gen.z0.y)
         uniforms.append(_oracle_uniforms(stream, first, steps))
     idx = gen.theta.indices_from_uniform(np.array(uniforms).reshape(count, steps))
     return (idx, *_final_states(gen, np.array(x0), np.array(y0), idx))
@@ -450,7 +463,6 @@ def _assert_bundle_matches_reference(gen, steps, count, seed):
     got = _chain_bundle(gen, steps, count, seed)
     for a, b in zip(got, _reference_bundle(gen, steps, count, seed), strict=True):
         assert _same_bits(a, b)
-    return got
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -475,14 +487,8 @@ def _overshooting_label_generator():
 
 def test_batched_starts_replay_chains_whose_label_leaves_the_y_bound():
     gen = _overshooting_label_generator()
-    # with no steps the final states are the starts
-    _, x0, y0 = _assert_bundle_matches_reference(gen, 0, 40, SeedSpec(3))
-    resampled = y0[:, 0] != 2.0 * x0[:, 0]
-    assert 0 < resampled.sum() < 40
-    assert np.all(np.abs(x0[resampled, 0]) > 0.5)
-    # a resampled y is the y bound's start from the words after the x start
-    y_starts = gen.y_bound.draw_starts(stream_keys(derive_streams(SeedSpec(3), 40)), 1)
-    assert _same_bits(y0[resampled], y_starts[resampled])
+    # no step reads y, so a start whose label would leave the y bound steps
+    # like any other
     for count in (1, 7, 40):
         _assert_bundle_matches_reference(gen, 5, count, SeedSpec(3))
 

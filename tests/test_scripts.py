@@ -45,6 +45,7 @@ def _assert_one_line(err, prefix, fragment):
         (["--pi-tol", "0"], "burn-in tolerance"),
         (["--seed", "-3"], "master_seed"),
         (["--n-max", "-1"], "n_max"),
+        (["--n-max", str(2**60)], "past numpy's limit"),  # 2^63 bytes of draw words
     ],
 )
 def test_decay_script_rejects_bad_flag(tmp_path, flags, fragment):
