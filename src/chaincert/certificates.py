@@ -73,6 +73,11 @@ class Certificate:
     ell_F: float
     w_bar: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise InvalidInputError(f"certificate 'radius' overflows to {self.radius!r}: "
+                                    "the complexity input or ell_H is too large")
+
 
 def deviation_constant(ell_H: float, ell_F: float) -> float:
     """C = ell_H / (1 - ell_F); the scale of one state's influence on the mean."""
@@ -163,7 +168,10 @@ def invert_epsilon(delta: float, n: int, ell_H: float, ell_F: float) -> float:
         raise InvalidInputError(f"delta must lie in (0, 1), got {delta!r}")
     _check_count("sample size", n)
     c = deviation_constant(ell_H, ell_F)
-    return c * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    epsilon = c * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    if not math.isfinite(epsilon):  # 2 / delta overflows for a subnormal delta, or C does
+        raise InvalidInputError(f"delta {delta!r} at n = {n} gives no finite slack (C = {c!r})")
+    return epsilon
 
 
 def sample_complexity(delta: float, epsilon: float, ell_H: float, ell_F: float) -> int:

@@ -278,6 +278,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = invert_epsilon(args.delta, args.n, args.ell_h, args.ell_f)
+        if not 0 < epsilon < 1:  # the library returns any finite slack
+            raise InvalidInputError(f"delta {args.delta!r} at n = {args.n} gives slack "
+                                    f"{epsilon!r}, not in (0, 1)")
     if args.form == "population":
         w_bar = 1.0 if args.w_bar is None else args.w_bar
         cert = certify_population(args.rademacher, args.ell_h, args.ell_f,

@@ -40,7 +40,6 @@ an expanding map exits 3 as an assumption violation, not 2 as a malformed file.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from dataclasses import dataclass, fields
 from functools import partial
@@ -74,7 +73,7 @@ from .hypotheses import (
     make_squared_loss,
     tabulated_hypothesis,
 )
-from .metric import MetricSpec, pairwise_dist
+from .metric import MetricSpec, pairwise_dist, sha256
 from .presets import PresetBundle, load_preset
 
 
@@ -431,7 +430,7 @@ def canonical_json(obj: Any) -> str:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_json(canonical_dict(cfg)).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(canonical_dict(cfg)).encode("utf-8")).hexdigest()
 
 
 def merge_overrides(cfg: ExperimentConfig, **overrides: Any) -> ExperimentConfig:

@@ -11,11 +11,11 @@ metric declaration, not inferred from data; the bound is checked on every
 evaluation.
 
 Random streams are counter-based SplitMix64 (``mix``): a block of draws of
-many streams is one uint64 array op, with no generator state.
+many streams is one uint64 array op, with no generator state. Stream keys and
+config digests are SHA-256 from CPython's built-in module, equal to hashlib's.
 """
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,6 +23,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidInputError
+
+try:  # hashlib loads OpenSSL's libcrypto (about 3.5 MiB resident); it is the fallback
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 _REL_SLACK = 1e-12
 _U64 = 2**64
@@ -215,7 +223,7 @@ def derive_stream(seed: SeedSpec, child_index: int) -> SeedSpec:
     negligible collision probability, and derivation can be nested.
     """
     _check_index("child_index", child_index)
-    digest = hashlib.sha256(_CHILD_KEY(seed.stream_index, child_index)).digest()
+    digest = sha256(_CHILD_KEY(seed.stream_index, child_index)).digest()
     return SeedSpec(seed.master_seed, int.from_bytes(digest[:8], "little"))
 
 
@@ -224,7 +232,7 @@ def derive_streams(seed: SeedSpec, count: int) -> list:
     once. The children skip ``SeedSpec``'s range check: a child index is a
     digest's first 8 bytes, so it always lies in [0, 2^64)."""
     _check_count("count", count, 0)
-    parent, sha256 = seed.stream_index, hashlib.sha256
+    parent = seed.stream_index
     indices = (int.from_bytes(sha256(_CHILD_KEY(parent, i)).digest()[:8], "little")
                for i in range(count))
     return [SeedSpec._unchecked(seed.master_seed, index) for index in indices]
@@ -237,9 +245,8 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's odd increment, 2^64 over the golden 
 
 def stream_keys(seeds: Iterable[SeedSpec]) -> np.ndarray:
     """The uint64 key of each seed's stream, in order: the first 8 bytes
-    (little-endian) of the SHA-256 digest of the tagged pair
-    (master_seed, stream_index)."""
-    sha256 = hashlib.sha256
+    (little-endian) of the SHA-256 digest of the tagged pair (master_seed,
+    stream_index), by the built-in module: the bytes of ``hashlib.sha256``."""
     return np.frombuffer(b"".join([sha256(_STREAM_KEY(_STREAM_TAG, s.master_seed, s.stream_index))
                                    .digest()[:8] for s in seeds]), dtype="<u8")
 

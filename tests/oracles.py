@@ -63,6 +63,20 @@ def stream_key(seed: SeedSpec) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+def derived_index(seed: SeedSpec, child_index: int) -> int:
+    """A child stream's index by hand: the first 8 bytes (little-endian) of
+    SHA-256 over the parent's stream index and the child index, 8
+    little-endian bytes each."""
+    data = seed.stream_index.to_bytes(8, "little") + child_index.to_bytes(8, "little")
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
+
+
+def sha256_hex(text: str) -> str:
+    """The hex SHA-256 of ``text`` in UTF-8, by ``hashlib`` (OpenSSL where
+    it is built in): the independent check on the library's digest."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def stream_draws(seed: SeedSpec, first: int, count: int) -> list:
     """Draws first, ..., first + count - 1 of a stream: SplitMix64 from its
     key, past the ``first`` outputs that advance its state by first gamma."""

@@ -88,6 +88,19 @@ def test_certificate_rejects_bad_inputs():
         deviation_constant(0.0, 0.5)
 
 
+def test_overflow_names_the_input_at_fault():
+    # 2 / delta overflows for a subnormal delta, and an inverted slack is
+    # otherwise any finite value (the command line asks for one in (0, 1))
+    with pytest.raises(InvalidInputError, match=r"delta 1e-320 at n = 10 gives no finite slack"):
+        invert_epsilon(1e-320, 10, 1.0, 0.5)
+    assert invert_epsilon(0.5, 10, 1.0, 0.9999999999999999) > 1e15
+    # a radius that overflows is no certificate
+    with pytest.raises(InvalidInputError, match="certificate 'radius' overflows to inf"):
+        certify_population(1e308, ell_H=1e308, ell_F=0.5, n=10, epsilon=0.1)
+    with pytest.raises(InvalidInputError, match="certificate 'radius' overflows to inf"):
+        certify_empirical(1e308, ell_H=1.0, ell_F=0.5, n=10, epsilon=0.1)
+
+
 def test_check_certificate_detects_tampering():
     cert = certify_population(0.05, ell_H=2.0, ell_F=0.5, n=50, epsilon=0.1)
     check_certificate(cert)

@@ -879,6 +879,29 @@ def test_cli_nonfinite_payload_is_invalid_input(tmp_path, capsys):
     assert not out.exists()
 
 
+_EMPIRICAL = ["--form", "empirical", "--rademacher", "0.1", "--ell-h", "1", "--n", "10"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    # 2 / delta overflows, so the slack is infinite
+    (_EMPIRICAL + ["--ell-f", "0.5", "--delta", "1e-320"],
+     "delta 1e-320 at n = 10 gives no finite slack"),
+    # C = 1 / (1 - ell_F) is about 9e15, and so is the slack
+    (_EMPIRICAL + ["--ell-f", "0.9999999999999999", "--delta", "0.5"],
+     "delta 0.5 at n = 10 gives slack 2371387360321642.0, not in (0, 1)"),
+    (["--form", "population", "--rademacher", "1e308", "--ell-h", "1e308", "--ell-f", "0.5",
+      "--n", "10", "--epsilon", "0.1"], "certificate 'radius' overflows to inf"),
+])
+def test_cli_certify_names_the_input_at_fault(tmp_path, capsys, argv, named):
+    out = tmp_path / "cert"
+    assert main(["certify", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("w_bar", ["7", "0.5", "-1"])
 def test_cli_certify_empirical_rejects_w_bar(tmp_path, capsys, w_bar):
     # the empirical form has no start-dependence term, so --w-bar is refused

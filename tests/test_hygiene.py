@@ -1,9 +1,10 @@
 """Source hygiene of the library: every top-level import is used, every
 private module-level function and class is referenced, every public one
 has a caller outside the tests or is on a short list, no module of the
-package or the scripts uses ``numpy.random``, importing the command line
-loads no scipy, an assignment solve loads no ``scipy.optimize``, the
-commands never load ``numpy.random``, and the hooks the benchmark
+package or the scripts uses ``numpy.random`` and only ``metric`` imports a
+SHA-256 module, importing the command line loads no scipy, an assignment
+solve loads no ``scipy.optimize``, the commands never load ``numpy.random``
+or OpenSSL's ``_hashlib``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
 
 The unused-import check is a stdlib AST scan, so it runs wherever the tests
@@ -177,6 +178,8 @@ def test_scan_flags_an_uncalled_public_function(tmp_path):
 
 
 _STREAM_KEYERS = {"PCG64", "SeedSequence", "default_rng", "RandomState"}
+# metric takes SHA-256 from the first of these that imports; no other module may
+_SHA256_MODULES = {"hashlib", "_sha2", "_sha256"}
 
 
 def _numpy_random(node) -> bool:
@@ -194,13 +197,20 @@ def _numpy_random(node) -> bool:
 
 def _stream_keyers(paths):
     """``file:name`` for each name of ``_STREAM_KEYERS`` that a file of
-    ``paths`` imports, reads or takes as an attribute, and ``file:numpy.random``
-    for a file that imports ``numpy.random`` or reads ``np.random``."""
+    ``paths`` imports, reads or takes as an attribute, ``file:numpy.random``
+    for a file that imports ``numpy.random`` or reads ``np.random``, and
+    ``file:module`` for a module of ``_SHA256_MODULES`` that a file other than
+    ``metric.py`` imports."""
     found = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [a.name.rpartition(".")[2] for a in node.names]
+                modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                if path.name != "metric.py":
+                    found.update(f"{path.name}:{m}" for m in modules
+                                 if m.split(".")[0] in _SHA256_MODULES)
             else:
                 names = _references(node) if isinstance(node, (ast.Name, ast.Attribute)) else []
             found.update(f"{path.name}:{name}" for name in names if name in _STREAM_KEYERS)
@@ -226,9 +236,31 @@ def test_scan_flags_a_second_stream_keyer(tmp_path):
         "b.py:numpy.random", "c.py:numpy.random", "d.py:numpy.random"]
 
 
+def test_scan_flags_a_second_sha256_import(tmp_path):
+    # metric's fallback chain is allowed; any of its three modules imported
+    # elsewhere, at the top or in a function, is flagged; a name taken from
+    # metric, or the word in a string, imports none of them
+    (tmp_path / "metric.py").write_text(
+        "try:\n    from _sha2 import sha256\nexcept ImportError:\n"
+        "    try:\n        from _sha256 import sha256\n    except ImportError:\n"
+        "        from hashlib import sha256\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text("import hashlib\nx = hashlib.sha256(b'')\n",
+                                   encoding="utf-8")
+    (tmp_path / "b.py").write_text("from _sha2 import sha256 as digest\n", encoding="utf-8")
+    (tmp_path / "c.py").write_text("import json, _sha256\n", encoding="utf-8")
+    (tmp_path / "d.py").write_text("from .metric import sha256\ntext = 'import hashlib'\n",
+                                   encoding="utf-8")
+    (tmp_path / "e.py").write_text("def f():\n    from hashlib import blake2b\n",
+                                   encoding="utf-8")
+    assert _stream_keyers(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:hashlib", "b.py:_sha2", "c.py:_sha256", "e.py:hashlib"]
+
+
 def test_only_metric_keys_random_streams():
     # every random stream is metric's counter-based SplitMix64; no module of
-    # the package or the scripts uses numpy.random (the tests may, for data)
+    # the package or the scripts uses numpy.random (the tests may, for data),
+    # and only metric imports SHA-256 (tests/oracles.py keeps hashlib's as the
+    # independent check on it)
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert _stream_keyers(paths) == []
 
@@ -329,7 +361,7 @@ runs = {
 seen = {}
 with contextlib.redirect_stdout(io.StringIO()):
     for name, run in runs.items():
-        seen[name] = [run(), "numpy.random" in sys.modules]
+        seen[name] = [run(), "numpy.random" in sys.modules, "_hashlib" in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -349,7 +381,8 @@ def test_commands_never_load_numpy_random(tmp_path):
          str(ROOT / "scripts" / "contraction_decay.py")],
         capture_output=True, text=True, check=True, env=env,
     ).stdout
-    assert json.loads(out) == {name: [0, False] for name in (
+    # nor OpenSSL: the streams and config digests take the built-in SHA-256
+    assert json.loads(out) == {name: [0, False, False] for name in (
         "coverage", "coverage_mc", "lemma3", "wasserstein", "contraction_decay")}
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -25,7 +26,7 @@ from chaincert.metric import (
     stream_uniforms,
     stream_words,
 )
-from oracles import splitmix64, stream_draws, stream_key
+from oracles import derived_index, sha256_hex, splitmix64, stream_draws, stream_key
 
 
 def test_dist_hand_values():
@@ -279,3 +280,37 @@ def test_streams_bit_identical_across_processes():
     ).stdout.strip()
     here = stream_words(stream_keys([SeedSpec(2024, 17)]), 0, 5).tolist()
     assert out == str(here)
+
+
+_DIGESTS = """
+import json, sys
+if sys.argv[1] == "fallback":  # no built-in SHA-256: metric takes hashlib's
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from chaincert import metric
+from chaincert.config import canonical_dict, canonical_json, config_digest, parse_config
+from chaincert.metric import SeedSpec, derive_streams, stream_keys
+cfg = parse_config({"preset": "affine_triangle", "n": 40, "epsilon": 0.1, "trials": 4})
+print(json.dumps({
+    "module": metric.sha256.__module__,
+    "keys": stream_keys([SeedSpec(0), SeedSpec(77, 5), SeedSpec(2**64 - 1, 2**64 - 1)]).tolist(),
+    "children": [s.stream_index for s in derive_streams(SeedSpec(5, 3), 4)],
+    "canonical": canonical_json(canonical_dict(cfg)),
+    "digest": config_digest(cfg),
+}))
+"""
+
+
+def test_hashlib_fallback_gives_the_same_digests():
+    # without CPython's built-in SHA-256 module, metric falls back to
+    # hashlib's; stream keys, child indices and config digests stay the same
+    env = dict(os.environ, PYTHONPATH=str(Path(chaincert.__file__).parents[1]))
+    runs = {mode: json.loads(subprocess.run(
+        [sys.executable, "-c", _DIGESTS, mode], capture_output=True, text=True, check=True,
+        env=env).stdout) for mode in ("default", "fallback")}
+    assert runs["fallback"].pop("module") == "_hashlib"
+    assert runs["default"].pop("module") in ("_sha2", "_sha256")
+    assert runs["default"] == runs["fallback"]
+    seeds = [SeedSpec(0), SeedSpec(77, 5), SeedSpec(2**64 - 1, 2**64 - 1)]
+    assert runs["default"]["keys"] == [stream_key(seed) for seed in seeds]
+    assert runs["default"]["children"] == [derived_index(SeedSpec(5, 3), i) for i in range(4)]
+    assert runs["default"]["digest"] == sha256_hex(runs["default"]["canonical"])
