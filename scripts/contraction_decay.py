@@ -4,9 +4,10 @@ Writes a two-column CSV (step, transport cost) suitable for a log-scale
 plot, plus a summary holding the fitted geometric rate next to the
 analytic contraction factor of the generator. The fitted slope and rate are
 null when fewer than two steps have a positive cost (the i.i.d. presets
-reach their invariant law in one step). Malformed flags exit 2 and
-assumption violations exit 3, each with one line on stderr, as in the
-``chaincert`` command line.
+reach their invariant law in one step). Malformed flags and an output
+directory that cannot be made exit 2, and assumption violations exit 3,
+each with one line on stderr, as in the ``chaincert`` command line. The
+directory is made once the curve is drawn, so a refused flag leaves none.
 """
 
 import argparse
@@ -15,7 +16,7 @@ import os
 
 # chaincert.cli caps BLAS at one thread unless the caller set a count; that
 # only takes effect before numpy loads, so this import comes first
-from chaincert.cli import run_with_exit_codes
+from chaincert.cli import _ensure_dir, run_with_exit_codes
 
 import numpy as np
 
@@ -67,10 +68,9 @@ def _run(args):
         "fitted_rate": None if slope is None else math.exp(slope),
         "analytic_factor": factor,
     }
-    os.makedirs(args.out, exist_ok=True)
-    write_rows_csv(("n", "w1"), curve, os.path.join(args.out, "contraction_curve.csv"))
-    write_summary("contraction_curve", summary,
-                  os.path.join(args.out, "contraction_summary.json"))
+    out = _ensure_dir(args.out)
+    write_rows_csv(("n", "w1"), curve, os.path.join(out, "contraction_curve.csv"))
+    write_summary("contraction_curve", summary, os.path.join(out, "contraction_summary.json"))
     rate = "none" if slope is None else f"{summary['fitted_rate']:.4f}"
     print(f"{args.preset}: fitted rate {rate} "
           f"vs analytic factor {factor:.4f} over {len(curve)} points")

@@ -4,8 +4,11 @@ For each window length n the script runs the full pipeline (simulate,
 learn, certify) over many trials and records how often each certificate
 form contained the realized excess risk. Output is a four-column CSV
 (n, coverage_pop, coverage_emp, confidence) for plotting plus a summary.
-Malformed flags exit 2 and assumption violations exit 3, each with one line
-on stderr, as in the ``chaincert`` command line.
+Malformed flags and an output directory that cannot be made exit 2, and
+assumption violations exit 3, each with one line on stderr, as in the
+``chaincert`` command line. The directory is made after the first window,
+which checks every flag: a refused flag leaves none, and a bad ``--out``
+stops the sweep there.
 """
 
 import argparse
@@ -13,7 +16,7 @@ import os
 
 # chaincert.cli caps BLAS at one thread unless the caller set a count; that
 # only takes effect before numpy loads, so this import comes first
-from chaincert.cli import run_with_exit_codes
+from chaincert.cli import _ensure_dir, run_with_exit_codes
 
 from chaincert.certificates import coverage_experiment
 from chaincert.complexity import check_draws
@@ -55,6 +58,9 @@ def _run(args):
             seed=SeedSpec(args.seed, stream_index=k),
             rad_outer=args.rad_outer, mc_draws=args.draws,
         )
+        # the first window has checked every flag, so a refused flag leaves no
+        # directory, and an --out that cannot be made fails before the next one
+        out = _ensure_dir(args.out)
         details = dict(report.details)
         rows.append((n, details["coverage_population"],
                      details["coverage_empirical"], details["confidence"]))
@@ -70,11 +76,9 @@ def _run(args):
         "rad_outer": args.rad_outer,
         "mc_draws": args.draws,
     }
-    os.makedirs(args.out, exist_ok=True)
     write_rows_csv(("n", "coverage_pop", "coverage_emp", "confidence"), rows,
-                   os.path.join(args.out, "coverage_sweep.csv"))
-    write_summary("coverage_sweep", summary,
-                  os.path.join(args.out, "coverage_sweep_summary.json"))
+                   os.path.join(out, "coverage_sweep.csv"))
+    write_summary("coverage_sweep", summary, os.path.join(out, "coverage_sweep_summary.json"))
     print(f"wrote {args.out}/coverage_sweep.csv")
     return 0
 

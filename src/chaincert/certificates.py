@@ -92,9 +92,20 @@ def deviation_constant(ell_H: float, ell_F: float) -> float:
     return ell_H / (1.0 - ell_F)
 
 
-def confidence_level(epsilon: float, n: int, ell_H: float, ell_F: float) -> float:
+def _tail(epsilon: float, n: int, ell_H: float, ell_F: float) -> float:
+    """exp(-2 eps^2 n / C^2): the one-sided tail behind every certificate and
+    the lemma 1 and 3 validators, with C = ``deviation_constant``."""
+    _check_count("sample size", n)
     c = deviation_constant(ell_H, ell_F)
-    return max(0.0, 1.0 - 2.0 * math.exp(-2.0 * epsilon**2 * n / c**2))
+    try:
+        return math.exp(-2.0 * epsilon**2 * n / c**2)
+    except (OverflowError, ZeroDivisionError):  # C^2 leaves the float range
+        raise InvalidInputError(f"the tail at n = {n} has no float value: C = ell_H / "
+                                f"(1 - ell_F) = {ell_H!r} / (1 - {ell_F!r}) = {c!r}") from None
+
+
+def confidence_level(epsilon: float, n: int, ell_H: float, ell_F: float) -> float:
+    return max(0.0, 1.0 - 2.0 * _tail(epsilon, n, ell_H, ell_F))
 
 
 def _check_certificate_inputs(n: int, epsilon: float) -> None:
@@ -266,14 +277,13 @@ def validate_lemma1(
     if not (0 <= epsilon < 1):
         raise InvalidInputError(f"epsilon must lie in [0, 1), got {epsilon!r}")
     ell_F = analytic_lip_factor(gen)
-    c = deviation_constant(env.ell_H, ell_F)
+    bound = _tail(epsilon, n, env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
     center = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), er_values)
     center_mean = float(center.mean())
     phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 1), er_values)
     exceeded = phis >= center_mean + epsilon
     freq = float(exceeded.mean())
-    bound = math.exp(-2.0 * epsilon**2 * n / c**2)
     margin = 3.0 * _binomial_se(freq, trials)
     return ValidationReport(
         name="lemma1",
@@ -382,7 +392,7 @@ def validate_lemma3(
     _check_validator_inputs(env, n, trials)
     _check_certificate_inputs(n, epsilon)
     ell_F = analytic_lip_factor(gen)
-    c = deviation_constant(env.ell_H, ell_F)
+    target = 1.0 - _tail(epsilon, n, env.ell_H, ell_F)
     er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
     phis, estimates = [], []
     for batch in chain_batches(gen, 2 * n, derive_stream(seed, 0), trials, tol):
@@ -397,7 +407,6 @@ def validate_lemma3(
     rhats = np.array([e.value for e in estimates])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
     freq = float(success.mean())
-    target = 1.0 - math.exp(-2.0 * epsilon**2 * n / c**2)
     margin = 3.0 * _binomial_se(freq, trials)
     return ValidationReport(
         name="lemma3",

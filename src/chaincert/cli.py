@@ -160,13 +160,18 @@ def _need(cfg: ExperimentConfig, field: str, command: str):
     return value
 
 
-def _resolve_epsilon(cfg: ExperimentConfig, command: str, n: int,
-                     ell_H: float, ell_F: float) -> float:
-    if cfg.epsilon is not None:
-        return cfg.epsilon
-    if cfg.delta is not None:
-        return invert_epsilon(cfg.delta, n, ell_H, ell_F)
-    raise InvalidInputError(f"{command} needs 'epsilon' or 'delta' in the config or as a flag")
+def _slack(command: str, epsilon: Optional[float], delta: Optional[float], n: int,
+           ell_H: float, ell_F: float) -> float:
+    """The slack given, or else the one ``delta`` gives at n, which must lie in
+    (0, 1) as a certificate's does; ``erm`` alone takes any finite slack."""
+    if epsilon is not None:
+        return epsilon
+    if delta is None:
+        raise InvalidInputError(f"{command} needs 'epsilon' or 'delta' in the config or as a flag")
+    epsilon = invert_epsilon(delta, n, ell_H, ell_F)
+    if not 0 < epsilon < 1:
+        raise InvalidInputError(f"delta {delta!r} at n = {n} gives slack {epsilon!r}, not in (0, 1)")
+    return epsilon
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -253,10 +258,9 @@ def _cmd_erm(args: argparse.Namespace) -> int:
         n = len(traj) // 2 if cfg.window_mode == "delayed" else len(traj)
     window = _training_window(cfg.window_mode, n)
     matrix = loss_matrix(bundle.cls, traj, bundle.env, window=window)
-    epsilon = 0.0
-    if cfg.epsilon is not None or cfg.delta is not None:
-        epsilon = _resolve_epsilon(cfg, "erm", n, bundle.env.ell_H,
-                                   analytic_lip_factor(bundle.gen))
+    epsilon = 0.0 if cfg.epsilon is None else cfg.epsilon
+    if cfg.delta is not None:  # the config holds one of the two at most
+        epsilon = invert_epsilon(cfg.delta, n, bundle.env.ell_H, analytic_lip_factor(bundle.gen))
     report = erm(bundle.cls, matrix, epsilon=epsilon, tie_break=cfg.tie_break)
     payload = {
         "hypothesis_id": report.hypothesis_id,
@@ -275,12 +279,7 @@ def _cmd_erm(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.form == "empirical" and args.w_bar is not None:
         raise InvalidInputError("certify --form empirical does not read --w-bar")
-    epsilon = args.epsilon
-    if epsilon is None:
-        epsilon = invert_epsilon(args.delta, args.n, args.ell_h, args.ell_f)
-        if not 0 < epsilon < 1:  # the library returns any finite slack
-            raise InvalidInputError(f"delta {args.delta!r} at n = {args.n} gives slack "
-                                    f"{epsilon!r}, not in (0, 1)")
+    epsilon = _slack("certify", args.epsilon, args.delta, args.n, args.ell_h, args.ell_f)
     if args.form == "population":
         w_bar = 1.0 if args.w_bar is None else args.w_bar
         cert = certify_population(args.rademacher, args.ell_h, args.ell_f,
@@ -322,7 +321,7 @@ def _run_validator(name: str, cfg: ExperimentConfig):
     if name == "lemma2":
         return validate_lemma2(gen, cls, env, n, trials, seed=seed, w_bar=cfg.w_bar,
                                tol=cfg.tol, rad_outer=cfg.rad_outer, mc_draws=cfg.draws), a2
-    epsilon = _resolve_epsilon(cfg, name, n, env.ell_H, analytic_lip_factor(gen))
+    epsilon = _slack(name, cfg.epsilon, cfg.delta, n, env.ell_H, analytic_lip_factor(gen))
     if name == "lemma1":
         return validate_lemma1(gen, cls, env, n, epsilon, trials, seed=seed, tol=cfg.tol), a2
     if name == "lemma3":

@@ -17,6 +17,7 @@ config digests are SHA-256 from CPython's built-in module, equal to hashlib's.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,11 +51,13 @@ def _as_coords(values, label: str) -> np.ndarray:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise unless ``value`` is an int of at least ``least``; a bool is not
-    one. The package's one rule for sizes and counts."""
+    """Raise unless ``value`` is an int of at least ``least`` that a float can
+    hold; a bool is not one. The package's one rule for sizes and counts."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         rule = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise InvalidInputError(f"{name} must be {rule}, got {value!r}")
+    if value > sys.float_info.max:  # a count takes part in float arithmetic
+        raise InvalidInputError(f"{name} of {value.bit_length()} bits exceeds the float range")
 
 
 def _check_probabilities(what: str, weights: np.ndarray, count: int) -> None:

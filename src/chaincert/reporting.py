@@ -26,55 +26,44 @@ VOLATILE_SUMMARY_KEYS = ("created_at", "software_version")
 _ROWS = frozenset((list, tuple))
 
 
-def _cell(value: Any) -> str:
-    # a float subclass (np.float64) writes the float it holds; an exact int
-    # check turns away bool, an int subclass
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if type(value) is int:
-        return str(value)
-    raise InvalidInputError(f"unsupported CSV cell type {type(value).__name__}")
+def _is_number(cell_type: type) -> bool:
+    """``int`` exactly (not bool) or a float type (np.float64 included);
+    numpy integers, ``np.bool_`` and ``np.float32`` are neither."""
+    return cell_type is int or issubclass(cell_type, float)
 
 
 def write_rows_csv(header, rows, path: str) -> None:
-    """Write a header line and one line per row; a row whose width differs
-    from the header's is invalid input, and nothing is written.
+    """Write a header line and one line per row of number cells (``_is_number``);
+    a row whose width differs from the header's, or any other cell, is invalid
+    input, and nothing is written. A table that is not a list or tuple of lists
+    or tuples (a 2-d array, a list of array rows) is made a list of lists.
 
-    Rows of numbers (``_is_number_rows``) as wide as the header, such as a
-    validator's trial table or an atom list of np.float64 rows, go through
-    json's C encoder in one call, which writes each cell as ``_cell`` does
-    (``int.__repr__``, ``float.__repr__``, a float subclass included); as a
-    number holds no comma or bracket, the compact text becomes lines by one
-    replacement. A table holding NaN or an infinity, which strict JSON
-    refuses, and every other table is written cell by cell, where a cell
-    that is neither an ``int`` nor a float is invalid input."""
+    json's C encoder writes the whole table in one call, each cell as
+    ``int.__repr__`` or ``float.__repr__`` does, but for its ``NaN`` and
+    ``Infinity``, made ``nan`` and ``inf`` here (no other number's text holds
+    a letter); as no number holds a comma or bracket, "],[" ends a row."""
+    if type(rows) not in _ROWS or not set(map(type, rows)) <= _ROWS:
+        rows = [list(row) for row in rows]
+    if set(map(len, rows)) - {len(header)}:
+        width = next(w for w in map(len, rows) if w != len(header))
+        raise InvalidInputError(f"row width {width} does not match header width {len(header)}")
+    if not all(map(_is_number, set(map(type, itertools.chain.from_iterable(rows))))):
+        bad = next(t for t in map(type, itertools.chain.from_iterable(rows)) if not _is_number(t))
+        raise InvalidInputError(f"unsupported CSV cell type {bad.__name__}")
     lines = [",".join(str(h) for h in header)]
-    encoded = _is_number_rows(rows) and set(map(len, rows)) == {len(header)}
-    if encoded:
-        try:
-            lines.append(json.dumps(rows, allow_nan=False, separators=(",", ":"))[2:-2]
-                         .replace("],[", "\n"))
-        except ValueError:  # NaN or an infinity
-            encoded = False
-    if not encoded:
-        for row in rows:
-            if len(row) != len(header):
-                raise InvalidInputError(
-                    f"row width {len(row)} does not match header width {len(header)}"
-                )
-            lines.append(",".join(_cell(v) for v in row))
+    if rows:
+        lines.append(json.dumps(rows, separators=(",", ":"))[2:-2].replace("],[", "\n")
+                     .replace("NaN", "nan").replace("Infinity", "inf"))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _is_number_rows(value: Any) -> bool:
     """Whether ``value`` is a non-empty list or tuple of non-empty lists or
-    tuples of ``int`` cells (exactly: not bool) and float cells (np.float64
-    included); numpy integers and ``np.bool_`` are neither."""
+    tuples of number cells (``_is_number``)."""
     return (type(value) in _ROWS and bool(value) and set(map(type, value)) <= _ROWS
             and all(value)
-            and all(t is int or issubclass(t, float)
-                    for t in set(map(type, itertools.chain.from_iterable(value)))))
+            and all(map(_is_number, set(map(type, itertools.chain.from_iterable(value))))))
 
 
 def json_fragments(values: dict) -> dict:
@@ -187,34 +176,31 @@ def _read_numeric_csv(path: str, what: str, has_header: bool) -> tuple[list, np.
     return header, data
 
 
+def _xy_columns(path: str, what: str, lead: list) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of a numeric CSV whose header is ``lead`` and then
+    x_0..x_{dx-1},y_0..y_{dy-1} with dx, dy >= 1, one state per row."""
+    header, data = _read_numeric_csv(path, what, has_header=True)
+    dim_x = sum(1 for name in header if name.startswith("x_"))
+    dim_y = sum(1 for name in header if name.startswith("y_"))
+    expected = lead + [f"x_{i}" for i in range(dim_x)] + [f"y_{i}" for i in range(dim_y)]
+    if dim_x == 0 or dim_y == 0 or header != expected or data.shape[1] != len(header):
+        raise InvalidInputError(f"{what} file {path!r} needs header "
+                                f"{','.join(lead + ['x_0..', 'y_0..'])} and rows of its width")
+    return data[:, len(lead):len(lead) + dim_x], data[:, len(lead) + dim_x:]
+
+
 def read_trajectory_csv(path: str, kappa: float) -> Trajectory:
     """Load a trajectory written by ``write_trajectory_csv``.
 
     The file carries no draw provenance, so the result's seed is ``SeedSpec(0)``.
     """
-    header, data = _read_numeric_csv(path, "trajectory", has_header=True)
-    dim_x = sum(1 for name in header if name.startswith("x_"))
-    dim_y = sum(1 for name in header if name.startswith("y_"))
-    if header != trajectory_header(MetricSpec(dim_x or 1, dim_y or 1, kappa)) \
-            or data.shape[1] != len(header):
-        raise InvalidInputError(
-            f"trajectory file {path!r} needs header step,x_0..,y_0.. and rows of its width"
-        )
-    metric = MetricSpec(dim_x, dim_y, kappa)
-    return Trajectory(data[:, 1 : 1 + dim_x], data[:, 1 + dim_x :], SeedSpec(0), metric)
+    xs, ys = _xy_columns(path, "trajectory", ["step"])
+    return Trajectory(xs, ys, SeedSpec(0), MetricSpec(xs.shape[1], ys.shape[1], kappa))
 
 
 def read_atoms_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read an atom list: header x_0..x_{dx-1},y_0..y_{dy-1}, one atom per row."""
-    header, data = _read_numeric_csv(path, "atom", has_header=True)
-    dim_x = sum(1 for name in header if name.startswith("x_"))
-    dim_y = sum(1 for name in header if name.startswith("y_"))
-    expected = [f"x_{i}" for i in range(dim_x)] + [f"y_{i}" for i in range(dim_y)]
-    if dim_x == 0 or dim_y == 0 or header != expected or data.shape[1] != len(header):
-        raise InvalidInputError(
-            f"atom file {path!r} needs header x_0..,y_0.. and rows of its width"
-        )
-    return data[:, :dim_x], data[:, dim_x:]
+    return _xy_columns(path, "atom", [])
 
 
 def read_loss_matrix_csv(path: str) -> np.ndarray:

@@ -42,6 +42,18 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
+def csv_cell(value) -> str:
+    """The CSV text of one cell, written on its own: ``float.__repr__`` of a
+    float (the float an np.float64 or another subclass holds, NaN and the
+    infinities included) and ``int.__repr__`` of an exact int; any other
+    cell, bool included, is invalid input."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if type(value) is int:
+        return str(value)
+    raise InvalidInputError(f"unsupported CSV cell type {type(value).__name__}")
+
+
 def splitmix64(state: int, count: int) -> list:
     """The next ``count`` outputs of SplitMix64 from ``state``, one Python
     int at a time, as published (Steele, Lea and Flood, OOPSLA 2014)."""

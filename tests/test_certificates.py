@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,42 @@ def test_overflow_names_the_input_at_fault():
         certify_population(1e308, ell_H=1e308, ell_F=0.5, n=10, epsilon=0.1)
     with pytest.raises(InvalidInputError, match="certificate 'radius' overflows to inf"):
         certify_empirical(1e308, ell_H=1.0, ell_F=0.5, n=10, epsilon=0.1)
+
+
+@pytest.mark.parametrize("ell_H, c", [(1e200, "2e+200"), (5e-324, "1e-323")])
+def test_tail_out_of_float_range_names_n_and_c(ell_H, c):
+    # C^2 overflows, or underflows to 0: the tail has no float value, and
+    # every certificate and the confidence say so by n and C
+    named = rf"the tail at n = 10 has no float value: .* = {re.escape(c)}$"
+    for make in (lambda: confidence_level(0.1, 10, ell_H, 0.5),
+                 lambda: certify_population(0.1, ell_H, 0.5, 10, 0.1),
+                 lambda: certify_empirical(0.1, ell_H, 0.5, 10, 0.1)):
+        with pytest.raises(InvalidInputError, match=named):
+            make()
+
+
+@pytest.mark.parametrize("validate", [validate_lemma1, validate_lemma3])
+def test_lemma_validators_refuse_an_out_of_range_tail_before_simulating(validate, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the true-risk table ran before the tail was checked")
+
+    monkeypatch.setattr("chaincert.certificates.true_risk_table", never)
+    bundle = load_preset("iid_two")
+    env = dataclasses.replace(bundle.env, ell_H=1e200)
+    with pytest.raises(InvalidInputError, match=r"the tail at n = 8 has no float value"):
+        validate(bundle.gen, bundle.cls, env, 8, 0.1, 4)
+
+
+def test_counts_past_the_float_range_are_refused_by_the_certificates():
+    named = r"^sample size of 1329 bits exceeds the float range$"
+    with pytest.raises(InvalidInputError, match=named):
+        invert_epsilon(0.1, 10**400, 1.0, 0.5)
+    with pytest.raises(InvalidInputError, match=named):
+        confidence_level(0.1, 10**400, 1.0, 0.5)
+    with pytest.raises(InvalidInputError, match=named):
+        certify_population(0.1, 1.0, 0.5, 10**400, 0.1)
+    with pytest.raises(InvalidInputError, match=named):
+        certify_empirical(0.1, 1.0, 0.5, 10**400, 0.1)
 
 
 def test_check_certificate_detects_tampering():

@@ -35,7 +35,6 @@ from chaincert.hypotheses import verify_a2
 from chaincert.metric import MetricSpec, SeedSpec, ZPoint, derive_stream
 from chaincert.presets import load_preset
 from chaincert.reporting import (
-    _cell,
     _is_number_rows,
     comparable_summary,
     json_fragments,
@@ -48,6 +47,7 @@ from chaincert.reporting import (
     write_summary,
     write_trajectory_csv,
 )
+from oracles import csv_cell
 
 
 def read_summary(path):
@@ -322,7 +322,7 @@ def test_rows_csv_match_cell_by_cell_writes(tmp_path, row):
     path = tmp_path / "rows.csv"
     header = [f"c{i}" for i in range(len(row))]
     write_rows_csv(header, (row, row[::-1]), str(path))
-    lines = [",".join(header)] + [",".join(_cell(v) for v in r) for r in (row, row[::-1])]
+    lines = [",".join(header)] + [",".join(csv_cell(v) for v in r) for r in (row, row[::-1])]
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
@@ -331,7 +331,7 @@ def test_rows_csv_reject_bad_cells_as_cell_by_cell_writes_do(tmp_path):
     for bad in (True, np.bool_(False), np.int64(1), np.float32(0.5), "ab", "a,b", None, [0.5]):
         target = tmp_path / "bad.csv"
         with pytest.raises(InvalidInputError, match="unsupported CSV cell type"):
-            _cell(bad)
+            csv_cell(bad)
         with pytest.raises(InvalidInputError, match="unsupported CSV cell type"):
             write_rows_csv(("x", "y"), ((0.5, 0.5), (1, bad)), str(target))
         assert not target.exists()
@@ -442,36 +442,45 @@ def test_json_fragments_rows_of_other_cells_take_the_general_path(rows):
     assert json_fragments({"k": rows})["k"] == expected
 
 
-_FLOAT64_ROWS = st.lists(st.tuples(st.integers(-2**40, 2**40), _JSON_NUMBERS.filter(
-    lambda v: isinstance(v, float)).map(np.float64)), min_size=1, max_size=8)
+# the float cells of _JSON_NUMBERS, drawn directly rather than filtered out of it
+_FLOAT64_ROWS = st.lists(st.tuples(st.integers(-2**40, 2**40), st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308])).map(np.float64)),
+    min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=_FLOAT64_ROWS, outer=st.sampled_from([list, tuple]),
        inner=st.sampled_from([list, tuple]))
 def test_number_rows_take_lists_tuples_and_float64_cells(tmp_path_factory, rows, outer, inner):
-    # both writers give the text they gave through the indented encoder and
-    # the cell-by-cell path: float.__repr__ of each np.float64
+    # both writers give the text of the indented encoder and of each cell
+    # written on its own: float.__repr__ of each np.float64
     rows = outer(inner(row) for row in rows)
     assert _is_number_rows(rows)
     expected = json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  ")
     assert json_fragments({"k": rows})["k"] == expected
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     write_rows_csv(("a", "b"), rows, str(path))
-    lines = ["a,b"] + [",".join(_cell(v) for v in r) for r in rows]
+    lines = ["a,b"] + [",".join(csv_cell(v) for v in r) for r in rows]
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def _count_encodes(monkeypatch) -> list:
+    """Count the calls of json.dumps, by which ``write_rows_csv`` encodes."""
+    calls, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or dumps(*a, **k))
+    return calls
 
 
 def test_float64_rows_take_one_encode(tmp_path, monkeypatch):
     # a trajectory's rows: an int step, then np.float64 states
-    from chaincert import reporting
-
-    monkeypatch.setattr(reporting, "_cell", None)  # the cell path would call it
+    calls = _count_encodes(monkeypatch)
     states = np.array([[0.1, -0.0], [5e-324, 1.7976931348623157e308]])
     rows = [(t, *r) for t, r in enumerate(states)]
     write_rows_csv(("step", "x_0", "y_0"), rows, str(tmp_path / "traj.csv"))
     assert (tmp_path / "traj.csv").read_text() == \
         "step,x_0,y_0\n0,0.1,-0.0\n1,5e-324,1.7976931348623157e+308\n"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cell", [np.int64(2), np.bool_(True), True, np.float32(0.5)])
@@ -751,6 +760,60 @@ def test_cli_coverage_rejects_bad_slack_before_set_up(tmp_path, capsys, monkeypa
     assert "epsilon must lie in" in err and "Traceback" not in err
 
 
+def _clip_config(clip):
+    return dict(blocks_config(), loss={"kind": "abs_clipped", "clip": clip}, epsilon=0.1)
+
+
+@pytest.mark.parametrize("name", ["lemma1", "lemma3", "coverage"])
+def test_cli_validators_name_a_tail_out_of_float_range(tmp_path, capsys, name):
+    # a loss clip of 1e200 makes ell_H, and so C, 1e200: C^2 overflows
+    cfg = write_config(tmp_path, "clip.json", _clip_config(1e200))
+    out = tmp_path / "never"
+    assert main(["validate", name, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: the tail at n = 16 has no float value: C = ell_H / (1 - ell_F)"
+                          " = 1e+200 / (1 - 0.0) = 1e+200")
+    assert not out.exists()
+
+
+def test_cli_validators_name_a_delta_whose_slack_leaves_the_unit_interval(tmp_path, capsys):
+    # validate converts delta and checks the slack as certify does: the
+    # message names delta, the value the user gave, not epsilon
+    cfg = write_config(tmp_path, "delta.json",
+                       {"preset": "affine_triangle", "n": 4, "delta": 0.05, "trials": 4})
+    for argv in (["validate", "lemma1", "--config", cfg],
+                 ["certify", "--form", "empirical", "--rademacher", "0.1", "--ell-h", "2",
+                  "--ell-f", "0.5", "--n", "4", "--delta", "0.05"]):
+        assert main(argv + ["--out", str(tmp_path / "never")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta 0.05 at n = 4 gives slack ") and err.count("\n") == 1
+        assert err.endswith(", not in (0, 1)\n")
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("flags, window", [([], [20, 40]), (["--window", "paper-literal"], [0, 40])])
+def test_cli_erm_without_n_takes_its_window_from_the_trajectory(tmp_path, capsys, flags, window):
+    # the config has no n: the delayed window is the second half of the
+    # trajectory's 40 rows, and the paper-literal one all of them
+    cfg = write_config(tmp_path, "c.json", {"preset": "halving_map"})
+    assert main(["simulate", "--config", cfg, "--n", "40", "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    assert main(["erm", str(tmp_path / "sim" / "trajectory.csv"), "--config", cfg, *flags]) == 0
+    assert json.loads(capsys.readouterr().out)["window"] == window
+
+
+def test_cli_lemma2_runs_on_a_squared_loss(tmp_path, capsys):
+    # loss_lip = 2 * diameter = 2, so ell_H = max(1, 2 * max(sup_lip 1, 1) * kappa 2) = 4
+    cfg = write_config(tmp_path, "sq.json", dict(
+        blocks_config(), loss={"kind": "squared_clipped", "clip": 1.0, "domain_diameter": 1.0},
+        rad_outer=4, out_dir=str(tmp_path / "run")))
+    assert main(["validate", "lemma2", "--config", cfg]) in (0, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    summary = read_summary(str(tmp_path / "run" / "validate_lemma2_summary.json"))
+    assert summary["ingredients"]["ell_H"] == 4.0 and summary["trials"] == 4
+
+
 def test_cli_rejects_removed_workers_key_and_flag(tmp_path, capsys):
     good = {"preset": "halving_map", "n": 8, "epsilon": 0.1, "trials": 2,
             "out_dir": str(tmp_path / "never")}
@@ -891,6 +954,15 @@ _EMPIRICAL = ["--form", "empirical", "--rademacher", "0.1", "--ell-h", "1", "--n
      "delta 0.5 at n = 10 gives slack 2371387360321642.0, not in (0, 1)"),
     (["--form", "population", "--rademacher", "1e308", "--ell-h", "1e308", "--ell-f", "0.5",
       "--n", "10", "--epsilon", "0.1"], "certificate 'radius' overflows to inf"),
+    # C^2 overflows in the tail
+    (["--form", "population", "--rademacher", "0.1", "--ell-h", "1e200", "--ell-f", "0.5",
+      "--n", "10", "--epsilon", "0.1"],
+     "the tail at n = 10 has no float value: C = ell_H / (1 - ell_F) = 1e+200 / (1 - 0.5)"),
+    # n past the float range, given a slack or a delta
+    (_EMPIRICAL[:-1] + [str(10**400), "--ell-f", "0.5", "--epsilon", "0.1"],
+     "sample size of 1329 bits exceeds the float range"),
+    (_EMPIRICAL[:-1] + [str(10**400), "--ell-f", "0.5", "--delta", "0.1"],
+     "sample size of 1329 bits exceeds the float range"),
 ])
 def test_cli_certify_names_the_input_at_fault(tmp_path, capsys, argv, named):
     out = tmp_path / "cert"
@@ -1180,7 +1252,7 @@ def test_rows_csv_number_tables_match_cell_by_cell_writes(tmp_path_factory, rows
     assert _is_number_rows(rows) and _is_number_rows(list(rows))
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
     write_rows_csv(("a", "b", "c"), rows, str(path))
-    lines = ["a,b,c"] + [",".join(_cell(v) for v in r) for r in rows]
+    lines = ["a,b,c"] + [",".join(csv_cell(v) for v in r) for r in rows]
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
@@ -1189,19 +1261,37 @@ def test_rows_csv_number_tables_match_cell_by_cell_writes(tmp_path_factory, rows
     ((0, float("inf")), (1, -float("inf"))),
     [(0, np.float64("nan")), (1, np.float64(0.25))],
 ])
-def test_rows_csv_tables_json_refuses_keep_the_row_path(tmp_path, rows):
+def test_rows_csv_tables_json_refuses_keep_the_row_path(tmp_path, rows, monkeypatch):
+    # NaN and the infinities, which strict JSON refuses, take the one encode
+    # of every other table and still write as float.__repr__ does
+    calls = _count_encodes(monkeypatch)
     path = tmp_path / "rows.csv"
     write_rows_csv(("a", "b"), rows, str(path))
-    lines = ["a,b"] + [",".join(_cell(v) for v in r) for r in rows]
+    lines = ["a,b"] + [",".join(csv_cell(v) for v in r) for r in rows]
     assert path.read_text() == "\n".join(lines) + "\n"
+    assert len(calls) == 1
+
+
+def test_rows_csv_tables_of_arrays_write_as_lists_of_their_rows(tmp_path):
+    # a 2-d array, a list of array rows or a generator of them is written as
+    # the list of its rows; an integer array's np.int64 cells are refused,
+    # and an empty table writes its header alone
+    table = np.array([[0.5, -0.0], [np.nan, -np.inf]])
+    for rows in (table, list(table), (row for row in table)):
+        write_rows_csv(("a", "b"), rows, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_text() == "a,b\n0.5,-0.0\nnan,-inf\n"
+    write_rows_csv(("a", "b"), [], str(tmp_path / "t.csv"))
+    assert (tmp_path / "t.csv").read_text() == "a,b\n"
+    with pytest.raises(InvalidInputError, match="unsupported CSV cell type int64"):
+        write_rows_csv(("a", "b"), np.array([[1, 2]]), str(tmp_path / "bad.csv"))
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_rows_csv_number_table_takes_one_encode(tmp_path, monkeypatch):
-    from chaincert import reporting
-
-    monkeypatch.setattr(reporting, "_cell", None)  # the row path would call it on an int
+    calls = _count_encodes(monkeypatch)
     write_rows_csv(("trial", "phi"), ((0, 0.5), (1, 2.5e-3)), str(tmp_path / "rows.csv"))
     assert (tmp_path / "rows.csv").read_text() == "trial,phi\n0,0.5\n1,0.0025\n"
+    assert len(calls) == 1
     # a row of the wrong width still fails before the file is written
     monkeypatch.undo()
     with pytest.raises(InvalidInputError, match="row width"):

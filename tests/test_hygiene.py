@@ -2,7 +2,7 @@
 private module-level function and class is referenced, every public one
 has a caller outside the tests or is on a short list, no module of the
 package or the scripts uses ``numpy.random`` and only ``metric`` imports a
-SHA-256 module, importing the command line loads no scipy, an assignment
+SHA-256 module, only ``cli._ensure_dir`` makes directories, importing the command line loads no scipy, an assignment
 solve loads no ``scipy.optimize``, the commands never load ``numpy.random``
 or OpenSSL's ``_hashlib``, and the hooks the benchmark
 (``perfbench/``) attaches to still exist with the arguments it reads.
@@ -263,6 +263,41 @@ def test_only_metric_keys_random_streams():
     # independent check on it)
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
     assert _stream_keyers(paths) == []
+
+
+def _makedirs_callers(paths):
+    """``file:name`` for each call of ``makedirs`` (``os.makedirs``, or the
+    bare name) in ``paths``, named by the top-level function or class that
+    holds it, or ``<module>`` outside one."""
+    found = set()
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(top, "name", "<module>")
+            found.update(f"{path.name}:{name}" for node in ast.walk(top)
+                         if isinstance(node, ast.Call) and "makedirs" in _references(node.func))
+    return sorted(found)
+
+
+def test_scan_flags_a_second_makedirs_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\ndef _ensure_dir(path):\n    os.makedirs(path, exist_ok=True)\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "import os\ndef run(args):\n    def inner():\n        os.makedirs(args.out)\n"
+        "    inner()\n", encoding="utf-8")
+    (tmp_path / "c.py").write_text("from os import makedirs\nmakedirs('x')\n", encoding="utf-8")
+    (tmp_path / "d.py").write_text(
+        "import os\n# os.makedirs in a comment, and in a string, makes nothing\n"
+        "text = 'os.makedirs(out)'\nos.path.exists('x')\n", encoding="utf-8")
+    assert _makedirs_callers(sorted(tmp_path.glob("*.py"))) == [
+        "a.py:_ensure_dir", "b.py:run", "c.py:<module>"]
+
+
+def test_only_ensure_dir_makes_directories():
+    # the scripts call cli._ensure_dir, which maps a directory that cannot
+    # be made to exit 2, as every command does
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert _makedirs_callers(paths) == ["cli.py:_ensure_dir"]
 
 
 _IMPORT_GUARD = """

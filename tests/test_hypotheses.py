@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from chaincert.hypotheses import (
     window_loss_values,
 )
 from chaincert.metric import MetricSpec, SeedSpec, ZPoint
+from chaincert.presets import load_preset
 from oracles import empirical_contraction_probe
 from test_generators import make_halving, make_iid
 
@@ -148,6 +151,25 @@ def test_finalize_env_and_value_guard():
     assert loss_of(env_tight, h, z) == pytest.approx(0.5, abs=0)
 
 
+def test_squared_loss_worked_values_on_each_side_of_the_clip():
+    # min(|gap|^2, clip) of the Euclidean label gap: 0.5^2 = 0.25 is below
+    # the clip 2, and 5^2 = 25 is cut to it
+    env = make_squared_loss(clip=2.0, domain_diameter=3.0)
+    rows = env.loss_rows(np.array([[0.5, 0.0], [3.0, 4.0]]), np.zeros((2, 2)))
+    assert rows.tolist() == [0.25, 2.0]
+
+
+def test_squared_loss_lip_flows_through_finalize_env():
+    # loss_lip = 2 * diameter, and ell_H = max(clip, loss_lip * max(sup_lip, 1) * kappa)
+    env = make_squared_loss(clip=0.5, domain_diameter=1.5)
+    assert (env.kind, env.loss_lip) == ("squared_clipped", 3.0)
+    spec = MetricSpec(dim_x=1, dim_y=1, kappa=0.25)
+    steep = HypothesisClass((linear_hypothesis("l", [[2.0]], [0.0]),))
+    assert finalize_env(env, steep, spec).ell_H == 3.0 * 2.0 * 0.25
+    assert finalize_env(env, constant_grid([0.0]), spec).ell_H == 3.0 * 1.0 * 0.25
+    assert finalize_env(dataclasses.replace(env, clip=5.0), steep, spec).ell_H == 5.0
+
+
 def test_loss_rows_match_pointwise():
     spec = unit_square()
     cls = HypothesisClass(
@@ -211,6 +233,17 @@ def test_verify_a2_rejects_understated_bound():
                        ell_H=0.05)
     with pytest.raises(AssumptionViolationError):
         verify_a2(broken, cls, gen, num_pairs=64, chain_len=8, seed=SeedSpec(3))
+
+
+def test_verify_a2_rejects_a_lipschitz_ratio_above_ell_h():
+    # halving_map's losses stay at or below 0.9, so a declared ell_H of 0.9
+    # passes the value check; along a chain its loss moves one to one with
+    # the state, a ratio of 1, which the ratio check refuses with its pair
+    bundle = load_preset("halving_map")
+    env = dataclasses.replace(bundle.env, ell_H=0.9)
+    with pytest.raises(AssumptionViolationError,
+                       match=r"^loss Lipschitz ratio 1\.0 exceeds ell_H = 0\.9 at pair \(ZPoint"):
+        verify_a2(env, bundle.cls, bundle.gen, num_pairs=64, chain_len=12, seed=SeedSpec(0))
 
 
 def test_verify_a2_requires_finalized_env():

@@ -19,6 +19,7 @@ from chaincert.metric import (
     derive_stream,
     derive_streams,
     dist,
+    _check_count,
     _triangle_pairs,
     pairwise_dist,
     row_dist,
@@ -314,3 +315,13 @@ def test_hashlib_fallback_gives_the_same_digests():
     assert runs["default"]["keys"] == [stream_key(seed) for seed in seeds]
     assert runs["default"]["children"] == [derived_index(SeedSpec(5, 3), i) for i in range(4)]
     assert runs["default"]["digest"] == sha256_hex(runs["default"]["canonical"])
+
+
+def test_counts_past_the_float_range_are_refused():
+    # a count takes part in float arithmetic (2.0 * n, ell_F ** n), so the
+    # largest float is the largest count
+    _check_count("n", int(sys.float_info.max))
+    for big in (int(sys.float_info.max) + 1, 10**400, 2**5000):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^n of {big.bit_length()} bits exceeds the float range$"):
+            _check_count("n", big)

@@ -1,8 +1,8 @@
 """Exit codes of the entry-point scripts under malformed flags.
 
 Both scripts map errors as the ``chaincert`` command line does: an invalid
-flag value exits 2 and a violated assumption exits 3, with one line on
-stderr and no traceback.
+flag value or an output directory that cannot be made exits 2 and a violated
+assumption exits 3, with one line on stderr and no traceback.
 """
 import contextlib
 import importlib.util
@@ -93,6 +93,33 @@ def test_scripts_exit_3_on_a_violated_assumption(tmp_path, monkeypatch, name, ta
     code, _, err = _run(script, ["--out", str(tmp_path / "never")])
     assert code == 3
     _assert_one_line(err, "assumption violation: ", "declared bound breached")
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("contraction_decay", ["--preset", "halving_map", "--n-max", "2", "--atoms", "4"]),
+    ("coverage_sweep", ["--n-list", "8", "--trials", "2"]),
+])
+def test_scripts_exit_2_on_an_out_that_cannot_be_made(tmp_path, name, argv):
+    # a directory cannot be made under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _run(_load(name), argv + ["--out", str(blocker / "x")])
+    assert code == 2
+    _assert_one_line(err, "error: ", "cannot create output directory")
+
+
+def test_sweep_stops_at_its_first_window_on_a_bad_out(tmp_path, monkeypatch):
+    script = _load("coverage_sweep")
+    calls = []
+    experiment = script.coverage_experiment
+    monkeypatch.setattr(script, "coverage_experiment",
+                        lambda *a, **k: calls.append(a[3]) or experiment(*a, **k))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = _run(script, ["--n-list", "8,12,16", "--trials", "2",
+                                 "--out", str(blocker / "x")])
+    assert code == 2 and calls == [8]
+    _assert_one_line(err, "error: ", "cannot create output directory")
 
 
 def test_scripts_still_run_on_good_flags(tmp_path):
