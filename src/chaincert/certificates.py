@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,13 +37,13 @@ from .erm import erm, true_risk_table
 from .errors import AssumptionViolationError, InvalidInputError
 from .generators import (
     Generator,
-    _check_count,
     analytic_lip_factor,
     burn_in_allowance,
+    burn_in_steps,
     chain_batches,
 )
 from .hypotheses import HypothesisClass, LossEnv
-from .metric import SeedSpec, derive_stream
+from .metric import SeedSpec, _check_count, derive_stream
 
 CERTIFICATE_FORMS = ("population", "empirical")
 WINDOW_MODES = ("delayed", "paper_literal")
@@ -92,16 +93,25 @@ def deviation_constant(ell_H: float, ell_F: float) -> float:
     return ell_H / (1.0 - ell_F)
 
 
+def _in_float_range(what: str, ell_H: float, ell_F: float, of_c):
+    """``of_c(C)``, C = ``deviation_constant(ell_H, ell_F)``: the tail or its
+    inverse in n. Where that leaves the float range (C^2 or eps^2 overflows,
+    or one of them is 0 under a division) the inputs are invalid, and the
+    error names ``what`` and C."""
+    c = deviation_constant(ell_H, ell_F)
+    try:
+        return of_c(c)
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidInputError(f"{what} has no float value: C = ell_H / (1 - ell_F) = "
+                                f"{ell_H!r} / (1 - {ell_F!r}) = {c!r}") from None
+
+
 def _tail(epsilon: float, n: int, ell_H: float, ell_F: float) -> float:
     """exp(-2 eps^2 n / C^2): the one-sided tail behind every certificate and
     the lemma 1 and 3 validators, with C = ``deviation_constant``."""
     _check_count("sample size", n)
-    c = deviation_constant(ell_H, ell_F)
-    try:
-        return math.exp(-2.0 * epsilon**2 * n / c**2)
-    except (OverflowError, ZeroDivisionError):  # C^2 leaves the float range
-        raise InvalidInputError(f"the tail at n = {n} has no float value: C = ell_H / "
-                                f"(1 - ell_F) = {ell_H!r} / (1 - {ell_F!r}) = {c!r}") from None
+    return _in_float_range(f"the tail at n = {n}", ell_H, ell_F,
+                           lambda c: math.exp(-2.0 * epsilon**2 * n / c**2))
 
 
 def confidence_level(epsilon: float, n: int, ell_H: float, ell_F: float) -> float:
@@ -114,6 +124,11 @@ def _check_certificate_inputs(n: int, epsilon: float) -> None:
         raise InvalidInputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
 
 
+def _check_w_bar(w_bar: float) -> None:
+    if not (0.0 <= w_bar <= 1.0):
+        raise InvalidInputError(f"w_bar must lie in [0, 1] (the metric diameter), got {w_bar!r}")
+
+
 def certify_population(
     rademacher: float, ell_H: float, ell_F: float, n: int, epsilon: float,
     w_bar: float = 1.0,
@@ -122,8 +137,7 @@ def certify_population(
     _check_certificate_inputs(n, epsilon)
     if not (np.isfinite(rademacher) and rademacher >= 0):
         raise InvalidInputError(f"complexity input must be finite and non-negative, got {rademacher!r}")
-    if not (0.0 <= w_bar <= 1.0):
-        raise InvalidInputError(f"w_bar must lie in [0, 1] (the metric diameter), got {w_bar!r}")
+    _check_w_bar(w_bar)
     confidence = confidence_level(epsilon, n, ell_H, ell_F)  # checks ell_H and ell_F
     rad_term = 4.0 * rademacher
     wass_term = 2.0 * ell_H * ell_F**n * w_bar
@@ -191,8 +205,10 @@ def sample_complexity(delta: float, epsilon: float, ell_H: float, ell_F: float) 
         raise InvalidInputError(f"delta must lie in (0, 1), got {delta!r}")
     if not (0 < epsilon < 1):
         raise InvalidInputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    c = deviation_constant(ell_H, ell_F)
-    return max(1, math.ceil(c**2 * math.log(2.0 / delta) / (2.0 * epsilon**2)))
+    # log(2 / delta) over the tail's exponent per state, 2 eps^2 / C^2; ceil(inf) overflows
+    return max(1, _in_float_range(
+        f"the sample size at epsilon = {epsilon!r}, delta = {delta!r}", ell_H, ell_F,
+        lambda c: math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2 / c**2))))
 
 
 # -- validators ------------------------------------------------------------------
@@ -213,21 +229,43 @@ class ValidationReport:
     rows: tuple
 
 
-def _check_validator_inputs(env: LossEnv, n: int, trials: int) -> None:
+@dataclass(frozen=True)
+class _SetUp:
+    """What a validator knows before it simulates its trials."""
+
+    ell_F: float
+    tail: Optional[float]         # exp(-2 eps^2 n / C^2), given an epsilon
+    risks: np.ndarray             # true risks in class order
+    true_risk_uncertainty: float  # one worst-case margin over the class
+    report_tail: tuple            # the details every validator ends its report with
+
+
+def _set_up(gen, cls, env, n, trials, tol, risk_seed, epsilon=None, w_bar=1.0) -> _SetUp:
+    """Check the inputs every validator shares, compute ell_F and, given an
+    ``epsilon`` (which the validator has checked), the tail; only then build
+    the true-risk table, the first step that simulates."""
     if not np.isfinite(env.ell_H):
         raise InvalidInputError("finalize the loss environment (ell_H) before validating")
-    # a bool fails this too: True < 2
-    if not (isinstance(trials, int) and trials >= 2):
+    if not (isinstance(trials, int) and trials >= 2):  # a bool fails this too: True < 2
         raise InvalidInputError(f"need at least two trials, got {trials!r}")
     _check_count("sample size", n)
-
-
-def _risk_values(cls, gen, env, tol, seed) -> tuple[np.ndarray, float]:
-    """True risks in class order plus a single worst-case uncertainty margin."""
-    table = true_risk_table(cls, gen, env, tol=tol, seed=seed)
-    values = np.array([e.value for e in table])
+    _check_w_bar(w_bar)
+    burn_in_steps(gen, tol)  # checks tol, which a table of exact risks never reads
+    ell_F = analytic_lip_factor(gen)
+    tail = None if epsilon is None else _tail(epsilon, n, env.ell_H, ell_F)
+    table = true_risk_table(cls, gen, env, tol=tol, seed=risk_seed)
     unc = max(3.0 * e.se + e.bias_bound for e in table)
-    return values, unc
+    return _SetUp(ell_F, tail, np.array([e.value for e in table]), unc,
+                  (("n", n), ("trials", trials), ("ell_H", env.ell_H), ("ell_F", ell_F),
+                   ("true_risk_uncertainty", unc)))
+
+
+def _population_complexity(gen, cls, env, n, tol, rad_outer, mc_draws, seed):
+    """The expected complexity of n states, drawn from stream 1 of ``seed``,
+    and the burn-in allowance of its chains."""
+    rad = rademacher_expected(cls, gen, env, n, outer=rad_outer, tol=tol,
+                              seed=derive_stream(seed, 1), mc_draws=mc_draws)
+    return rad, burn_in_allowance(gen, tol, env.ell_H)
 
 
 def _sup_deviation(matrix: LossMatrix, er_values: np.ndarray) -> float:
@@ -273,35 +311,27 @@ def validate_lemma1(
     The centering mean comes from an independent batch of equal size, so the
     tail frequency is measured against a threshold it never touched.
     """
-    _check_validator_inputs(env, n, trials)
     if not (0 <= epsilon < 1):
         raise InvalidInputError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    ell_F = analytic_lip_factor(gen)
-    bound = _tail(epsilon, n, env.ell_H, ell_F)
-    er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
-    center = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), er_values)
+    s = _set_up(gen, cls, env, n, trials, tol, derive_stream(seed, 2), epsilon)
+    center = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), s.risks)
     center_mean = float(center.mean())
-    phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 1), er_values)
+    phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 1), s.risks)
     exceeded = phis >= center_mean + epsilon
     freq = float(exceeded.mean())
     margin = 3.0 * _binomial_se(freq, trials)
     return ValidationReport(
         name="lemma1",
-        passed=bool(freq <= bound + margin),
+        passed=bool(freq <= s.tail + margin),
         statistic=freq,
-        bound=bound,
+        bound=s.tail,
         margin=margin,
         comparison="<=",
         details=(
             ("center_mean", center_mean),
             ("center_se", float(center.std(ddof=1) / math.sqrt(trials))),
             ("epsilon", float(epsilon)),
-            ("n", n),
-            ("trials", trials),
-            ("ell_H", env.ell_H),
-            ("ell_F", ell_F),
-            ("true_risk_uncertainty", er_unc),
-        ),
+        ) + s.report_tail,
         row_header=("trial", "phi", "exceeded"),
         rows=tuple((t, float(phis[t]), int(exceeded[t])) for t in range(trials)),
     )
@@ -331,23 +361,16 @@ def validate_lemma2(
     adds the systematic allowances: the burn-in bias of the stationary-start
     complexity estimate and the true-risk uncertainty.
     """
-    _check_validator_inputs(env, n, trials)
-    if not (0.0 <= w_bar <= 1.0):
-        raise InvalidInputError(f"w_bar must lie in [0, 1], got {w_bar!r}")
-    ell_F = analytic_lip_factor(gen)
-    er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
-    phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), er_values)
+    s = _set_up(gen, cls, env, n, trials, tol, derive_stream(seed, 2), w_bar=w_bar)
+    phis = _delayed_deviations(gen, cls, env, n, trials, derive_stream(seed, 0), s.risks)
     phi_mean = float(phis.mean())
     phi_se = float(phis.std(ddof=1) / math.sqrt(trials))
 
-    rad = rademacher_expected(
-        cls, gen, env, n, outer=rad_outer,
-        tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
-    )
-    rad_bias = burn_in_allowance(gen, tol, env.ell_H)
-    wass_term = env.ell_H * ell_F**n * w_bar
+    rad, rad_bias = _population_complexity(gen, cls, env, n, tol, rad_outer, mc_draws, seed)
+    wass_term = env.ell_H * s.ell_F**n * w_bar
     bound = 2.0 * rad.value_symmetrized + wass_term
-    margin = 3.0 * math.hypot(phi_se, 2.0 * rad.se_symmetrized) + 2.0 * rad_bias + er_unc
+    margin = (3.0 * math.hypot(phi_se, 2.0 * rad.se_symmetrized) + 2.0 * rad_bias
+              + s.true_risk_uncertainty)
     return ValidationReport(
         name="lemma2",
         passed=bool(phi_mean <= bound + margin),
@@ -363,13 +386,8 @@ def validate_lemma2(
             ("rademacher_method", rad.method),
             ("rademacher_bias_allowance", rad_bias),
             ("wasserstein_term", wass_term),
-            ("n", n),
-            ("trials", trials),
-            ("ell_H", env.ell_H),
-            ("ell_F", ell_F),
             ("w_bar", float(w_bar)),
-            ("true_risk_uncertainty", er_unc),
-        ),
+        ) + s.report_tail,
         row_header=("trial", "phi"),
         rows=tuple((t, float(phis[t])) for t in range(trials)),
     )
@@ -389,11 +407,9 @@ def validate_lemma3(
     """Conditional check: from a stationary start, the delayed-window deviation
     stays below twice the observed-prefix complexity plus 3 epsilon at least
     as often as the one-sided tail promises."""
-    _check_validator_inputs(env, n, trials)
     _check_certificate_inputs(n, epsilon)
-    ell_F = analytic_lip_factor(gen)
-    target = 1.0 - _tail(epsilon, n, env.ell_H, ell_F)
-    er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 2))
+    s = _set_up(gen, cls, env, n, trials, tol, derive_stream(seed, 2), epsilon)
+    target = 1.0 - s.tail
     phis, estimates = [], []
     for batch in chain_batches(gen, 2 * n, derive_stream(seed, 0), trials, tol):
         # both windows of every chain in one loss call, in trial order
@@ -402,7 +418,7 @@ def validate_lemma3(
         )
         estimates += rademacher_estimates(halves[0::2], mc_draws,
                                           [derive_stream(traj.seed, 1) for traj in batch])
-        phis += _per_object(lambda mat: _sup_deviation(mat, er_values), halves[1::2])
+        phis += _per_object(lambda mat: _sup_deviation(mat, s.risks), halves[1::2])
     phis = np.array(phis)
     rhats = np.array([e.value for e in estimates])
     success = phis <= 2.0 * rhats + 3.0 * epsilon
@@ -420,12 +436,7 @@ def validate_lemma3(
             ("mean_rhat", float(rhats.mean())),
             ("rhat_method", shared_method(estimates)),
             ("epsilon", float(epsilon)),
-            ("n", n),
-            ("trials", trials),
-            ("ell_H", env.ell_H),
-            ("ell_F", ell_F),
-            ("true_risk_uncertainty", er_unc),
-        ),
+        ) + s.report_tail,
         row_header=("trial", "phi", "rhat", "success"),
         rows=tuple(
             (t, float(phis[t]), float(rhats[t]), int(success[t])) for t in range(trials)
@@ -462,26 +473,20 @@ def coverage_experiment(
     subtracted from each deviation ("adjusted"); the pass verdict keys off
     the adjusted numbers so estimator noise cannot flip it.
     """
-    _check_validator_inputs(env, n, trials)
     if window_mode not in WINDOW_MODES:
         raise InvalidInputError(f"window_mode must be one of {WINDOW_MODES}, got {window_mode!r}")
     _check_certificate_inputs(n, epsilon)
-    ell_F = analytic_lip_factor(gen)
-    er_values, er_unc = _risk_values(cls, gen, env, tol, derive_stream(seed, 3))
-    opt_value = float(er_values.min())
+    s = _set_up(gen, cls, env, n, trials, tol, derive_stream(seed, 3), epsilon, w_bar)
+    opt_value = float(s.risks.min())
 
-    rad = rademacher_expected(
-        cls, gen, env, n, outer=rad_outer,
-        tol=tol, seed=derive_stream(seed, 1), mc_draws=mc_draws,
-    )
-    rad_bias = burn_in_allowance(gen, tol, env.ell_H)
+    rad, rad_bias = _population_complexity(gen, cls, env, n, tol, rad_outer, mc_draws, seed)
     rad_input = rad.value + 3.0 * rad.se + rad_bias
-    cert_pop = certify_population(rad_input, env.ell_H, ell_F, n, epsilon, w_bar)
+    cert_pop = certify_population(rad_input, env.ell_H, s.ell_F, n, epsilon, w_bar)
     confidence = cert_pop.confidence
 
     def deviation(mat: LossMatrix) -> float:
         pick = erm(cls, mat, epsilon=epsilon, tie_break=erm_tie_break).hypothesis_index
-        return abs(float(er_values[pick]) - opt_value)
+        return abs(float(s.risks[pick]) - opt_value)
 
     window = _training_window(window_mode, n)
     deviations, estimates = [], []
@@ -492,11 +497,11 @@ def coverage_experiment(
                                           [derive_stream(traj.seed, 1) for traj in batch])
     deviations = np.array(deviations)
     radii_emp = np.array(_per_object(
-        lambda e: certify_empirical(e.value, env.ell_H, ell_F, n, epsilon).radius, estimates
+        lambda e: certify_empirical(e.value, env.ell_H, s.ell_F, n, epsilon).radius, estimates
     ))
     covered_pop = deviations < cert_pop.radius
     covered_emp = deviations < radii_emp
-    adj = np.maximum(deviations - 2.0 * er_unc, 0.0)
+    adj = np.maximum(deviations - 2.0 * s.true_risk_uncertainty, 0.0)
     covered_pop_adj = adj < cert_pop.radius
     covered_emp_adj = adj < radii_emp
 
@@ -528,14 +533,9 @@ def coverage_experiment(
         ("rhat_exact_trials", sum(e.method == "exact" for e in estimates)),
         ("opt_risk", opt_value),
         ("epsilon", float(epsilon)),
-        ("n", n),
-        ("trials", trials),
         ("window_mode", window_mode),
-        ("ell_H", env.ell_H),
-        ("ell_F", ell_F),
         ("w_bar", float(w_bar)),
-        ("true_risk_uncertainty", er_unc),
-    )
+    ) + s.report_tail
     return ValidationReport(
         name="coverage",
         passed=bool(pass_pop and pass_emp),

@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, Optional
 
 # One BLAS thread unless the caller set a count: a second OpenBLAS thread spins
@@ -230,17 +231,7 @@ def _cmd_rademacher(args: argparse.Namespace) -> int:
         est = rademacher_estimate(matrix, MC_DRAWS, seed)
     else:
         est = rademacher_mc(matrix, args.draws, seed)
-    payload = {
-        "value": est.value,
-        "se": est.se,
-        "draws": est.draws,
-        "method": est.method,
-        "value_symmetrized": est.value_symmetrized,
-        "se_symmetrized": est.se_symmetrized,
-        "class_size": values.shape[0],
-        "n": matrix.num_states,
-        "ell_H": ell_H,
-    }
+    payload = dict(asdict(est), class_size=values.shape[0], n=matrix.num_states, ell_H=ell_H)
     return _emit_json(args, "rademacher", payload)
 
 
@@ -262,18 +253,7 @@ def _cmd_erm(args: argparse.Namespace) -> int:
     if cfg.delta is not None:  # the config holds one of the two at most
         epsilon = invert_epsilon(cfg.delta, n, bundle.env.ell_H, analytic_lip_factor(bundle.gen))
     report = erm(bundle.cls, matrix, epsilon=epsilon, tie_break=cfg.tie_break)
-    payload = {
-        "hypothesis_id": report.hypothesis_id,
-        "hypothesis_index": report.hypothesis_index,
-        "empirical_risk": report.empirical_risk,
-        "min_risk": report.min_risk,
-        "achieved_gap": report.achieved_gap,
-        "epsilon": report.epsilon,
-        "tie_break": report.tie_break,
-        "window": list(window),
-        "risk_table": [[hid, float(v)] for hid, v in report.risk_table],
-    }
-    return _emit_json(args, "erm", payload, config_digest(cfg))
+    return _emit_json(args, "erm", dict(asdict(report), window=window), config_digest(cfg))
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -287,24 +267,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     else:
         cert = certify_empirical(args.rademacher, args.ell_h, args.ell_f, args.n, epsilon)
     check_certificate(cert)
-    payload = {
-        "form": cert.form,
-        "radius": cert.radius,
-        "confidence": cert.confidence,
-        "vacuous": cert.confidence == 0.0,
-        "ingredients": {
-            "rademacher_term": cert.rademacher_term,
-            "wasserstein_term": cert.wasserstein_term,
-            "epsilon_term": cert.epsilon_term,
-            "rademacher_input": args.rademacher,
-            "ell_H": cert.ell_H,
-            "ell_F": cert.ell_F,
-            "w_bar": cert.w_bar,
-            "n": cert.n,
-            "epsilon": cert.epsilon,
-            "delta": args.delta,
-        },
-    }
+    ingredients = dict(asdict(cert), rademacher_input=args.rademacher, delta=args.delta)
+    payload = {key: ingredients.pop(key) for key in ("form", "radius", "confidence")}
+    payload.update(vacuous=cert.confidence == 0.0, ingredients=ingredients)
     return _emit_json(args, "certificate", payload)
 
 

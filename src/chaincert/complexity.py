@@ -41,15 +41,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, SizeCapError
-from .generators import (
-    Generator,
-    Trajectory,
-    _check_count,
-    chain_batches,
-    exact_invariant_atoms,
-)
+from .generators import Generator, Trajectory, chain_batches, exact_invariant_atoms
 from .hypotheses import HypothesisClass, LossEnv, window_loss_values
-from .metric import SeedSpec, derive_stream, stream_keys, stream_words
+from .metric import SeedSpec, _check_count, derive_stream, stream_keys, stream_words
 
 EXACT_N_CAP = 20
 MC_DRAWS = 4096  # default Monte Carlo sign vectors per estimate
@@ -199,12 +193,16 @@ class RademacherEstimate:
 def check_draws(draws, where: str = "draws") -> int:
     """``draws`` if it is an even integer of at least 4: Monte Carlo scores
     draws/2 antithetic pairs (sigma, -sigma), and a standard error needs at
-    least two pairs."""
+    least two pairs. Each form keeps one float per pair, so numpy must be
+    able to size 4 * draws bytes."""
     if isinstance(draws, bool) or not isinstance(draws, int) or draws < 4 or draws % 2:
         raise InvalidInputError(
             f"{where} must be an even integer >= 4 (Monte Carlo scores draws/2 "
             f"sign pairs), got {draws!r}"
         )
+    if 4 * draws > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"{where} of {draws} needs {4 * draws} bytes per form, "
+                                "past numpy's limit")
     return draws
 
 

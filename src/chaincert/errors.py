@@ -24,5 +24,6 @@ class AssumptionViolationError(ChainCertError):
 
 
 class GeneratorContractError(ChainCertError):
-    """A generator stepped outside its declared state bounds, or an empirical
-    contraction probe exceeded the analytic factor."""
+    """A generator stepped outside its declared state bounds, or an affine
+    system's maps do not keep its declared state ball invariant (CLI exit
+    code 3)."""

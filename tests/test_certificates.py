@@ -114,16 +114,41 @@ def test_tail_out_of_float_range_names_n_and_c(ell_H, c):
             make()
 
 
-@pytest.mark.parametrize("validate", [validate_lemma1, validate_lemma3])
-def test_lemma_validators_refuse_an_out_of_range_tail_before_simulating(validate, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("the true-risk table ran before the tail was checked")
+def _forbid_simulation(monkeypatch):
+    """Make each step of a validator that simulates fail the test if it runs."""
+    for name in ("true_risk_table", "rademacher_expected", "chain_batches"):
+        def never(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran before the inputs were checked")
 
-    monkeypatch.setattr("chaincert.certificates.true_risk_table", never)
+        monkeypatch.setattr(f"chaincert.certificates.{name}", never)
+
+
+@pytest.mark.parametrize("validate", [validate_lemma1, validate_lemma3, coverage_experiment])
+def test_lemma_validators_refuse_an_out_of_range_tail_before_simulating(validate, monkeypatch):
+    _forbid_simulation(monkeypatch)
     bundle = load_preset("iid_two")
     env = dataclasses.replace(bundle.env, ell_H=1e200)
     with pytest.raises(InvalidInputError, match=r"the tail at n = 8 has no float value"):
-        validate(bundle.gen, bundle.cls, env, 8, 0.1, 4)
+        validate(bundle.gen, bundle.cls, env, n=8, epsilon=0.1, trials=4)
+
+
+_REFUSALS = {"tol": (2.0, r"^burn-in tolerance must lie in \(0, 1\), got 2\.0$"),
+             "w_bar": (1.5, r"^w_bar must lie in \[0, 1\] \(the metric diameter\), got 1\.5$")}
+
+
+@pytest.mark.parametrize("validate, key", [
+    (validate_lemma1, "tol"), (validate_lemma2, "tol"), (validate_lemma3, "tol"),
+    (coverage_experiment, "tol"), (validate_lemma2, "w_bar"), (coverage_experiment, "w_bar"),
+], ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("preset", ["iid_two", "affine_triangle"])
+def test_validators_refuse_w_bar_and_tol_before_simulating(validate, key, preset, monkeypatch):
+    # iid_two's exact risk table never reads tol, so only the set-up refuses it
+    _forbid_simulation(monkeypatch)
+    bundle = load_preset(preset)
+    value, named = _REFUSALS[key]
+    kwargs = {key: value} if validate is validate_lemma2 else {key: value, "epsilon": 0.1}
+    with pytest.raises(InvalidInputError, match=named):
+        validate(bundle.gen, bundle.cls, bundle.env, n=8, trials=4, **kwargs)
 
 
 def test_counts_past_the_float_range_are_refused_by_the_certificates():
@@ -165,6 +190,24 @@ def test_invert_epsilon_closed_form_round_trip():
     a = invert_epsilon(0.1, 50, 1.0, 0.3)
     b = invert_epsilon(0.1, 200, 1.0, 0.3)
     assert a == pytest.approx(2.0 * b, rel=1e-12)
+
+
+@pytest.mark.parametrize("args, named", [
+    # C^2 overflows
+    ((0.1, 0.1, 1e200, 0.5), r"epsilon = 0\.1, delta = 0\.1 has no float value: "
+                             r"C = ell_H / \(1 - ell_F\) = 1e\+200 / \(1 - 0\.5\) = 2e\+200$"),
+    # eps^2 underflows to 0
+    ((0.1, 1e-200, 1.0, 0.5), r"^the sample size at epsilon = 1e-200, delta = 0\.1 has no"),
+    # C^2 underflows to 0, which the tail refuses too
+    ((0.1, 0.1, 5e-324, 0.5), r"= 5e-324 / \(1 - 0\.5\) = 1e-323$"),
+], ids=["C_squared_overflows", "epsilon_squared_is_0", "C_squared_is_0"])
+def test_sample_complexity_refuses_a_tail_with_no_float_value(args, named):
+    delta, epsilon, ell_H, ell_F = args
+    with pytest.raises(InvalidInputError, match=named):
+        sample_complexity(delta, epsilon, ell_H, ell_F)
+    if epsilon == 0.1:
+        with pytest.raises(InvalidInputError, match="the tail at n = 10 has no float value"):
+            confidence_level(epsilon, 10, ell_H, ell_F)
 
 
 def test_sample_complexity_worked_value_and_scaling():

@@ -12,7 +12,7 @@ import json
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaincert.cli import main
@@ -364,3 +364,52 @@ def flag_faults(draw):
 def test_bad_flag_value_is_rejected(workdir, fault):
     command, flag, value = fault
     _assert_rejected(_flag_argv(workdir, command, flag, value))
+
+
+# Every numeric flag of certify and rademacher as text over the whole range:
+# subnormals, the float extremes, signed zeros, inf, nan, negative values and
+# integers up to 10^400, so each value either runs or is refused by name.
+FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["5e-324", "-5e-324", "2.2250738585072014e-308", "1e308", "-1e308",
+                     "1.7976931348623157e308", "0", "-0.0", "inf", "-inf", "nan"]),
+    st.integers(-(10**400), 10**400).map(str),
+)
+INT_TEXT = st.one_of(st.integers(-(10**400), 10**400).map(str), FLOAT_TEXT)
+# draws that numpy can size but that take minutes to score (10^6 up to
+# 2^61) are a slow valid run, not a malformed one, so they are left out
+DRAWS_TEXT = st.one_of(st.integers(-(10**400), 10**4).map(str),
+                       st.integers(2**61, 10**400).map(str), st.floats().map(repr))
+
+
+@st.composite
+def numeric_flag_runs(draw):
+    """argv for ``certify`` (either form) or ``rademacher`` on ``LOSS``, with
+    a drawn text for each numeric flag it sets."""
+    if draw(st.booleans()):
+        argv = ["rademacher", "LOSS"]
+        for flag, text in (("--draws", DRAWS_TEXT), ("--ell-h", FLOAT_TEXT),
+                           ("--seed", INT_TEXT)):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(text)}")
+        return argv
+    form = draw(st.sampled_from(("population", "empirical")))
+    slack = draw(st.sampled_from(("--epsilon", "--delta")))
+    argv = ["certify", "--form", form] + [
+        f"{flag}={draw(text)}" for flag, text in (
+            ("--rademacher", FLOAT_TEXT), ("--ell-h", FLOAT_TEXT), ("--ell-f", FLOAT_TEXT),
+            ("--n", INT_TEXT), (slack, FLOAT_TEXT))]
+    if form == "population" and draw(st.booleans()):
+        argv.append(f"--w-bar={draw(FLOAT_TEXT)}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=numeric_flag_runs())
+@example(argv=["rademacher", "LOSS", f"--draws={10**19}"])
+@example(argv=["rademacher", "LOSS", f"--draws={10**400}"])
+def test_numeric_flags_over_the_whole_range_exit_by_code(workdir, argv):
+    argv = [str(workdir / "loss.csv") if a == "LOSS" else a for a in argv]
+    code, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert err.count("error:") <= 1 and "Traceback" not in err, (argv, err)

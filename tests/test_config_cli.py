@@ -1004,6 +1004,57 @@ def test_cli_certify_delta_route(tmp_path, capsys):
         math.sqrt(math.log(40.0) / 2000.0), abs=1e-15)
 
 
+# The keys each command writes; perfbench/checks.py and users' scripts read
+# them, so a field renamed in a record must fail here rather than rename a key.
+_RADEMACHER_KEYS = {"value", "se", "draws", "method", "value_symmetrized", "se_symmetrized",
+                    "class_size", "n", "ell_H"}
+_ERM_KEYS = {"hypothesis_id", "hypothesis_index", "empirical_risk", "min_risk", "achieved_gap",
+             "epsilon", "tie_break", "window", "risk_table"}
+_CERTIFY_KEYS = {"form", "radius", "confidence", "vacuous", "ingredients"}
+_CERTIFY_INGREDIENTS = {"rademacher_term", "wasserstein_term", "epsilon_term",
+                        "rademacher_input", "ell_H", "ell_F", "w_bar", "n", "epsilon", "delta"}
+_VALIDATE_KEYS = {"name", "passed", "verdicts", "statistic", "bound", "margin", "comparison",
+                  "radius", "confidence", "coverage", "trials", "seed", "a2_max_ratio",
+                  "a2_pairs_checked", "ingredients"}
+_ADDED_KEYS = {"kind", "software_version", "created_at"}
+
+
+def test_cli_json_documents_keep_their_keys(tmp_path, capsys):
+    matrix = tmp_path / "loss.csv"
+    matrix.write_text("0.0,1.0,0.5\n1.0,0.0,0.25\n")
+    cfg = write_config(tmp_path, "cfg.json", {
+        "preset": "iid_two", "n": 8, "epsilon": 0.2, "trials": 4, "rad_outer": 2,
+        "out_dir": str(tmp_path / "runs")})
+    assert main(["simulate", "--config", cfg, "--n", "16"]) == 0
+    capsys.readouterr()
+    certify = ["certify", "--rademacher", "0.05", "--ell-h", "1.0", "--ell-f", "0.5",
+               "--n", "2000"]
+    commands = [
+        ("rademacher", ["rademacher", str(matrix)], _RADEMACHER_KEYS, False),
+        ("rademacher", ["rademacher", str(matrix), "--draws", "8"], _RADEMACHER_KEYS, False),
+        ("erm", ["erm", str(tmp_path / "runs" / "trajectory.csv"), "--config", cfg],
+         _ERM_KEYS, True),
+        ("certify", certify + ["--form", "population", "--epsilon", "0.1"], _CERTIFY_KEYS, False),
+        ("certify", certify + ["--form", "empirical", "--delta", "0.1"], _CERTIFY_KEYS, False),
+    ]
+    for k, (command, argv, keys, has_config) in enumerate(commands):
+        out = tmp_path / f"out{k}"
+        assert main(argv + ["--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        written = read_summary(str(out / f"{command}_summary.json"))
+        assert set(printed) == keys
+        assert set(written) == keys | _ADDED_KEYS | ({"config_sha256"} if has_config else set())
+        if command == "certify":
+            assert set(printed["ingredients"]) == set(written["ingredients"]) \
+                == _CERTIFY_INGREDIENTS
+
+    for name in ("lemma1", "lemma2", "lemma3", "coverage"):
+        assert main(["validate", name, "--config", cfg]) == 0
+        capsys.readouterr()
+        summary = read_summary(str(tmp_path / "runs" / f"validate_{name}_summary.json"))
+        assert set(summary) == _VALIDATE_KEYS | _ADDED_KEYS | {"config_sha256"}
+
+
 def test_cli_wasserstein_and_rademacher(tmp_path, capsys):
     mu = tmp_path / "mu.csv"
     mu.write_text("x_0,y_0\n0.0,0.0\n")

@@ -1,6 +1,7 @@
 """Source hygiene of the library: every top-level import is used, every
 private module-level function and class is referenced, every public one
-has a caller outside the tests or is on a short list, no module of the
+has a caller outside the tests or is on a short list, a private name is
+imported only from the module that defines it, no module of the
 package or the scripts uses ``numpy.random`` and only ``metric`` imports a
 SHA-256 module, only ``cli._ensure_dir`` makes directories, importing the command line loads no scipy, an assignment
 solve loads no ``scipy.optimize``, the commands never load ``numpy.random``
@@ -175,6 +176,66 @@ def test_scan_flags_an_uncalled_public_function(tmp_path):
     (tmp_path / "c.py").write_text("from a import scripted\nscripted()\n", encoding="utf-8")
     modules = [tmp_path / "a.py", tmp_path / "b.py"]
     assert _uncalled_public(modules, [tmp_path / "c.py"]) == ["recursive"]
+
+
+def _defined_names(tree):
+    """Names a module binds itself at its top level, inside ``if`` and
+    ``try`` blocks too: its functions, classes and assigned names, not the
+    names it imports."""
+    names, body = set(), list(tree.body)
+    while body:
+        node = body.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            body += node.body + node.orelse + getattr(node, "finalbody", [])
+            body += [sub for handler in getattr(node, "handlers", []) for sub in handler.body]
+    return names
+
+
+def _private_reimports(modules, paths):
+    """``file:module._name`` for each ``_name`` that a file of ``paths``
+    imports from a package module of ``modules`` (``from .module`` or
+    ``from chaincert.module``) that does not define it but imports it too."""
+    defined = {path.stem: _defined_names(ast.parse(path.read_text(encoding="utf-8")))
+               for path in modules}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and (node.level or node.module.startswith("chaincert."))):
+                continue
+            module = node.module.rpartition(".")[2]
+            found += [f"{path.name}:{module}.{a.name}" for a in node.names
+                      if _is_private(a.name) and module in defined
+                      and a.name not in defined[module]]
+    return sorted(found)
+
+
+def test_scan_flags_a_private_name_imported_through_another_module(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\ntry:\n    _FAST = True\nexcept ImportError:\n    _FAST = False\n"
+        "def _helper():\n    return _LIMIT\nclass _Shape:\n    pass\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from .a import _FAST, _Shape, _helper\nfrom .a import _LIMIT as limit\n",
+        encoding="utf-8")
+    (tmp_path / "c.py").write_text(
+        "from .b import _helper, public\nfrom chaincert.b import _Shape\n"
+        "from numpy import _core\n", encoding="utf-8")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert _private_reimports(paths, paths) == ["c.py:b._Shape", "c.py:b._helper"]
+
+
+def test_private_names_are_imported_from_their_own_module():
+    # a private helper has one home; importing it through a module that
+    # only imports it ties that module's imports to its callers
+    modules = sorted(PACKAGE.glob("*.py"))
+    paths = modules + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py"))
+    assert _private_reimports(modules, paths) == []
 
 
 _STREAM_KEYERS = {"PCG64", "SeedSequence", "default_rng", "RandomState"}
